@@ -24,6 +24,7 @@ import numpy as np
 
 from .experiment import (
     ConfigError,
+    _write_groundstate,
     build_initial_field,
     load_config,
     parse_model,
@@ -110,10 +111,7 @@ def _cmd_groundstate(args) -> int:
         model, kwargs = parse_model(Path(path).read_text())
         gs = solve_ground_state(model, **kwargs)
         stem = Path(path).stem
-        with (out / f"{stem}.groundstate.csv").open("w") as fh:
-            fh.write("r,profile,derivative\n")
-            for r, q, v in zip(gs.r, gs.profile, gs.derivative):
-                fh.write(f"{r!r},{q!r},{v!r}\n")
+        _write_groundstate(out / f"{stem}.groundstate.csv", gs)
         meta = {
             "which": gs.which,
             "d": model.d,

@@ -475,10 +475,6 @@ def build_initial_field(cfg: ExperimentConfig):
 
 # -- running ------------------------------------------------------------------
 
-def _json_obj(text: str):
-    return json.loads(text)
-
-
 def _drifts(log) -> dict:
     s0 = log.snapshots[0]
     tiny = 1e-300
@@ -579,7 +575,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         which = "double" if cfg.model.equation == "E1" else "mass_critical"
         gs = solve_ground_state(cfg.model, which=which)
         verdict = classify(u0, cfg.model, gs)
-        verdict_obj = _json_obj(verdict_to_json(verdict))
+        verdict_obj = json.loads(verdict_to_json(verdict))
         if cfg.model.equation == "E2":
             critical_mass = gs.mass
 
@@ -646,6 +642,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         "grid": {"n_per_axis": cfg.n_per_axis, "half_width": cfg.half_width},
         "stepper": {
             "dt": cfg.stepper.dt,
+            "dt_used": log.dt_used,
+            "n_steps": log.n_steps,
             "t_final": cfg.stepper.t_final,
             "snapshot_every": cfg.stepper.snapshot_every,
             "checkpoint_every": cfg.stepper.checkpoint_every,

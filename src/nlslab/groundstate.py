@@ -28,6 +28,13 @@ joined over a few decay lengths by a C^4 blend.  This keeps the pointwise
 residual of the stationary equation below 1e-8 * Q(0) across the whole
 profile, which solve_ground_state verifies before returning.
 
+solve_ground_state() keeps its solutions in a small per-process cache
+keyed on (ModelParams, which, power, r_max, step), so the initial data,
+the classifier, the critical mass and every config of a multi-config
+run share one solve.  The cached solution is frozen and its r, profile
+and derivative arrays are read-only; a call with a guess bypasses the
+cache, and a solve that raises leaves nothing behind.
+
 A second, independent route (ground_state_on_grid) runs a semi-implicit
 descent on the periodic spectral grid, re-normalized each step onto the
 constraint <S'(Q), Q> = 0.  Shooting and descent agree on Q(0) to about
@@ -39,6 +46,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import simpson
@@ -94,12 +102,14 @@ def _terms(mp: ModelParams, which: str, power) -> tuple:
     raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class GroundStateSolution:
     """Converged radial profile with its certificate integrals.
 
     m_omega and K_value are populated for the double nonlinearity only;
-    the other cases do not sit on the K = 0 constraint.
+    the other cases do not sit on the K = 0 constraint.  Solutions are
+    shared through the per-process cache, so the object is frozen and
+    r, profile and derivative are read-only.
     """
 
     which: str
@@ -322,7 +332,22 @@ def solve_ground_state(
     guess seeds the amplitude bracket (a profile is reduced to its peak);
     power overrides the exponent for which="single_power", allowing the
     boundary case power = 1 + 4/d that ModelParams itself excludes.
+
+    Without a guess the solution is cached per process on (mp, which,
+    power, r_max, step): equal requests return the same read-only object.
+    A solve that raises is not cached; a guess always solves afresh.
     """
+    if guess is None:
+        return _solve_cached(mp, which, power, r_max, step)
+    return _solve(mp, which, guess, power, r_max, step)
+
+
+@lru_cache(maxsize=8)
+def _solve_cached(mp, which, power, r_max, step) -> GroundStateSolution:
+    return _solve(mp, which, None, power, r_max, step)
+
+
+def _solve(mp, which, guess, power, r_max, step) -> GroundStateSolution:
     terms = _terms(mp, which, power)
     omega = 1.0 if which == "mass_critical" else mp.omega
     d = mp.d
@@ -370,6 +395,8 @@ def solve_ground_state(
     _, a_star, r, q, v, c_tail, m, grad, s_omega, k_val = best
 
     residual = _ode_residual(r, q, v, step, d, omega, terms)
+    for arr in (r, q, v):
+        arr.setflags(write=False)
     gs = GroundStateSolution(
         which=which,
         omega=omega,

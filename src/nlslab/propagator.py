@@ -13,6 +13,20 @@ Momentum is conserved as well: the nonlinear phase depends on |u| only,
 and the integral of |u|^2 times the gradient of that phase over the torus
 is the integral of an exact gradient.
 
+strang_step() and evolve() share one kernel.  Because P leaves |u|
+unchanged, P(dt/2) P(dt/2) = P(dt) exactly, so m consecutive steps are
+marched as the fused composition (Strang 1968)
+
+    P(dt/2) F(dt) [P(dt) F(dt)]^(m-1) P(dt/2)
+
+with one phase rotation per step instead of two.  The closing half-step
+is applied only where the state is observed: at a snapshot, at a stored
+checkpoint and at the last step; the non-finite check runs at each of
+those points.  Fusing moves results by rounding only.  The phase is
+built from cos and sin of the real angle; the free flow runs the FFT pair
+in place through numpy.fft's out= (numpy 2.0 or later).  With both couplings zero the kernel is the free-flow
+multiplier alone, bit-identical to spectral.free_evolve.
+
 evolve() marches to t_final, records functional snapshots at a fixed step
 cadence, and aborts the moment the recorded diagnostics say the grid has
 stopped representing the solution:
@@ -126,11 +140,14 @@ class TrajectoryLog:
     Series are aligned: times[j] matches snapshots[j], tail_fractions[j],
     edge_fractions[j], and scatter_series[j] (the cumulative diagnostic up
     to times[j]).  Checkpoints are (t, field) pairs and always include the
-    initial and final states.
+    initial and final states.  dt_used is the step size after the nudge
+    onto t_final, n_steps the number of such steps that reaches t_final.
     """
 
     params: ModelParams
     config: StepperConfig
+    dt_used: float = 0.0
+    n_steps: int = 0
     times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     tail_fractions: list = field(default_factory=list)
@@ -157,7 +174,7 @@ class TrajectoryLog:
         return math.sqrt(gj / g0)
 
 
-# -- one split step -----------------------------------------------------------
+# -- the stepping kernel ------------------------------------------------------
 
 @lru_cache(maxsize=32)
 def _kinetic_phase(grid: GridSpec, dt: float) -> np.ndarray:
@@ -167,10 +184,13 @@ def _kinetic_phase(grid: GridSpec, dt: float) -> np.ndarray:
 
 
 def _abs2_power(a2: np.ndarray, e: float) -> np.ndarray:
-    # the common cases 4/d and p-1 with d in {1,2}, p in {5,7} are integer
-    # powers of |u|^2; spelling them out beats np.power by a lot in the loop
+    # the common cases 4/d and (p-1)/2 with d in {1,2}, p in {4,5,7} are
+    # integer or half-integer powers of |u|^2; spelling them out beats
+    # np.power by a lot in the loop
     if e == 1.0:
         return a2
+    if e == 1.5:
+        return a2 * np.sqrt(a2)
     if e == 2.0:
         return a2 * a2
     if e == 3.0:
@@ -178,25 +198,53 @@ def _abs2_power(a2: np.ndarray, e: float) -> np.ndarray:
     return a2**e
 
 
-def _phase_rotation(values, half_dt, mu_c, mu_p, ex_c, ex_p):
+def _nonlinear_terms(mp: ModelParams, couplings) -> tuple:
+    """((mu, e), ...) with the phase rate sum mu |u|^(2e); zero couplings dropped."""
+    mu_c, mu_p = mp.couplings if couplings is None else couplings
+    terms = ((float(mu_c), 2.0 / mp.d), (float(mu_p), (mp.p - 1.0) / 2.0))
+    return tuple((mu, e) for mu, e in terms if mu != 0.0)
+
+
+def _rotate(values, tau, terms):
+    """P(tau) in place: u <- u exp(-i tau sum mu |u|^(2e))."""
     a2 = values.real * values.real + values.imag * values.imag
-    if mu_p == 0.0:
-        theta = mu_c * _abs2_power(a2, ex_c)
-    elif mu_c == 0.0:
-        theta = mu_p * _abs2_power(a2, ex_p)
-    else:
-        theta = mu_c * _abs2_power(a2, ex_c) + mu_p * _abs2_power(a2, ex_p)
-    return values * np.exp(-1j * half_dt * theta)
+    (mu, e), *rest = terms
+    theta = mu * _abs2_power(a2, e)
+    for mu, e in rest:
+        theta += mu * _abs2_power(a2, e)
+    theta *= -tau
+    phase = np.empty(values.shape, dtype=np.complex128)
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
+    values *= phase
 
 
-def _step_values(values, grid, dt, mu_c, mu_p, ex_c, ex_p, kin):
-    if mu_c == 0.0 and mu_p == 0.0:
-        # pure kinetic step, bit-identical to the free-flow multiplier
-        return _apply_symbol(values, kin)
-    half = 0.5 * dt
-    v = _phase_rotation(values, half, mu_c, mu_p, ex_c, ex_p)
-    v = np.fft.ifftn(np.fft.fftn(v) * kin)
-    return _phase_rotation(v, half, mu_c, mu_p, ex_c, ex_p)
+def _free(values, kin):
+    """F(dt) in place, bit-identical to spectral.free_evolve: numpy's
+    complex product is not bitwise commutative, so the symbol stays the
+    left operand."""
+    np.fft.fftn(values, out=values)
+    np.multiply(kin, values, out=values)
+    np.fft.ifftn(values, out=values)
+
+
+def _advance(values, n, dt, terms, kin):
+    """n Strang steps of size dt, in place.
+
+    Adjacent half-steps merge, P(dt/2) P(dt/2) = P(dt), because P leaves
+    |u| unchanged; the closing half-step is applied once, after the last
+    free flight, so the state is a whole number of steps on return.
+    """
+    if not terms:
+        for _ in range(n):
+            _free(values, kin)
+        return
+    _rotate(values, 0.5 * dt, terms)
+    for _ in range(n - 1):
+        _free(values, kin)
+        _rotate(values, dt, terms)
+    _free(values, kin)
+    _rotate(values, 0.5 * dt, terms)
 
 
 def strang_step(
@@ -212,12 +260,9 @@ def strang_step(
     couplings overrides the equation's (mu_critical, mu_super) pair, which
     is how reduced models (single nonlinearity, or none) are exercised.
     """
-    mu_c, mu_p = mp.couplings if couplings is None else couplings
-    kin = _kinetic_phase(u.grid, float(dt))
-    v = _step_values(
-        u.values, u.grid, float(dt), float(mu_c), float(mu_p),
-        2.0 / mp.d, (mp.p - 1.0) / 2.0, kin,
-    )
+    dt = float(dt)
+    v = u.values.copy()
+    _advance(v, 1, dt, _nonlinear_terms(mp, couplings), _kinetic_phase(u.grid, dt))
     finite = bool(np.all(np.isfinite(v)))
     return ComplexField(u.grid, v, allow_nonfinite=not finite)
 
@@ -256,11 +301,12 @@ def evolve(
     """March u0 to cfg.t_final and return the trajectory log.
 
     dt is nudged so an integer number of steps lands exactly on t_final.
-    Diagnostics and abort checks run at the snapshot cadence; the snapshot
-    that trips a threshold is recorded before the run stops, and the abort
-    reason lands in .outcome / .abort_detail.  virial_weight attaches
-    localized virial rows (E1 only); whole_space_virial attaches the
-    flat-weight second derivative (E2 only).
+    Diagnostics and abort checks run at the snapshot cadence, and the
+    non-finite check also at checkpoint steps; the snapshot that trips a
+    threshold is recorded before the run stops, and the abort reason lands
+    in .outcome / .abort_detail.  virial_weight attaches localized virial
+    rows (E1 only); whole_space_virial attaches the flat-weight second
+    derivative (E2 only).
     """
     if virial_weight is not None and whole_space_virial:
         raise ValueError("choose localized or whole-space virial rows, not both")
@@ -272,16 +318,14 @@ def evolve(
         )
 
     grid = u0.grid
-    mu_c, mu_p = mp.couplings if couplings is None else couplings
-    mu_c, mu_p = float(mu_c), float(mu_p)
-    ex_c, ex_p = 2.0 / mp.d, (mp.p - 1.0) / 2.0
+    terms = _nonlinear_terms(mp, couplings)
     n_steps = max(int(round(cfg.t_final / cfg.dt)), 1)
     dt = cfg.t_final / n_steps
     kin = _kinetic_phase(grid, dt)
     wsym = derivative_weight_multiplier(grid, mp.s_p).symbol
     mcp = mp.mc_power
 
-    log = TrajectoryLog(params=mp, config=cfg)
+    log = TrajectoryLog(params=mp, config=cfg, dt_used=dt, n_steps=n_steps)
 
     def record(values, t):
         f = ComplexField(grid, values)
@@ -302,13 +346,15 @@ def evolve(
     last_t = 0.0
     grad0 = math.sqrt(max(log.snapshots[0].grad_l2_sq, 0.0))
 
-    for step in range(1, n_steps + 1):
-        values = _step_values(values, grid, dt, mu_c, mu_p, ex_c, ex_p, kin)
+    step = 0
+    while step < n_steps:
+        # march straight to the next step whose state is observed
+        target = min(n_steps, (step // cfg.snapshot_every + 1) * cfg.snapshot_every)
+        if cfg.checkpoint_every:
+            target = min(target, (step // cfg.checkpoint_every + 1) * cfg.checkpoint_every)
+        _advance(values, target - step, dt, terms, kin)
+        step = target
         t = step * dt
-        if step % cfg.snapshot_every and step != n_steps:
-            if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
-                log.checkpoints.append((t, ComplexField(grid, values)))
-            continue
 
         if not np.all(np.isfinite(values)):
             # overflow between snapshots; classify from the last good record
@@ -320,6 +366,10 @@ def evolve(
             log.abort_detail = f"non-finite amplitudes at t = {t:.6g}"
             log.final_state = ComplexField(grid, values, allow_nonfinite=True)
             return log
+
+        if step % cfg.snapshot_every and step != n_steps:
+            log.checkpoints.append((t, ComplexField(grid, values)))
+            continue
 
         f = record(values, t)
         accum += (t - last_t) * last_g

@@ -171,15 +171,6 @@ class FourierMultiplier:
         sym.flags.writeable = False
         self.symbol = sym
 
-    def __mul__(self, other: "FourierMultiplier") -> "FourierMultiplier":
-        if self.grid != other.grid:
-            raise ValueError("cannot compose multipliers on different grids")
-        return FourierMultiplier(
-            self.grid,
-            self.symbol * other.symbol,
-            f"({self.description})*({other.description})",
-        )
-
 
 def multiplier_from_symbol(grid: GridSpec, fn, description: str = "") -> FourierMultiplier:
     """Build a multiplier from a callable of the d wavenumber arrays."""

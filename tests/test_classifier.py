@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nlslab import groundstate
 from nlslab.classifier import (
     GATE_FACTOR,
     Margin,
@@ -209,10 +210,14 @@ def test_margin_gate_uses_the_documented_factor():
     assert Margin(-0.31, 0.1).resolved
 
 
-def test_digest_is_deterministic_and_parameter_sensitive(double_gs):
+def test_digest_is_deterministic_and_parameter_sensitive(double_gs, quintic_gs):
+    # an independent solve, not the cached object the fixture holds
+    groundstate._solve_cached.cache_clear()
     again = solve_ground_state(MP1, which="double")
+    assert again is not double_gs
     assert ground_state_digest(again) == ground_state_digest(double_gs)
     assert len(ground_state_digest(double_gs)) == 64
+    assert ground_state_digest(quintic_gs) != ground_state_digest(double_gs)
 
 
 def test_verdict_round_trips_through_json(double_gs):

@@ -256,6 +256,15 @@ def test_run_directory_layout_and_summary(tmp_path):
     assert parse_config((out / "config.ini").read_text()) == cfg
 
 
+def test_summary_records_the_nudged_dt_and_the_step_count(tmp_path):
+    cfg = _quick_cfg(tmp_path, extra_outputs="classify = false",
+                     stepper="dt = 3e-3\nt_final = 0.01\nsnapshot_every = 1")
+    stepper = json.loads((run_experiment(cfg) / "summary.json").read_text())["stepper"]
+    assert stepper["dt"] == 3e-3
+    assert stepper["n_steps"] == 3
+    assert stepper["dt_used"] == 0.01 / 3
+
+
 def test_runs_are_deterministic_apart_from_timing(tmp_path):
     initial = "kind = random_smooth\nseed = 9\nk_width = 1.2\namplitude = 0.3"
     cfg_a = _quick_cfg(tmp_path / "a", extra_outputs="classify = false",

@@ -16,8 +16,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from nlslab import groundstate
 from nlslab.functionals import ModelParams, action_K_H, gradient_l2_sq, mass
 from nlslab.groundstate import (
+    BracketError,
+    ConvergenceError,
     ground_state_field,
     ground_state_on_grid,
     pohozaev_check,
@@ -176,3 +179,59 @@ def test_single_power_defaults_to_the_supercritical_exponent():
 def test_unknown_mode_is_rejected(double_gs):
     with pytest.raises(ValueError):
         solve_ground_state(DOUBLE_MP, which="nodal")
+
+
+# -- per-process cache --------------------------------------------------------
+
+@pytest.fixture
+def fresh_cache():
+    groundstate._solve_cached.cache_clear()
+    yield
+    groundstate._solve_cached.cache_clear()
+
+
+def test_equal_requests_share_one_read_only_solution(fresh_cache):
+    gs = solve_ground_state(CRITICAL_MP, which="mass_critical")
+    assert solve_ground_state(CRITICAL_MP, which="mass_critical") is gs
+    for arr in (gs.r, gs.profile, gs.derivative):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gs.amplitude = 1.0
+
+
+def test_a_guess_or_a_different_step_solves_afresh(fresh_cache):
+    gs = solve_ground_state(CRITICAL_MP, which="mass_critical")
+    guessed = solve_ground_state(CRITICAL_MP, which="mass_critical", guess=gs.profile)
+    assert guessed is not gs
+    assert guessed.amplitude == pytest.approx(gs.amplitude, rel=1e-10)
+    coarser = solve_ground_state(CRITICAL_MP, which="mass_critical", step=2.0 * gs.step)
+    assert coarser is not gs
+    assert coarser.step == pytest.approx(2.0 * gs.step)
+    assert solve_ground_state(CRITICAL_MP, which="mass_critical") is gs
+
+
+def test_a_bracket_failure_is_not_cached(fresh_cache, monkeypatch):
+    calls = []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise BracketError("first attempt fails")
+        return "solved"
+
+    monkeypatch.setattr(groundstate, "_solve", flaky)
+    with pytest.raises(BracketError):
+        solve_ground_state(CRITICAL_MP, which="mass_critical")
+    assert solve_ground_state(CRITICAL_MP, which="mass_critical") == "solved"
+    assert solve_ground_state(CRITICAL_MP, which="mass_critical") == "solved"
+    assert len(calls) == 2
+
+
+def test_a_convergence_failure_is_not_cached(fresh_cache):
+    kwargs = dict(which="mass_critical", r_max=1.0, step=0.01)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError):
+            solve_ground_state(CRITICAL_MP, **kwargs)
+    info = groundstate._solve_cached.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)

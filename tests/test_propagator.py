@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nlslab.functionals import ModelParams
+from nlslab.functionals import ModelParams, snapshot
 from nlslab.groundstate import ground_state_field
 from nlslab.propagator import (
     StepperConfig,
@@ -147,6 +147,45 @@ def test_off_grid_horizon_is_nudged_onto_a_step_count():
     cfg = StepperConfig(dt=3e-3, t_final=0.01, snapshot_every=1000, **OPEN)
     log = evolve(_packet(), MP1, cfg)
     assert log.times[-1] == pytest.approx(0.01)
+    assert (log.n_steps, log.dt_used) == (3, 0.01 / 3)
+
+
+# -- the fused kernel against single steps ------------------------------------
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("mp, grid, amplitude", [
+    (MP1, GridSpec(d=1, n_per_axis=256, half_width=10.0), 1.0),
+    # p = 4 in 2-D: the (p-1)/2 = 3/2 power takes the sqrt path
+    (ModelParams(d=2, p=4.0, omega=1.0, equation="E2"),
+     GridSpec(d=2, n_per_axis=64, half_width=8.0), 0.8),
+])
+def test_fused_marching_matches_a_loop_of_single_steps(mp, grid, amplitude):
+    u0 = field_from_function(grid, lambda *x: amplitude * np.exp(-sum(c**2 for c in x)))
+    dt = 1e-3
+    cfg = StepperConfig(dt=dt, t_final=40 * dt, snapshot_every=7,
+                        checkpoint_every=5, **OPEN)
+    log = evolve(u0, mp, cfg)
+    assert log.outcome == "completed"
+
+    states, u = {0: u0}, u0
+    for step in range(1, 41):
+        u = strang_step(u, mp, dt)
+        states[step] = u
+
+    snap_steps = [0, 7, 14, 21, 28, 35, 40]
+    assert log.times == pytest.approx([k * dt for k in snap_steps])
+    for k, snap in zip(snap_steps, log.snapshots):
+        ref = snapshot(states[k], mp, k * dt)
+        for name in ("mass", "grad_l2_sq", "lp1", "lmc"):
+            assert getattr(snap, name) == pytest.approx(getattr(ref, name), rel=1e-12)
+    ckpt_steps = [0, 5, 10, 15, 20, 25, 30, 35, 40]
+    assert [t for t, _ in log.checkpoints] == pytest.approx([k * dt for k in ckpt_steps])
+    for k, (_, f) in zip(ckpt_steps, log.checkpoints):
+        assert _rel(f.values, states[k].values) < 1e-12
+    assert _rel(log.final_state.values, states[40].values) < 1e-12
 
 
 # -- aborts -------------------------------------------------------------------
@@ -200,6 +239,20 @@ def test_nonfinite_amplitudes_abort_with_a_postmortem_state():
     assert log.outcome in ("blowup_detected", "resolution_lost")
     assert "non-finite" in log.abort_detail
     assert log.final_state is not None
+    assert not np.all(np.isfinite(log.final_state.values))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_amplitudes_at_a_checkpoint_step_abort_there():
+    # the fused kernel closes its half-step at checkpoints too, so the
+    # overflow is caught at step 5, before the first snapshot at step 7
+    g = GridSpec(d=1, n_per_axis=256, half_width=10.0)
+    u0 = field_from_function(g, lambda x: 1e60 * np.exp(-(x**2)))
+    cfg = StepperConfig(dt=1e-3, t_final=1.0, snapshot_every=7,
+                        checkpoint_every=5, **OPEN)
+    log = evolve(u0, MP1, cfg)
+    assert "non-finite" in log.abort_detail
+    assert log.abort_time == pytest.approx(5e-3)
     assert not np.all(np.isfinite(log.final_state.values))
 
 

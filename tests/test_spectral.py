@@ -12,7 +12,6 @@ from nlslab.spectral import (
     edge_mass_fraction,
     field_from_function,
     free_evolve,
-    free_flow_multiplier,
     gradient_multiplier,
     inner_product,
     k_squared_multiplier,
@@ -115,17 +114,6 @@ def test_plane_wave_eigenvalues(grid):
     t = 0.3
     flowed = free_evolve(f, t)
     assert np.max(np.abs(flowed.values - np.exp(-1j * ksq * t) * f.values)) <= 1e-12
-
-
-def test_multiplier_composition_matches_sequential_application():
-    g = GRIDS[0]
-    f = _rand(g, 3)
-    m1 = k_squared_multiplier(g)
-    m2 = free_flow_multiplier(g, 0.1)
-    both = m1 * m2
-    seq = np.fft.ifftn(m2.symbol * (m1.symbol * np.fft.fftn(f.values)))
-    one = np.fft.ifftn(both.symbol * np.fft.fftn(f.values))
-    assert np.max(np.abs(one - seq)) <= 1e-13 * np.max(np.abs(seq))
 
 
 def test_derivative_weight_on_plane_wave():
