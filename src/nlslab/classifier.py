@@ -25,11 +25,7 @@ import numpy as np
 
 from .spectral import ComplexField, spectral_tail_fraction
 from .functionals import (
-    ModelParams,
-    action_K_H,
-    gradient_l2_sq,
-    mass,
-    power_integrals,
+    ModelParams, _action, _action_values, _energy, _scaling_derivative, snapshot,
 )
 from .groundstate import GroundStateSolution
 
@@ -102,12 +98,12 @@ def ground_state_digest(gs: GroundStateSolution) -> str:
     return h.hexdigest()
 
 
-def _relative_error_scale(u0: ComplexField) -> float:
+def _relative_error_scale(u0: ComplexField, spectrum) -> float:
     # Under-resolved fields carry truncation error far above rounding.
     # The top-band power fraction understates the aliasing error of the
     # nonlinear integrands by a small factor (about 2 on coarsely sampled
     # solitons), so pad it.
-    return _QUAD_EPS + 10.0 * float(spectral_tail_fraction(u0))
+    return _QUAD_EPS + 10.0 * float(spectral_tail_fraction(u0, spectrum=spectrum))
 
 
 def _check_compatible(mp: ModelParams, gs: GroundStateSolution):
@@ -167,16 +163,13 @@ def classify(
     """
     _check_compatible(mp, gs)
 
-    rel = _relative_error_scale(u0)
+    spectrum = np.fft.fftn(u0.values)
+    rel = _relative_error_scale(u0, spectrum)
     digest = ground_state_digest(gs)
+    snap = snapshot(u0, mp, spectrum=spectrum)
 
-    m_val = mass(u0)
-    grad = gradient_l2_sq(u0)
-    lp1, lmc = power_integrals(u0, mp)
-    d, p, w = mp.d, mp.p, mp.omega
-
-    mass_unc = rel * m_val + _QUAD_EPS * gs.mass
-    mass_margin = Margin(m_val - gs.mass, mass_unc)
+    mass_unc = rel * snap.mass + _QUAD_EPS * gs.mass
+    mass_margin = Margin(snap.mass - gs.mass, mass_unc)
 
     if mp.equation == "E2":
         if not mass_margin.resolved:
@@ -197,12 +190,13 @@ def classify(
             ground_state_digest=digest,
         )
 
-    acts = action_K_H(u0, mp)
+    acts = _action_values(mp, snap)
 
     # Sum of absolute contributions: the cancellation-free scale each
     # functional is assembled at.
-    s_terms = 0.5 * grad + lp1 / (p + 1.0) + d / (2.0 * (d + 2.0)) * lmc + 0.5 * w * m_val
-    k_terms = grad + d * (p - 1.0) / (2.0 * (p + 1.0)) * lp1 + d / (d + 2.0) * lmc
+    s_terms = _action(mp, _energy(mp, snap.grad_l2_sq, snap.lp1, snap.lmc, (1.0, 1.0)),
+                      snap.mass)
+    k_terms = _scaling_derivative(mp, snap.grad_l2_sq, snap.lp1, snap.lmc, (1.0, 1.0))
     # The threshold's own error: quadrature floor plus the measured
     # distance of the solved profile from exact criticality.
     m_omega_unc = _QUAD_EPS * gs.m_omega + abs(gs.K_value)
@@ -221,7 +215,7 @@ def classify(
     else:
         label, prediction = "A_minus", "finite_time_blowup"
 
-    h1_bound = gs.m_omega + gs.m_omega / w if label == "A_plus" else None
+    h1_bound = gs.m_omega + gs.m_omega / mp.omega if label == "A_plus" else None
     note = _blowup_hypotheses_note(mp) if label == "A_minus" else None
 
     return Verdict(
@@ -277,10 +271,8 @@ def trap_bounds(
             f"{verdict.set_label!r}"
         )
 
-    d, p, w = mp.d, mp.p, mp.omega
-    grad = gradient_l2_sq(u0)
-    lp1, lmc = power_integrals(u0, mp)
-    acts = action_K_H(u0, mp)
+    snap = snapshot(u0, mp)
+    acts = _action_values(mp, snap)
     gap = gs.m_omega - acts.s_omega
 
     if verdict.set_label == "A_minus":
@@ -294,11 +286,11 @@ def trap_bounds(
             slack=upper - acts.k_value,
         )
 
-    h1_sq = grad + mass(u0)
-    scale = gs.m_omega + gs.m_omega / w
-    quad_floor = (d * (p - 1.0) - 4.0) / (d * (p - 1.0)) * (
-        grad + d / (d + 2.0) * lmc
-    )
+    h1_sq = snap.grad_l2_sq + snap.mass
+    scale = gs.m_omega + gs.m_omega / mp.omega
+    # K with its p-term dropped, ||grad u||^2 + d/(d+2) |u|_mc^mc
+    dp = mp.d * (mp.p - 1.0)
+    quad_floor = (dp - 4.0) / dp * _scaling_derivative(mp, snap.grad_l2_sq, 0.0, snap.lmc)
     # The lower bound is a min over two branches with an unspecified
     # positive constant on the second; K >= quadratic branch certifies
     # it outright, otherwise any positive K certifies it with the

@@ -7,8 +7,9 @@ one or more experiment configs, optionally in a process pool), report
 checks).
 
 Exit codes: 0 on success, 2 on config or validation failure, 3 when a
-run aborted at runtime or a selftest check failed.  --threads sizes the
-evolve work pool, with NLS_LAB_THREADS as fallback.
+run aborted at runtime or a selftest check failed.  evolve --threads
+sizes its work pool, with NLS_LAB_THREADS as fallback; evolve refuses,
+before any run starts, configs that would write to the same directory.
 """
 
 from __future__ import annotations
@@ -57,33 +58,32 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="DIR",
             help="output directory (evolve: overrides the config's outputs.directory)",
         )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=0,
-            metavar="N",
-            help="work pool size (default: NLS_LAB_THREADS or 1)",
-        )
         p.set_defaults(config_required=config_required)
 
     common(sub.add_parser("groundstate", help="solve the model's stationary profile"))
     common(sub.add_parser("classify", help="label initial data against the thresholds"))
-    common(sub.add_parser("evolve", help="run experiment configs"))
+    ev = sub.add_parser("evolve", help="run experiment configs")
+    common(ev)
+    ev.add_argument(
+        "--threads",
+        type=int,
+        default=0,
+        metavar="N",
+        help="work pool size (default: NLS_LAB_THREADS or 1)",
+    )
 
     rp = sub.add_parser("report", help="aggregate run directories into CSV + markdown")
     rp.add_argument("runs", nargs="*", metavar="RUN_DIR")
     rp.add_argument("--out", default=".", metavar="DIR")
-    rp.add_argument("--threads", type=int, default=0, metavar="N")
     rp.set_defaults(config_required=False)
 
     st = sub.add_parser("selftest", help="fast internal consistency checks")
-    st.add_argument("--threads", type=int, default=0, metavar="N")
     st.set_defaults(config_required=False)
     return ap
 
 
 def _resolve_threads(args) -> int:
-    n = getattr(args, "threads", 0)
+    n = args.threads
     if n == 0:
         raw = os.environ.get("NLS_LAB_THREADS", "1")
         try:
@@ -153,8 +153,7 @@ def _cmd_classify(args) -> int:
 
 
 def _evolve_worker(arg):
-    path, out_dir = arg
-    cfg = load_config(path)
+    cfg, out_dir = arg
     run = run_experiment(cfg, out_dir)
     summary = json.loads((run / "summary.json").read_text())
     return str(run), summary["outcome"]
@@ -162,17 +161,25 @@ def _evolve_worker(arg):
 
 def _cmd_evolve(args) -> int:
     paths = _require_configs(args)
-    # validate every config before starting any run
-    for path in paths:
-        load_config(path)
-    if not args.out:
-        jobs = [(p, None) for p in paths]
-    elif len(paths) == 1:
-        jobs = [(paths[0], args.out)]
-    else:
-        jobs = [(p, str(Path(args.out) / Path(p).stem)) for p in paths]
-
     threads = _resolve_threads(args)
+    # validate every config and place every run before any run starts
+    jobs, owner = [], {}
+    for path in paths:
+        cfg = load_config(path)
+        if not args.out:
+            where = cfg.directory
+        elif len(paths) == 1:
+            where = args.out
+        else:
+            where = str(Path(args.out) / Path(path).stem)
+        if not where:
+            raise ConfigError(f"{path}: outputs.directory: no output directory given")
+        key = Path(where).resolve()
+        if key in owner:
+            raise ConfigError(f"{owner[key]} and {path} both write to {where}")
+        owner[key] = path
+        jobs.append((cfg, where))
+
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             results = list(pool.map(_evolve_worker, jobs))

@@ -551,8 +551,8 @@ def _write_trajectory(path: Path, cfg: ExperimentConfig, log):
 def _write_groundstate(path: Path, gs):
     with path.open("w") as fh:
         fh.write("r,profile,derivative\n")
-        for r, q, v in zip(gs.r, gs.profile, gs.derivative):
-            fh.write(f"{r!r},{q!r},{v!r}\n")
+        for row in zip(gs.r, gs.profile, gs.derivative):
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:

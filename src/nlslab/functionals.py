@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ComplexField, GridSpec, _forward_values
+from .spectral import ComplexField
 
 __all__ = [
     "ModelParams",
@@ -90,7 +90,7 @@ class ModelParams:
     @property
     def mc_power(self) -> float:
         """Lebesgue exponent of the mass-critical potential term, 2(d+2)/d."""
-        return 2.0 * (self.d + 2.0) / self.d
+        return _mc_power(self.d)
 
     @property
     def couplings(self) -> tuple:
@@ -106,24 +106,35 @@ class ActionValues:
     advisory: bool
 
 
-# -- basic integrals ----------------------------------------------------------
+# -- integrals ---------------------------------------------------------------
+
+def _mc_power(d: int) -> float:
+    return 2.0 * (d + 2.0) / d
+
+
+def _spectral_integrals(f: ComplexField, spectrum=None) -> tuple:
+    """(||grad u||^2, momentum); spectrum, when given, is np.fft.fftn(f.values)."""
+    g, dv = f.grid, f.grid.cell_volume
+    if spectrum is None:
+        spectrum = np.fft.fftn(f.values)
+    power = np.abs(spectrum / np.sqrt(f.values.size)) ** 2
+    # Im<i k F, F> = sum k |F|^2
+    return (float(np.sum(g.k_squared * power) * dv),
+            tuple(float(np.sum(k * power) * dv) for k in g.k_odd))
+
 
 def mass(f: ComplexField) -> float:
     return float(np.sum(np.abs(f.values) ** 2) * f.grid.cell_volume)
 
 
 def gradient_l2_sq(f: ComplexField) -> float:
-    spec = np.abs(_forward_values(f.values)) ** 2
-    return float(np.sum(f.grid.k_squared * spec) * f.grid.cell_volume)
+    return _spectral_integrals(f)[0]
 
 
 def power_integrals(f: ComplexField, mp: ModelParams) -> tuple:
     """(lp1, lmc) = (int |u|^{p+1}, int |u|^{2(d+2)/d})."""
-    a = np.abs(f.values)
-    dv = f.grid.cell_volume
-    lp1 = float(np.sum(a ** (mp.p + 1.0)) * dv)
-    lmc = float(np.sum(a**mp.mc_power) * dv)
-    return lp1, lmc
+    a, dv = np.abs(f.values), f.grid.cell_volume
+    return float(np.sum(a ** (mp.p + 1.0)) * dv), float(np.sum(a**mp.mc_power) * dv)
 
 
 def momentum(f: ComplexField) -> np.ndarray:
@@ -133,34 +144,50 @@ def momentum(f: ComplexField) -> np.ndarray:
     symbol i*k, so real fields report momentum at rounding level rather
     than picking up a systematic Nyquist contribution.
     """
-    g = f.grid
-    spec = _forward_values(f.values)
-    dens = np.abs(spec) ** 2
-    out = np.empty(g.d)
-    kz = g.frequencies.copy()
-    kz[g.n_per_axis // 2] = 0.0
-    for axis in range(g.d):
-        if g.d == 1:
-            k_axis = kz
-        else:
-            ks = [g.frequencies, g.frequencies]
-            ks[axis] = kz
-            k_axis = np.meshgrid(ks[0], ks[1], indexing="ij")[axis]
-        # Im<i k F, F> = sum k |F|^2
-        out[axis] = float(np.sum(k_axis * dens) * g.cell_volume)
-    return out
+    return np.array(_spectral_integrals(f)[1])
+
+
+# -- combiners: the only place the E/S/K/H coefficients are written -----------
+# signs = (mu_c, mu_p) in front of the critical and the p term; (1, 1) gives
+# the cancellation-free scale of a functional.
+
+_E1_SIGNS = (1.0, -1.0)
+
+
+def _energy(mp: ModelParams, grad, lp1, lmc, signs=_E1_SIGNS) -> float:
+    mu_c, mu_p = signs
+    d, p = mp.d, mp.p
+    return 0.5 * grad + mu_p * lp1 / (p + 1.0) + mu_c * d / (2.0 * (d + 2.0)) * lmc
+
+
+def _action(mp: ModelParams, e, m) -> float:
+    return e + 0.5 * mp.omega * m
+
+
+def _scaling_derivative(mp: ModelParams, grad, lp1, lmc, signs=_E1_SIGNS) -> float:
+    mu_c, mu_p = signs
+    d, p = mp.d, mp.p
+    return grad + mu_p * d * (p - 1.0) / (2.0 * (p + 1.0)) * lp1 + mu_c * d / (d + 2.0) * lmc
+
+
+def _positive_part(mp: ModelParams, m, lp1) -> float:
+    d, p = mp.d, mp.p
+    return 0.5 * mp.omega * m + (d * (p - 1.0) - 4.0) / (4.0 * (p + 1.0)) * lp1
+
+
+def _action_values(mp: ModelParams, snap) -> ActionValues:
+    s_omega, k_value, h_omega = snap.action, snap.scaling_derivative, snap.positive_part
+    advisory = mp.equation == "E2"
+    if not advisory:
+        scale = abs(h_omega) + abs(s_omega) + abs(k_value) + 1e-300
+        if abs(h_omega - (s_omega - 0.5 * k_value)) > 1e-12 * scale:
+            raise AssertionError("H != S - K/2 beyond rounding; broken arithmetic")
+    return ActionValues(s_omega, k_value, h_omega, advisory)
 
 
 def energy(f: ComplexField, mp: ModelParams) -> float:
     """Hamiltonian with signs chosen by mp.equation."""
-    mu_c, mu_p = mp.couplings
-    lp1, lmc = power_integrals(f, mp)
-    d = mp.d
-    return (
-        0.5 * gradient_l2_sq(f)
-        + mu_p * lp1 / (mp.p + 1.0)
-        + mu_c * d / (2.0 * (d + 2.0)) * lmc
-    )
+    return snapshot(f, mp).energy
 
 
 def action_K_H(f: ComplexField, mp: ModelParams) -> ActionValues:
@@ -170,23 +197,7 @@ def action_K_H(f: ComplexField, mp: ModelParams) -> ActionValues:
     the E1 expressions; for E2 they are flagged advisory.  For E1 the
     identity H = S - K/2 is checked to 1e-12 relative.
     """
-    grad = gradient_l2_sq(f)
-    m = mass(f)
-    lp1, lmc = power_integrals(f, mp)
-    d, p, w = mp.d, mp.p, mp.omega
-    mu_c, mu_p = mp.couplings
-
-    e_val = 0.5 * grad + mu_p * lp1 / (p + 1.0) + mu_c * d / (2.0 * (d + 2.0)) * lmc
-    s_omega = e_val + 0.5 * w * m
-    k_value = grad - d * (p - 1.0) / (2.0 * (p + 1.0)) * lp1 + d / (d + 2.0) * lmc
-    h_omega = 0.5 * w * m + (d * (p - 1.0) - 4.0) / (4.0 * (p + 1.0)) * lp1
-
-    advisory = mp.equation == "E2"
-    if not advisory:
-        scale = abs(h_omega) + abs(s_omega) + abs(k_value) + 1e-300
-        if abs(h_omega - (s_omega - 0.5 * k_value)) > 1e-12 * scale:
-            raise AssertionError("H != S - K/2 beyond rounding; broken arithmetic")
-    return ActionValues(s_omega, k_value, h_omega, advisory)
+    return _action_values(mp, snapshot(f, mp))
 
 
 def gn_quotient(f: ComplexField) -> float:
@@ -200,8 +211,7 @@ def gn_quotient(f: ComplexField) -> float:
     if m == 0.0 or grad == 0.0:
         raise ValueError("quotient undefined for zero or gradient-free fields")
     d = f.grid.d
-    a = np.abs(f.values)
-    lmc = float(np.sum(a ** (2.0 * (d + 2.0) / d)) * f.grid.cell_volume)
+    lmc = float(np.sum(np.abs(f.values) ** _mc_power(d)) * f.grid.cell_volume)
     return lmc / (m ** (2.0 / d) * grad)
 
 
@@ -223,26 +233,20 @@ class FunctionalSnapshot:
     lmc: float
 
 
-def snapshot(f: ComplexField, mp: ModelParams, t: float = 0.0) -> FunctionalSnapshot:
-    d, p, w = mp.d, mp.p, mp.omega
-    mu_c, mu_p = mp.couplings
-    m = mass(f)
-    grad = gradient_l2_sq(f)
-    lp1, lmc = power_integrals(f, mp)
-    e_val = 0.5 * grad + mu_p * lp1 / (p + 1.0) + mu_c * d / (2.0 * (d + 2.0)) * lmc
-    return FunctionalSnapshot(
-        t=t,
-        mass=m,
-        energy=e_val,
-        momentum=tuple(float(v) for v in momentum(f)),
-        action=e_val + 0.5 * w * m,
-        scaling_derivative=grad - d * (p - 1.0) / (2.0 * (p + 1.0)) * lp1
-        + d / (d + 2.0) * lmc,
-        positive_part=0.5 * w * m + (d * (p - 1.0) - 4.0) / (4.0 * (p + 1.0)) * lp1,
-        grad_l2_sq=grad,
-        lp1=lp1,
-        lmc=lmc,
-    )
+def snapshot(
+    f: ComplexField, mp: ModelParams, t: float = 0.0, *, spectrum=None
+) -> FunctionalSnapshot:
+    """The one integrals pass behind every functional: one forward FFT (or
+    the caller's spectrum, np.fft.fftn(f.values)) and one |u| array give
+    the integrals, the combiners above give E, S, K and H."""
+    grad, mom = _spectral_integrals(f, spectrum)
+    a, dv = np.abs(f.values), f.grid.cell_volume
+    m = float(np.sum(a**2) * dv)
+    lp1, lmc = float(np.sum(a ** (mp.p + 1.0)) * dv), float(np.sum(a**mp.mc_power) * dv)
+    e = _energy(mp, grad, lp1, lmc, mp.couplings)
+    return FunctionalSnapshot(t, m, e, mom, _action(mp, e, m),
+                              _scaling_derivative(mp, grad, lp1, lmc),
+                              _positive_part(mp, m, lp1), grad, lp1, lmc)
 
 
 def snapshot_csv_header(d: int) -> str:

@@ -53,7 +53,7 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .functionals import ModelParams
+from .functionals import ModelParams, _action, _energy, _scaling_derivative
 from .spectral import ComplexField, GridSpec
 from .virial import smoothstep_c4, smoothstep_c4_prime
 
@@ -304,18 +304,16 @@ def _radial_integral(r, values, d):
     return _SURFACE[d] * float(simpson(values * r ** (d - 1), x=r))
 
 
-def _certificates(r, q, v, d, p, omega, which):
+def _certificates(r, q, v, mp, which):
+    d = mp.d
     m = _radial_integral(r, q**2, d)
     grad = _radial_integral(r, v**2, d)
     if which != "double":
         return m, grad, None, None
-    mc = 2.0 * (d + 2.0) / d
-    lp1 = _radial_integral(r, q ** (p + 1.0), d)
-    lmc = _radial_integral(r, q**mc, d)
-    e_val = 0.5 * grad - lp1 / (p + 1.0) + d / (2.0 * (d + 2.0)) * lmc
-    s_omega = e_val + 0.5 * omega * m
-    k_val = grad - d * (p - 1.0) / (2.0 * (p + 1.0)) * lp1 + d / (d + 2.0) * lmc
-    return m, grad, s_omega, k_val
+    lp1 = _radial_integral(r, q ** (mp.p + 1.0), d)
+    lmc = _radial_integral(r, q**mp.mc_power, d)
+    s_omega = _action(mp, _energy(mp, grad, lp1, lmc), m)
+    return m, grad, s_omega, _scaling_derivative(mp, grad, lp1, lmc)
 
 
 def solve_ground_state(
@@ -387,7 +385,7 @@ def _solve(mp, which, guess, power, r_max, step) -> GroundStateSolution:
     for lo, hi in pairs:
         a_star = _bisect_amplitude(lo, hi, step, n_steps, d, omega, terms)
         r, q, v, c_tail = _build_profile(a_star, step, n_steps, d, omega, terms)
-        m, grad, s_omega, k_val = _certificates(r, q, v, d, mp.p, omega, which)
+        m, grad, s_omega, k_val = _certificates(r, q, v, mp, which)
         cand = (s_omega if s_omega is not None else a_star, a_star, r, q, v,
                 c_tail, m, grad, s_omega, k_val)
         if best is None or cand[0] < best[0]:
@@ -495,11 +493,9 @@ def pohozaev_check(gs: GroundStateSolution, tolerance: float = 1e-6) -> Pohozaev
     constraint_rel = None
     if gs.which == "double":
         p = gs.params.p
-        mc = 2.0 * (d + 2.0) / d
         lp1 = next(val for mu, ex, val in powers if ex == p)
         lmc = next(val for mu, ex, val in powers if ex != p)
-        k_val = grad - d * (p - 1.0) / (2.0 * (p + 1.0)) * lp1 + d / (d + 2.0) * lmc
-        constraint_rel = abs(k_val) / scale
+        constraint_rel = abs(_scaling_derivative(gs.params, grad, lp1, lmc)) / scale
 
     checks = [nehari_rel, poho_rel] + ([constraint_rel] if constraint_rel is not None else [])
     return PohozaevReport(

@@ -58,7 +58,6 @@ from .functionals import ModelParams, snapshot
 from .spectral import (
     ComplexField,
     GridSpec,
-    _apply_symbol,
     derivative_weight_multiplier,
     edge_mass_fraction,
     free_evolve,
@@ -269,16 +268,18 @@ def strang_step(
 
 # -- full trajectories --------------------------------------------------------
 
-def _scatter_integrand(values, grid, weight_symbol, mc_power) -> float:
-    wf = _apply_symbol(values, weight_symbol)
+def _scatter_integrand(spectrum, grid, weight_symbol, mc_power) -> float:
+    # overwrites spectrum: the record's last reader, so no buffer is added
+    wf = np.multiply(weight_symbol, spectrum, out=spectrum)
+    np.fft.ifftn(wf, out=wf)
     a2 = wf.real * wf.real + wf.imag * wf.imag
     return float(np.sum(_abs2_power(a2, 0.5 * mc_power)) * grid.cell_volume)
 
 
-def _virial_row(f, mp, t, weight, whole_space) -> VirialRow:
+def _virial_row(f, mp, t, weight, whole_space, spec) -> VirialRow:
     if whole_space:
-        return VirialRow(t, None, None, whole_space_virial_e2(f, mp), None, None)
-    vd = virial_derivatives(f, mp, weight)
+        return VirialRow(t, None, None, whole_space_virial_e2(f, mp, spectrum=spec), None, None)
+    vd = virial_derivatives(f, mp, weight, spectrum=spec)
     return VirialRow(
         t,
         virial_value(f, weight),
@@ -328,23 +329,23 @@ def evolve(
     log = TrajectoryLog(params=mp, config=cfg, dt_used=dt, n_steps=n_steps)
 
     def record(values, t):
+        # one forward FFT per record, shared by every spectral diagnostic
         f = ComplexField(grid, values)
+        spec = np.fft.fftn(f.values)
         log.times.append(t)
-        log.snapshots.append(snapshot(f, mp, t))
-        log.tail_fractions.append(spectral_tail_fraction(f))
+        log.snapshots.append(snapshot(f, mp, t, spectrum=spec))
+        log.tail_fractions.append(spectral_tail_fraction(f, spectrum=spec))
         log.edge_fractions.append(edge_mass_fraction(f, cfg.edge_cells))
         if virial_weight is not None or whole_space_virial:
-            log.virial_rows.append(_virial_row(f, mp, t, virial_weight, whole_space_virial))
-        return f
+            log.virial_rows.append(_virial_row(f, mp, t, virial_weight, whole_space_virial, spec))
+        return f, _scatter_integrand(spec, grid, wsym, mcp)
 
     values = u0.values.copy()
-    f = record(values, 0.0)
+    f, last_g = record(values, 0.0)
     log.checkpoints.append((0.0, f))
     accum = 0.0
     log.scatter_series.append(accum)
-    last_g = _scatter_integrand(values, grid, wsym, mcp)
     last_t = 0.0
-    grad0 = math.sqrt(max(log.snapshots[0].grad_l2_sq, 0.0))
 
     step = 0
     while step < n_steps:
@@ -357,11 +358,10 @@ def evolve(
         t = step * dt
 
         if not np.all(np.isfinite(values)):
-            # overflow between snapshots; classify from the last good record
-            ratio = log.gradient_ratio(len(log.snapshots) - 1)
-            log.outcome = (
-                "blowup_detected" if ratio > cfg.blowup_grad_factor else "resolution_lost"
-            )
+            # overflow between snapshots: grid-scale concentration, so the
+            # last good record's growth decides
+            _, blowup = _blowup_criterion(log, len(log.snapshots) - 1, cfg, math.inf)
+            log.outcome = "blowup_detected" if blowup else "resolution_lost"
             log.abort_time = t
             log.abort_detail = f"non-finite amplitudes at t = {t:.6g}"
             log.final_state = ComplexField(grid, values, allow_nonfinite=True)
@@ -371,21 +371,17 @@ def evolve(
             log.checkpoints.append((t, ComplexField(grid, values)))
             continue
 
-        f = record(values, t)
+        f, g = record(values, t)
         accum += (t - last_t) * last_g
         log.scatter_series.append(accum)
-        last_g = _scatter_integrand(values, grid, wsym, mcp)
-        last_t = t
+        last_g, last_t = g, t
 
         tail = log.tail_fractions[-1]
         edge = log.edge_fractions[-1]
-        gnow = math.sqrt(log.snapshots[-1].grad_l2_sq)
-        ratio = gnow / grad0 if grad0 > 0 else (math.inf if gnow > 0 else 1.0)
-        if ratio > cfg.blowup_grad_factor and tail > cfg.tail_fraction_max:
+        _, blowup = _blowup_criterion(log, len(log.snapshots) - 1, cfg, tail)
+        if blowup:
             log.outcome = "blowup_detected"
-            log.abort_detail = (
-                f"gradient ratio {ratio:.4g} with spectral tail {tail:.3e}"
-            )
+            log.abort_detail = blowup
         elif tail > cfg.tail_fraction_max:
             log.outcome = "resolution_lost"
             log.abort_detail = f"spectral tail fraction {tail:.3e}"
@@ -419,6 +415,18 @@ class BlowupReport:
     diagnosis: str
 
 
+def _blowup_criterion(log: TrajectoryLog, j: int, cfg: StepperConfig, tail: float):
+    """The blow-up criterion at record j, as (grew, diagnosis).  grew: |grad u|
+    passed cfg.blowup_grad_factor times its initial value.  diagnosis, None
+    unless that growth came with a spectral tail above cfg.tail_fraction_max
+    (the collapse reached grid scale), names both numbers."""
+    ratio = log.gradient_ratio(j)
+    grew = ratio > cfg.blowup_grad_factor
+    if grew and tail > cfg.tail_fraction_max:
+        return grew, f"gradient ratio {ratio:.4g} with spectral tail {tail:.3e}"
+    return grew, None
+
+
 def detect_blowup(log: TrajectoryLog, cfg: StepperConfig | None = None) -> BlowupReport:
     """Scan recorded snapshots for gradient growth that reached grid scale.
 
@@ -434,16 +442,10 @@ def detect_blowup(log: TrajectoryLog, cfg: StepperConfig | None = None) -> Blowu
         cfg = log.config
     grew = False
     for j, (snap, tail) in enumerate(zip(log.snapshots, log.tail_fractions)):
-        ratio = log.gradient_ratio(j)
-        if ratio > cfg.blowup_grad_factor:
-            grew = True
-            if tail > cfg.tail_fraction_max:
-                return BlowupReport(
-                    True,
-                    snap.t,
-                    f"gradient ratio {ratio:.4g} with spectral tail {tail:.3e} "
-                    f"at t = {snap.t:.6g}",
-                )
+        grew_j, blowup = _blowup_criterion(log, j, cfg, tail)
+        grew |= grew_j
+        if blowup:
+            return BlowupReport(True, snap.t, f"{blowup} at t = {snap.t:.6g}")
     if log.outcome == "blowup_detected" and log.abort_time is not None:
         # overflow between snapshots, classified by evolve at abort time
         return BlowupReport(True, log.abort_time, log.abort_detail)

@@ -115,6 +115,15 @@ class GridSpec:
         return (kx, ky)
 
     @cached_property
+    def k_odd(self) -> tuple:
+        """Wavenumbers of the odd symbol i*k_axis, unpaired Nyquist mode
+        zeroed, one per axis, shaped to broadcast against the lattice."""
+        k = self.frequencies.copy()
+        k[self.n_per_axis // 2] = 0.0
+        k.flags.writeable = False
+        return tuple(k.reshape((-1,) + (1,) * (self.d - 1 - ax)) for ax in range(self.d))
+
+    @cached_property
     def k_squared(self) -> np.ndarray:
         k2 = sum(k**2 for k in self.k_coords)
         k2.flags.writeable = False
@@ -185,15 +194,7 @@ def gradient_multiplier(grid: GridSpec, axis: int) -> FourierMultiplier:
     """i*k_axis with the unpaired Nyquist mode zeroed (odd symbol)."""
     if not 0 <= axis < grid.d:
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
-    k = grid.frequencies.copy()
-    k[grid.n_per_axis // 2] = 0.0
-    if grid.d == 1:
-        sym = 1j * k
-    else:
-        ks = [grid.frequencies.copy() for _ in range(2)]
-        ks[axis] = k
-        mesh = np.meshgrid(ks[0], ks[1], indexing="ij")
-        sym = 1j * mesh[axis]
+    sym = np.broadcast_to(1j * grid.k_odd[axis], grid.shape)
     return FourierMultiplier(grid, sym, f"i*k[{axis}]")
 
 
@@ -218,10 +219,6 @@ def low_pass_multiplier(grid: GridSpec, radius: float) -> FourierMultiplier:
 
 # -- transforms ---------------------------------------------------------------
 
-def _forward_values(values: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(values) / np.sqrt(values.size)
-
-
 def _inverse_values(values: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(values) * np.sqrt(values.size)
 
@@ -229,7 +226,7 @@ def _inverse_values(values: np.ndarray) -> np.ndarray:
 def transform(f: ComplexField, direction: str = "forward") -> ComplexField:
     """Unitary DFT of a field; 'inverse' undoes 'forward' exactly."""
     if direction == "forward":
-        out = _forward_values(f.values)
+        out = np.fft.fftn(f.values) / np.sqrt(f.values.size)
     elif direction == "inverse":
         out = _inverse_values(f.values)
     else:
@@ -291,13 +288,16 @@ def random_smooth_field(
     return ComplexField(grid, vals)
 
 
-def spectral_tail_fraction(f: ComplexField) -> float:
+def spectral_tail_fraction(f: ComplexField, *, spectrum=None) -> float:
     """Fraction of spectral mass carried by the top third of frequencies.
 
     'Top third' is measured per axis: a mode belongs to the tail when any
     of its wavenumber components exceeds 2/3 of the axis maximum.
+    spectrum, when given, is np.fft.fftn(f.values) and saves the transform.
     """
-    spec = np.abs(np.fft.fftn(f.values)) ** 2
+    if spectrum is None:
+        spectrum = np.fft.fftn(f.values)
+    spec = np.abs(spectrum) ** 2
     total = float(np.sum(spec))
     if total == 0.0:
         return 0.0

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import ModelParams
-from .spectral import ComplexField, GridSpec, gradient_multiplier, _apply_symbol
+from .functionals import ModelParams, _scaling_derivative, power_integrals
+from .spectral import ComplexField, GridSpec, gradient_multiplier
 
 __all__ = [
     "VirialWeight",
@@ -173,37 +173,39 @@ def virial_value(f: ComplexField, w: VirialWeight) -> float:
     return float(np.sum(w.value * np.abs(f.values) ** 2) * f.grid.cell_volume)
 
 
-def _gradient_fields(f: ComplexField):
-    return [
-        _apply_symbol(f.values, gradient_multiplier(f.grid, ax).symbol)
-        for ax in range(f.grid.d)
-    ]
+def _gradient_fields(f: ComplexField, spectrum=None):
+    if spectrum is None:
+        spectrum = np.fft.fftn(f.values)
+    grads = [gradient_multiplier(f.grid, ax).symbol * spectrum for ax in range(f.grid.d)]
+    return [np.fft.ifftn(du, out=du) for du in grads]
 
 
-def virial_derivatives(f: ComplexField, mp: ModelParams, w: VirialWeight) -> VirialDerivatives:
+def virial_derivatives(
+    f: ComplexField, mp: ModelParams, w: VirialWeight, *, spectrum=None
+) -> VirialDerivatives:
     """First and second time derivatives of the localized variance, plus the
-    flat-weight remainder A_R = V'' - 8K and the exterior bound integrand."""
+    flat-weight remainder A_R = V'' - 8K and the exterior bound integrand.
+    spectrum, when given, is np.fft.fftn(f.values) and saves the transform."""
     if f.grid != w.grid:
         raise ValueError("field and weight live on different grids")
     if mp.equation != "E1":
         raise ValueError("localized V'' tables are for E1; use whole_space_virial_e2")
 
-    g = f.grid
     d, p = mp.d, mp.p
-    dv = g.cell_volume
+    dv = f.grid.cell_volume
     u = f.values
     absu = np.abs(u)
     dens = absu**2
 
-    grads = _gradient_fields(f)
+    grads = _gradient_fields(f, spectrum)
     radial = sum(xh * du for xh, du in zip(w.unit_radial, grads))
     grad_sq_dens = sum(np.abs(du) ** 2 for du in grads)
+    del grads  # evolve holds its record spectrum through this call: keep the peak flat
     rad_sq_dens = np.abs(radial) ** 2
 
     v_prime = 2.0 * w.R * float(np.sum(w.phi1 * np.imag(radial * np.conj(u))) * dv)
 
-    mc = 2.0 * (d + 2.0) / d
-    pot_mc = absu**mc
+    pot_mc = absu**mp.mc_power
     pot_p = absu ** (p + 1.0)
 
     hess = 4.0 * float(np.sum(w.phi2 * rad_sq_dens
@@ -216,28 +218,23 @@ def virial_derivatives(f: ComplexField, mp: ModelParams, w: VirialWeight) -> Vir
     grad_sq = float(np.sum(grad_sq_dens) * dv)
     lp1 = float(np.sum(pot_p) * dv)
     lmc = float(np.sum(pot_mc) * dv)
-    k_value = grad_sq - d * (p - 1.0) / (2.0 * (p + 1.0)) * lp1 + d / (d + 2.0) * lmc
-    remainder = v_double - 8.0 * k_value
+    remainder = v_double - 8.0 * _scaling_derivative(mp, grad_sq, lp1, lmc)
 
     ext = w.exterior_mask
     exterior = float(np.sum((grad_sq_dens + dens / w.R**2 + pot_mc + pot_p)[ext]) * dv)
     return VirialDerivatives(v_prime, v_double, remainder, exterior)
 
 
-def whole_space_virial_e2(f: ComplexField, mp: ModelParams) -> float:
+def whole_space_virial_e2(f: ComplexField, mp: ModelParams, *, spectrum=None) -> float:
     """V'' for the E2 sign convention with the unlocalized |x|^2 weight:
 
-        8 [ ||grad u||^2 + d(p-1)/(2(p+1)) |u|_{p+1}^{p+1} - d/(d+2) |u|_mc^mc ].
+        8 [ ||grad u||^2 + d(p-1)/(2(p+1)) |u|_{p+1}^{p+1} - d/(d+2) |u|_mc^mc ],
+
+    8 K with E2's own signs.  spectrum is as for virial_derivatives.
     """
     if mp.equation != "E2":
         raise ValueError("whole-space E2 identity requested for an E1 model")
-    g = f.grid
-    d, p = mp.d, mp.p
-    dv = g.cell_volume
-    absu = np.abs(f.values)
-    grads = _gradient_fields(f)
-    grad_sq = float(sum(np.sum(np.abs(du) ** 2) for du in grads) * dv)
-    lp1 = float(np.sum(absu ** (p + 1.0)) * dv)
-    lmc = float(np.sum(absu ** (2.0 * (d + 2.0) / d)) * dv)
-    return 8.0 * (grad_sq + d * (p - 1.0) / (2.0 * (p + 1.0)) * lp1
-                  - d / (d + 2.0) * lmc)
+    grads = _gradient_fields(f, spectrum)
+    grad_sq = float(sum(np.sum(np.abs(du) ** 2) for du in grads) * f.grid.cell_volume)
+    lp1, lmc = power_integrals(f, mp)
+    return 8.0 * _scaling_derivative(mp, grad_sq, lp1, lmc, mp.couplings)

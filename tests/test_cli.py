@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from nlslab.cli import main
@@ -75,7 +76,13 @@ def test_groundstate_writes_profile_and_metadata(tmp_path, capsys, double_gs):
 
     csv = tmp_path / "gs" / "model.groundstate.csv"
     meta = json.loads((tmp_path / "gs" / "model.groundstate.json").read_text())
-    assert csv.read_text().splitlines()[0] == "r,profile,derivative"
+    header, *rows = csv.read_text().splitlines()
+    assert header == "r,profile,derivative"
+    cols = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    assert cols.shape == (len(double_gs.r), 3)
+    assert np.array_equal(cols[:, 0], double_gs.r)
+    assert np.array_equal(cols[:, 1], double_gs.profile)
+    assert np.array_equal(cols[:, 2], double_gs.derivative)
     assert meta["which"] == "double"
     assert meta["amplitude"] == pytest.approx(double_gs.amplitude, rel=1e-12)
     assert meta["m_omega"] == pytest.approx(double_gs.m_omega, rel=1e-12)
@@ -174,3 +181,34 @@ def test_nonpositive_threads_exit_two(tmp_path, capsys):
     cfg = _write(tmp_path, "run.ini", QUICK)
     assert main(["evolve", "--config", cfg, "--threads", "-3"]) == 2
     assert "at least 1" in capsys.readouterr().err
+
+
+def test_threads_is_an_evolve_option_only(capsys):
+    for argv in (["report", "--threads", "2"], ["selftest", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+def test_evolve_refuses_configs_sharing_a_stem_under_out(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = _write(tmp_path, "a/run.ini", QUICK)
+    b = _write(tmp_path, "b/run.ini", QUICK.replace("amplitude = 0.8", "amplitude = 0.6"))
+    out = tmp_path / "X"
+    assert main(["evolve", "--config", a, "--config", b, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert a in err and b in err
+    assert not out.exists()
+
+
+def test_evolve_refuses_configs_sharing_outputs_directory(tmp_path, capsys):
+    shared = QUICK + f"directory = {tmp_path / 'shared'}\n"
+    a = _write(tmp_path, "a.ini", shared)
+    b = _write(tmp_path, "b.ini", shared.replace("amplitude = 0.8", "amplitude = 0.6"))
+    assert main(["evolve", "--config", a, "--config", b]) == 2
+    err = capsys.readouterr().err
+    assert a in err and b in err
+    assert not (tmp_path / "shared").exists()

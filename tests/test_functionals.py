@@ -5,6 +5,7 @@ through the symmetry machinery so the two modules certify each other.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,3 +217,22 @@ def test_snapshot_csv_row_round_trips_through_float():
     assert len(cells) == len(snapshot_csv_header(1).split(","))
     assert float(cells[1]) == s.mass
     assert float(cells[5]) == s.scaling_derivative
+
+
+# The E/S/K/H coefficients live in functionals.py's combiners and nowhere
+# else: another module that needs E, S, K or H calls those combiners.
+COEFFICIENTS = (
+    "/ (2.0 * (d + 2.0))",   # E: d/(2(d+2)) |u|_mc^mc
+    "(2.0 * (p + 1.0))",     # K: d(p-1)/(2(p+1)) |u|_{p+1}^{p+1}
+    "d / (d + 2.0)",         # K: d/(d+2) |u|_mc^mc
+    "(4.0 * (p + 1.0))",     # H: (d(p-1)-4)/(4(p+1)) |u|_{p+1}^{p+1}
+)
+
+
+def test_functional_coefficients_are_written_once():
+    src = Path(__file__).resolve().parent.parent / "src" / "nlslab"
+    texts = {p.name: " ".join(p.read_text().split()) for p in sorted(src.glob("*.py"))}
+    for coefficient in COEFFICIENTS:
+        found = {name: text.count(coefficient) for name, text in texts.items()
+                 if coefficient in text}
+        assert found == {"functionals.py": 1}, coefficient

@@ -15,6 +15,7 @@ from nlslab.propagator import (
     strang_step,
 )
 from nlslab.spectral import ComplexField, GridSpec, field_from_function, free_evolve
+from nlslab.virial import VirialWeight
 
 MP1 = ModelParams(d=1, p=7.0, omega=1.0, equation="E1")
 MP2 = ModelParams(d=1, p=7.0, omega=1.0, equation="E2")
@@ -148,6 +149,30 @@ def test_off_grid_horizon_is_nudged_onto_a_step_count():
     log = evolve(_packet(), MP1, cfg)
     assert log.times[-1] == pytest.approx(0.01)
     assert (log.n_steps, log.dt_used) == (3, 0.01 / 3)
+
+
+@pytest.mark.parametrize("mp, grid, rows", [
+    (MP1, GridSpec(d=1, n_per_axis=256, half_width=40.0), "localized"),
+    (ModelParams(d=2, p=4.0, omega=1.0, equation="E2"),
+     GridSpec(d=2, n_per_axis=32, half_width=12.0), "whole_space"),
+])
+def test_each_record_takes_one_forward_fft(monkeypatch, mp, grid, rows):
+    u0 = field_from_function(grid, lambda *x: 0.5 * np.exp(-sum(c**2 for c in x)) + 0j)
+    cfg = StepperConfig(dt=1e-3, t_final=6e-3, snapshot_every=1, **OPEN)
+    rows = ({"virial_weight": VirialWeight(grid, 4.0)} if rows == "localized"
+            else {"whole_space_virial": True})
+    calls = []
+    fftn = np.fft.fftn
+
+    def counting_fftn(*args, **kwargs):
+        calls.append(1)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    log = evolve(u0, mp, cfg, **rows)
+    assert log.outcome == "completed"
+    assert len(log.virial_rows) == len(log.times) == log.n_steps + 1
+    assert len(calls) == log.n_steps + len(log.times)
 
 
 # -- the fused kernel against single steps ------------------------------------

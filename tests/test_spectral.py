@@ -222,3 +222,16 @@ def test_multiplier_from_symbol_evaluates_on_the_lattice():
     m = multiplier_from_symbol(g, lambda k: np.exp(-(k**2)), "gauss")
     assert m.symbol.shape == g.shape
     assert m.symbol[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_odd_symbols_zero_the_nyquist_mode_on_their_own_axis(d):
+    grid = GridSpec(d=d, n_per_axis=16, half_width=3.0)
+    nyq = grid.n_per_axis // 2
+    for ax in range(d):
+        expected = grid.k_coords[ax].copy()
+        expected[(slice(None),) * ax + (nyq,)] = 0.0
+        assert np.array_equal(np.broadcast_to(grid.k_odd[ax], grid.shape), expected)
+        assert np.array_equal(gradient_multiplier(grid, ax).symbol, 1j * expected)
+        with pytest.raises(ValueError):
+            grid.k_odd[ax][0] = 1.0
