@@ -9,7 +9,9 @@ checks).
 Exit codes: 0 on success, 2 on config or validation failure, 3 when a
 run aborted at runtime or a selftest check failed.  evolve --threads
 sizes its work pool, with NLS_LAB_THREADS as fallback; evolve refuses,
-before any run starts, configs that would write to the same directory.
+before any run starts, configs that would write to the same directory,
+and prints one line per run, the outcome or the error, even when some
+runs fail.
 """
 
 from __future__ import annotations
@@ -25,16 +27,16 @@ import numpy as np
 
 from .experiment import (
     ConfigError,
+    _initial_state,
+    _threshold_verdict,
     _write_groundstate,
-    build_initial_field,
     load_config,
     parse_model,
     run_experiment,
     emit_report,
 )
-from .classifier import classify, ground_state_digest, verdict_to_json
+from .classifier import ground_state_digest, verdict_to_json
 from .groundstate import solve_ground_state
-from .symmetry import apply_symmetry
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,31 +134,30 @@ def _cmd_groundstate(args) -> int:
     return 0
 
 
-def _classify_one(cfg):
-    u0, _ = build_initial_field(cfg)
-    if cfg.symmetry is not None and cfg.initial.kind != "large_scale":
-        u0 = apply_symmetry(u0, cfg.symmetry)
-    which = "double" if cfg.model.equation == "E1" else "mass_critical"
-    gs = solve_ground_state(cfg.model, which=which)
-    return classify(u0, cfg.model, gs)
-
-
 def _cmd_classify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for path in _require_configs(args):
-        verdict = _classify_one(load_config(path))
+        cfg = load_config(path)
+        _, verdict = _threshold_verdict(_initial_state(cfg)[0], cfg.model)
         text = verdict_to_json(verdict)
         print(text)
         (out / f"{Path(path).stem}.verdict.json").write_text(text + "\n")
     return 0
 
 
-def _evolve_worker(arg):
-    cfg, out_dir = arg
-    run = run_experiment(cfg, out_dir)
-    summary = json.loads((run / "summary.json").read_text())
-    return str(run), summary["outcome"]
+def _evolve_worker(job):
+    """(report line, exit code) of one job; a job that raises must not hide
+    the outcomes of the others."""
+    cfg, out_dir = job
+    try:
+        run = run_experiment(cfg, out_dir)
+    except ConfigError as exc:
+        return f"{out_dir}: config error: {exc}", 2
+    except Exception as exc:
+        return f"{out_dir}: error: {type(exc).__name__}: {exc}", 3
+    outcome = json.loads((run / "summary.json").read_text())["outcome"]
+    return f"{run}: {outcome}", 0 if outcome == "completed" else 3
 
 
 def _cmd_evolve(args) -> int:
@@ -186,11 +187,9 @@ def _cmd_evolve(args) -> int:
     else:
         results = [_evolve_worker(job) for job in jobs]
 
-    all_completed = True
-    for run_dir, outcome in results:
-        print(f"{run_dir}: {outcome}")
-        all_completed &= outcome == "completed"
-    return 0 if all_completed else 3
+    for line, _ in results:
+        print(line)
+    return max(code for _, code in results)
 
 
 def _cmd_report(args) -> int:

@@ -1,8 +1,9 @@
 """Config-driven experiment runs and aggregate reporting.
 
 A run is described by an INI file with sections [model], [grid],
-[stepper], [initial_data], optional [symmetry], and [outputs].  Running
-one produces a directory holding the echoed config, a JSON summary
+[stepper], [initial_data], optional [symmetry], and [outputs]; _SCHEMA
+states each section's keys once, and keys or sections it does not name
+are refused.  Running one produces a directory holding the echoed config, a JSON summary
 (verdict, outcome, drifts, virial and scattering diagnostics), the
 trajectory CSV, the initial and final fields in NLSF form, and the
 ground-state profile used for classification.  Runs are deterministic:
@@ -18,10 +19,12 @@ from __future__ import annotations
 
 import configparser
 import json
+import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,21 +117,56 @@ class ExperimentConfig:
         return make_grid(self.model.d, self.n_per_axis, self.half_width)
 
 
-# -- parsing ------------------------------------------------------------------
-
-_REQUIRED = object()
+# -- the config schema --------------------------------------------------------
 
 
-def _get(parser, section, key, conv, default=_REQUIRED):
-    raw = parser.get(section, key, fallback=None)
-    if raw is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"{section}: missing required key '{key}'")
-        return default
-    try:
-        return conv(raw.strip())
-    except (ValueError, TypeError):
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from None
+class _Section(NamedTuple):
+    """One INI section: the ExperimentConfig field holding the dataclass it
+    builds (attr, cls), or None, None when its keys fill ExperimentConfig
+    fields directly; keys are (INI key, dataclasses.Field) in writing order,
+    so each key's type and default is its field's own."""
+
+    attr: str | None
+    cls: type | None
+    keys: tuple
+
+
+def _keys(cls: type) -> tuple:
+    return tuple((f.name, f) for f in fields(cls))
+
+
+def _built(attr: str, cls: type) -> _Section:
+    return _Section(attr, cls, _keys(cls))
+
+
+def _own(*names) -> _Section:
+    # each name is an ExperimentConfig field, or (INI key, field) when they differ
+    own = {f.name: f for f in fields(ExperimentConfig)}
+    pairs = [name if isinstance(name, tuple) else (name, name) for name in names]
+    return _Section(None, None, tuple((key, own[name]) for key, name in pairs))
+
+
+_SCHEMA = {
+    "model": _built("model", ModelParams),
+    "grid": _own("n_per_axis", "half_width"),
+    "stepper": _built("stepper", StepperConfig),
+    "initial_data": _built("initial", InitialData),
+    "symmetry": _built("symmetry", SymmetryElement),
+    "outputs": _own(
+        "directory", ("classify", "classify_data"), "virial_radius", "whole_space_virial"
+    ),
+}
+
+
+@dataclass(frozen=True)
+class _SolverOverrides:
+    """[groundstate], read by parse_model only: solve_ground_state keyword
+    arguments; an empty or zero value keeps the solver's default."""
+
+    which: str = ""
+    power: float = 0.0
+    r_max: float = 0.0
+    step: float = 0.0
 
 
 def _bool(raw: str) -> bool:
@@ -146,144 +184,132 @@ def _vector(raw: str) -> tuple:
     return tuple(float(part) for part in raw.split(","))
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse INI text into a validated ExperimentConfig."""
+# keyed by field annotation, a string under `from __future__ import annotations`
+_PARSE = {"int": int, "float": float, "str": str, "bool": _bool, "tuple": _vector}
+
+
+def _parser(text: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from None
+    return parser
 
-    for section in ("model", "grid", "stepper", "initial_data"):
-        if not parser.has_section(section):
+
+def _read(parser, section: str, keys) -> dict:
+    """The section's values by field name; absent keys keep the field default."""
+    values = {}
+    for key, f in keys:
+        raw = parser.get(section, key, fallback=None)
+        if raw is None:
+            if f.default is MISSING:
+                raise ConfigError(f"{section}: missing required key '{key}'")
+            continue
+        try:
+            values[f.name] = _PARSE[f.type](raw.strip())
+        except (ValueError, TypeError):
+            raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from None
+    names = tuple(key for key, _ in keys)
+    for key in parser.options(section):
+        if key not in names:
+            raise ConfigError(f"{section}.{key}: unknown key, expected one of {names}")
+    return values
+
+
+def _build(parser, section: str) -> dict:
+    """ExperimentConfig keyword arguments read from one section; none from
+    an absent section whose keys all have defaults."""
+    attr, cls, keys = _SCHEMA[section]
+    if not parser.has_section(section):
+        if any(f.default is MISSING for _, f in keys):
             raise ConfigError(f"{section}: section missing")
-
+        return {}
+    values = _read(parser, section, keys)
+    if cls is None:
+        return values
     try:
-        model = ModelParams(
-            d=_get(parser, "model", "d", int),
-            p=_get(parser, "model", "p", float),
-            omega=_get(parser, "model", "omega", float, 1.0),
-            equation=_get(parser, "model", "equation", str, "E1"),
-        )
+        return {attr: cls(**values)}
     except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
+        raise ConfigError(f"{section}: {exc}") from None
 
-    n = _get(parser, "grid", "n_per_axis", int)
-    hw = _get(parser, "grid", "half_width", float)
+
+def _refuse_unknown_sections(parser) -> None:
+    for section in parser.sections():
+        if section not in _SCHEMA and section != "groundstate":
+            raise ConfigError(
+                f"{section}: unknown section, expected one of {(*_SCHEMA, 'groundstate')}"
+            )
+
+
+def _section_values(cfg: ExperimentConfig, section: str) -> dict | None:
+    """INI key -> value of one section of cfg; None for an absent [symmetry]."""
+    attr, _, keys = _SCHEMA[section]
+    owner = cfg if attr is None else getattr(cfg, attr)
+    if owner is None:
+        return None
+    return {key: getattr(owner, f.name) for key, f in keys}
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(repr(c) for c in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+# -- parsing ------------------------------------------------------------------
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse INI text into a validated ExperimentConfig."""
+    parser = _parser(text)
+    parts: dict = {}
+    for section in _SCHEMA:
+        parts.update(_build(parser, section))
+    _refuse_unknown_sections(parser)
+    cfg = ExperimentConfig(**parts)
+
     try:
-        make_grid(model.d, n, hw)
+        cfg.grid()
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from None
 
-    try:
-        stepper = StepperConfig(
-            dt=_get(parser, "stepper", "dt", float),
-            t_final=_get(parser, "stepper", "t_final", float),
-            snapshot_every=_get(parser, "stepper", "snapshot_every", int, 20),
-            checkpoint_every=_get(parser, "stepper", "checkpoint_every", int, 0),
-            blowup_grad_factor=_get(parser, "stepper", "blowup_grad_factor", float, 1e3),
-            tail_fraction_max=_get(parser, "stepper", "tail_fraction_max", float, 1e-6),
-            edge_mass_max=_get(parser, "stepper", "edge_mass_max", float, 1e-10),
-            edge_cells=_get(parser, "stepper", "edge_cells", int, 4),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"stepper: {exc}") from None
-
-    kind = _get(parser, "initial_data", "kind", str)
-    if kind not in DATA_KINDS:
+    init = cfg.initial
+    if init.kind not in DATA_KINDS:
         raise ConfigError(
-            f"initial_data.kind: unknown kind {kind!r}, expected one of {DATA_KINDS}"
+            f"initial_data.kind: unknown kind {init.kind!r}, expected one of {DATA_KINDS}"
         )
-    initial = InitialData(
-        kind=kind,
-        amplitude=_get(parser, "initial_data", "amplitude", float, 1.0),
-        width=_get(parser, "initial_data", "width", float, 1.0),
-        rate=_get(parser, "initial_data", "rate", float, 2.0),
-        exponent=_get(parser, "initial_data", "exponent", float, 1.0),
-        wavenumber=_get(parser, "initial_data", "wavenumber", float, 0.0),
-        c=_get(parser, "initial_data", "c", float, 1.0),
-        which=_get(parser, "initial_data", "which", str, ""),
-        power=_get(parser, "initial_data", "power", float, 0.0),
-        path=_get(parser, "initial_data", "path", str, ""),
-        seed=_get(parser, "initial_data", "seed", int, 0),
-        k_width=_get(parser, "initial_data", "k_width", float, 2.0),
-        mass_target=_get(parser, "initial_data", "mass_target", float, 0.0),
-        critical_mass_fraction=_get(
-            parser, "initial_data", "critical_mass_fraction", float, 0.0
-        ),
-        theta=_get(parser, "initial_data", "theta", float, 0.5),
-    )
-    if initial.width <= 0:
-        raise ConfigError(f"initial_data.width: must be positive, got {initial.width}")
-    if kind == "file":
-        if not initial.path:
+    if init.width <= 0:
+        raise ConfigError(f"initial_data.width: must be positive, got {init.width}")
+    if init.kind == "file":
+        if not init.path:
             raise ConfigError("initial_data.path: required for kind 'file'")
-        if not Path(initial.path).is_file():
-            raise ConfigError(f"initial_data.path: no such file {initial.path!r}")
-    if initial.mass_target < 0 or initial.critical_mass_fraction < 0:
+        if not Path(init.path).is_file():
+            raise ConfigError(f"initial_data.path: no such file {init.path!r}")
+    if init.mass_target < 0 or init.critical_mass_fraction < 0:
         raise ConfigError("initial_data: mass targets must be nonnegative")
-    if initial.mass_target > 0 and initial.critical_mass_fraction > 0:
+    if init.mass_target > 0 and init.critical_mass_fraction > 0:
         raise ConfigError(
             "initial_data: give mass_target or critical_mass_fraction, not both"
         )
-
-    symmetry = None
-    if parser.has_section("symmetry"):
-        try:
-            symmetry = SymmetryElement(
-                theta=_get(parser, "symmetry", "theta", float, 0.0),
-                h=_get(parser, "symmetry", "h", float, 1.0),
-                t0=_get(parser, "symmetry", "t0", float, 0.0),
-                x0=_get(parser, "symmetry", "x0", _vector, ()),
-                xi=_get(parser, "symmetry", "xi", _vector, ()),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"symmetry: {exc}") from None
-    if kind == "large_scale" and symmetry is None:
+    if init.kind == "large_scale" and cfg.symmetry is None:
         raise ConfigError("symmetry: section required for initial_data kind 'large_scale'")
 
-    directory = _get(parser, "outputs", "directory", str, "") if parser.has_section("outputs") else ""
-    classify_data = (
-        _get(parser, "outputs", "classify", _bool, True)
-        if parser.has_section("outputs")
-        else True
-    )
-    virial_radius = (
-        _get(parser, "outputs", "virial_radius", float, 0.0)
-        if parser.has_section("outputs")
-        else 0.0
-    )
-    whole_space = (
-        _get(parser, "outputs", "whole_space_virial", _bool, False)
-        if parser.has_section("outputs")
-        else False
-    )
-    if virial_radius > 0 and model.equation != "E1":
+    if cfg.virial_radius > 0 and cfg.model.equation != "E1":
         raise ConfigError(
             "outputs.virial_radius: localized virial tracking needs equation E1"
         )
-    if whole_space and model.equation != "E2":
+    if cfg.whole_space_virial and cfg.model.equation != "E2":
         raise ConfigError(
             "outputs.whole_space_virial: whole-space identity holds for E2 only"
         )
-    if virial_radius > 0 and 2.0 * virial_radius > hw:
+    if cfg.virial_radius > 0 and 2.0 * cfg.virial_radius > cfg.half_width:
         raise ConfigError(
-            f"outputs.virial_radius: weight support 2R = {2 * virial_radius} "
-            f"exceeds half_width {hw}"
+            f"outputs.virial_radius: weight support 2R = {2 * cfg.virial_radius} "
+            f"exceeds half_width {cfg.half_width}"
         )
-
-    return ExperimentConfig(
-        model=model,
-        n_per_axis=n,
-        half_width=hw,
-        stepper=stepper,
-        initial=initial,
-        symmetry=symmetry,
-        directory=directory,
-        classify_data=classify_data,
-        virial_radius=virial_radius,
-        whole_space_virial=whole_space,
-    )
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -297,100 +323,25 @@ def parse_model(text: str):
     Lets the ground-state command run from a config that has no grid,
     stepper, or data sections.
     """
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax: {exc}") from None
-    if not parser.has_section("model"):
-        raise ConfigError("model: section missing")
-    try:
-        model = ModelParams(
-            d=_get(parser, "model", "d", int),
-            p=_get(parser, "model", "p", float),
-            omega=_get(parser, "model", "omega", float, 1.0),
-            equation=_get(parser, "model", "equation", str, "E1"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
+    parser = _parser(text)
+    model = _build(parser, "model")["model"]
     kwargs: dict = {}
     if parser.has_section("groundstate"):
-        which = _get(parser, "groundstate", "which", str, "")
-        if which:
-            kwargs["which"] = which
-        power = _get(parser, "groundstate", "power", float, 0.0)
-        if power:
-            kwargs["power"] = power
-        r_max = _get(parser, "groundstate", "r_max", float, 0.0)
-        if r_max:
-            kwargs["r_max"] = r_max
-        step = _get(parser, "groundstate", "step", float, 0.0)
-        if step:
-            kwargs["step"] = step
+        overrides = _read(parser, "groundstate", _keys(_SolverOverrides))
+        kwargs = {name: value for name, value in overrides.items() if value}
+    _refuse_unknown_sections(parser)
     return model, kwargs
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical INI text; parse(serialize(cfg)) == cfg."""
-    lines = [
-        "[model]",
-        f"d = {cfg.model.d}",
-        f"p = {cfg.model.p!r}",
-        f"omega = {cfg.model.omega!r}",
-        f"equation = {cfg.model.equation}",
-        "",
-        "[grid]",
-        f"n_per_axis = {cfg.n_per_axis}",
-        f"half_width = {cfg.half_width!r}",
-        "",
-        "[stepper]",
-        f"dt = {cfg.stepper.dt!r}",
-        f"t_final = {cfg.stepper.t_final!r}",
-        f"snapshot_every = {cfg.stepper.snapshot_every}",
-        f"checkpoint_every = {cfg.stepper.checkpoint_every}",
-        f"blowup_grad_factor = {cfg.stepper.blowup_grad_factor!r}",
-        f"tail_fraction_max = {cfg.stepper.tail_fraction_max!r}",
-        f"edge_mass_max = {cfg.stepper.edge_mass_max!r}",
-        f"edge_cells = {cfg.stepper.edge_cells}",
-        "",
-        "[initial_data]",
-        f"kind = {cfg.initial.kind}",
-        f"amplitude = {cfg.initial.amplitude!r}",
-        f"width = {cfg.initial.width!r}",
-        f"rate = {cfg.initial.rate!r}",
-        f"exponent = {cfg.initial.exponent!r}",
-        f"wavenumber = {cfg.initial.wavenumber!r}",
-        f"c = {cfg.initial.c!r}",
-        f"which = {cfg.initial.which}",
-        f"power = {cfg.initial.power!r}",
-        f"path = {cfg.initial.path}",
-        f"seed = {cfg.initial.seed}",
-        f"k_width = {cfg.initial.k_width!r}",
-        f"mass_target = {cfg.initial.mass_target!r}",
-        f"critical_mass_fraction = {cfg.initial.critical_mass_fraction!r}",
-        f"theta = {cfg.initial.theta!r}",
-    ]
-    if cfg.symmetry is not None:
-        e = cfg.symmetry
-        lines += [
-            "",
-            "[symmetry]",
-            f"theta = {e.theta!r}",
-            f"h = {e.h!r}",
-            f"t0 = {e.t0!r}",
-            "x0 = " + ", ".join(repr(c) for c in e.x0),
-            "xi = " + ", ".join(repr(c) for c in e.xi),
-        ]
-    lines += [
-        "",
-        "[outputs]",
-        f"directory = {cfg.directory}",
-        f"classify = {str(cfg.classify_data).lower()}",
-        f"virial_radius = {cfg.virial_radius!r}",
-        f"whole_space_virial = {str(cfg.whole_space_virial).lower()}",
-        "",
-    ]
-    return "\n".join(lines)
+    blocks = []
+    for section in _SCHEMA:
+        values = _section_values(cfg, section)
+        if values is not None:
+            body = "".join(f"{key} = {_format(v)}\n" for key, v in values.items())
+            blocks.append(f"[{section}]\n{body}")
+    return "\n".join(blocks)
 
 
 # -- initial data -------------------------------------------------------------
@@ -399,6 +350,12 @@ def _sech(z: np.ndarray) -> np.ndarray:
     # overflow-free: 2 e^{-|z|} / (1 + e^{-2|z|})
     a = np.abs(z)
     return 2.0 * np.exp(-a) / (1.0 + np.exp(-2.0 * a))
+
+
+def _threshold_profile(model: ModelParams) -> str:
+    """The ground state that sets the model's thresholds: the double
+    profile for E1, the mass-critical one for E2."""
+    return "double" if model.equation == "E1" else "mass_critical"
 
 
 def _critical_mass(model: ModelParams) -> float:
@@ -412,13 +369,16 @@ def build_initial_field(cfg: ExperimentConfig):
     notes: dict = {"kind": init.kind}
     k0 = init.wavenumber
 
-    if init.kind == "gaussian":
+    if init.kind in ("gaussian", "large_scale"):
         u0 = field_from_function(
             grid,
             lambda *x: init.amplitude
             * np.exp(-sum(c**2 for c in x) / init.width**2)
             * np.exp(1j * k0 * x[0]),
         )
+        if init.kind == "large_scale":
+            u0 = large_scale_profile(u0, cfg.symmetry, init.theta)
+            notes["theta"] = init.theta
     elif init.kind == "sech":
         u0 = field_from_function(
             grid,
@@ -427,22 +387,13 @@ def build_initial_field(cfg: ExperimentConfig):
             * np.exp(1j * k0 * x[0]),
         )
     elif init.kind == "scaled_ground_state":
-        which = init.which or ("double" if cfg.model.equation == "E1" else "mass_critical")
+        which = init.which or _threshold_profile(cfg.model)
         kwargs = {"power": init.power} if which == "single_power" else {}
         gs = solve_ground_state(cfg.model, which=which, **kwargs)
         base = ground_state_field(gs, grid)
         u0 = ComplexField(grid, init.c * base.values * np.exp(1j * k0 * grid.coords[0]))
         notes["which"] = which
         notes["ground_state_amplitude"] = gs.amplitude
-    elif init.kind == "large_scale":
-        base = field_from_function(
-            grid,
-            lambda *x: init.amplitude
-            * np.exp(-sum(c**2 for c in x) / init.width**2)
-            * np.exp(1j * k0 * x[0]),
-        )
-        u0 = large_scale_profile(base, cfg.symmetry, init.theta)
-        notes["theta"] = init.theta
     elif init.kind == "file":
         u0 = load_field(init.path)
         if u0.grid != grid:
@@ -473,22 +424,33 @@ def build_initial_field(cfg: ExperimentConfig):
     return u0, notes
 
 
+def _initial_state(cfg: ExperimentConfig):
+    """build_initial_field with the config's symmetry element applied
+    (large_scale data has it built in); returns (field, notes dict)."""
+    u0, notes = build_initial_field(cfg)
+    if cfg.symmetry is not None and cfg.initial.kind != "large_scale":
+        u0 = apply_symmetry(u0, cfg.symmetry)
+    return u0, notes
+
+
+def _threshold_verdict(u0: ComplexField, model: ModelParams):
+    """(threshold ground state, verdict of u0 against it)."""
+    gs = solve_ground_state(model, which=_threshold_profile(model))
+    return gs, classify(u0, model, gs)
+
+
 # -- running ------------------------------------------------------------------
 
 def _drifts(log) -> dict:
     s0 = log.snapshots[0]
-    tiny = 1e-300
-    mass_drift = max(abs(s.mass - s0.mass) for s in log.snapshots) / max(abs(s0.mass), tiny)
-    energy_drift = max(abs(s.energy - s0.energy) for s in log.snapshots) / max(
-        abs(s0.energy), tiny
-    )
+    mass_drift = max(abs(s.mass - s0.mass) for s in log.snapshots) / max(abs(s0.mass), 1e-300)
     momentum_drift = max(
         max(abs(pc - p0c) for pc, p0c in zip(s.momentum, s0.momentum))
         for s in log.snapshots
     )
     return {
         "mass_rel": mass_drift,
-        "energy_rel": energy_drift,
+        "energy_rel": log.energy_drift,
         "momentum_abs": momentum_drift,
     }
 
@@ -562,19 +524,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         raise ConfigError("outputs.directory: no output directory given")
     out = Path(where)
     out.mkdir(parents=True, exist_ok=True)
+    # a rerun that fails must not leave the earlier run's summary to report
+    summary_path = out / "summary.json"
+    summary_path.unlink(missing_ok=True)
     started = time.monotonic()
 
-    u0, notes = build_initial_field(cfg)
-    if cfg.symmetry is not None and cfg.initial.kind != "large_scale":
-        u0 = apply_symmetry(u0, cfg.symmetry)
+    u0, notes = _initial_state(cfg)
 
     verdict_obj = None
     gs = None
     critical_mass = None
     if cfg.classify_data:
-        which = "double" if cfg.model.equation == "E1" else "mass_critical"
-        gs = solve_ground_state(cfg.model, which=which)
-        verdict = classify(u0, cfg.model, gs)
+        gs, verdict = _threshold_verdict(u0, cfg.model)
         verdict_obj = json.loads(verdict_to_json(verdict))
         if cfg.model.equation == "E2":
             critical_mass = gs.mass
@@ -601,27 +562,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     ):
         ref = np.abs(u0.values)
         ref_norm = float(np.sqrt(np.sum(ref**2)))
-        fields = [f for _, f in log.checkpoints]
+        stored = [f for _, f in log.checkpoints]
         if log.final_state is not None and log.outcome == "completed":
-            fields.append(log.final_state)
-        if ref_norm > 0 and fields:
+            stored.append(log.final_state)
+        if ref_norm > 0 and stored:
             stationarity = max(
                 float(np.sqrt(np.sum((np.abs(f.values) - ref) ** 2))) / ref_norm
-                for f in fields
+                for f in stored
             )
-
-    proxy = None
-    if log.outcome == "completed":
-        rep = scattering_proxy(log)
-        proxy = {
-            "passed": rep.passed,
-            "accumulated": rep.accumulated,
-            "mean_rate": rep.mean_rate,
-            "late_rate": rep.late_rate,
-            "decay_factor": rep.decay_factor,
-            "cauchy_distance": rep.cauchy_distance,
-        }
-    blow = detect_blowup(log)
 
     save_field(out / "u0.nlsf", u0)
     if log.final_state is not None:
@@ -633,24 +581,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
 
     summary = {
         "format": 1,
-        "model": {
-            "d": cfg.model.d,
-            "p": cfg.model.p,
-            "omega": cfg.model.omega,
-            "equation": cfg.model.equation,
-        },
-        "grid": {"n_per_axis": cfg.n_per_axis, "half_width": cfg.half_width},
+        "model": _section_values(cfg, "model"),
+        "grid": _section_values(cfg, "grid"),
         "stepper": {
-            "dt": cfg.stepper.dt,
+            **_section_values(cfg, "stepper"),
             "dt_used": log.dt_used,
             "n_steps": log.n_steps,
-            "t_final": cfg.stepper.t_final,
-            "snapshot_every": cfg.stepper.snapshot_every,
-            "checkpoint_every": cfg.stepper.checkpoint_every,
-            "blowup_grad_factor": cfg.stepper.blowup_grad_factor,
-            "tail_fraction_max": cfg.stepper.tail_fraction_max,
-            "edge_mass_max": cfg.stepper.edge_mass_max,
-            "edge_cells": cfg.stepper.edge_cells,
         },
         "initial_data": notes,
         "verdict": verdict_obj,
@@ -659,20 +595,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         "abort_detail": log.abort_detail,
         "drifts": _drifts(log),
         "virial": _virial_summary(cfg, log, critical_mass),
-        "scattering_proxy": proxy,
+        "scattering_proxy": (
+            asdict(scattering_proxy(log)) if log.outcome == "completed" else None
+        ),
         "stationarity_residual": stationarity,
-        "blowup": {
-            "detected": blow.detected,
-            "time": blow.time,
-            "diagnosis": blow.diagnosis,
-        },
+        "blowup": asdict(detect_blowup(log)),
         "snapshots_recorded": len(log.snapshots),
         "timing": {
             "wall_seconds": time.monotonic() - started,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
     }
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    # written last and renamed into place: a summary means the run finished
+    tmp = out / "summary.json.tmp"
+    tmp.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    os.replace(tmp, summary_path)
     return out
 
 

@@ -57,7 +57,7 @@ class ModelParams:
 
     d: int
     p: float
-    omega: float
+    omega: float = 1.0
     equation: str = "E1"
 
     def __post_init__(self):

@@ -157,12 +157,17 @@ class TrajectoryLog:
     outcome: str = "running"
     abort_time: float | None = None
     abort_detail: str = ""
-    energy_drift: float | None = None
     final_state: ComplexField | None = None
 
     @property
     def scatter_accum(self) -> float:
         return self.scatter_series[-1] if self.scatter_series else 0.0
+
+    @property
+    def energy_drift(self) -> float:
+        """Largest |E(t_j) - E(0)| over the records, relative to |E(0)|."""
+        e0 = self.snapshots[0].energy
+        return max(abs(s.energy - e0) for s in self.snapshots) / max(abs(e0), 1e-300)
 
     def gradient_ratio(self, j: int) -> float:
         """|grad u(t_j)| over its initial value."""
@@ -400,9 +405,6 @@ def evolve(
     log.outcome = "completed"
     log.checkpoints.append((log.times[-1], f))
     log.final_state = f
-    e0 = log.snapshots[0].energy
-    drift = max(abs(s.energy - e0) for s in log.snapshots)
-    log.energy_drift = drift / max(abs(e0), 1e-30)
     return log
 
 

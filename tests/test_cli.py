@@ -54,6 +54,9 @@ c = 1.3
 classify = false
 """
 
+# a Gaussian this wide breaks evolve's edge-decay precondition on the QUICK box
+WIDE = "amplitude = 0.8\nwidth = 10.0"
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -135,6 +138,41 @@ def test_invalid_config_exits_two_with_attribution(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "model" in err
+
+
+def test_unknown_config_key_exits_two(tmp_path, capsys):
+    cfg = _write(tmp_path, "typo.ini", QUICK.replace("snapshot_every", "snapshot_evry"))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "typo")]) == 2
+    assert "stepper.snapshot_evry: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "typo").exists()
+
+
+def test_failed_rerun_leaves_no_summary_to_report(tmp_path, capsys):
+    good = _write(tmp_path, "run.ini", QUICK)
+    wide = _write(tmp_path, "wide.ini", QUICK.replace("amplitude = 0.8", WIDE))
+    rdir = tmp_path / "D"
+    assert main(["evolve", "--config", good, "--out", str(rdir)]) == 0
+    assert main(["evolve", "--config", wide, "--out", str(rdir)]) == 3
+    captured = capsys.readouterr()
+    assert "edge-decay precondition" in captured.out + captured.err
+    assert main(["report", str(rdir), "--out", str(tmp_path / "rep")]) == 0
+    assert "0 runs, 1 skipped" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_evolve_reports_every_job_when_one_fails(tmp_path, capsys, threads):
+    stems = {"a": QUICK, "b": QUICK.replace("amplitude = 0.8", WIDE), "c": QUICK}
+    argv = ["evolve", "--out", str(tmp_path / "X"), "--threads", threads]
+    for stem, text in stems.items():
+        argv += ["--config", _write(tmp_path, f"{stem}.ini", text)]
+    assert main(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{tmp_path / 'X' / 'a'}: completed"
+    assert lines[1].startswith(f"{tmp_path / 'X' / 'b'}: error: ValueError: initial data "
+                               "violates the edge-decay precondition")
+    assert lines[2] == f"{tmp_path / 'X' / 'c'}: completed"
+    assert (tmp_path / "X" / "c" / "summary.json").is_file()
+    assert not (tmp_path / "X" / "b" / "summary.json").exists()
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):

@@ -2,12 +2,17 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
 from nlslab.experiment import (
+    _SCHEMA,
+    DATA_KINDS,
     ConfigError,
+    ExperimentConfig,
+    InitialData,
     build_initial_field,
     emit_report,
     load_config,
@@ -19,7 +24,9 @@ from nlslab.experiment import (
 from nlslab.fieldio import load_field, save_field
 from nlslab.functionals import ModelParams, action_K_H, mass
 from nlslab.groundstate import solve_ground_state
+from nlslab.propagator import StepperConfig
 from nlslab.spectral import GridSpec, field_from_function
+from nlslab.symmetry import SymmetryElement
 
 BASE = """
 [model]
@@ -67,6 +74,18 @@ def test_errors_name_the_offending_key(mutation, pattern):
         parse_config(BASE.replace(old, new))
 
 
+@pytest.mark.parametrize("text, pattern", [
+    (BASE.replace("snapshot_every = 5", "snapshot_evry = 5"),
+     r"stepper\.snapshot_evry: unknown key"),
+    (BASE + "ampltude = 0.5\n", r"initial_data\.ampltude: unknown key"),
+    (_with(output="directory = runs/x"), r"output: unknown section"),
+    (_with(symmetry="theta = 0.3\nx1 = 1.0"), r"symmetry\.x1: unknown key"),
+], ids=["stepper", "initial_data", "section", "symmetry"])
+def test_unknown_keys_and_sections_are_refused(text, pattern):
+    with pytest.raises(ConfigError, match=pattern):
+        parse_config(text)
+
+
 def test_missing_data_file_is_reported(tmp_path):
     text = BASE.replace("kind = gaussian", f"kind = file\npath = {tmp_path}/nope.nlsf")
     with pytest.raises(ConfigError, match="no such file"):
@@ -109,6 +128,10 @@ def test_parse_model_reads_solver_overrides():
     assert kwargs == {"which": "double", "step": 0.001}
     with pytest.raises(ConfigError, match="model: section missing"):
         parse_model("[groundstate]\nwhich = double\n")
+    with pytest.raises(ConfigError, match=r"groundstate\.stpe: unknown key"):
+        parse_model("[model]\nd = 1\np = 7.0\n\n[groundstate]\nstpe = 0.001\n")
+    with pytest.raises(ConfigError, match="groundstat: unknown section"):
+        parse_model("[model]\nd = 1\np = 7.0\n\n[groundstat]\nstep = 0.001\n")
 
 
 # -- serialization round trip -------------------------------------------------
@@ -121,6 +144,91 @@ def test_serialize_then_parse_is_the_identity():
     again = parse_config(canon)
     assert again == cfg
     assert serialize_config(again) == canon
+
+
+def _draw_vector(rng, d):
+    return () if rng.random() < 0.3 else tuple(rng.uniform(-5.0, 5.0) for _ in range(d))
+
+
+def _draw_config(rng, data_file) -> ExperimentConfig:
+    """One admissible config with every field drawn."""
+    d = rng.choice((1, 2))
+    equation = rng.choice(("E1", "E2"))
+    model = ModelParams(d=d, p=1.0 + 4.0 / d + rng.uniform(1e-3, 5.0),
+                        omega=rng.uniform(0.1, 3.0), equation=equation)
+    half_width = rng.uniform(5.0, 60.0)
+    stepper = StepperConfig(
+        dt=10 ** rng.uniform(-6, -2),
+        t_final=rng.uniform(1e-3, 10.0),
+        snapshot_every=rng.randint(1, 500),
+        checkpoint_every=rng.randint(0, 500),
+        blowup_grad_factor=rng.uniform(1.5, 1e4),
+        tail_fraction_max=10 ** rng.uniform(-12, -1),
+        edge_mass_max=10 ** rng.uniform(-12, -1),
+        edge_cells=rng.randint(1, 16),
+    )
+    kind = rng.choice(DATA_KINDS)
+    target = rng.choice(("none", "mass_target", "critical_mass_fraction"))
+    initial = InitialData(
+        kind=kind,
+        amplitude=rng.uniform(-3.0, 3.0),
+        width=rng.uniform(0.05, 5.0),
+        rate=rng.uniform(0.1, 5.0),
+        exponent=rng.uniform(0.1, 3.0),
+        wavenumber=rng.uniform(-4.0, 4.0),
+        c=rng.uniform(0.0, 2.0),
+        which=rng.choice(("", "double", "mass_critical", "single_power")),
+        power=rng.choice((0.0, rng.uniform(2.0, 9.0))),
+        path=str(data_file) if kind == "file" else rng.choice(("", "elsewhere/u0.nlsf")),
+        seed=rng.randint(0, 2**40),
+        k_width=rng.uniform(0.1, 5.0),
+        mass_target=rng.uniform(0.1, 9.0) if target == "mass_target" else 0.0,
+        critical_mass_fraction=(
+            rng.uniform(0.1, 2.0) if target == "critical_mass_fraction" else 0.0
+        ),
+        theta=rng.uniform(0.0, 1.0),
+    )
+    symmetry = None
+    if kind == "large_scale" or rng.random() < 0.5:
+        symmetry = SymmetryElement(theta=rng.uniform(-7.0, 7.0), h=rng.uniform(0.1, 4.0),
+                                   t0=rng.uniform(-1.0, 1.0), x0=_draw_vector(rng, d),
+                                   xi=_draw_vector(rng, d))
+    localized = equation == "E1" and rng.random() < 0.5
+    return ExperimentConfig(
+        model=model,
+        n_per_axis=rng.choice((8, 64, 256, 1024, 8192)),
+        half_width=half_width,
+        stepper=stepper,
+        initial=initial,
+        symmetry=symmetry,
+        directory=rng.choice(("", "runs/a", "runs/with space")),
+        classify_data=rng.random() < 0.5,
+        virial_radius=rng.uniform(0.1, half_width / 2.0) if localized else 0.0,
+        whole_space_virial=equation == "E2" and rng.random() < 0.5,
+    )
+
+
+def test_serialize_round_trips_drawn_configs(tmp_path):
+    data_file = tmp_path / "u0.nlsf"
+    data_file.write_bytes(b"")
+    rng = random.Random(20191)
+    seen = set()
+    for _ in range(240):
+        cfg = _draw_config(rng, data_file)
+        canon = serialize_config(cfg)
+        again = parse_config(canon)
+        assert again == cfg, canon
+        assert serialize_config(again) == canon
+        seen |= {("kind", cfg.initial.kind), ("symmetry", cfg.symmetry is not None),
+                 ("classify", cfg.classify_data), ("localized", cfg.virial_radius > 0),
+                 ("whole_space", cfg.whole_space_virial), ("directory", cfg.directory),
+                 ("which", cfg.initial.which)}
+        if cfg.symmetry is not None:
+            seen |= {("x0", len(cfg.symmetry.x0)), ("xi", len(cfg.symmetry.xi))}
+    flags = ("symmetry", "classify", "localized", "whole_space")
+    assert {("kind", kind) for kind in DATA_KINDS} <= seen
+    assert {(flag, value) for flag in flags for value in (True, False)} <= seen
+    assert {("directory", ""), ("which", ""), ("x0", 0), ("xi", 0), ("x0", 2)} <= seen
 
 
 def test_load_config_reads_a_file(tmp_path):
@@ -263,6 +371,15 @@ def test_summary_records_the_nudged_dt_and_the_step_count(tmp_path):
     assert stepper["dt"] == 3e-3
     assert stepper["n_steps"] == 3
     assert stepper["dt_used"] == 0.01 / 3
+
+
+def test_summary_echoes_the_schema_sections(tmp_path):
+    cfg = _quick_cfg(tmp_path, extra_outputs="classify = false")
+    summary = json.loads((run_experiment(cfg) / "summary.json").read_text())
+    for section, extra in (("model", set()), ("grid", set()),
+                           ("stepper", {"dt_used", "n_steps"})):
+        keys = {key for key, _ in _SCHEMA[section].keys}
+        assert set(summary[section]) == keys | extra
 
 
 def test_runs_are_deterministic_apart_from_timing(tmp_path):
