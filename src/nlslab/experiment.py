@@ -517,6 +517,11 @@ def _write_groundstate(path: Path, gs):
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
+# every file run_experiment may write into a run directory
+_ARTIFACTS = ("summary.json", "summary.json.tmp", "u0.nlsf", "final.nlsf",
+              "trajectory.csv", "groundstate.csv", "config.ini")
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     """Execute one config; returns the run directory."""
     where = out_dir or cfg.directory
@@ -524,9 +529,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         raise ConfigError("outputs.directory: no output directory given")
     out = Path(where)
     out.mkdir(parents=True, exist_ok=True)
-    # a rerun that fails must not leave the earlier run's summary to report
+    # a rerun must leave nothing of an earlier run: not its summary for
+    # report to read if this run fails, nor a file this run does not write
+    for name in _ARTIFACTS:
+        (out / name).unlink(missing_ok=True)
     summary_path = out / "summary.json"
-    summary_path.unlink(missing_ok=True)
     started = time.monotonic()
 
     u0, notes = _initial_state(cfg)

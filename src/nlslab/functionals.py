@@ -234,13 +234,15 @@ class FunctionalSnapshot:
 
 
 def snapshot(
-    f: ComplexField, mp: ModelParams, t: float = 0.0, *, spectrum=None
+    f: ComplexField, mp: ModelParams, t: float = 0.0, *, spectrum=None, modulus=None
 ) -> FunctionalSnapshot:
     """The one integrals pass behind every functional: one forward FFT (or
-    the caller's spectrum, np.fft.fftn(f.values)) and one |u| array give
-    the integrals, the combiners above give E, S, K and H."""
+    the caller's spectrum, np.fft.fftn(f.values)) and one |u| array (or the
+    caller's modulus, np.abs(f.values)) give the integrals, the combiners
+    above give E, S, K and H."""
     grad, mom = _spectral_integrals(f, spectrum)
-    a, dv = np.abs(f.values), f.grid.cell_volume
+    a = np.abs(f.values) if modulus is None else modulus
+    dv = f.grid.cell_volume
     m = float(np.sum(a**2) * dv)
     lp1, lmc = float(np.sum(a ** (mp.p + 1.0)) * dv), float(np.sum(a**mp.mc_power) * dv)
     e = _energy(mp, grad, lp1, lmc, mp.couplings)

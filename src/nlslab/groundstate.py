@@ -39,6 +39,17 @@ A second, independent route (ground_state_on_grid) runs a semi-implicit
 descent on the periodic spectral grid, re-normalized each step onto the
 constraint <S'(Q), Q> = 0.  Shooting and descent agree on Q(0) to about
 1e-8 relative in practice; tests demand 1e-6.
+
+The radial integrals (composite Simpson) and the clamped cubic spline that
+samples Q onto a lattice are computed in this module, not by scipy: every
+run solves and samples one profile, and importing scipy.integrate and
+scipy.interpolate cost more than the rest of a short run's set-up.  Both
+evaluate scipy's own formulas in scipy's order (simpson's non-uniform
+spacing rule with its even-count end correction; CubicSpline's banded
+system solved as LAPACK dgtsv does, and PPoly's interval search and
+ascending-power sum), so certificates and sampled fields are bitwise what
+scipy gives; the tests compare them.  Only ground_state_on_grid, which no
+run calls, imports scipy (brentq).
 """
 
 from __future__ import annotations
@@ -46,12 +57,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .functionals import ModelParams, _action, _energy, _scaling_derivative
 from .spectral import ComplexField, GridSpec
@@ -129,6 +137,12 @@ class GroundStateSolution:
     step: float
     scan_amplitudes: tuple = ()
 
+    @cached_property
+    def _spline(self):
+        """Spline coefficients of the profile, clamped to Q'(0) = 0 and the
+        stored Q'(R); built on first use and kept with the solution."""
+        return _clamped_spline(self.r, self.profile, 0.0, float(self.derivative[-1]))
+
 
 # -- shooting -----------------------------------------------------------------
 
@@ -138,6 +152,13 @@ def _integrate(a, h, n_steps, d, omega, terms, record=False):
     Returns (cls, i_stop, qs, vs): cls = +1 if Q crossed zero (amplitude too
     large), -1 if Q turned upward while positive (too small) or no event.
     Arrays are filled through i_stop when record is set, else None.
+
+    The acceleration Q'' = omega Q - g(Q) - (d-1)/r Q' (at r = 0,
+    (omega Q - g(Q))/d), with g(x) = 0.0 + sum mu copysign(|x|^ex, x) over
+    the one or two terms, is written out in each stage instead of called:
+    a solve runs some 200 k steps.  Each stage keeps the operations and
+    their order, and the scalar float ** (libm pow; numpy's power differs
+    from it in the last bit on some inputs).
     """
     q = float(a)
     v = 0.0
@@ -148,38 +169,46 @@ def _integrate(a, h, n_steps, d, omega, terms, record=False):
         vs = np.empty(n_steps + 1)
         qs[0] = q
         vs[0] = v
-
-    def g(x):
-        s = 0.0
-        for mu, ex in terms:
-            s += mu * math.copysign(abs(x) ** ex, x)
-        return s
-
-    def acc(r, qq, vv):
-        a0 = omega * qq - g(qq)
-        if r > 0.0:
-            return a0 - dm1 * vv / r
-        return a0 / d
+    copysign = math.copysign
+    (mu1, e1), *more = terms
+    two = bool(more)
+    if two:
+        ((mu2, e2),) = more
 
     cls = -1
     i_stop = n_steps
+    half = 0.5 * h
     for i in range(n_steps):
         r = i * h
-        k1q = v
-        k1v = acc(r, q, v)
-        q2 = q + 0.5 * h * k1q
-        v2 = v + 0.5 * h * k1v
-        k2q = v2
-        k2v = acc(r + 0.5 * h, q2, v2)
-        q3 = q + 0.5 * h * k2q
-        v3 = v + 0.5 * h * k2v
-        k3q = v3
-        k3v = acc(r + 0.5 * h, q3, v3)
-        q4 = q + h * k3q
+        rh = r + half
+        # stage 1, at r (the only stage that can sit at r = 0)
+        gq = 0.0 + mu1 * copysign(abs(q) ** e1, q)
+        if two:
+            gq += mu2 * copysign(abs(q) ** e2, q)
+        k1v = omega * q - gq
+        k1v = k1v - dm1 * v / r if r > 0.0 else k1v / d
+        # stage 2, at r + h/2
+        q2 = q + half * v
+        v2 = v + half * k1v
+        gq = 0.0 + mu1 * copysign(abs(q2) ** e1, q2)
+        if two:
+            gq += mu2 * copysign(abs(q2) ** e2, q2)
+        k2v = omega * q2 - gq - dm1 * v2 / rh
+        # stage 3, at r + h/2
+        q3 = q + half * v2
+        v3 = v + half * k2v
+        gq = 0.0 + mu1 * copysign(abs(q3) ** e1, q3)
+        if two:
+            gq += mu2 * copysign(abs(q3) ** e2, q3)
+        k3v = omega * q3 - gq - dm1 * v3 / rh
+        # stage 4, at r + h
+        q4 = q + h * v3
         v4 = v + h * k3v
-        k4q = v4
-        k4v = acc(r + h, q4, v4)
-        q += h * (k1q + 2.0 * (k2q + k3q) + k4q) / 6.0
+        gq = 0.0 + mu1 * copysign(abs(q4) ** e1, q4)
+        if two:
+            gq += mu2 * copysign(abs(q4) ** e2, q4)
+        k4v = omega * q4 - gq - dm1 * v4 / (r + h)
+        q += h * (v + 2.0 * (v2 + v3) + v4) / 6.0
         v += h * (k1v + 2.0 * (k2v + k3v) + k4v) / 6.0
         if record:
             qs[i + 1] = q
@@ -300,8 +329,36 @@ def _ode_residual(r, q, v, h, d, omega, terms):
     return float(np.max(np.abs(res)))
 
 
+def _simpson(y, x):
+    """Composite Simpson's rule, evaluated as scipy.integrate.simpson(y, x=x)
+    does: its non-uniform spacing formula summed by one np.sum, and for an
+    even sample count (at least 4) the rule on all but the last interval
+    plus Cartwright's correction for that interval."""
+    n = y.size
+    h = np.diff(x)
+    stop = n - 2 if n % 2 else n - 3
+    h0 = h[0:stop:2]
+    h1 = h[1 : stop + 1 : 2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    result = np.sum(
+        hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                      + y[1 : stop + 1 : 2] * (hsum * (hsum / hprod))
+                      + y[2 : stop + 2 : 2] * (2.0 - h0divh1))
+    )
+    if n % 2 == 0:
+        # 0-d arrays, as scipy has them: numpy's ** on them is not libm's
+        h0, h1 = np.squeeze(h[-2:-1]), np.squeeze(h[-1:])
+        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = h1**3 / (6 * h0 * (h0 + h1))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
+
 def _radial_integral(r, values, d):
-    return _SURFACE[d] * float(simpson(values * r ** (d - 1), x=r))
+    return _SURFACE[d] * float(_simpson(values * r ** (d - 1), r))
 
 
 def _certificates(r, q, v, mp, which):
@@ -516,24 +573,72 @@ def ground_state_field(gs: GroundStateSolution, grid: GridSpec) -> ComplexField:
         raise ValueError(
             f"grid dimension {grid.d} does not match profile dimension {gs.params.d}"
         )
-    spline = CubicSpline(
-        gs.r, gs.profile, bc_type=((1, 0.0), (1, float(gs.derivative[-1])))
-    )
     rr = grid.radius
     alpha = 0.5 * (gs.params.d - 1.0)
     sqw = math.sqrt(gs.omega)
     inside = rr <= gs.r[-1]
     vals = np.empty(grid.shape)
-    vals[inside] = spline(rr[inside])
+    vals[inside] = _spline_eval(gs.r, gs._spline, rr[inside])
     if np.any(~inside):
         vals[~inside] = _tail(rr[~inside], gs.tail_coefficient, alpha, sqw)
     return ComplexField(grid, vals.astype(np.complex128))
+
+
+def _clamped_spline(x, y, s0, s1):
+    """Coefficients (c0, c1, c2, c3) of the cubic spline through (x, y) with
+    end slopes s0 and s1, piece i being
+    c0[i] z^3 + c1[i] z^2 + c2[i] z + c3[i] at z = r - x[i].
+
+    This is scipy's CubicSpline(x, y, bc_type=((1, s0), (1, s1))): the same
+    banded rows for the node slopes, solved in LAPACK dgtsv's order (the
+    rows are diagonally dominant, so dgtsv interchanges none), then
+    CubicHermiteSpline's coefficients.
+    """
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    diag = np.empty(n)
+    diag[[0, -1]] = 1.0
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper = np.zeros(n - 1)
+    upper[1:] = dx[:-1]
+    lower = np.zeros(n - 1)
+    lower[:-1] = dx[1:]
+    rhs = np.empty(n)
+    rhs[0], rhs[-1] = s0, s1
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+
+    d, du, dl, b = diag.tolist(), upper.tolist(), lower.tolist(), rhs.tolist()
+    for i in range(n - 1):
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        b[i + 1] -= fact * b[i]
+    b[-1] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        # dgtsv's back solve also subtracts dl[i] * b[i + 2], zeroed above
+        b[i] = (b[i] - du[i] * b[i + 1]) / d[i]
+    s = np.array(b)
+
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+
+def _spline_eval(x, coeffs, r):
+    """scipy PPoly's evaluation of _clamped_spline's coefficients at r
+    (x[0] <= r <= x[-1]): the piece i with x[i] <= r < x[i+1], the last
+    one closed, and the terms summed in ascending powers."""
+    c0, c1, c2, c3 = coeffs
+    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+    z = r - x[i]
+    return c3[i] + c2[i] * z + c1[i] * (z * z) + c0[i] * (z * z * z)
 
 
 # -- independent route: constrained descent on the spectral grid --------------
 
 def _nehari_rescale(q, dv, k2_spec, omega, terms):
     """Amplitude c > 0 with <S'(c q), c q> = 0."""
+    from scipy.optimize import brentq  # the only scipy use; no run gets here
+
     qhat = np.fft.fftn(q)
     grad = float(np.sum(k2_spec * np.abs(qhat) ** 2)) / q.size * dv
     m = float(np.sum(np.abs(q) ** 2) * dv)

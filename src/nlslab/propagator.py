@@ -281,13 +281,14 @@ def _scatter_integrand(spectrum, grid, weight_symbol, mc_power) -> float:
     return float(np.sum(_abs2_power(a2, 0.5 * mc_power)) * grid.cell_volume)
 
 
-def _virial_row(f, mp, t, weight, whole_space, spec) -> VirialRow:
+def _virial_row(f, mp, t, weight, whole_space, spec, modulus, snap) -> VirialRow:
     if whole_space:
-        return VirialRow(t, None, None, whole_space_virial_e2(f, mp, spectrum=spec), None, None)
-    vd = virial_derivatives(f, mp, weight, spectrum=spec)
+        v2 = whole_space_virial_e2(f, mp, spectrum=spec, powers=(snap.lp1, snap.lmc))
+        return VirialRow(t, None, None, v2, None, None)
+    vd = virial_derivatives(f, mp, weight, spectrum=spec, modulus=modulus)
     return VirialRow(
         t,
-        virial_value(f, weight),
+        virial_value(f, weight, modulus=modulus),
         vd.v_prime,
         vd.v_double_prime,
         vd.remainder,
@@ -334,15 +335,19 @@ def evolve(
     log = TrajectoryLog(params=mp, config=cfg, dt_used=dt, n_steps=n_steps)
 
     def record(values, t):
-        # one forward FFT per record, shared by every spectral diagnostic
+        # one forward FFT and one |u| per record, shared by every diagnostic
         f = ComplexField(grid, values)
         spec = np.fft.fftn(f.values)
+        a = np.abs(f.values)
+        snap = snapshot(f, mp, t, spectrum=spec, modulus=a)
         log.times.append(t)
-        log.snapshots.append(snapshot(f, mp, t, spectrum=spec))
+        log.snapshots.append(snap)
         log.tail_fractions.append(spectral_tail_fraction(f, spectrum=spec))
-        log.edge_fractions.append(edge_mass_fraction(f, cfg.edge_cells))
+        log.edge_fractions.append(edge_mass_fraction(f, cfg.edge_cells, modulus=a))
         if virial_weight is not None or whole_space_virial:
-            log.virial_rows.append(_virial_row(f, mp, t, virial_weight, whole_space_virial, spec))
+            log.virial_rows.append(
+                _virial_row(f, mp, t, virial_weight, whole_space_virial, spec, a, snap)
+            )
         return f, _scatter_integrand(spec, grid, wsym, mcp)
 
     values = u0.values.copy()

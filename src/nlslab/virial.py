@@ -166,11 +166,12 @@ class VirialDerivatives:
     exterior_integral: float
 
 
-def virial_value(f: ComplexField, w: VirialWeight) -> float:
-    """int R^2 phi(|x|/R) |u|^2."""
+def virial_value(f: ComplexField, w: VirialWeight, *, modulus=None) -> float:
+    """int R^2 phi(|x|/R) |u|^2; modulus is as for virial_derivatives."""
     if f.grid != w.grid:
         raise ValueError("field and weight live on different grids")
-    return float(np.sum(w.value * np.abs(f.values) ** 2) * f.grid.cell_volume)
+    a = np.abs(f.values) if modulus is None else modulus
+    return float(np.sum(w.value * a**2) * f.grid.cell_volume)
 
 
 def _gradient_fields(f: ComplexField, spectrum=None):
@@ -181,11 +182,12 @@ def _gradient_fields(f: ComplexField, spectrum=None):
 
 
 def virial_derivatives(
-    f: ComplexField, mp: ModelParams, w: VirialWeight, *, spectrum=None
+    f: ComplexField, mp: ModelParams, w: VirialWeight, *, spectrum=None, modulus=None
 ) -> VirialDerivatives:
     """First and second time derivatives of the localized variance, plus the
     flat-weight remainder A_R = V'' - 8K and the exterior bound integrand.
-    spectrum, when given, is np.fft.fftn(f.values) and saves the transform."""
+    spectrum, when given, is np.fft.fftn(f.values) and saves the transform;
+    modulus, when given, is np.abs(f.values)."""
     if f.grid != w.grid:
         raise ValueError("field and weight live on different grids")
     if mp.equation != "E1":
@@ -194,7 +196,7 @@ def virial_derivatives(
     d, p = mp.d, mp.p
     dv = f.grid.cell_volume
     u = f.values
-    absu = np.abs(u)
+    absu = np.abs(u) if modulus is None else modulus
     dens = absu**2
 
     grads = _gradient_fields(f, spectrum)
@@ -225,16 +227,19 @@ def virial_derivatives(
     return VirialDerivatives(v_prime, v_double, remainder, exterior)
 
 
-def whole_space_virial_e2(f: ComplexField, mp: ModelParams, *, spectrum=None) -> float:
+def whole_space_virial_e2(
+    f: ComplexField, mp: ModelParams, *, spectrum=None, powers=None
+) -> float:
     """V'' for the E2 sign convention with the unlocalized |x|^2 weight:
 
         8 [ ||grad u||^2 + d(p-1)/(2(p+1)) |u|_{p+1}^{p+1} - d/(d+2) |u|_mc^mc ],
 
-    8 K with E2's own signs.  spectrum is as for virial_derivatives.
+    8 K with E2's own signs.  spectrum is as for virial_derivatives; powers,
+    when given, is power_integrals(f, mp) (a snapshot's (lp1, lmc)).
     """
     if mp.equation != "E2":
         raise ValueError("whole-space E2 identity requested for an E1 model")
     grads = _gradient_fields(f, spectrum)
     grad_sq = float(sum(np.sum(np.abs(du) ** 2) for du in grads) * f.grid.cell_volume)
-    lp1, lmc = power_integrals(f, mp)
+    lp1, lmc = power_integrals(f, mp) if powers is None else powers
     return 8.0 * _scaling_derivative(mp, grad_sq, lp1, lmc, mp.couplings)

@@ -1,10 +1,15 @@
 """Command-line behavior: artifacts, exit codes, thread plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlslab
 from nlslab.cli import main
 
 MODEL = """
@@ -250,3 +255,31 @@ def test_evolve_refuses_configs_sharing_outputs_directory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert a in err and b in err
     assert not (tmp_path / "shared").exists()
+
+
+SCIPY_FREE_RUN = """
+import sys
+import nlslab.cli
+from nlslab.experiment import load_config, run_experiment
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert loaded() == [], loaded()
+run_experiment(load_config(sys.argv[1]))
+assert loaded() == [], loaded()
+"""
+
+
+def test_a_run_never_imports_scipy(tmp_path):
+    # a fresh interpreter: this test process has scipy loaded already
+    text = QUICK.replace("kind = gaussian\namplitude = 0.8",
+                         "kind = scaled_ground_state\nc = 0.5")
+    text = text.replace("classify = false", f"classify = true\ndirectory = {tmp_path / 'run'}")
+    config = _write(tmp_path, "gs.ini", text)
+    env = dict(os.environ, PYTHONPATH=str(Path(nlslab.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, config], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["verdict"]["set_label"] == "A_plus"

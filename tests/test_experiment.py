@@ -422,6 +422,23 @@ def test_scaled_runs_do_not_report_stationarity(tmp_path):
     assert summary["stationarity_residual"] is None
 
 
+def test_rerun_without_classify_leaves_no_groundstate_behind(tmp_path):
+    first = run_experiment(_quick_cfg(tmp_path))
+    assert (first / "groundstate.csv").is_file()
+    again = run_experiment(_quick_cfg(tmp_path, extra_outputs="classify = false"))
+    assert again == first
+    assert json.loads((again / "summary.json").read_text())["verdict"] is None
+    assert not (again / "groundstate.csv").exists()
+
+
+def test_failed_rerun_leaves_no_earlier_artifacts(tmp_path):
+    out = run_experiment(_quick_cfg(tmp_path))
+    wide = _quick_cfg(tmp_path, initial="kind = gaussian\namplitude = 0.8\nwidth = 10.0")
+    with pytest.raises(ValueError, match="edge-decay precondition"):
+        run_experiment(wide)
+    assert sorted(path.name for path in out.iterdir()) == []
+
+
 def test_saved_initial_field_reflects_the_symmetry_element(tmp_path):
     text = _with(BASE.replace("t_final = 0.02", "t_final = 0.004"),
                  symmetry="xi = 0.4188790204786391\n",

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from nlslab import groundstate
@@ -164,6 +165,91 @@ def test_townes_field_in_two_dimensions(townes_gs):
     q = ground_state_field(townes_gs, grid)
     assert mass(q) == pytest.approx(townes_gs.mass, rel=1e-6)
     assert float(np.max(np.abs(q.values))) == pytest.approx(townes_gs.amplitude, rel=1e-6)
+
+
+# -- in-module numerics against scipy and a plain RK4 -------------------------
+
+def test_radial_integral_is_scipy_simpson_bitwise(double_gs):
+    r, q, v = double_gs.r, double_gs.profile, double_gs.derivative
+    warped = np.geomspace(1.0, 31.0, r.size) - 1.0   # non-uniform spacing
+    for x in (r, warped):
+        for n in (x.size, x.size - 1, 101, 100, 5, 4):   # odd and even counts
+            for y in (q[:n] ** 2, v[:n] ** 2, q[:n] ** 8):
+                for d in (1, 2):
+                    want = groundstate._SURFACE[d] * float(simpson(y * x[:n] ** (d - 1), x=x[:n]))
+                    assert groundstate._radial_integral(x[:n], y, d) == want
+
+
+@pytest.mark.parametrize("profile, d, n, half_width", [
+    ("double_gs", 1, 8192, 700.0),
+    ("double_gs", 1, 1024, 15.0),
+    ("townes_gs", 2, 256, 20.0),
+])
+def test_sampled_profile_is_scipy_cubic_spline_bitwise(request, profile, d, n, half_width):
+    gs = request.getfixturevalue(profile)
+    spline = CubicSpline(gs.r, gs.profile, bc_type=((1, 0.0), (1, float(gs.derivative[-1]))))
+    grid = GridSpec(d=d, n_per_axis=n, half_width=half_width)
+    inside = grid.radius <= gs.r[-1]
+    values = ground_state_field(gs, grid).values
+    assert np.array_equal(values.real[inside], spline(grid.radius[inside]))
+    assert not np.any(values.imag)
+    for at in (gs.r, gs.r[-1:], 0.5 * (gs.r[1:] + gs.r[:-1])):
+        assert np.array_equal(groundstate._spline_eval(gs.r, gs._spline, at), spline(at))
+
+
+def _reference_rk4(a, h, n_steps, d, omega, terms):
+    """Plain RK4 with the acceleration as a function; also reports whether
+    any stage value of Q went negative."""
+    def g(x):
+        s = 0.0
+        for mu, ex in terms:
+            s += mu * math.copysign(abs(x) ** ex, x)
+        return s
+
+    def acc(r, q, v):
+        a0 = omega * q - g(q)
+        return a0 - (d - 1.0) * v / r if r > 0.0 else a0 / d
+
+    q, v = float(a), 0.0
+    qs, vs, negative = [q], [v], False
+    for i in range(n_steps):
+        r = i * h
+        k1q, k1v = v, acc(r, q, v)
+        q2, v2 = q + 0.5 * h * k1q, v + 0.5 * h * k1v
+        k2q, k2v = v2, acc(r + 0.5 * h, q2, v2)
+        q3, v3 = q + 0.5 * h * k2q, v + 0.5 * h * k2v
+        k3q, k3v = v3, acc(r + 0.5 * h, q3, v3)
+        q4, v4 = q + h * k3q, v + h * k3v
+        k4q, k4v = v4, acc(r + h, q4, v4)
+        negative |= min(q2, q3, q4) < 0.0
+        q += h * (k1q + 2.0 * (k2q + k3q) + k4q) / 6.0
+        v += h * (k1v + 2.0 * (k2v + k3v) + k4v) / 6.0
+        qs.append(q)
+        vs.append(v)
+        if q <= 0.0:
+            return 1, i + 1, qs, vs, negative
+        if v > 0.0:
+            return -1, i + 1, qs, vs, negative
+    return -1, n_steps, qs, vs, negative
+
+
+@pytest.mark.parametrize("d, omega, terms", [
+    (1, 1.0, ((1.0, 7.0), (-1.0, 5.0))),
+    (2, 1.0, ((1.0, 3.0),)),
+    (2, 1.5, ((1.0, 4.0), (-1.0, 3.0))),
+])
+def test_shooting_loop_is_a_plain_rk4_bitwise(d, omega, terms):
+    h, n_steps = 0.01, 2500
+    negative_stages = 0
+    for a in (0.3, 1.0, 1.4, 2.2, 3.5, 9.0, 40.0):
+        cls, i_stop, qs, vs = groundstate._integrate(a, h, n_steps, d, omega, terms, record=True)
+        want_cls, want_stop, want_qs, want_vs, negative = _reference_rk4(a, h, n_steps, d, omega, terms)
+        assert (cls, i_stop) == (want_cls, want_stop)
+        assert np.array_equal(qs[: i_stop + 1], want_qs)
+        assert np.array_equal(vs[: i_stop + 1], want_vs)
+        assert groundstate._integrate(a, h, n_steps, d, omega, terms)[:2] == (cls, i_stop)
+        negative_stages += negative
+    assert negative_stages >= 2
 
 
 # -- refusals -----------------------------------------------------------------

@@ -14,8 +14,19 @@ from nlslab.propagator import (
     scattering_proxy,
     strang_step,
 )
-from nlslab.spectral import ComplexField, GridSpec, field_from_function, free_evolve
-from nlslab.virial import VirialWeight
+from nlslab.spectral import (
+    ComplexField,
+    GridSpec,
+    edge_mass_fraction,
+    field_from_function,
+    free_evolve,
+)
+from nlslab.virial import (
+    VirialWeight,
+    virial_derivatives,
+    virial_value,
+    whole_space_virial_e2,
+)
 
 MP1 = ModelParams(d=1, p=7.0, omega=1.0, equation="E1")
 MP2 = ModelParams(d=1, p=7.0, omega=1.0, equation="E2")
@@ -173,6 +184,26 @@ def test_each_record_takes_one_forward_fft(monkeypatch, mp, grid, rows):
     assert log.outcome == "completed"
     assert len(log.virial_rows) == len(log.times) == log.n_steps + 1
     assert len(calls) == log.n_steps + len(log.times)
+
+
+def test_shared_record_inputs_give_the_default_results_bitwise():
+    # a record hands its |u| and its snapshot's (lp1, lmc) to each diagnostic
+    for mp, grid in ((MP1, GridSpec(d=1, n_per_axis=256, half_width=40.0)),
+                     (ModelParams(d=2, p=4.0, omega=1.0, equation="E2"),
+                      GridSpec(d=2, n_per_axis=32, half_width=12.0))):
+        f = _packet(grid) if grid.d == 1 else field_from_function(
+            grid, lambda x, y: 0.7 * np.exp(-(x**2 + 2.0 * y**2)) * np.exp(0.9j * x))
+        a = np.abs(f.values)
+        snap = snapshot(f, mp)
+        assert snapshot(f, mp, modulus=a) == snap
+        assert edge_mass_fraction(f, 6, modulus=a) == edge_mass_fraction(f, 6)
+        if grid.d == 1:
+            w = VirialWeight(grid, 8.0)
+            assert virial_value(f, w, modulus=a) == virial_value(f, w)
+            assert virial_derivatives(f, mp, w, modulus=a) == virial_derivatives(f, mp, w)
+        else:
+            shared = whole_space_virial_e2(f, mp, powers=(snap.lp1, snap.lmc))
+            assert shared == whole_space_virial_e2(f, mp)
 
 
 # -- the fused kernel against single steps ------------------------------------
