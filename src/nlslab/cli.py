@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p):
         p.add_argument(
             "--config",
             action="append",
@@ -60,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="DIR",
             help="output directory (evolve: overrides the config's outputs.directory)",
         )
-        p.set_defaults(config_required=config_required)
 
     common(sub.add_parser("groundstate", help="solve the model's stationary profile"))
     common(sub.add_parser("classify", help="label initial data against the thresholds"))
@@ -77,10 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("report", help="aggregate run directories into CSV + markdown")
     rp.add_argument("runs", nargs="*", metavar="RUN_DIR")
     rp.add_argument("--out", default=".", metavar="DIR")
-    rp.set_defaults(config_required=False)
 
-    st = sub.add_parser("selftest", help="fast internal consistency checks")
-    st.set_defaults(config_required=False)
+    sub.add_parser("selftest", help="fast internal consistency checks")
     return ap
 
 

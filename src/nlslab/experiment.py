@@ -41,7 +41,7 @@ from .functionals import (
     snapshot_csv_header,
     snapshot_csv_row,
 )
-from .groundstate import solve_ground_state, ground_state_field
+from .groundstate import ground_state_field, solve_cost, solve_ground_state
 from .classifier import classify, verdict_to_json
 from .propagator import StepperConfig, evolve, scattering_proxy, detect_blowup
 from .virial import VirialWeight
@@ -535,6 +535,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         (out / name).unlink(missing_ok=True)
     summary_path = out / "summary.json"
     started = time.monotonic()
+    cost_before = solve_cost()
 
     u0, notes = _initial_state(cfg)
 
@@ -585,6 +586,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     if gs is not None:
         _write_groundstate(out / "groundstate.csv", gs)
     (out / "config.ini").write_text(serialize_config(cfg))
+    solves, shots, solve_s = (b - a for a, b in zip(cost_before, solve_cost()))
 
     summary = {
         "format": 1,
@@ -611,6 +613,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         "timing": {
             "wall_seconds": time.monotonic() - started,
             "timestamp": datetime.now(timezone.utc).isoformat(),
+            "groundstate.solve_s": solve_s,
+            "groundstate.solves": solves,
+            "groundstate.shots": shots,
         },
     }
     # written last and renamed into place: a summary means the run finished

@@ -11,12 +11,23 @@ with the positive decaying solution sought for three nonlinearities:
     which = "single_power":   g(Q) = |Q|^(power-1) Q
 
 The primary method is shooting on the amplitude Q(0) with a fixed-step RK4
-integrator and bisection between undershoot (profile turns and grows) and
-overshoot (profile crosses zero).  The initial bracket is a factor of four
-around the closed-form single-power amplitude ((p+1) omega / 2)^(1/(p-1)).
-Every sign change found in a 33-point scan of the bracket is bisected; if
-several candidates appear, the one with the smallest action is reported and
-the scan amplitudes are kept for inspection.
+integrator, between undershoot (profile turns and grows) and overshoot
+(profile crosses zero).  The initial bracket is a factor of four around the
+closed-form single-power amplitude ((p+1) omega / 2)^(1/(p-1)).  Every sign
+change found in a 33-point scan of the bracket is searched; if several
+candidates appear, the one with the smallest action is reported and the
+scan amplitudes are kept for inspection.
+
+The search is bracketed Illinois (Dowell & Jarratt, BIT 11 (1971)) on a
+miss distance read from each shot's stop event: the growing mode's
+coefficient, -Q^2 r^(d-1) where Q' turns positive and +Q'^2 r^(d-1) where
+Q crosses zero, close to linear in a - a* near the root.  The scan's stop
+states seed it, so its bracket ends are not shot again.  A point that is
+not strictly inside the bracket is replaced by the midpoint.  Only a
+shot's class (over or under) picks the end it replaces, and the search
+stops only when the ends are adjacent floats, returning their midpoint.
+So where the class flips once at float resolution, the amplitude is
+bitwise the one plain bisection finds, in some 8-25 shots instead of 49.
 
 Past the radius where Q has dropped to ~1e-6 of its peak, the outward
 trajectory leaves the stable manifold at machine-precision rate, so the
@@ -55,6 +66,7 @@ run calls, imports scipy (brentq).
 from __future__ import annotations
 
 import math
+import time
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -85,6 +97,9 @@ _WHICH = ("double", "mass_critical", "single_power")
 
 _TAIL_MATCH_FRACTION = 3e-6   # graft the asymptote where Q/Q(0) falls to this
 _BLEND_LENGTHS = 3.0          # blend window in units of the decay length
+
+# shooting integrations and wall seconds of every solve in this process
+_spent = {"shots": 0, "seconds": 0.0}
 
 
 class BracketError(RuntimeError):
@@ -136,6 +151,7 @@ class GroundStateSolution:
     tail_coefficient: float
     step: float
     scan_amplitudes: tuple = ()
+    shots: int = 0
 
     @cached_property
     def _spline(self):
@@ -151,19 +167,19 @@ def _integrate(a, h, n_steps, d, omega, terms, record=False):
 
     Returns (cls, i_stop, qs, vs): cls = +1 if Q crossed zero (amplitude too
     large), -1 if Q turned upward while positive (too small) or no event.
-    Arrays are filled through i_stop when record is set, else None.
+    With record set, qs and vs are arrays filled through i_stop; without,
+    they are the floats Q and Q' at step i_stop, the stop state.
 
     The acceleration Q'' = omega Q - g(Q) - (d-1)/r Q' (at r = 0,
     (omega Q - g(Q))/d), with g(x) = 0.0 + sum mu copysign(|x|^ex, x) over
     the one or two terms, is written out in each stage instead of called:
-    a solve runs some 200 k steps.  Each stage keeps the operations and
+    a solve runs some 50-110 k steps.  Each stage keeps the operations and
     their order, and the scalar float ** (libm pow; numpy's power differs
     from it in the last bit on some inputs).
     """
     q = float(a)
     v = 0.0
     dm1 = d - 1.0
-    qs = vs = None
     if record:
         qs = np.empty(n_steps + 1)
         vs = np.empty(n_steps + 1)
@@ -221,23 +237,52 @@ def _integrate(a, h, n_steps, d, omega, terms, record=False):
             cls = -1
             i_stop = i + 1
             break
-    return cls, i_stop, qs, vs
+    if record:
+        return cls, i_stop, qs, vs
+    return cls, i_stop, q, v
 
 
-def _classify(a, h, n_steps, d, omega, terms) -> int:
-    return _integrate(a, h, n_steps, d, omega, terms)[0]
+def _shoot(a, h, n_steps, d, omega, terms):
+    """(cls, miss) of one shot from amplitude a.  miss is the growing-mode
+    coefficient read at the stop event, signed by cls: +Q'^2 r^(d-1) where
+    Q crossed zero, -Q^2 r^(d-1) where Q' turned positive (or at r_max).
+    Near the root a* it is close to linear in a - a*."""
+    cls, i_stop, q, v = _integrate(a, h, n_steps, d, omega, terms)
+    return cls, (v * v if cls > 0 else -q * q) * (i_stop * h) ** (d - 1)
 
 
-def _bisect_amplitude(lo, hi, h, n_steps, d, omega, terms) -> float:
-    for _ in range(200):
+def _search_amplitude(lo, miss_lo, hi, miss_hi, shoot):
+    """Shrink the bracket [lo, hi] (lo undershoots, hi overshoots) to
+    adjacent floats; returns (their midpoint, shots taken).
+
+    Each shot sits at the Illinois point on the two misses (regula falsi
+    that halves the kept end's miss when one end is replaced twice in a
+    row), or at the midpoint when that point is not strictly inside.  The
+    shot's class alone picks the end it replaces, as in bisection."""
+    shots = 0
+    kept = 0   # +1 after hi was replaced, -1 after lo
+    while True:
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
-            break
-        if _classify(mid, h, n_steps, d, omega, terms) > 0:
-            hi = mid
+            return mid, shots
+        a = mid
+        span = miss_hi - miss_lo
+        if span > 0.0:
+            a = hi - miss_hi * ((hi - lo) / span)
+            if not (lo < a < hi):
+                a = mid
+        cls, miss = shoot(a)
+        shots += 1
+        if cls > 0:
+            hi, miss_hi = a, miss
+            if kept > 0:
+                miss_lo *= 0.5
+            kept = 1
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            lo, miss_lo = a, miss
+            if kept < 0:
+                miss_hi *= 0.5
+            kept = -1
 
 
 def _tail(r, C, alpha, sqw):
@@ -260,7 +305,7 @@ def _build_profile(a, h, n_steps, d, omega, terms):
     if below.size == 0:
         raise ConvergenceError(
             "shooting trajectory never decayed to the tail-matching level; "
-            "amplitude bisection failed to converge"
+            "amplitude search failed to converge"
         )
     i_m = int(below[0])
     r_m = i_m * h
@@ -402,7 +447,16 @@ def _solve_cached(mp, which, power, r_max, step) -> GroundStateSolution:
     return _solve(mp, which, None, power, r_max, step)
 
 
+def solve_cost() -> tuple:
+    """(solves, shots, seconds) so far in this process: the cache misses of
+    solve_ground_state, and the shooting integrations and wall time of
+    every solve that returned (a solve with a guess counts in the last two
+    only)."""
+    return _solve_cached.cache_info().misses, _spent["shots"], _spent["seconds"]
+
+
 def _solve(mp, which, guess, power, r_max, step) -> GroundStateSolution:
+    started = time.perf_counter()
     terms = _terms(mp, which, power)
     omega = 1.0 if which == "mass_critical" else mp.omega
     d = mp.d
@@ -424,12 +478,16 @@ def _solve(mp, which, guess, power, r_max, step) -> GroundStateSolution:
         if a0 <= 0:
             raise ValueError("guess must have a positive peak")
 
+    def shoot(a):
+        return _shoot(a, step, n_steps, d, omega, terms)
+
     amps = np.geomspace(a0 / 4.0, a0 * 4.0, 33)
-    cls = [_classify(a, step, n_steps, d, omega, terms) for a in amps]
+    scan = [shoot(a) for a in amps]
+    shots = len(scan)
     pairs = [
-        (amps[i], amps[i + 1])
+        (amps[i], scan[i][1], amps[i + 1], scan[i + 1][1])
         for i in range(len(amps) - 1)
-        if cls[i] < 0 and cls[i + 1] > 0
+        if scan[i][0] < 0 and scan[i + 1][0] > 0
     ]
     if not pairs:
         raise BracketError(
@@ -439,8 +497,9 @@ def _solve(mp, which, guess, power, r_max, step) -> GroundStateSolution:
         )
 
     best = None
-    for lo, hi in pairs:
-        a_star = _bisect_amplitude(lo, hi, step, n_steps, d, omega, terms)
+    for lo, miss_lo, hi, miss_hi in pairs:
+        a_star, taken = _search_amplitude(lo, miss_lo, hi, miss_hi, shoot)
+        shots += taken + 1   # the search and the profile's own shot
         r, q, v, c_tail = _build_profile(a_star, step, n_steps, d, omega, terms)
         m, grad, s_omega, k_val = _certificates(r, q, v, mp, which)
         cand = (s_omega if s_omega is not None else a_star, a_star, r, q, v,
@@ -469,8 +528,11 @@ def _solve(mp, which, guess, power, r_max, step) -> GroundStateSolution:
         tail_coefficient=c_tail,
         step=step,
         scan_amplitudes=tuple(float(a) for a in amps),
+        shots=shots,
     )
     _validate(gs)
+    _spent["shots"] += shots
+    _spent["seconds"] += time.perf_counter() - started
     return gs
 
 

@@ -21,6 +21,7 @@ from nlslab.experiment import (
     run_experiment,
     serialize_config,
 )
+from nlslab import groundstate
 from nlslab.fieldio import load_field, save_field
 from nlslab.functionals import ModelParams, action_K_H, mass
 from nlslab.groundstate import solve_ground_state
@@ -380,6 +381,25 @@ def test_summary_echoes_the_schema_sections(tmp_path):
                            ("stepper", {"dt_used", "n_steps"})):
         keys = {key for key, _ in _SCHEMA[section].keys}
         assert set(summary[section]) == keys | extra
+
+
+def test_summary_timing_counts_the_runs_own_solves(tmp_path):
+    groundstate._solve_cached.cache_clear()
+    try:
+        initial = "kind = scaled_ground_state\nc = 0.5"
+        timings = []
+        for name in ("cold", "warm"):
+            out = run_experiment(_quick_cfg(tmp_path / name, initial=initial))
+            timings.append(json.loads((out / "summary.json").read_text())["timing"])
+        gs = solve_ground_state(ModelParams(d=1, p=7.0, omega=1.0, equation="E1"))
+    finally:
+        groundstate._solve_cached.cache_clear()
+    cold, warm = timings
+    # the initial data and the verdict share one solve; the rerun hits the cache
+    assert (cold["groundstate.solves"], cold["groundstate.shots"]) == (1, gs.shots)
+    assert 0.0 < cold["groundstate.solve_s"] < cold["wall_seconds"]
+    assert (warm["groundstate.solves"], warm["groundstate.shots"]) == (0, 0)
+    assert warm["groundstate.solve_s"] == 0.0
 
 
 def test_runs_are_deterministic_apart_from_timing(tmp_path):

@@ -252,6 +252,65 @@ def test_shooting_loop_is_a_plain_rk4_bitwise(d, omega, terms):
     assert negative_stages >= 2
 
 
+# -- amplitude search against plain bisection ----------------------------------
+
+def _reference_bisection(lo, miss_lo, hi, miss_hi, shoot):
+    """The amplitude search as plain bisection on the shots' classes, as it
+    was before the Illinois search: the misses are ignored."""
+    shots = 0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        shots += 1
+        if shoot(mid)[0] > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), shots
+
+
+SEARCH_CASES = [
+    # (model, which, power, most search shots allowed)
+    (ModelParams(d=1, p=7.0, omega=1.0, equation="E1"), "double", None, 12),
+    (ModelParams(d=1, p=7.0, omega=2.0, equation="E1"), "double", None, 49),
+    (ModelParams(d=1, p=9.0, omega=1.0, equation="E1"), "double", None, 49),
+    (ModelParams(d=2, p=3.5, omega=1.0, equation="E1"), "double", None, 49),
+    (ModelParams(d=2, p=4.0, omega=1.0, equation="E2"), "mass_critical", None, 12),
+    (ModelParams(d=1, p=7.0, omega=1.0, equation="E2"), "single_power", 5.0, 49),
+]
+SEARCH_IDS = ["1d-e1-p7", "1d-e1-p7-w2", "1d-e1-p9", "2d-e1-p3.5", "2d-townes", "1d-quintic"]
+
+
+@pytest.mark.parametrize("mp, which, power, _", SEARCH_CASES, ids=SEARCH_IDS)
+def test_search_lands_on_the_bisection_amplitude_bitwise(monkeypatch, mp, which, power, _):
+    gs = solve_ground_state(mp, which, power=power)
+    monkeypatch.setattr(groundstate, "_search_amplitude", _reference_bisection)
+    want = groundstate._solve(mp, which, None, power, None, None)
+    assert gs.amplitude == want.amplitude
+    assert np.array_equal(gs.profile, want.profile)
+    assert np.array_equal(gs.derivative, want.derivative)
+    assert gs.shots < want.shots
+
+
+@pytest.mark.parametrize("mp, which, power, most", SEARCH_CASES, ids=SEARCH_IDS)
+def test_search_takes_few_shots(fresh_cache, monkeypatch, mp, which, power, most):
+    shots = []
+    integrate = groundstate._integrate
+
+    def counted(*args, **kwargs):
+        shots.append(kwargs.get("record", False))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(groundstate, "_integrate", counted)
+    gs = solve_ground_state(mp, which, power=power)
+    scan = len(gs.scan_amplitudes)
+    assert shots[:scan] == [False] * scan
+    assert shots[-1] is True and shots.count(True) == 1   # the profile's own shot
+    assert len(shots) - scan - 1 <= most
+    assert gs.shots == len(shots)
+
+
 # -- refusals -----------------------------------------------------------------
 
 def test_single_power_defaults_to_the_supercritical_exponent():
