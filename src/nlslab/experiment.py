@@ -511,10 +511,15 @@ def _write_trajectory(path: Path, cfg: ExperimentConfig, log):
 
 
 def _write_groundstate(path: Path, gs):
+    # one write per 2048 rows keeps the formatted transient small; repr
+    # gives each float's shortest round-trip form
     with path.open("w") as fh:
         fh.write("r,profile,derivative\n")
-        for row in zip(gs.r, gs.profile, gs.derivative):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for i in range(0, len(gs.r), 2048):
+            part = slice(i, i + 2048)
+            rows = zip(gs.r[part].tolist(), gs.profile[part].tolist(),
+                       gs.derivative[part].tolist())
+            fh.write("".join(f"{r!r},{q!r},{v!r}\n" for r, q, v in rows))
 
 
 # every file run_experiment may write into a run directory

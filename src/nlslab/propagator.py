@@ -22,10 +22,28 @@ marched as the fused composition (Strang 1968)
 with one phase rotation per step instead of two.  The closing half-step
 is applied only where the state is observed: at a snapshot, at a stored
 checkpoint and at the last step; the non-finite check runs at each of
-those points.  Fusing moves results by rounding only.  The phase is
-built from cos and sin of the real angle; the free flow runs the FFT pair
-in place through numpy.fft's out= (numpy 2.0 or later).  With both couplings zero the kernel is the free-flow
-multiplier alone, bit-identical to spectral.free_evolve.
+those points.  Fusing moves results by rounding only.
+
+The kernel makes no per-step temporaries: each call of the march
+allocates the rotation's buffers once (the complex phase, whose storage
+is scratch until the phase is built, |u|^2, the angle theta and a mask)
+and every numpy op writes through out=.  The angle is computed with the same operations in
+the same order as the plain theta = sum mu |u|^(2e); theta *= -tau,
+except that a multiply by mu = 1 is skipped and one by mu = -1 becomes a
+negation or a subtraction, which IEEE arithmetic makes exact.  The phase
+cos(theta) + i sin(theta) takes cos and sin only over the flat index
+window spanning every point with |theta| >= 2^-27; outside it the phase
+is 1 + i theta.  That is exact, not an approximation: for |theta| < 2^-27,
+theta^2/2 < 2^-55, so 1 and theta are the correctly rounded cos and sin,
+and numpy returns them (tests/test_propagator.py checks this premise, and
+that a slice computes what the whole array computes).  A focused or
+dispersed field is tiny over most of the box, so in 1-D the window is
+a few percent of the grid or less.  The free flow runs the FFT pair in place, one
+axis at a time through numpy.fft's out= (numpy 2.0 or later), last axis
+first as fftn and ifftn do, so it is their arithmetic bit for bit.  The
+step is therefore bitwise the plain full-array composition.  With both
+couplings zero the kernel is the free-flow multiplier alone,
+bit-identical to spectral.free_evolve.
 
 evolve() marches to t_final, records functional snapshots at a fixed step
 cadence, and aborts the moment the recorded diagnostics say the grid has
@@ -187,19 +205,23 @@ def _kinetic_phase(grid: GridSpec, dt: float) -> np.ndarray:
     return ph
 
 
-def _abs2_power(a2: np.ndarray, e: float) -> np.ndarray:
+def _abs2_power(a2: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
+    """|u|^(2e) from a2 = |u|^2, into out (a new array when None; a2 itself
+    when e == 1).  out must not be a2."""
     # the common cases 4/d and (p-1)/2 with d in {1,2}, p in {4,5,7} are
     # integer or half-integer powers of |u|^2; spelling them out beats
     # np.power by a lot in the loop
     if e == 1.0:
         return a2
     if e == 1.5:
-        return a2 * np.sqrt(a2)
+        r = np.sqrt(a2, out=out)
+        return np.multiply(a2, r, out=r)
     if e == 2.0:
-        return a2 * a2
+        return np.multiply(a2, a2, out=out)
     if e == 3.0:
-        return a2 * a2 * a2
-    return a2**e
+        r = np.multiply(a2, a2, out=out)
+        return np.multiply(r, a2, out=r)
+    return np.power(a2, e, out=out)
 
 
 def _nonlinear_terms(mp: ModelParams, couplings) -> tuple:
@@ -209,27 +231,77 @@ def _nonlinear_terms(mp: ModelParams, couplings) -> tuple:
     return tuple((mu, e) for mu, e in terms if mu != 0.0)
 
 
-def _rotate(values, tau, terms):
-    """P(tau) in place: u <- u exp(-i tau sum mu |u|^(2e))."""
-    a2 = values.real * values.real + values.imag * values.imag
+# below this |theta|, theta^2/2 < 2^-55 and the correctly rounded cos and
+# sin are 1 and theta themselves
+_TINY_PHASE = 2.0**-27
+
+
+def _workspace(shape) -> tuple:
+    """The kernel's buffers: complex phase, |u|^2, theta, mask."""
+    return (np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape),
+            np.empty(shape, dtype=bool))
+
+
+def _rotate(values, tau, terms, ws):
+    """P(tau) in place: u <- u exp(-i tau sum mu |u|^(2e)), through the
+    buffers ws of _workspace.  cos and sin run only over the flat index
+    window holding every theta that is NaN or at least _TINY_PHASE in
+    size; outside it the phase is 1 + i theta, the values they return
+    there (see the module docstring)."""
+    phase, a2, theta, wide = ws
+    # until the phase is built, its float64 storage is scratch: |u|^2 =
+    # re*re + im*im squares the interleaved pairs there in one contiguous
+    # pass, then adds them; its first half then takes the second power
+    # term and |theta|
+    squares = np.multiply(values.view(np.float64), values.view(np.float64),
+                          out=phase.view(np.float64))
+    np.add(squares[..., 0::2], squares[..., 1::2], out=a2)
+    scratch = squares.reshape(-1)[:a2.size].reshape(a2.shape)
     (mu, e), *rest = terms
-    theta = mu * _abs2_power(a2, e)
+    acc = _abs2_power(a2, e, out=theta)
+    if mu == -1.0:
+        acc = np.negative(acc, out=theta)
+    elif mu != 1.0:
+        acc = np.multiply(acc, mu, out=theta)
     for mu, e in rest:
-        theta += mu * _abs2_power(a2, e)
-    theta *= -tau
-    phase = np.empty(values.shape, dtype=np.complex128)
-    np.cos(theta, out=phase.real)
-    np.sin(theta, out=phase.imag)
-    values *= phase
+        r = _abs2_power(a2, e, out=scratch)
+        if mu == -1.0:
+            acc = np.subtract(acc, r, out=theta)
+            continue
+        if mu != 1.0:
+            r = np.multiply(r, mu, out=scratch)
+        acc = np.add(acc, r, out=theta)
+    np.multiply(acc, -tau, out=theta)
+
+    np.abs(theta, out=scratch)
+    np.less(scratch, _TINY_PHASE, out=wide)
+    np.logical_not(wide, out=wide)
+    wide, theta, phase = wide.reshape(-1), theta.reshape(-1), phase.reshape(-1)
+    n = wide.size
+    lo = int(wide.argmax())
+    hi = n - int(wide[::-1].argmax()) if wide[lo] else lo
+    np.cos(theta[lo:hi], out=phase.real[lo:hi])
+    np.sin(theta[lo:hi], out=phase.imag[lo:hi])
+    for part in (slice(0, lo), slice(hi, n)):
+        phase.real[part] = 1.0
+        phase.imag[part] = theta[part]
+    np.multiply(values, phase.reshape(values.shape), out=values)
 
 
 def _free(values, kin):
-    """F(dt) in place, bit-identical to spectral.free_evolve: numpy's
-    complex product is not bitwise commutative, so the symbol stays the
-    left operand."""
-    np.fft.fftn(values, out=values)
+    """F(dt) in place, bit-identical to spectral.free_evolve.
+
+    The FFT pair runs one axis at a time, last axis first, the order in
+    which fftn and ifftn visit them, so it is fftn's arithmetic without
+    its per-call argument handling.  numpy's complex product is not
+    bitwise commutative, so the symbol stays the left operand.
+    """
+    axes = range(values.ndim - 1, -1, -1)
+    for axis in axes:
+        np.fft.fft(values, axis=axis, out=values)
     np.multiply(kin, values, out=values)
-    np.fft.ifftn(values, out=values)
+    for axis in axes:
+        np.fft.ifft(values, axis=axis, out=values)
 
 
 def _advance(values, n, dt, terms, kin):
@@ -237,18 +309,20 @@ def _advance(values, n, dt, terms, kin):
 
     Adjacent half-steps merge, P(dt/2) P(dt/2) = P(dt), because P leaves
     |u| unchanged; the closing half-step is applied once, after the last
-    free flight, so the state is a whole number of steps on return.
+    free flight, so the state is a whole number of steps on return.  The
+    rotation's buffers are allocated once per call.
     """
     if not terms:
         for _ in range(n):
             _free(values, kin)
         return
-    _rotate(values, 0.5 * dt, terms)
+    ws = _workspace(values.shape)
+    _rotate(values, 0.5 * dt, terms, ws)
     for _ in range(n - 1):
         _free(values, kin)
-        _rotate(values, dt, terms)
+        _rotate(values, dt, terms, ws)
     _free(values, kin)
-    _rotate(values, 0.5 * dt, terms)
+    _rotate(values, 0.5 * dt, terms, ws)
 
 
 def strang_step(

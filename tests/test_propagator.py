@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nlslab import propagator
 from nlslab.functionals import ModelParams, snapshot
 from nlslab.groundstate import ground_state_field
 from nlslab.propagator import (
@@ -172,18 +173,22 @@ def test_each_record_takes_one_forward_fft(monkeypatch, mp, grid, rows):
     cfg = StepperConfig(dt=1e-3, t_final=6e-3, snapshot_every=1, **OPEN)
     rows = ({"virial_weight": VirialWeight(grid, 4.0)} if rows == "localized"
             else {"whole_space_virial": True})
+    # forward transforms of the whole field: an fftn call, or d per-axis
+    # fft calls (the stepping kernel transforms one axis at a time)
     calls = []
-    fftn = np.fft.fftn
 
-    def counting_fftn(*args, **kwargs):
-        calls.append(1)
-        return fftn(*args, **kwargs)
+    def counting(fn, weight):
+        def wrapper(*args, **kwargs):
+            calls.append(weight)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    monkeypatch.setattr(np.fft, "fftn", counting(np.fft.fftn, 1.0))
+    monkeypatch.setattr(np.fft, "fft", counting(np.fft.fft, 1.0 / grid.d))
     log = evolve(u0, mp, cfg, **rows)
     assert log.outcome == "completed"
     assert len(log.virial_rows) == len(log.times) == log.n_steps + 1
-    assert len(calls) == log.n_steps + len(log.times)
+    assert sum(calls) == log.n_steps + len(log.times)
 
 
 def test_shared_record_inputs_give_the_default_results_bitwise():
@@ -242,6 +247,122 @@ def test_fused_marching_matches_a_loop_of_single_steps(mp, grid, amplitude):
     for k, (_, f) in zip(ckpt_steps, log.checkpoints):
         assert _rel(f.values, states[k].values) < 1e-12
     assert _rel(log.final_state.values, states[40].values) < 1e-12
+
+
+def _reference_strang(values, n, dt, terms, kin):
+    """n fused Strang steps as plain array arithmetic: full-array cos and
+    sin, fftn/ifftn, and every multiply by a coupling spelled out."""
+    def power(a2, e):
+        if e == 1.0:
+            return a2
+        if e == 1.5:
+            return a2 * np.sqrt(a2)
+        if e == 2.0:
+            return a2 * a2
+        if e == 3.0:
+            return a2 * a2 * a2
+        return a2**e
+
+    def rotate(v, tau):
+        a2 = v.real * v.real + v.imag * v.imag
+        (mu, e), *rest = terms
+        theta = mu * power(a2, e)
+        for mu, e in rest:
+            theta += mu * power(a2, e)
+        theta *= -tau
+        phase = np.empty(v.shape, dtype=np.complex128)
+        np.cos(theta, out=phase.real)
+        np.sin(theta, out=phase.imag)
+        v *= phase
+
+    def free(v):
+        v[...] = np.fft.ifftn(kin * np.fft.fftn(v))
+
+    if not terms:
+        for _ in range(n):
+            free(values)
+        return
+    rotate(values, 0.5 * dt)
+    for _ in range(n - 1):
+        free(values)
+        rotate(values, dt)
+    free(values)
+    rotate(values, 0.5 * dt)
+
+
+G1 = GridSpec(d=1, n_per_axis=512, half_width=20.0)
+G2 = GridSpec(d=2, n_per_axis=64, half_width=8.0)
+
+
+@pytest.mark.parametrize("mp, grid, amplitude, couplings, window", [
+    (MP1, G1, 1.0, None, "partial"),
+    (ModelParams(d=2, p=4.0, omega=1.0, equation="E2"), G2, 0.8, None, "partial"),
+    # (p-1)/2 = 1.25: the generic np.power path
+    (ModelParams(d=2, p=3.5, omega=1.0, equation="E1"), G2, 0.8, None, "partial"),
+    # couplings other than +-1 keep their multiply
+    (MP1, G1, 1.0, (0.3, -0.7), "partial"),
+    (MP1, G1, 1.0, (0.0, 0.0), "empty"),
+    # every |theta| below 2^-27: no cos or sin at all
+    (MP1, G1, 1e-5, None, "empty"),
+    # every |theta| above it: cos and sin over the whole grid
+    (MP1, G1, 2.0, None, "full"),
+    (ModelParams(d=2, p=4.0, omega=1.0, equation="E1"), G2, 2.0, None, "full"),
+], ids=["1d_E1_p7", "2d_E2_p4", "2d_E1_p3.5", "mu_0.3_-0.7", "zero_couplings",
+        "all_tiny", "none_tiny_1d", "none_tiny_2d"])
+def test_kernel_is_the_plain_strang_loop_bitwise(mp, grid, amplitude, couplings, window):
+    dt, n = 1e-3, 25
+    u0 = field_from_function(
+        grid, lambda *x: amplitude * (1.0 + 0.1 * x[0]) * np.exp(-sum(c**2 for c in x)))
+    if window == "full":
+        u0 = ComplexField(grid, u0.values + amplitude)
+    terms = propagator._nonlinear_terms(mp, couplings)
+    kin = propagator._kinetic_phase(grid, dt)
+
+    theta = np.zeros(grid.shape)
+    for mu, e in terms:
+        theta += mu * np.abs(u0.values) ** (2 * e)
+    wide = np.abs(0.5 * dt * theta) >= 2.0**-27
+    assert {"empty": not wide.any(), "full": wide.all(),
+            "partial": 0 < wide.mean() < 0.9}[window]
+
+    ref = u0.values.copy()
+    _reference_strang(ref, n, dt, terms, kin)
+    got = u0.values.copy()
+    propagator._advance(got, n, dt, terms, kin)
+    assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+
+    one = u0.values.copy()
+    _reference_strang(one, 1, dt, terms, kin)
+    step = strang_step(u0, mp, dt, couplings=couplings)
+    assert np.array_equal(step.values.view(np.float64), one.view(np.float64))
+
+
+def test_tiny_phases_have_exact_cos_and_sin():
+    # the premise of the kernel's shortcut: below 2^-27 numpy's cos and sin
+    # return 1 and the argument itself, and a slice computes what the full
+    # array computes at the same points
+    rng = np.random.default_rng(27)
+    top = 2.0**-27
+    x = np.exp(rng.uniform(math.log(5e-324), math.log(top), 200_000))
+    specials = [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                np.nextafter(top, 0.0), np.nextafter(np.nextafter(top, 0.0), 0.0)]
+    x = np.concatenate([specials, x])
+    x = np.concatenate([x, -x])
+    assert np.all(np.abs(x) < top)
+    assert np.array_equal(np.cos(x), np.ones_like(x))
+    assert np.array_equal(np.sin(x).view(np.int64), x.view(np.int64))
+
+    theta = np.concatenate([x[:64], rng.normal(0.0, 3.0, 256), x[-64:]])
+    whole = np.empty(theta.size, dtype=np.complex128)
+    np.cos(theta, out=whole.real)
+    np.sin(theta, out=whole.imag)
+    for lo in range(17):
+        for hi in (theta.size - lo, theta.size - 2 * lo - 1):
+            part = np.empty(theta.size, dtype=np.complex128)
+            np.cos(theta[lo:hi], out=part.real[lo:hi])
+            np.sin(theta[lo:hi], out=part.imag[lo:hi])
+            assert np.array_equal(part[lo:hi].view(np.float64),
+                                  whole[lo:hi].view(np.float64))
 
 
 # -- aborts -------------------------------------------------------------------
