@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -315,25 +315,8 @@ def trap_bounds(
 
 # -- serialization ------------------------------------------------------------
 
-def _margin_obj(m: Margin | None):
-    if m is None:
-        return None
-    return {"value": m.value, "uncertainty": m.uncertainty}
-
-
 def verdict_to_json(v: Verdict) -> str:
-    payload = {
-        "equation": v.equation,
-        "set_label": v.set_label,
-        "prediction": v.prediction,
-        "action_margin": _margin_obj(v.action_margin),
-        "k_value": _margin_obj(v.k_value),
-        "mass_margin": _margin_obj(v.mass_margin),
-        "h1_bound": v.h1_bound,
-        "hypotheses": v.hypotheses,
-        "ground_state_digest": v.ground_state_digest,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps(asdict(v), sort_keys=True, indent=2)
 
 
 def _margin_from(obj) -> Margin | None:

@@ -41,8 +41,8 @@ from .functionals import (
     snapshot_csv_header,
     snapshot_csv_row,
 )
-from .groundstate import ground_state_field, solve_cost, solve_ground_state
-from .classifier import classify, verdict_to_json
+from .groundstate import _WHICH, ground_state_field, solve_cost, solve_ground_state
+from .classifier import classify
 from .propagator import StepperConfig, evolve, scattering_proxy, detect_blowup
 from .virial import VirialWeight
 from .symmetry import SymmetryElement, apply_symmetry, large_scale_profile
@@ -261,6 +261,15 @@ def _format(value) -> str:
 
 # -- parsing ------------------------------------------------------------------
 
+def _check_profile(section: str, which: str, power: float) -> None:
+    """Refuse a ground-state profile the solver would refuse; empty which
+    and zero power mean unset."""
+    if which and which not in _WHICH:
+        raise ConfigError(f"{section}.which: unknown profile {which!r}, expected one of {_WHICH}")
+    if power != 0.0 and not power > 1.0:
+        raise ConfigError(f"{section}.power: single_power exponent must exceed 1, got {power}")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse INI text into a validated ExperimentConfig."""
     parser = _parser(text)
@@ -282,6 +291,11 @@ def parse_config(text: str) -> ExperimentConfig:
         )
     if init.width <= 0:
         raise ConfigError(f"initial_data.width: must be positive, got {init.width}")
+    _check_profile("initial_data", init.which, init.power)
+    if not 0.0 < init.theta < 1.0:
+        raise ConfigError(f"initial_data.theta: must lie in (0, 1), got {init.theta}")
+    if not init.k_width > 0:
+        raise ConfigError(f"initial_data.k_width: must be positive, got {init.k_width}")
     if init.kind == "file":
         if not init.path:
             raise ConfigError("initial_data.path: required for kind 'file'")
@@ -295,6 +309,10 @@ def parse_config(text: str) -> ExperimentConfig:
         )
     if init.kind == "large_scale" and cfg.symmetry is None:
         raise ConfigError("symmetry: section required for initial_data kind 'large_scale'")
+    for key in ("x0", "xi"):
+        n = 0 if cfg.symmetry is None else len(getattr(cfg.symmetry, key))
+        if n not in (0, cfg.model.d):
+            raise ConfigError(f"symmetry.{key}: {n} components on a {cfg.model.d}-D grid")
 
     if cfg.virial_radius > 0 and cfg.model.equation != "E1":
         raise ConfigError(
@@ -328,6 +346,7 @@ def parse_model(text: str):
     kwargs: dict = {}
     if parser.has_section("groundstate"):
         overrides = _read(parser, "groundstate", _keys(_SolverOverrides))
+        _check_profile("groundstate", overrides.get("which", ""), overrides.get("power", 0.0))
         kwargs = {name: value for name, value in overrides.items() if value}
     _refuse_unknown_sections(parser)
     return model, kwargs
@@ -388,7 +407,8 @@ def build_initial_field(cfg: ExperimentConfig):
         )
     elif init.kind == "scaled_ground_state":
         which = init.which or _threshold_profile(cfg.model)
-        kwargs = {"power": init.power} if which == "single_power" else {}
+        # an unset power (0) is the model's p, as in [groundstate]
+        kwargs = {"power": init.power} if which == "single_power" and init.power > 0 else {}
         gs = solve_ground_state(cfg.model, which=which, **kwargs)
         base = ground_state_field(gs, grid)
         u0 = ComplexField(grid, init.c * base.values * np.exp(1j * k0 * grid.coords[0]))
@@ -460,15 +480,14 @@ def _virial_summary(cfg: ExperimentConfig, log, critical_mass: float | None) -> 
     if not rows:
         return None
     if cfg.virial_radius > 0:
-        resid = max(
-            abs(row.v_double_prime - 8.0 * snap.scaling_derivative)
-            for row, snap in zip(rows, log.snapshots)
-        )
+        # each row's remainder is V'' - 8K with K the snapshot's, so the two
+        # keys name one series
+        worst = max(abs(r.remainder) for r in rows)
         return {
             "mode": "localized",
             "radius": cfg.virial_radius,
-            "max_identity_residual": resid,
-            "max_abs_remainder": max(abs(r.remainder) for r in rows),
+            "max_identity_residual": worst,
+            "max_abs_remainder": worst,
         }
     # whole-space second derivative against the sharp interpolation bound
     out = {"mode": "whole_space", "min_v_double_prime": min(r.v_double_prime for r in rows)}
@@ -549,7 +568,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     critical_mass = None
     if cfg.classify_data:
         gs, verdict = _threshold_verdict(u0, cfg.model)
-        verdict_obj = json.loads(verdict_to_json(verdict))
+        verdict_obj = asdict(verdict)
         if cfg.model.equation == "E2":
             critical_mass = gs.mass
 
@@ -575,9 +594,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     ):
         ref = np.abs(u0.values)
         ref_norm = float(np.sqrt(np.sum(ref**2)))
+        # the final state of a completed run is its last checkpoint
         stored = [f for _, f in log.checkpoints]
-        if log.final_state is not None and log.outcome == "completed":
-            stored.append(log.final_state)
         if ref_norm > 0 and stored:
             stationarity = max(
                 float(np.sqrt(np.sum((np.abs(f.values) - ref) ** 2))) / ref_norm

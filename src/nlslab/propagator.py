@@ -224,7 +224,7 @@ def _abs2_power(a2: np.ndarray, e: float, out: np.ndarray | None = None) -> np.n
     return np.power(a2, e, out=out)
 
 
-def _nonlinear_terms(mp: ModelParams, couplings) -> tuple:
+def _nonlinear_terms(mp: ModelParams, couplings: tuple | None = None) -> tuple:
     """((mu, e), ...) with the phase rate sum mu |u|^(2e); zero couplings dropped."""
     mu_c, mu_p = mp.couplings if couplings is None else couplings
     terms = ((float(mu_c), 2.0 / mp.d), (float(mu_p), (mp.p - 1.0) / 2.0))
@@ -356,16 +356,16 @@ def _scatter_integrand(spectrum, grid, weight_symbol, mc_power) -> float:
 
 
 def _virial_row(f, mp, t, weight, whole_space, spec, modulus, snap) -> VirialRow:
+    # K is the snapshot's: both kinds of row read it rather than form it again
     if whole_space:
-        v2 = whole_space_virial_e2(f, mp, spectrum=spec, powers=(snap.lp1, snap.lmc))
-        return VirialRow(t, None, None, v2, None, None)
+        return VirialRow(t, None, None, whole_space_virial_e2(f, mp, snap=snap), None, None)
     vd = virial_derivatives(f, mp, weight, spectrum=spec, modulus=modulus)
     return VirialRow(
         t,
         virial_value(f, weight, modulus=modulus),
         vd.v_prime,
         vd.v_double_prime,
-        vd.remainder,
+        vd.v_double_prime - 8.0 * snap.scaling_derivative,
         vd.exterior_integral,
     )
 
@@ -375,7 +375,6 @@ def evolve(
     mp: ModelParams,
     cfg: StepperConfig,
     *,
-    couplings: tuple | None = None,
     virial_weight: VirialWeight | None = None,
     whole_space_virial: bool = False,
 ) -> TrajectoryLog:
@@ -399,7 +398,7 @@ def evolve(
         )
 
     grid = u0.grid
-    terms = _nonlinear_terms(mp, couplings)
+    terms = _nonlinear_terms(mp)
     n_steps = max(int(round(cfg.t_final / cfg.dt)), 1)
     dt = cfg.t_final / n_steps
     kin = _kinetic_phase(grid, dt)
@@ -508,19 +507,18 @@ def _blowup_criterion(log: TrajectoryLog, j: int, cfg: StepperConfig, tail: floa
     return grew, None
 
 
-def detect_blowup(log: TrajectoryLog, cfg: StepperConfig | None = None) -> BlowupReport:
+def detect_blowup(log: TrajectoryLog) -> BlowupReport:
     """Scan recorded snapshots for gradient growth that reached grid scale.
 
     Detection requires both signals at the same snapshot: |grad u| above
-    cfg.blowup_grad_factor times its initial value, and spectral tail
-    fraction above cfg.tail_fraction_max.  Growth without concentration,
-    or concentration without growth, is reported as such and not counted
-    as blow-up.
+    log.config.blowup_grad_factor times its initial value, and spectral
+    tail fraction above log.config.tail_fraction_max.  Growth without
+    concentration, or concentration without growth, is reported as such
+    and not counted as blow-up.
     """
     if not log.snapshots:
         raise ValueError("empty trajectory log")
-    if cfg is None:
-        cfg = log.config
+    cfg = log.config
     grew = False
     for j, (snap, tail) in enumerate(zip(log.snapshots, log.tail_fractions)):
         grew_j, blowup = _blowup_criterion(log, j, cfg, tail)

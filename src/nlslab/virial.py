@@ -23,12 +23,13 @@ For the E1 sign convention the monitored quantities are
              + 4/(d+2) int Lap w_R |u|^mc  -  2(p-1)/(p+1) int Lap w_R |u|^{p+1}
 
 with mc = 2(d+2)/d.  With the weight flat over the support of u this
-collapses to V'' = 8 K(u); the remainder A_R = V'' - 8K is controlled by
+collapses to V'' = 8 K(u) (Glassey 1977).  The remainder A_R = V'' - 8K,
+formed by the caller with the K of a functionals snapshot, is controlled by
 the exterior integral of |grad u|^2 + R^-2 |u|^2 + |u|^mc + |u|^{p+1},
 which is also reported.
 
 For E2 the whole-space identity has the potential signs reversed and needs
-no weight; see whole_space_virial_e2.
+no weight; whole_space_virial_e2 reads it off a snapshot.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import ModelParams, _scaling_derivative, power_integrals
-from .spectral import ComplexField, GridSpec, gradient_multiplier
+from .functionals import FunctionalSnapshot, ModelParams, _scaling_derivative, snapshot
+from .spectral import ComplexField, GridSpec
 
 __all__ = [
     "VirialWeight",
@@ -160,9 +161,11 @@ class VirialWeight:
 
 @dataclass(frozen=True)
 class VirialDerivatives:
+    """V', V'' and the exterior bound integrand of the localized variance;
+    the remainder A_R = V'' - 8K needs K, which a snapshot holds."""
+
     v_prime: float
     v_double_prime: float
-    remainder: float
     exterior_integral: float
 
 
@@ -177,17 +180,17 @@ def virial_value(f: ComplexField, w: VirialWeight, *, modulus=None) -> float:
 def _gradient_fields(f: ComplexField, spectrum=None):
     if spectrum is None:
         spectrum = np.fft.fftn(f.values)
-    grads = [gradient_multiplier(f.grid, ax).symbol * spectrum for ax in range(f.grid.d)]
-    return [np.fft.ifftn(du, out=du) for du in grads]
+    # the odd symbol i*k broadcast per axis: spectral.gradient_multiplier's
+    # values, without a full-grid symbol array per axis per record
+    return [np.fft.ifftn(du, out=du) for du in (1j * k * spectrum for k in f.grid.k_odd)]
 
 
 def virial_derivatives(
     f: ComplexField, mp: ModelParams, w: VirialWeight, *, spectrum=None, modulus=None
 ) -> VirialDerivatives:
     """First and second time derivatives of the localized variance, plus the
-    flat-weight remainder A_R = V'' - 8K and the exterior bound integrand.
-    spectrum, when given, is np.fft.fftn(f.values) and saves the transform;
-    modulus, when given, is np.abs(f.values)."""
+    exterior bound integrand.  spectrum, when given, is np.fft.fftn(f.values)
+    and saves the transform; modulus, when given, is np.abs(f.values)."""
     if f.grid != w.grid:
         raise ValueError("field and weight live on different grids")
     if mp.equation != "E1":
@@ -217,29 +220,22 @@ def virial_derivatives(
     term_p = -2.0 * (p - 1.0) / (p + 1.0) * float(np.sum(w.laplacian * pot_p) * dv)
     v_double = hess + bilap + term_mc + term_p
 
-    grad_sq = float(np.sum(grad_sq_dens) * dv)
-    lp1 = float(np.sum(pot_p) * dv)
-    lmc = float(np.sum(pot_mc) * dv)
-    remainder = v_double - 8.0 * _scaling_derivative(mp, grad_sq, lp1, lmc)
-
     ext = w.exterior_mask
     exterior = float(np.sum((grad_sq_dens + dens / w.R**2 + pot_mc + pot_p)[ext]) * dv)
-    return VirialDerivatives(v_prime, v_double, remainder, exterior)
+    return VirialDerivatives(v_prime, v_double, exterior)
 
 
 def whole_space_virial_e2(
-    f: ComplexField, mp: ModelParams, *, spectrum=None, powers=None
+    f: ComplexField, mp: ModelParams, *, snap: FunctionalSnapshot | None = None
 ) -> float:
     """V'' for the E2 sign convention with the unlocalized |x|^2 weight:
 
         8 [ ||grad u||^2 + d(p-1)/(2(p+1)) |u|_{p+1}^{p+1} - d/(d+2) |u|_mc^mc ],
 
-    8 K with E2's own signs.  spectrum is as for virial_derivatives; powers,
-    when given, is power_integrals(f, mp) (a snapshot's (lp1, lmc)).
+    8 K with E2's own signs, from the integrals of snap (snapshot(f, mp)
+    when None), so a record's row takes no transform of its own.
     """
     if mp.equation != "E2":
         raise ValueError("whole-space E2 identity requested for an E1 model")
-    grads = _gradient_fields(f, spectrum)
-    grad_sq = float(sum(np.sum(np.abs(du) ** 2) for du in grads) * f.grid.cell_volume)
-    lp1, lmc = power_integrals(f, mp) if powers is None else powers
-    return 8.0 * _scaling_derivative(mp, grad_sq, lp1, lmc, mp.couplings)
+    s = snapshot(f, mp) if snap is None else snap
+    return 8.0 * _scaling_derivative(mp, s.grad_l2_sq, s.lp1, s.lmc, mp.couplings)

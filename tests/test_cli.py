@@ -152,6 +152,30 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert not (tmp_path / "typo").exists()
 
 
+GAUSSIAN = "kind = gaussian\namplitude = 0.8"
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("evolve", QUICK.replace(GAUSSIAN, "kind = scaled_ground_state\nwhich = doubel"),
+     "initial_data.which"),
+    ("evolve", QUICK.replace(GAUSSIAN, "kind = scaled_ground_state\n"
+                                       "which = single_power\npower = 0.5"),
+     "initial_data.power"),
+    ("evolve", QUICK.replace(GAUSSIAN, "kind = large_scale\ntheta = 1.5")
+     + "\n[symmetry]\nh = 0.5\n", "initial_data.theta"),
+    ("evolve", QUICK.replace(GAUSSIAN, "kind = random_smooth\nk_width = 0"),
+     "initial_data.k_width"),
+    ("evolve", QUICK + "\n[symmetry]\nx0 = 1.0, 2.0\n", "symmetry.x0"),
+    ("groundstate", MODEL + "\n[groundstate]\nwhich = doubel\n", "groundstate.which"),
+], ids=["which", "power", "theta", "k_width", "x0", "groundstate_which"])
+def test_values_a_run_would_reject_exit_two_at_parse_time(tmp_path, capsys, command, text,
+                                                          key):
+    cfg = _write(tmp_path, "bad.ini", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 def test_failed_rerun_leaves_no_summary_to_report(tmp_path, capsys):
     good = _write(tmp_path, "run.ini", QUICK)
     wide = _write(tmp_path, "wide.ini", QUICK.replace("amplitude = 0.8", WIDE))

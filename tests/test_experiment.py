@@ -276,6 +276,16 @@ def test_scaled_ground_state_defaults_to_the_double_profile(double_gs):
                                                       rel=1e-9)
 
 
+def test_single_power_data_without_power_uses_the_models_p():
+    text = BASE.replace("kind = gaussian\namplitude = 0.8",
+                        "kind = scaled_ground_state\nwhich = single_power\nc = 0.5")
+    cfg = parse_config(text)
+    u0, notes = build_initial_field(cfg)
+    gs = solve_ground_state(cfg.model, which="single_power")
+    assert notes["ground_state_amplitude"] == gs.amplitude
+    assert np.max(np.abs(u0.values)) == pytest.approx(0.5 * gs.amplitude, rel=1e-9)
+
+
 def test_random_smooth_is_seed_deterministic():
     text = BASE.replace("kind = gaussian\namplitude = 0.8",
                         "kind = random_smooth\nseed = 42\nk_width = 1.5")

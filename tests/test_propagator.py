@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlslab import propagator
-from nlslab.functionals import ModelParams, snapshot
+from nlslab.functionals import ModelParams, _scaling_derivative, snapshot
 from nlslab.groundstate import ground_state_field
 from nlslab.propagator import (
     StepperConfig,
@@ -171,28 +171,64 @@ def test_off_grid_horizon_is_nudged_onto_a_step_count():
 def test_each_record_takes_one_forward_fft(monkeypatch, mp, grid, rows):
     u0 = field_from_function(grid, lambda *x: 0.5 * np.exp(-sum(c**2 for c in x)) + 0j)
     cfg = StepperConfig(dt=1e-3, t_final=6e-3, snapshot_every=1, **OPEN)
-    rows = ({"virial_weight": VirialWeight(grid, 4.0)} if rows == "localized"
+    localized = rows == "localized"
+    rows = ({"virial_weight": VirialWeight(grid, 4.0)} if localized
             else {"whole_space_virial": True})
-    # forward transforms of the whole field: an fftn call, or d per-axis
-    # fft calls (the stepping kernel transforms one axis at a time)
-    calls = []
+    # transforms of the whole field: an fftn (ifftn) call, or d per-axis
+    # fft (ifft) calls (the stepping kernel transforms one axis at a time)
+    calls = {"forward": [], "inverse": []}
 
-    def counting(fn, weight):
+    def counting(fn, way, weight):
         def wrapper(*args, **kwargs):
-            calls.append(weight)
+            calls[way].append(weight)
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.fft, "fftn", counting(np.fft.fftn, 1.0))
-    monkeypatch.setattr(np.fft, "fft", counting(np.fft.fft, 1.0 / grid.d))
+    monkeypatch.setattr(np.fft, "fftn", counting(np.fft.fftn, "forward", 1.0))
+    monkeypatch.setattr(np.fft, "fft", counting(np.fft.fft, "forward", 1.0 / grid.d))
+    monkeypatch.setattr(np.fft, "ifftn", counting(np.fft.ifftn, "inverse", 1.0))
+    monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft, "inverse", 1.0 / grid.d))
     log = evolve(u0, mp, cfg, **rows)
     assert log.outcome == "completed"
     assert len(log.virial_rows) == len(log.times) == log.n_steps + 1
-    assert sum(calls) == log.n_steps + len(log.times)
+    assert sum(calls["forward"]) == log.n_steps + len(log.times)
+    # per record: the scatter integrand's, plus the d gradient fields of a
+    # localized row; a whole-space row reads its snapshot and takes none
+    per_record = 1 + grid.d if localized else 1
+    assert sum(calls["inverse"]) == log.n_steps + per_record * len(log.times)
+
+
+@pytest.mark.parametrize("mp, grid, rows", [
+    (MP1, GridSpec(d=1, n_per_axis=256, half_width=40.0), "localized"),
+    (ModelParams(d=2, p=4.0, omega=1.0, equation="E2"),
+     GridSpec(d=2, n_per_axis=32, half_width=12.0), "whole_space"),
+])
+def test_virial_rows_read_the_snapshots_k_bitwise(monkeypatch, mp, grid, rows):
+    u0 = field_from_function(
+        grid, lambda *x: 0.9 * np.exp(-sum(c**2 for c in x)) * np.exp(2.0j * x[0]))
+    cfg = StepperConfig(dt=1e-3, t_final=0.02, snapshot_every=5, **OPEN)
+    if rows == "localized":
+        log = evolve(u0, mp, cfg, virial_weight=VirialWeight(grid, 4.0))
+        for row, snap in zip(log.virial_rows, log.snapshots, strict=True):
+            assert row.remainder == row.v_double_prime - 8.0 * snap.scaling_derivative
+        return
+    log = evolve(u0, mp, cfg, whole_space_virial=True)
+    for row, snap in zip(log.virial_rows, log.snapshots, strict=True):
+        k_e2 = _scaling_derivative(mp, snap.grad_l2_sq, snap.lp1, snap.lmc, mp.couplings)
+        assert row.v_double_prime == 8.0 * k_e2
+
+    # given the snapshot, the whole-space row takes no transform
+    def refuse(*args, **kwargs):
+        raise AssertionError("transform taken")
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    last = whole_space_virial_e2(log.final_state, mp, snap=log.snapshots[-1])
+    assert last == log.virial_rows[-1].v_double_prime
 
 
 def test_shared_record_inputs_give_the_default_results_bitwise():
-    # a record hands its |u| and its snapshot's (lp1, lmc) to each diagnostic
+    # a record hands its |u| and its snapshot to each diagnostic
     for mp, grid in ((MP1, GridSpec(d=1, n_per_axis=256, half_width=40.0)),
                      (ModelParams(d=2, p=4.0, omega=1.0, equation="E2"),
                       GridSpec(d=2, n_per_axis=32, half_width=12.0))):
@@ -207,8 +243,7 @@ def test_shared_record_inputs_give_the_default_results_bitwise():
             assert virial_value(f, w, modulus=a) == virial_value(f, w)
             assert virial_derivatives(f, mp, w, modulus=a) == virial_derivatives(f, mp, w)
         else:
-            shared = whole_space_virial_e2(f, mp, powers=(snap.lp1, snap.lmc))
-            assert shared == whole_space_virial_e2(f, mp)
+            assert whole_space_virial_e2(f, mp, snap=snap) == whole_space_virial_e2(f, mp)
 
 
 # -- the fused kernel against single steps ------------------------------------

