@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +178,9 @@ def _cmd_evolve(args) -> int:
         jobs.append((cfg, where))
 
     if threads > 1 and len(jobs) > 1:
+        # imported here: a one-process run should not pay for the import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             results = list(pool.map(_evolve_worker, jobs))
     else:

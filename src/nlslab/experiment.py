@@ -160,8 +160,9 @@ _SCHEMA = {
 
 @dataclass(frozen=True)
 class _SolverOverrides:
-    """[groundstate], read by parse_model only: solve_ground_state keyword
-    arguments; an empty or zero value keeps the solver's default."""
+    """[groundstate], read by parse_model only (parse_config refuses it):
+    solve_ground_state keyword arguments; an empty or zero value keeps the
+    solver's default, and r_max and step must otherwise be positive."""
 
     which: str = ""
     power: float = 0.0
@@ -234,12 +235,15 @@ def _build(parser, section: str) -> dict:
         raise ConfigError(f"{section}: {exc}") from None
 
 
-def _refuse_unknown_sections(parser) -> None:
+def _refuse_unknown_sections(parser, known: tuple) -> None:
     for section in parser.sections():
-        if section not in _SCHEMA and section != "groundstate":
+        if section == "groundstate" and section not in known:
             raise ConfigError(
-                f"{section}: unknown section, expected one of {(*_SCHEMA, 'groundstate')}"
+                "groundstate: section read only by `nlslab groundstate`; a run "
+                "solves its threshold profile with the solver's defaults"
             )
+        if section not in known:
+            raise ConfigError(f"{section}: unknown section, expected one of {known}")
 
 
 def _section_values(cfg: ExperimentConfig, section: str) -> dict | None:
@@ -276,7 +280,7 @@ def parse_config(text: str) -> ExperimentConfig:
     parts: dict = {}
     for section in _SCHEMA:
         parts.update(_build(parser, section))
-    _refuse_unknown_sections(parser)
+    _refuse_unknown_sections(parser, tuple(_SCHEMA))
     cfg = ExperimentConfig(**parts)
 
     try:
@@ -347,8 +351,12 @@ def parse_model(text: str):
     if parser.has_section("groundstate"):
         overrides = _read(parser, "groundstate", _keys(_SolverOverrides))
         _check_profile("groundstate", overrides.get("which", ""), overrides.get("power", 0.0))
+        for key in ("r_max", "step"):
+            value = overrides.get(key, 0.0)
+            if value != 0.0 and not value > 0.0:
+                raise ConfigError(f"groundstate.{key}: must be positive, got {value}")
         kwargs = {name: value for name, value in overrides.items() if value}
-    _refuse_unknown_sections(parser)
+    _refuse_unknown_sections(parser, (*_SCHEMA, "groundstate"))
     return model, kwargs
 
 
@@ -530,15 +538,9 @@ def _write_trajectory(path: Path, cfg: ExperimentConfig, log):
 
 
 def _write_groundstate(path: Path, gs):
-    # one write per 2048 rows keeps the formatted transient small; repr
-    # gives each float's shortest round-trip form
-    with path.open("w") as fh:
-        fh.write("r,profile,derivative\n")
-        for i in range(0, len(gs.r), 2048):
-            part = slice(i, i + 2048)
-            rows = zip(gs.r[part].tolist(), gs.profile[part].tolist(),
-                       gs.derivative[part].tolist())
-            fh.write("".join(f"{r!r},{q!r},{v!r}\n" for r, q, v in rows))
+    # the solution formats its rows once; every later write reuses them
+    with path.open("wb") as fh:
+        fh.writelines(gs._csv_chunks)
 
 
 # every file run_experiment may write into a run directory

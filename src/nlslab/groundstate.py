@@ -44,7 +44,10 @@ keyed on (ModelParams, which, power, r_max, step), so the initial data,
 the classifier, the critical mass and every config of a multi-config
 run share one solve.  The cached solution is frozen and its r, profile
 and derivative arrays are read-only; a call with a guess bypasses the
-cache, and a solve that raises leaves nothing behind.
+cache, and a solve that raises leaves nothing behind.  A solution also
+keeps what is derived from it on first use: the spline that samples it
+and the encoded rows of its groundstate.csv, so the runs sharing it
+format that file once (about 0.64 MB of chunks per written solution).
 
 A second, independent route (ground_state_on_grid) runs a semi-implicit
 descent on the periodic spectral grid, re-normalized each step onto the
@@ -97,6 +100,7 @@ _WHICH = ("double", "mass_critical", "single_power")
 
 _TAIL_MATCH_FRACTION = 3e-6   # graft the asymptote where Q/Q(0) falls to this
 _BLEND_LENGTHS = 3.0          # blend window in units of the decay length
+_CSV_ROWS = 2048              # groundstate.csv rows per formatted chunk
 
 # shooting integrations and wall seconds of every solve in this process
 _spent = {"shots": 0, "seconds": 0.0}
@@ -158,6 +162,25 @@ class GroundStateSolution:
         """Spline coefficients of the profile, clamped to Q'(0) = 0 and the
         stored Q'(R); built on first use and kept with the solution."""
         return _clamped_spline(self.r, self.profile, 0.0, float(self.derivative[-1]))
+
+    @cached_property
+    def _csv_chunks(self) -> tuple:
+        """groundstate.csv as encoded chunks, the header and then
+        _CSV_ROWS rows each; formatted on first write and kept with the
+        solution, so every run sharing it writes the same bytes without
+        formatting them again.  Kept unjoined: a joined copy would be a
+        second transient of the whole file."""
+        chunks = [b"r,profile,derivative\n"]
+        for i in range(0, len(self.r), _CSV_ROWS):
+            part = slice(i, i + _CSV_ROWS)
+            chunks.append(_csv_rows(self.r[part], self.profile[part], self.derivative[part]))
+        return tuple(chunks)
+
+
+def _csv_rows(r, q, v) -> bytes:
+    # repr gives each float's shortest round-trip form
+    rows = zip(r.tolist(), q.tolist(), v.tolist())
+    return "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows).encode()
 
 
 # -- shooting -----------------------------------------------------------------

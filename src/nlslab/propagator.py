@@ -38,11 +38,14 @@ theta^2/2 < 2^-55, so 1 and theta are the correctly rounded cos and sin,
 and numpy returns them (tests/test_propagator.py checks this premise, and
 that a slice computes what the whole array computes).  A focused or
 dispersed field is tiny over most of the box, so in 1-D the window is
-a few percent of the grid or less.  The free flow runs the FFT pair in place, one
-axis at a time through numpy.fft's out= (numpy 2.0 or later), last axis
-first as fftn and ifftn do, so it is their arithmetic bit for bit.  The
-step is therefore bitwise the plain full-array composition.  With both
-couplings zero the kernel is the free-flow multiplier alone,
+a few percent of the grid or less.
+
+The free flow runs the FFT pair in place, one axis at a time through
+numpy.fft's out= (numpy 2.0 or later), last axis first as fftn and
+ifftn do, so it is their arithmetic bit for bit; a record's forward
+transform and the scattering integrand's inverse take the same per-axis
+path.  The step is therefore bitwise the plain full-array composition.
+With both couplings zero the kernel is the free-flow multiplier alone,
 bit-identical to spectral.free_evolve.
 
 evolve() marches to t_final, records functional snapshots at a fixed step
@@ -288,20 +291,27 @@ def _rotate(values, tau, terms, ws):
     np.multiply(values, phase.reshape(values.shape), out=values)
 
 
-def _free(values, kin):
-    """F(dt) in place, bit-identical to spectral.free_evolve.
+def _transform(fn, src, out):
+    """fn (np.fft.fft or np.fft.ifft) along every axis of src, into out.
 
-    The FFT pair runs one axis at a time, last axis first, the order in
-    which fftn and ifftn visit them, so it is fftn's arithmetic without
-    its per-call argument handling.  numpy's complex product is not
-    bitwise commutative, so the symbol stays the left operand.
+    One axis at a time through numpy.fft's out= (numpy 2.0 or later), last
+    axis first, the order in which fftn and ifftn visit them, so it is
+    their arithmetic bit for bit without their per-call argument handling
+    or a new array per axis.  out may be src.
     """
-    axes = range(values.ndim - 1, -1, -1)
-    for axis in axes:
-        np.fft.fft(values, axis=axis, out=values)
+    for axis in range(src.ndim - 1, -1, -1):
+        fn(src, axis=axis, out=out)
+        src = out
+    return out
+
+
+def _free(values, kin):
+    """F(dt) in place, bit-identical to spectral.free_evolve.  numpy's
+    complex product is not bitwise commutative, so the symbol stays the
+    left operand."""
+    _transform(np.fft.fft, values, values)
     np.multiply(kin, values, out=values)
-    for axis in axes:
-        np.fft.ifft(values, axis=axis, out=values)
+    _transform(np.fft.ifft, values, values)
 
 
 def _advance(values, n, dt, terms, kin):
@@ -350,7 +360,7 @@ def strang_step(
 def _scatter_integrand(spectrum, grid, weight_symbol, mc_power) -> float:
     # overwrites spectrum: the record's last reader, so no buffer is added
     wf = np.multiply(weight_symbol, spectrum, out=spectrum)
-    np.fft.ifftn(wf, out=wf)
+    _transform(np.fft.ifft, wf, wf)
     a2 = wf.real * wf.real + wf.imag * wf.imag
     return float(np.sum(_abs2_power(a2, 0.5 * mc_power)) * grid.cell_volume)
 
@@ -410,7 +420,7 @@ def evolve(
     def record(values, t):
         # one forward FFT and one |u| per record, shared by every diagnostic
         f = ComplexField(grid, values)
-        spec = np.fft.fftn(f.values)
+        spec = _transform(np.fft.fft, values, np.empty_like(values))
         a = np.abs(f.values)
         snap = snapshot(f, mp, t, spectrum=spec, modulus=a)
         log.times.append(t)

@@ -167,7 +167,10 @@ GAUSSIAN = "kind = gaussian\namplitude = 0.8"
      "initial_data.k_width"),
     ("evolve", QUICK + "\n[symmetry]\nx0 = 1.0, 2.0\n", "symmetry.x0"),
     ("groundstate", MODEL + "\n[groundstate]\nwhich = doubel\n", "groundstate.which"),
-], ids=["which", "power", "theta", "k_width", "x0", "groundstate_which"])
+    ("groundstate", MODEL + "\n[groundstate]\nstep = -0.001\n", "groundstate.step"),
+    ("groundstate", MODEL + "\n[groundstate]\nr_max = -30\n", "groundstate.r_max"),
+], ids=["which", "power", "theta", "k_width", "x0", "groundstate_which", "groundstate_step",
+        "groundstate_r_max"])
 def test_values_a_run_would_reject_exit_two_at_parse_time(tmp_path, capsys, command, text,
                                                           key):
     cfg = _write(tmp_path, "bad.ini", text)
@@ -285,6 +288,9 @@ SCIPY_FREE_RUN = """
 import sys
 import nlslab.cli
 from nlslab.experiment import load_config, run_experiment
+
+# only evolve --threads above 1 imports the process pool
+assert "concurrent.futures.process" not in sys.modules
 
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))

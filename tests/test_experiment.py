@@ -10,6 +10,7 @@ import pytest
 from nlslab.experiment import (
     _SCHEMA,
     DATA_KINDS,
+    _write_groundstate,
     ConfigError,
     ExperimentConfig,
     InitialData,
@@ -81,7 +82,8 @@ def test_errors_name_the_offending_key(mutation, pattern):
     (BASE + "ampltude = 0.5\n", r"initial_data\.ampltude: unknown key"),
     (_with(output="directory = runs/x"), r"output: unknown section"),
     (_with(symmetry="theta = 0.3\nx1 = 1.0"), r"symmetry\.x1: unknown key"),
-], ids=["stepper", "initial_data", "section", "symmetry"])
+    (_with(groundstate="stpe = 1"), r"groundstate: section read only by `nlslab groundstate`"),
+], ids=["stepper", "initial_data", "section", "symmetry", "groundstate"])
 def test_unknown_keys_and_sections_are_refused(text, pattern):
     with pytest.raises(ConfigError, match=pattern):
         parse_config(text)
@@ -410,6 +412,52 @@ def test_summary_timing_counts_the_runs_own_solves(tmp_path):
     assert 0.0 < cold["groundstate.solve_s"] < cold["wall_seconds"]
     assert (warm["groundstate.solves"], warm["groundstate.shots"]) == (0, 0)
     assert warm["groundstate.solve_s"] == 0.0
+
+
+def _reference_groundstate_csv(gs) -> bytes:
+    # reference: every row formatted in one pass, no chunks and no cache
+    rows = zip(gs.r.tolist(), gs.profile.tolist(), gs.derivative.tolist())
+    text = "r,profile,derivative\n" + "".join(f"{r!r},{q!r},{v!r}\n" for r, q, v in rows)
+    return text.encode()
+
+
+@pytest.mark.parametrize("mp, which", [
+    (ModelParams(d=1, p=7.0, omega=1.0, equation="E1"), "double"),
+    (ModelParams(d=2, p=4.0, omega=1.0, equation="E2"), "mass_critical"),
+], ids=["1d_double", "2d_mass_critical"])
+def test_groundstate_csv_bytes_match_the_row_by_row_writer(tmp_path, mp, which):
+    gs = solve_ground_state(mp, which=which)
+    want = _reference_groundstate_csv(gs)
+    chunks = gs._csv_chunks
+    assert chunks is gs._csv_chunks
+    assert len(chunks) == 1 + -(-len(gs.r) // groundstate._CSV_ROWS)
+    assert b"".join(chunks) == want
+    _write_groundstate(tmp_path / "groundstate.csv", gs)
+    assert (tmp_path / "groundstate.csv").read_bytes() == want
+
+
+def test_runs_sharing_a_solution_format_its_csv_once(tmp_path, monkeypatch):
+    formatted = []
+    format_rows = groundstate._csv_rows
+
+    def counting(*args):
+        formatted.append(len(args[0]))
+        return format_rows(*args)
+
+    monkeypatch.setattr(groundstate, "_csv_rows", counting)
+    groundstate._solve_cached.cache_clear()
+    try:
+        first = run_experiment(_quick_cfg(tmp_path / "first"))
+        after_first = len(formatted)
+        second = run_experiment(_quick_cfg(tmp_path / "second"))
+        gs = solve_ground_state(ModelParams(d=1, p=7.0, omega=1.0, equation="E1"))
+    finally:
+        groundstate._solve_cached.cache_clear()
+    # the first run formats every row once; the second writes the kept bytes
+    assert sum(formatted) == len(gs.r) and len(formatted) == after_first
+    text = (first / "groundstate.csv").read_bytes()
+    assert text == (second / "groundstate.csv").read_bytes()
+    assert text == _reference_groundstate_csv(gs)
 
 
 def test_runs_are_deterministic_apart_from_timing(tmp_path):
