@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: groundstate (solve and write the stationary profile),
+Subcommands: groundstate (solve and write the stationary profile: the
+one a run classifies against, unless [groundstate] which names another),
 classify (label initial data and print the verdict JSON), evolve (run
 one or more experiment configs, optionally in a process pool), report
 (aggregate run directories), selftest (quick internal consistency
@@ -27,6 +28,7 @@ import numpy as np
 from .experiment import (
     ConfigError,
     _initial_state,
+    _threshold_profile,
     _threshold_verdict,
     _write_groundstate,
     load_config,
@@ -107,6 +109,8 @@ def _cmd_groundstate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for path in _require_configs(args):
         model, kwargs = parse_model(Path(path).read_text())
+        # without [groundstate] which, the profile a run classifies against
+        kwargs.setdefault("which", _threshold_profile(model))
         gs = solve_ground_state(model, **kwargs)
         stem = Path(path).stem
         _write_groundstate(out / f"{stem}.groundstate.csv", gs)

@@ -64,6 +64,16 @@ L^{2(d+2)/d} norm (to that power) of u weighted by (1 + |k|^{s_p}) on the
 Fourier side, by the left-endpoint rule at snapshot times.  Saturation of
 this accumulator, decay of the L^{p+1} norm, and a Cauchy test on
 free-flow pullbacks of stored checkpoints make up the scattering proxy.
+
+By default evolve() keeps every checkpoint for the whole run, which is
+what a check over all stored fields (acceptance gate 06) reads.  With
+bounded_checkpoints=True it keeps only what the proxy reads: u0 itself at
+t = 0, the final or abort state, and the checkpoints at or after
+_late_quarter_start, the one cutoff evolve() and scattering_proxy() share.
+So a long run holds a fixed number of fields, set by the checkpoint
+cadence over the last quarter, instead of one per checkpoint.  The proxy
+streams its pullbacks: the final one, then each earlier one in turn,
+compared and dropped.
 """
 
 from __future__ import annotations
@@ -160,8 +170,11 @@ class TrajectoryLog:
     Series are aligned: times[j] matches snapshots[j], tail_fractions[j],
     edge_fractions[j], and scatter_series[j] (the cumulative diagnostic up
     to times[j]).  Checkpoints are (t, field) pairs and always include the
-    initial and final states.  dt_used is the step size after the nudge
-    onto t_final, n_steps the number of such steps that reaches t_final.
+    initial state (u0 itself) and the final or abort state; in between
+    they hold every stored checkpoint, or under evolve's
+    bounded_checkpoints only those at or after _late_quarter_start.
+    dt_used is the step size after the nudge onto t_final, n_steps the
+    number of such steps that reaches t_final.
     """
 
     params: ModelParams
@@ -380,6 +393,15 @@ def _virial_row(f, mp, t, weight, whole_space, spec, modulus, snap) -> VirialRow
     )
 
 
+def _late_quarter_start(t_end: float, t_start: float = 0.0) -> float:
+    """Earliest checkpoint time the proxy's Cauchy test reads on a run
+    recorded from t_start to t_end: the start of the last quarter, less a
+    rounding allowance.  For a completed evolve() run t_end is n_steps *
+    dt_used, its last record's time."""
+    span = t_end - t_start
+    return t_end - 0.25 * span - 1e-12 * max(span, 1.0)
+
+
 def evolve(
     u0: ComplexField,
     mp: ModelParams,
@@ -387,6 +409,7 @@ def evolve(
     *,
     virial_weight: VirialWeight | None = None,
     whole_space_virial: bool = False,
+    bounded_checkpoints: bool = False,
 ) -> TrajectoryLog:
     """March u0 to cfg.t_final and return the trajectory log.
 
@@ -397,9 +420,18 @@ def evolve(
     in .outcome / .abort_detail.  virial_weight attaches localized virial
     rows (E1 only); whole_space_virial attaches the flat-weight second
     derivative (E2 only).
+
+    The log's first checkpoint is u0 itself, not a copy.  By default every
+    checkpoint is kept; bounded_checkpoints=True drops those before
+    _late_quarter_start(n_steps * dt_used), which scattering_proxy never
+    reads, so the log holds u0, the late-quarter checkpoints and the final
+    or abort state.
     """
     if virial_weight is not None and whole_space_virial:
         raise ValueError("choose localized or whole-space virial rows, not both")
+    if u0.allow_nonfinite and not np.all(np.isfinite(u0.values)):
+        # a loaded field may hold NaN or inf for post-mortems; not as data
+        raise ValueError("initial data contains non-finite samples")
     edge0 = edge_mass_fraction(u0, cfg.edge_cells)
     if edge0 > cfg.edge_mass_max:
         raise ValueError(
@@ -416,11 +448,11 @@ def evolve(
     mcp = mp.mc_power
 
     log = TrajectoryLog(params=mp, config=cfg, dt_used=dt, n_steps=n_steps)
+    keep_from = _late_quarter_start(n_steps * dt) if bounded_checkpoints else -math.inf
 
-    def record(values, t):
+    def record(f, t):
         # one forward FFT and one |u| per record, shared by every diagnostic
-        f = ComplexField(grid, values)
-        spec = _transform(np.fft.fft, values, np.empty_like(values))
+        spec = _transform(np.fft.fft, f.values, np.empty_like(f.values))
         a = np.abs(f.values)
         snap = snapshot(f, mp, t, spectrum=spec, modulus=a)
         log.times.append(t)
@@ -431,11 +463,11 @@ def evolve(
             log.virial_rows.append(
                 _virial_row(f, mp, t, virial_weight, whole_space_virial, spec, a, snap)
             )
-        return f, _scatter_integrand(spec, grid, wsym, mcp)
+        return _scatter_integrand(spec, grid, wsym, mcp)
 
+    last_g = record(u0, 0.0)
+    log.checkpoints.append((0.0, u0))
     values = u0.values.copy()
-    f, last_g = record(values, 0.0)
-    log.checkpoints.append((0.0, f))
     accum = 0.0
     log.scatter_series.append(accum)
     last_t = 0.0
@@ -461,10 +493,12 @@ def evolve(
             return log
 
         if step % cfg.snapshot_every and step != n_steps:
-            log.checkpoints.append((t, ComplexField(grid, values)))
+            if t >= keep_from:
+                log.checkpoints.append((t, ComplexField(grid, values)))
             continue
 
-        f, g = record(values, t)
+        f = ComplexField(grid, values)
+        g = record(f, t)
         accum += (t - last_t) * last_g
         log.scatter_series.append(accum)
         last_g, last_t = g, t
@@ -487,7 +521,8 @@ def evolve(
             log.final_state = f
             return log
 
-        if cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and step != n_steps:
+        if (cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and step != n_steps
+                and t >= keep_from):
             log.checkpoints.append((t, f))
 
     log.outcome = "completed"
@@ -563,8 +598,11 @@ def scattering_proxy(log: TrajectoryLog) -> ScatterReport:
     passed means the accumulator's growth rate over the last quarter of the
     run fell below 1% of its whole-run mean rate.  decay_factor is max over
     final of the L^{p+1} norm.  cauchy_distance is the largest relative L^2
-    distance between free-flow pullbacks of last-quarter checkpoints and
-    the final pullback (None when fewer than two were stored).
+    distance between free-flow pullbacks of last-quarter checkpoints (those
+    at or after _late_quarter_start) and the final pullback (None when
+    fewer than two were stored).  The final pullback is formed first; each
+    earlier one is formed, compared and dropped, so two pullbacks at most
+    are held at once.
     """
     if log.outcome != "completed":
         raise ValueError(
@@ -587,15 +625,17 @@ def scattering_proxy(log: TrajectoryLog) -> ScatterReport:
     norms = [s.lp1 ** (1.0 / p1) for s in log.snapshots]
     decay_factor = max(norms) / norms[-1] if norms[-1] > 0 else math.inf
 
-    late_cps = [(t, f) for t, f in log.checkpoints if t >= t_q - 1e-12 * max(span, 1.0)]
+    keep_from = _late_quarter_start(times[-1], times[0])
+    late_cps = [(t, f) for t, f in log.checkpoints if t >= keep_from]
     cauchy = None
     if len(late_cps) >= 2:
-        backs = [free_evolve(f, -t) for t, f in late_cps]
-        ref = backs[-1]
+        t_end, f_end = late_cps[-1]
+        ref = free_evolve(f_end, -t_end)
         scale = lp_norm(ref, 2.0)
         if scale > 0:
             cauchy = max(
-                lp_norm(ComplexField(ref.grid, b.values - ref.values), 2.0) / scale
-                for b in backs[:-1]
+                lp_norm(ComplexField(ref.grid, free_evolve(f, -t).values - ref.values), 2.0)
+                / scale
+                for t, f in late_cps[:-1]
             )
     return ScatterReport(passed, series[-1], mean_rate, late_rate, decay_factor, cauchy)

@@ -97,6 +97,44 @@ def test_groundstate_writes_profile_and_metadata(tmp_path, capsys, double_gs):
     assert len(meta["digest"]) == 64
 
 
+_E2_2D_RUN = """
+[model]
+d = 2
+p = 4.0
+omega = 1.0
+equation = E2
+
+[grid]
+n_per_axis = 64
+half_width = 12.0
+
+[stepper]
+dt = 1e-3
+t_final = 0.002
+snapshot_every = 1
+edge_mass_max = 1e-6
+tail_fraction_max = 1e-3
+
+[initial_data]
+kind = scaled_ground_state
+c = 0.9
+"""
+
+
+@pytest.mark.parametrize("text, which", [
+    (QUICK.replace("classify = false", "classify = true"), "double"),
+    (_E2_2D_RUN, "mass_critical"),
+], ids=["e1", "e2"])
+def test_groundstate_writes_the_profile_a_run_classifies_against(tmp_path, text, which):
+    cfg = _write(tmp_path, "model.ini", text)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert main(["groundstate", "--config", cfg, "--out", str(tmp_path / "gs")]) == 0
+    meta = json.loads((tmp_path / "gs" / "model.groundstate.json").read_text())
+    assert meta["which"] == which
+    written = (tmp_path / "gs" / "model.groundstate.csv").read_bytes()
+    assert written == (tmp_path / "run" / "groundstate.csv").read_bytes()
+
+
 def test_classify_prints_and_writes_the_verdict(tmp_path, capsys):
     cfg = _write(tmp_path, "small.ini",
                  QUICK.replace("kind = gaussian\namplitude = 0.8",

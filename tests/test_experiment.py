@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,11 +23,11 @@ from nlslab.experiment import (
     run_experiment,
     serialize_config,
 )
-from nlslab import groundstate
+from nlslab import experiment, groundstate
 from nlslab.fieldio import load_field, save_field
 from nlslab.functionals import ModelParams, action_K_H, mass
 from nlslab.groundstate import solve_ground_state
-from nlslab.propagator import StepperConfig
+from nlslab.propagator import StepperConfig, evolve, scattering_proxy
 from nlslab.spectral import GridSpec, field_from_function
 from nlslab.symmetry import SymmetryElement
 
@@ -498,6 +499,79 @@ def test_scaled_runs_do_not_report_stationarity(tmp_path):
                      initial="kind = scaled_ground_state\nc = 0.5")
     summary = json.loads((run_experiment(cfg) / "summary.json").read_text())
     assert summary["stationarity_residual"] is None
+
+
+@pytest.mark.parametrize("model, initial", [
+    ("E1", "kind = scaled_ground_state\nc = 1.0\nwavenumber = 2.0"),
+    ("E1", "kind = scaled_ground_state\nc = 1.0\nmass_target = 3.0"),
+    ("E2", "kind = scaled_ground_state\nc = 1.0"),
+], ids=["boosted", "mass_rescaled", "e2_mass_critical_profile"])
+def test_data_that_is_not_the_models_standing_wave_reports_no_stationarity(
+        tmp_path, model, initial):
+    cfg = _quick_cfg(
+        tmp_path,
+        extra_outputs="classify = false",
+        initial=initial,
+        stepper="dt = 1e-4\nt_final = 0.05\nsnapshot_every = 100\ncheckpoint_every = 100",
+    )
+    text = serialize_config(cfg).replace("n_per_axis = 256", "n_per_axis = 1024")
+    cfg = parse_config(text.replace("equation = E1", f"equation = {model}"))
+    summary = json.loads((run_experiment(cfg) / "summary.json").read_text())
+    assert summary["outcome"] == "completed"
+    assert summary["stationarity_residual"] is None
+
+
+_TOWNES_64 = """
+[model]
+d = 2
+p = 4.0
+omega = 1.0
+equation = E2
+
+[grid]
+n_per_axis = 64
+half_width = 12.0
+
+[stepper]
+dt = 1e-3
+t_final = 0.06
+snapshot_every = 4
+checkpoint_every = 5
+tail_fraction_max = 1e-3
+edge_mass_max = 1e-6
+
+[initial_data]
+kind = scaled_ground_state
+c = 0.9
+"""
+
+
+def test_a_run_holds_only_the_fields_it_reads(tmp_path, monkeypatch):
+    logs = []
+
+    def keeping(u0, *args, **kwargs):
+        log = evolve(u0, *args, **kwargs)
+        logs.append((u0, log))
+        return log
+
+    monkeypatch.setattr(experiment, "evolve", keeping)
+    cfg = parse_config(_with(_TOWNES_64, outputs=f"directory = {tmp_path}/run\n"
+                                                 "whole_space_virial = true"))
+    summary = json.loads((run_experiment(cfg) / "summary.json").read_text())
+    (u0, log), = logs
+    full = evolve(u0, cfg.model, cfg.stepper, whole_space_virial=True)
+    assert full.outcome == log.outcome == "completed"
+
+    # u0 itself, the checkpoints from step 45 (t >= 0.045) on, and the final state
+    steps = [round(t / full.dt_used) for t, _ in log.checkpoints]
+    assert steps == [0, 45, 50, 55, 60]
+    assert log.checkpoints[0][1] is u0
+    assert len(full.checkpoints) == 13
+    kept = dict(full.checkpoints)
+    for t, f in log.checkpoints:
+        assert np.array_equal(f.values, kept[t].values)
+    assert summary["scattering_proxy"] == asdict(scattering_proxy(full))
+    assert summary["scattering_proxy"]["cauchy_distance"] is not None
 
 
 def test_rerun_without_classify_leaves_no_groundstate_behind(tmp_path):

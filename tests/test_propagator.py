@@ -21,6 +21,7 @@ from nlslab.spectral import (
     edge_mass_fraction,
     field_from_function,
     free_evolve,
+    lp_norm,
 )
 from nlslab.virial import (
     VirialWeight,
@@ -154,6 +155,82 @@ def test_snapshot_and_checkpoint_cadence():
     assert ckpt_times == pytest.approx([0.0, 0.025, 0.05, 0.075, 0.1])
     assert log.final_state is not None
     assert log.energy_drift is not None and log.energy_drift < 1e-6
+
+
+def test_first_checkpoint_is_u0_itself():
+    u0 = _packet()
+    for bounded in (False, True):
+        cfg = StepperConfig(dt=1e-3, t_final=0.02, snapshot_every=5,
+                            checkpoint_every=5, **OPEN)
+        log = evolve(u0, MP1, cfg, bounded_checkpoints=bounded)
+        assert log.checkpoints[0][1] is u0
+
+
+def test_nonfinite_initial_data_is_refused():
+    g = GridSpec(d=1, n_per_axis=256, half_width=10.0)
+    vals = np.exp(-g.axis**2).astype(np.complex128)
+    vals[128] = np.nan
+    cfg = StepperConfig(dt=1e-3, t_final=0.01, **OPEN)
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve(ComplexField(g, vals, allow_nonfinite=True), MP1, cfg)
+
+
+def _boundary_logs():
+    # dt = 2^-8 over 40 steps: every checkpoint time is exact, and the
+    # late-quarter start t_end - t_end/4 is step 30's time to the bit
+    dt = 2.0**-8
+    cfg = StepperConfig(dt=dt, t_final=40 * dt, snapshot_every=10,
+                        checkpoint_every=5, **OPEN)
+    u0 = _packet(amplitude=0.3)
+    return dt, evolve(u0, MP1, cfg), evolve(u0, MP1, cfg, bounded_checkpoints=True)
+
+
+def test_bounded_log_keeps_u0_the_late_quarter_and_the_final_state():
+    dt, full, bounded = _boundary_logs()
+    assert [t / dt for t, _ in full.checkpoints] == [5.0 * k for k in range(9)]
+    assert [t / dt for t, _ in bounded.checkpoints] == [0.0, 30.0, 35.0, 40.0]
+    kept = dict(full.checkpoints)
+    for t, f in bounded.checkpoints:
+        assert np.array_equal(f.values, kept[t].values)
+    assert bounded.final_state is bounded.checkpoints[-1][1]
+    # everything but the stored fields is the same run
+    assert bounded.times == full.times
+    assert bounded.scatter_series == full.scatter_series
+    assert scattering_proxy(bounded) == scattering_proxy(full)
+
+
+def test_a_checkpoint_at_the_late_quarter_start_is_kept_and_read(monkeypatch):
+    dt, _, bounded = _boundary_logs()
+    t_q = 30 * dt
+    assert propagator._late_quarter_start(bounded.times[-1]) < t_q
+    assert t_q == bounded.times[-1] - 0.25 * bounded.times[-1]
+    assert t_q in dict(bounded.checkpoints)
+
+    pulled = []
+
+    def recording(f, t):
+        pulled.append(-t)
+        return free_evolve(f, t)
+
+    monkeypatch.setattr(propagator, "free_evolve", recording)
+    rep = scattering_proxy(bounded)
+    assert rep.cauchy_distance is not None
+    # the final pullback first, then each earlier one in time order
+    assert pulled == [40 * dt, t_q, 35 * dt]
+
+
+def test_streamed_cauchy_distance_equals_the_all_at_once_one():
+    log = _dispersive_log()
+    rep = scattering_proxy(log)
+    t_end = log.times[-1]
+    late = [(t, f) for t, f in log.checkpoints if t >= t_end - 0.25 * t_end - 1e-12 * t_end]
+    assert len(late) >= 3
+    backs = [free_evolve(f, -t) for t, f in late]
+    ref = backs[-1]
+    scale = lp_norm(ref, 2.0)
+    want = max(lp_norm(ComplexField(ref.grid, b.values - ref.values), 2.0) / scale
+               for b in backs[:-1])
+    assert rep.cauchy_distance == want
 
 
 def test_off_grid_horizon_is_nudged_onto_a_step_count():
