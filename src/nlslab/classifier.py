@@ -12,12 +12,13 @@ Verdicts carry all margins, the bound scale for the H1 trapping estimate,
 a note on the unverified localization hypotheses behind the blow-up
 prediction, and a digest of the ground-state profile used, so a verdict
 written to disk can be traced to the exact threshold it was measured
-against.
+against.  The digest is SHA-256 from CPython's built-in module, not from
+hashlib, which would load OpenSSL into the run; each solution computes
+it once and keeps it (see groundstate).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 
@@ -89,13 +90,10 @@ class Verdict:
 
 
 def ground_state_digest(gs: GroundStateSolution) -> str:
-    """SHA-256 over the solved profile and its defining parameters."""
-    h = hashlib.sha256()
-    head = f"{gs.which}:{gs.params.d}:{gs.params.p!r}:{gs.omega!r}"
-    h.update(head.encode())
-    h.update(gs.r.tobytes())
-    h.update(gs.profile.tobytes())
-    return h.hexdigest()
+    """SHA-256 over the solved profile and its defining parameters: the
+    header "which:d:p:omega" (p and omega as repr), then the bytes of r
+    and of the profile.  Computed once per solution and kept with it."""
+    return gs._digest
 
 
 def _relative_error_scale(u0: ComplexField, spectrum) -> float:

@@ -45,9 +45,13 @@ the classifier, the critical mass and every config of a multi-config
 run share one solve.  The cached solution is frozen and its r, profile
 and derivative arrays are read-only; a call with a guess bypasses the
 cache, and a solve that raises leaves nothing behind.  A solution also
-keeps what is derived from it on first use: the spline that samples it
-and the encoded rows of its groundstate.csv, so the runs sharing it
-format that file once (about 0.64 MB of chunks per written solution).
+keeps what is derived from it on first use: the spline that samples it,
+the encoded rows of its groundstate.csv, so the runs sharing it format
+that file once (about 0.64 MB of chunks per written solution), and the
+SHA-256 digest a verdict carries.  The digest comes from CPython's
+built-in module (_sha2 from 3.12, _sha256 before; hashlib only where
+neither exists), because hashlib loads and starts OpenSSL, some 3.6 MB
+resident in every run process, for one hash per solution.
 
 A second, independent route (ground_state_on_grid) runs a semi-implicit
 descent on the periodic spectral grid, re-normalized each step onto the
@@ -62,7 +66,9 @@ evaluate scipy's own formulas in scipy's order (simpson's non-uniform
 spacing rule with its even-count end correction; CubicSpline's banded
 system solved as LAPACK dgtsv does, and PPoly's interval search and
 ascending-power sum), so certificates and sampled fields are bitwise what
-scipy gives; the tests compare them.  Only ground_state_on_grid, which no
+scipy gives; the tests compare them.  The spline's tridiagonal sweep runs
+in place over memoryviews of its numpy rows, so solving it makes no
+Python list of a profile-sized row.  Only ground_state_on_grid, which no
 run calls, imports scipy (brentq).
 """
 
@@ -79,6 +85,15 @@ import numpy as np
 from .functionals import ModelParams, _action, _energy, _scaling_derivative
 from .spectral import ComplexField, GridSpec
 from .virial import smoothstep_c4, smoothstep_c4_prime
+
+# CPython's built-in SHA-256, not hashlib's OpenSSL one (module docstring)
+try:
+    from _sha2 import sha256 as _sha256        # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "GroundStateSolution",
@@ -162,6 +177,16 @@ class GroundStateSolution:
         """Spline coefficients of the profile, clamped to Q'(0) = 0 and the
         stored Q'(R); built on first use and kept with the solution."""
         return _clamped_spline(self.r, self.profile, 0.0, float(self.derivative[-1]))
+
+    @cached_property
+    def _digest(self) -> str:
+        """SHA-256 hex digest of the profile and its defining parameters,
+        computed on first use and kept with the solution."""
+        h = _sha256()
+        h.update(f"{self.which}:{self.params.d}:{self.params.p!r}:{self.omega!r}".encode())
+        h.update(self.r.tobytes())
+        h.update(self.profile.tobytes())
+        return h.hexdigest()
 
     @cached_property
     def _csv_chunks(self) -> tuple:
@@ -693,16 +718,20 @@ def _clamped_spline(x, y, s0, s1):
     rhs[0], rhs[-1] = s0, s1
     rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
 
-    d, du, dl, b = diag.tolist(), upper.tolist(), lower.tolist(), rhs.tolist()
-    for i in range(n - 1):
-        fact = dl[i] / d[i]
-        d[i + 1] -= fact * du[i]
-        b[i + 1] -= fact * b[i]
-    b[-1] /= d[-1]
-    for i in range(n - 2, -1, -1):
-        # dgtsv's back solve also subtracts dl[i] * b[i + 2], zeroed above
-        b[i] = (b[i] - du[i] * b[i + 1]) / d[i]
-    s = np.array(b)
+    # The sweep runs in place over memoryviews of the rows: each item read
+    # is a Python float, as from a list, with no list copy of a row.  The
+    # previous row's d and b ride along in di and bi.
+    d, du, dl, b = (memoryview(a) for a in (diag, upper, lower, rhs))
+    di, bi = d[0], b[0]
+    for i, l_prev, u_prev, d_i, b_i in zip(range(1, n), dl, du, d[1:], b[1:]):
+        fact = l_prev / di
+        d[i] = di = d_i - fact * u_prev
+        b[i] = bi = b_i - fact * bi
+    b[-1] = bi = bi / di
+    # dgtsv's back solve also subtracts dl[i] * b[i + 2], zeroed above
+    for i, u_i, d_i, b_i in zip(range(n - 2, -1, -1), du[::-1], d[-2::-1], b[-2::-1]):
+        b[i] = bi = (b_i - u_i * bi) / d_i
+    s = rhs
 
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]

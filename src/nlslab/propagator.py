@@ -40,13 +40,16 @@ that a slice computes what the whole array computes).  A focused or
 dispersed field is tiny over most of the box, so in 1-D the window is
 a few percent of the grid or less.
 
-The free flow runs the FFT pair in place, one axis at a time through
-numpy.fft's out= (numpy 2.0 or later), last axis first as fftn and
-ifftn do, so it is their arithmetic bit for bit; a record's forward
-transform and the scattering integrand's inverse take the same per-axis
-path.  The step is therefore bitwise the plain full-array composition.
-With both couplings zero the kernel is the free-flow multiplier alone,
-bit-identical to spectral.free_evolve.
+The free flow runs the FFT pair in place through spectral._transform,
+one axis at a time through numpy.fft's out= (numpy 2.0 or later), last
+axis first as fftn and ifftn do, so it is their arithmetic bit for bit;
+a record's forward transform, the scattering integrand's inverse and
+the proxy's pullbacks take the same per-axis path.  The step is
+therefore bitwise the plain full-array composition.  With both
+couplings zero the kernel is the free-flow multiplier alone, with the
+symbol as the left operand: bit-identical to spectral.free_evolve on
+fields under spectral._ELIDED_BYTES, and equal to rounding on larger
+ones, where free_evolve keeps numpy's spectrum-first order.
 
 evolve() marches to t_final, records functional snapshots at a fixed step
 cadence, and aborts the moment the recorded diagnostics say the grid has
@@ -73,7 +76,10 @@ _late_quarter_start, the one cutoff evolve() and scattering_proxy() share.
 So a long run holds a fixed number of fields, set by the checkpoint
 cadence over the last quarter, instead of one per checkpoint.  The proxy
 streams its pullbacks: the final one, then each earlier one in turn,
-compared and dropped.
+compared and dropped.  They are formed in one reused buffer, bitwise as
+spectral.free_evolve forms them, so the Cauchy test holds three fields
+over the log's: the final pullback, the one being compared and the
+symbol, whose storage then takes the squared modulus of the difference.
 """
 
 from __future__ import annotations
@@ -89,10 +95,12 @@ from .functionals import ModelParams, snapshot
 from .spectral import (
     ComplexField,
     GridSpec,
+    _apply_symbol,
+    _free_flow_symbol,
+    _lp_norm,
+    _transform,
     derivative_weight_multiplier,
     edge_mass_fraction,
-    free_evolve,
-    lp_norm,
     spectral_tail_fraction,
 )
 from .virial import (
@@ -214,9 +222,13 @@ class TrajectoryLog:
 
 # -- the stepping kernel ------------------------------------------------------
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _kinetic_phase(grid: GridSpec, dt: float) -> np.ndarray:
-    ph = np.exp(-1j * dt * grid.k_squared)
+    """The free-flow symbol of one step, kept for the flight or the
+    strang_step loop that reuses it.  Two entries cover a loop that steps
+    forwards and back; each is a grid-sized array, so a multi-config run
+    keeps no more than two."""
+    ph = _free_flow_symbol(grid, dt)
     ph.setflags(write=False)
     return ph
 
@@ -304,24 +316,9 @@ def _rotate(values, tau, terms, ws):
     np.multiply(values, phase.reshape(values.shape), out=values)
 
 
-def _transform(fn, src, out):
-    """fn (np.fft.fft or np.fft.ifft) along every axis of src, into out.
-
-    One axis at a time through numpy.fft's out= (numpy 2.0 or later), last
-    axis first, the order in which fftn and ifftn visit them, so it is
-    their arithmetic bit for bit without their per-call argument handling
-    or a new array per axis.  out may be src.
-    """
-    for axis in range(src.ndim - 1, -1, -1):
-        fn(src, axis=axis, out=out)
-        src = out
-    return out
-
-
 def _free(values, kin):
-    """F(dt) in place, bit-identical to spectral.free_evolve.  numpy's
-    complex product is not bitwise commutative, so the symbol stays the
-    left operand."""
+    """F(dt) in place, the symbol as the left operand (numpy's complex
+    product is not bitwise commutative)."""
     _transform(np.fft.fft, values, values)
     np.multiply(kin, values, out=values)
     _transform(np.fft.ifft, values, values)
@@ -630,12 +627,23 @@ def scattering_proxy(log: TrajectoryLog) -> ScatterReport:
     cauchy = None
     if len(late_cps) >= 2:
         t_end, f_end = late_cps[-1]
-        ref = free_evolve(f_end, -t_end)
-        scale = lp_norm(ref, 2.0)
+        grid = f_end.grid
+        # once a pullback is formed, the symbol's storage takes |difference|^2
+        sym = np.empty(grid.shape, dtype=np.complex128)
+        sq = sym.view(np.float64).reshape(-1)[: grid.size].reshape(grid.shape)
+        ref = _pull_back(f_end, t_end, np.empty_like(sym), sym)
+        scale = _lp_norm(ref, 2.0, grid.cell_volume, out=sq)
         if scale > 0:
+            back = np.empty_like(sym)
             cauchy = max(
-                lp_norm(ComplexField(ref.grid, free_evolve(f, -t).values - ref.values), 2.0)
-                / scale
+                _lp_norm(np.subtract(_pull_back(f, t, back, sym), ref, out=back), 2.0,
+                         grid.cell_volume, out=sq) / scale
                 for t, f in late_cps[:-1]
             )
     return ScatterReport(passed, series[-1], mean_rate, late_rate, decay_factor, cauchy)
+
+
+def _pull_back(f: ComplexField, t: float, out: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """free_evolve(f, -t).values, bitwise, into out; the symbol is formed
+    in sym, as free_flow_multiplier forms it."""
+    return _apply_symbol(f.values, _free_flow_symbol(f.grid, -t, out=sym), out)

@@ -200,7 +200,19 @@ def gradient_multiplier(grid: GridSpec, axis: int) -> FourierMultiplier:
 
 def free_flow_multiplier(grid: GridSpec, t: float) -> FourierMultiplier:
     """Symbol of the free propagator over time t: exp(-i*t*|k|^2)."""
-    return FourierMultiplier(grid, np.exp(-1j * t * grid.k_squared), f"free({t})")
+    return FourierMultiplier(grid, _free_flow_symbol(grid, t), f"free({t})")
+
+
+def _free_flow_symbol(grid: GridSpec, t: float, out: np.ndarray | None = None) -> np.ndarray:
+    """np.exp(-1j * t * grid.k_squared), bitwise, into out (complex, the
+    grid's shape; a new array when None).  |k|^2 + 0j, the operand numpy
+    casts |k|^2 to, is written into out first, so no cast buffer is
+    allocated."""
+    sym = np.empty(grid.shape, dtype=np.complex128) if out is None else out
+    sym.real = grid.k_squared
+    sym.imag = 0.0
+    np.multiply(-1j * t, sym, out=sym)
+    return np.exp(sym, out=sym)
 
 
 def derivative_weight_multiplier(grid: GridSpec, s: float) -> FourierMultiplier:
@@ -219,14 +231,31 @@ def low_pass_multiplier(grid: GridSpec, radius: float) -> FourierMultiplier:
 
 # -- transforms ---------------------------------------------------------------
 
+def _transform(fn, src, out):
+    """fn (np.fft.fft or np.fft.ifft) along every axis of src, into out.
+
+    One axis at a time through numpy.fft's out= (numpy 2.0 or later), last
+    axis first, the order in which fftn and ifftn visit them, so it is
+    their arithmetic bit for bit without their per-call argument handling
+    or a new array per axis.  out may be src.
+    """
+    for axis in range(src.ndim - 1, -1, -1):
+        fn(src, axis=axis, out=out)
+        src = out
+    return out
+
+
 def _inverse_values(values: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(values) * np.sqrt(values.size)
+    out = _transform(np.fft.ifft, values, np.empty_like(values))
+    out *= np.sqrt(values.size)
+    return out
 
 
 def transform(f: ComplexField, direction: str = "forward") -> ComplexField:
     """Unitary DFT of a field; 'inverse' undoes 'forward' exactly."""
     if direction == "forward":
-        out = np.fft.fftn(f.values) / np.sqrt(f.values.size)
+        out = _transform(np.fft.fft, f.values, np.empty_like(f.values))
+        out /= np.sqrt(f.values.size)
     elif direction == "inverse":
         out = _inverse_values(f.values)
     else:
@@ -234,8 +263,26 @@ def transform(f: ComplexField, direction: str = "forward") -> ComplexField:
     return ComplexField(f.grid, out, allow_nonfinite=f.allow_nonfinite)
 
 
-def _apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(symbol * np.fft.fftn(values))
+# numpy evaluates symbol * np.fft.fftn(values) in place in the transform's
+# temporary once that reaches this size (temporary elision), and so with
+# the spectrum as the left operand
+_ELIDED_BYTES = 256 * 1024
+
+
+def _apply_symbol(values: np.ndarray, symbol: np.ndarray, out: np.ndarray | None = None):
+    """np.fft.ifftn(symbol * np.fft.fftn(values)), bitwise, into out (a new
+    array when None; it may be values, not symbol).
+
+    numpy's complex product is not bitwise commutative, so the operands
+    keep the order numpy gives that expression: the symbol on the left
+    below _ELIDED_BYTES, the spectrum on the left from there on.
+    """
+    spec = _transform(np.fft.fft, values, np.empty_like(values) if out is None else out)
+    if spec.nbytes < _ELIDED_BYTES:
+        np.multiply(symbol, spec, out=spec)
+    else:
+        np.multiply(spec, symbol, out=spec)
+    return _transform(np.fft.ifft, spec, spec)
 
 
 def apply_multiplier(f: ComplexField, m: FourierMultiplier) -> ComplexField:
@@ -255,7 +302,16 @@ def lp_norm(f: ComplexField, q: float) -> float:
     """Rectangle-rule L^q norm, (sum |f|^q dx^d)^(1/q)."""
     if q < 1:
         raise ValueError(f"lp_norm requires q >= 1, got {q}")
-    return float(np.sum(np.abs(f.values) ** q) * f.grid.cell_volume) ** (1.0 / q)
+    return _lp_norm(f.values, q, f.grid.cell_volume)
+
+
+def _lp_norm(values: np.ndarray, q: float, cell_volume: float,
+             out: np.ndarray | None = None) -> float:
+    """lp_norm of the samples values; |values|^q goes into out (float64,
+    values' shape; a new array when None)."""
+    a = np.abs(values, out=out)
+    a **= q
+    return float(np.sum(a) * cell_volume) ** (1.0 / q)
 
 
 def inner_product(f: ComplexField, g: ComplexField) -> complex:

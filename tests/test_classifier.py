@@ -1,5 +1,6 @@
 """Threshold classification: labels, gating, trapping bounds, serialization."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -218,6 +219,16 @@ def test_digest_is_deterministic_and_parameter_sensitive(double_gs, quintic_gs):
     assert ground_state_digest(again) == ground_state_digest(double_gs)
     assert len(ground_state_digest(double_gs)) == 64
     assert ground_state_digest(quintic_gs) != ground_state_digest(double_gs)
+
+
+@pytest.mark.parametrize("profile", ["double_gs", "quintic_gs", "townes_gs"])
+def test_digest_is_hashlib_sha256_of_the_header_and_profile(request, profile):
+    gs = request.getfixturevalue(profile)
+    head = f"{gs.which}:{gs.params.d}:{gs.params.p!r}:{gs.omega!r}".encode()
+    want = hashlib.sha256(head + gs.r.tobytes() + gs.profile.tobytes()).hexdigest()
+    assert ground_state_digest(gs) == want
+    # kept with the solution: a second call hashes nothing
+    assert ground_state_digest(gs) is ground_state_digest(gs)
 
 
 def test_verdict_round_trips_through_json(double_gs):

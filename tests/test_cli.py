@@ -351,3 +351,31 @@ def test_a_run_never_imports_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["verdict"]["set_label"] == "A_plus"
+
+
+OPENSSL_FREE_RUN = """
+import sys
+import nlslab.cli
+from nlslab.experiment import load_config, run_experiment
+
+def loaded():
+    return sorted(m for m in ("_hashlib", "ssl") if m in sys.modules)
+
+assert loaded() == [], loaded()
+run_experiment(load_config(sys.argv[1]))
+assert loaded() == [], loaded()
+"""
+
+
+def test_a_classify_run_never_loads_openssl(tmp_path):
+    # the digest takes CPython's built-in SHA-256; hashlib would load OpenSSL
+    text = QUICK.replace("kind = gaussian\namplitude = 0.8",
+                         "kind = scaled_ground_state\nc = 0.5")
+    text = text.replace("classify = false", f"classify = true\ndirectory = {tmp_path / 'run'}")
+    config = _write(tmp_path, "gs.ini", text)
+    env = dict(os.environ, PYTHONPATH=str(Path(nlslab.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", OPENSSL_FREE_RUN, config], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert len(summary["verdict"]["ground_state_digest"]) == 64

@@ -1,6 +1,7 @@
 """Split-step marching: conservation, aborts, and the trajectory record."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,12 +208,13 @@ def test_a_checkpoint_at_the_late_quarter_start_is_kept_and_read(monkeypatch):
     assert t_q in dict(bounded.checkpoints)
 
     pulled = []
+    pull_back = propagator._pull_back
 
-    def recording(f, t):
-        pulled.append(-t)
-        return free_evolve(f, t)
+    def recording(f, t, out, sym):
+        pulled.append(t)
+        return pull_back(f, t, out, sym)
 
-    monkeypatch.setattr(propagator, "free_evolve", recording)
+    monkeypatch.setattr(propagator, "_pull_back", recording)
     rep = scattering_proxy(bounded)
     assert rep.cauchy_distance is not None
     # the final pullback first, then each earlier one in time order
@@ -231,6 +233,44 @@ def test_streamed_cauchy_distance_equals_the_all_at_once_one():
     want = max(lp_norm(ComplexField(ref.grid, b.values - ref.values), 2.0) / scale
                for b in backs[:-1])
     assert rep.cauchy_distance == want
+
+
+def test_the_cauchy_test_holds_three_fields_over_its_entry():
+    # the final pullback, the one being compared and the symbol; the
+    # allowance is for the transforms' and sums' small objects
+    grid = GridSpec(d=2, n_per_axis=64, half_width=16.0)
+    mp = ModelParams(d=2, p=4.0, omega=1.0, equation="E2")
+    u0 = field_from_function(grid, lambda x, y: 0.5 * np.exp(-(x**2 + y**2)) + 0j)
+    cfg = StepperConfig(dt=1e-2, t_final=1.0, snapshot_every=10, checkpoint_every=5,
+                        tail_fraction_max=1.0, edge_mass_max=1e-6)
+    log = evolve(u0, mp, cfg, bounded_checkpoints=True)
+    assert len(log.checkpoints) >= 4
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        rep = scattering_proxy(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.cauchy_distance is not None
+    assert peak - entry <= 3 * u0.values.nbytes + 8 * 1024
+
+
+def test_kinetic_symbols_are_kept_for_one_flight_and_one_loop():
+    kinetic = propagator._kinetic_phase
+    kinetic.cache_clear()
+    u = _packet()
+    for dt in (1e-3, 2e-3, 3e-3, 4e-3):
+        evolve(u, MP1, StepperConfig(dt=dt, t_final=0.012, snapshot_every=4, **OPEN))
+    info = kinetic.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (4, 2, 2)
+    # a strang_step loop forwards and back reuses its two symbols
+    v = u
+    for _ in range(3):
+        v = strang_step(strang_step(v, MP1, 1e-3), MP1, -1e-3)
+    after = kinetic.cache_info()
+    assert (after.misses - info.misses, after.hits - info.hits) == (2, 4)
+    assert after.currsize == 2
 
 
 def test_off_grid_horizon_is_nudged_onto_a_step_count():

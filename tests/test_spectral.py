@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nlslab import spectral
 from nlslab.spectral import (
     ComplexField,
     GridSpec,
@@ -235,3 +236,41 @@ def test_odd_symbols_zero_the_nyquist_mode_on_their_own_axis(d):
         assert np.array_equal(gradient_multiplier(grid, ax).symbol, 1j * expected)
         with pytest.raises(ValueError):
             grid.k_odd[ax][0] = 1.0
+
+
+# the in-place forms are bitwise the plain expressions; 64^2 and 128^2
+# sit on either side of spectral._ELIDED_BYTES
+BITWISE_GRIDS = [GridSpec(d=1, n_per_axis=1024, half_width=30.0),
+                 GridSpec(d=2, n_per_axis=64, half_width=8.0),
+                 GridSpec(d=2, n_per_axis=128, half_width=8.0)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("grid", BITWISE_GRIDS, ids=["1d_1024", "2d_64", "2d_128"])
+def test_transforms_and_pullbacks_are_the_fftn_expressions_bitwise(grid):
+    f = random_smooth_field(grid, seed=5)
+    v = f.values
+    for t in (0.37, -1.25):
+        # the symbol held by name, as a multiplier holds it: numpy orders a
+        # product of two temporaries differently
+        symbol = np.exp(-1j * t * grid.k_squared)
+        want = np.fft.ifftn(symbol * np.fft.fftn(v))
+        assert _same_bits(free_evolve(f, t).values, want)
+        sym = np.empty(grid.shape, dtype=np.complex128)
+        assert _same_bits(spectral._free_flow_symbol(grid, t, out=sym), symbol)
+        out = np.empty_like(v)
+        assert spectral._apply_symbol(v, sym, out) is out
+        assert _same_bits(out, want)
+    n = np.sqrt(v.size)
+    assert _same_bits(transform(f).values, np.fft.fftn(v) / n)
+    assert _same_bits(transform(f, "inverse").values, np.fft.ifftn(v) * n)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 8.0])
+def test_lp_norm_into_a_buffer_is_lp_norm(q):
+    f = random_smooth_field(GRIDS[1], seed=3)
+    out = np.empty(f.grid.shape)
+    assert spectral._lp_norm(f.values, q, f.grid.cell_volume, out=out) == lp_norm(f, q)
