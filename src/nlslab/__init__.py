@@ -37,6 +37,7 @@ from .propagator import (
     TrajectoryLog,
     strang_step,
     evolve,
+    evolve_stack,
     detect_blowup,
     scattering_proxy,
 )
@@ -48,6 +49,7 @@ from .experiment import (
     load_config,
     serialize_config,
     run_experiment,
+    run_experiments,
     emit_report,
 )
 

@@ -8,11 +8,13 @@ one or more experiment configs, optionally in a process pool), report
 checks).
 
 Exit codes: 0 on success, 2 on config or validation failure, 3 when a
-run aborted at runtime or a selftest check failed.  evolve --threads
-sizes its work pool, with NLS_LAB_THREADS as fallback; evolve refuses,
-before any run starts, configs that would write to the same directory,
-and prints one line per run, the outcome or the error, even when some
-runs fail.
+run aborted at runtime or a selftest check failed.  evolve marches the
+configs that differ only in their initial data as one stack
+(experiment.plan_stacks); --threads sizes the pool that takes those
+stacks, with NLS_LAB_THREADS as fallback.  evolve refuses, before any
+run starts, configs that would write to the same directory, and prints
+one line per run in config order, the outcome or the error, even when
+some runs fail.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from .experiment import (
     _write_groundstate,
     load_config,
     parse_model,
+    plan_stacks,
     run_experiment,
+    run_experiments,
     emit_report,
 )
 from .classifier import ground_state_digest, verdict_to_json
@@ -146,18 +150,29 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _evolve_worker(job):
-    """(report line, exit code) of one job; a job that raises must not hide
-    the outcomes of the others."""
-    cfg, out_dir = job
-    try:
-        run = run_experiment(cfg, out_dir)
-    except ConfigError as exc:
-        return f"{out_dir}: config error: {exc}", 2
-    except Exception as exc:
-        return f"{out_dir}: error: {type(exc).__name__}: {exc}", 3
-    outcome = json.loads((run / "summary.json").read_text())["outcome"]
-    return f"{run}: {outcome}", 0 if outcome == "completed" else 3
+def _report_line(out_dir, result) -> tuple:
+    """(report line, exit code) of one job from its run directory or the
+    exception that stopped it."""
+    if isinstance(result, ConfigError):
+        return f"{out_dir}: config error: {result}", 2
+    if isinstance(result, Exception):
+        return f"{out_dir}: error: {type(result).__name__}: {result}", 3
+    outcome = json.loads((result / "summary.json").read_text())["outcome"]
+    return f"{result}: {outcome}", 0 if outcome == "completed" else 3
+
+
+def _evolve_worker(stack):
+    """(report line, exit code) of each job of one stack; a job that raises
+    must not hide the outcomes of the others."""
+    if len(stack) > 1:
+        results = run_experiments(stack)
+    else:
+        # a lone job through run_experiment, the name perfbench's tracer wraps
+        try:
+            results = [run_experiment(*stack[0])]
+        except Exception as exc:
+            results = [exc]
+    return [_report_line(out_dir, result) for (_, out_dir), result in zip(stack, results)]
 
 
 def _cmd_evolve(args) -> int:
@@ -181,15 +196,23 @@ def _cmd_evolve(args) -> int:
         owner[key] = path
         jobs.append((cfg, where))
 
-    if threads > 1 and len(jobs) > 1:
+    # configs that differ only in their initial data march as one stack;
+    # the pool takes stacks, and the lines come back in config order
+    stacks = plan_stacks([cfg for cfg, _ in jobs])
+    work = [[jobs[i] for i in stack] for stack in stacks]
+    if threads > 1 and len(work) > 1:
         # imported here: a one-process run should not pay for the import
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            results = list(pool.map(_evolve_worker, jobs))
+        with ProcessPoolExecutor(max_workers=min(threads, len(work))) as pool:
+            done = list(pool.map(_evolve_worker, work))
     else:
-        results = [_evolve_worker(job) for job in jobs]
+        done = [_evolve_worker(stack) for stack in work]
 
+    results = [None] * len(jobs)
+    for stack, lines in zip(stacks, done):
+        for i, line in zip(stack, lines):
+            results[i] = line
     for line, _ in results:
         print(line)
     return max(code for _, code in results)

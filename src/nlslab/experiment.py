@@ -8,7 +8,9 @@ are refused.  Running one produces a directory holding the echoed config, a JSON
 trajectory CSV, the initial and final fields in NLSF form, and the
 ground-state profile used for classification.  Runs are deterministic:
 random initial data is drawn from a recorded seed and everything else is
-a pure function of the config.
+a pure function of the config.  run_experiments marches the configs that
+differ only in their initial data as one stack (propagator.evolve_stack)
+and writes for each run the bytes it writes alone.
 
 emit_report folds many run directories into one CSV plus a markdown
 table with a dichotomy-agreement column (prediction versus observed
@@ -43,7 +45,15 @@ from .functionals import (
 )
 from .groundstate import _WHICH, ground_state_field, solve_cost, solve_ground_state
 from .classifier import classify
-from .propagator import StepperConfig, evolve, scattering_proxy, detect_blowup
+from .propagator import (
+    StepperConfig,
+    _check_initial_data,
+    _stack_capacity,
+    detect_blowup,
+    evolve,
+    evolve_stack,
+    scattering_proxy,
+)
 from .virial import VirialWeight
 from .symmetry import SymmetryElement, apply_symmetry, large_scale_profile
 from .fieldio import save_field, load_field
@@ -57,6 +67,8 @@ __all__ = [
     "serialize_config",
     "build_initial_field",
     "run_experiment",
+    "run_experiments",
+    "plan_stacks",
     "emit_report",
 ]
 
@@ -566,8 +578,44 @@ _ARTIFACTS = ("summary.json", "summary.json.tmp", "u0.nlsf", "final.nlsf",
               "trajectory.csv", "groundstate.csv", "config.ini")
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
-    """Execute one config; returns the run directory."""
+@dataclass
+class _Run:
+    """A prepared job: what its march and its finish read."""
+
+    cfg: ExperimentConfig
+    out: Path
+    started: float
+    u0: ComplexField
+    notes: dict
+    gs: object
+    verdict: dict | None
+    solve_cost: tuple       # (solves, shots, seconds) of the solves it ran
+
+
+def _stack_key(cfg: ExperimentConfig) -> tuple:
+    """Everything of cfg that its march reads, apart from the initial state."""
+    return (cfg.model, cfg.n_per_axis, cfg.half_width, cfg.stepper, cfg.virial_radius,
+            cfg.whole_space_virial, _is_standing_wave(cfg))
+
+
+def plan_stacks(cfgs) -> list:
+    """The indices of cfgs in stacks that march together: configs that differ
+    only in [initial_data], [symmetry] and their directory, at most
+    propagator._stack_capacity of them per stack."""
+    groups: dict = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(_stack_key(cfg), []).append(i)
+    stacks = []
+    for members in groups.values():
+        cap = _stack_capacity(cfgs[members[0]].grid())
+        stacks += [members[j:j + cap] for j in range(0, len(members), cap)]
+    return stacks
+
+
+def _prepare(cfg: ExperimentConfig, out_dir) -> _Run:
+    """Clear the run directory, build and classify the initial data, and
+    check evolve's preconditions on it, so that a job failing them fails
+    alone and not its stack."""
     where = out_dir or cfg.directory
     if not where:
         raise ConfigError("outputs.directory: no output directory given")
@@ -577,41 +625,42 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     # report to read if this run fails, nor a file this run does not write
     for name in _ARTIFACTS:
         (out / name).unlink(missing_ok=True)
-    summary_path = out / "summary.json"
     started = time.monotonic()
     cost_before = solve_cost()
 
     u0, notes = _initial_state(cfg)
-
-    verdict_obj = None
-    gs = None
-    critical_mass = None
+    gs = verdict = None
     if cfg.classify_data:
-        gs, verdict = _threshold_verdict(u0, cfg.model)
-        verdict_obj = asdict(verdict)
-        if cfg.model.equation == "E2":
-            critical_mass = gs.mass
+        gs, v = _threshold_verdict(u0, cfg.model)
+        verdict = asdict(v)
+    _check_initial_data(u0, cfg.stepper)
+    cost = tuple(b - a for a, b in zip(cost_before, solve_cost()))
+    return _Run(cfg, out, started, u0, notes, gs, verdict, cost)
 
-    weight = None
-    if cfg.virial_radius > 0:
-        weight = VirialWeight(cfg.grid(), cfg.virial_radius)
 
+def _march(runs: list) -> list:
+    """The trajectory logs of one stack's prepared runs."""
+    cfg = runs[0].cfg
+    weight = VirialWeight(cfg.grid(), cfg.virial_radius) if cfg.virial_radius > 0 else None
     # a run keeps only the checkpoints it reads: all of them for a standing
     # wave's stationarity, else those of the proxy's Cauchy test
-    standing = _is_standing_wave(cfg)
-    log = evolve(
-        u0,
-        cfg.model,
-        cfg.stepper,
-        virial_weight=weight,
-        whole_space_virial=cfg.whole_space_virial,
-        bounded_checkpoints=not standing,
-    )
+    kwargs = {"virial_weight": weight, "whole_space_virial": cfg.whole_space_virial,
+              "bounded_checkpoints": not _is_standing_wave(cfg)}
+    if len(runs) == 1:
+        # a lone run through evolve, the name perfbench's tracer wraps
+        return [evolve(runs[0].u0, cfg.model, cfg.stepper, **kwargs)]
+    return evolve_stack([run.u0 for run in runs], cfg.model, cfg.stepper, **kwargs)
+
+
+def _finish(run: _Run, log) -> Path:
+    """Write a marched run's artifacts, the summary last."""
+    cfg, out, u0, gs = run.cfg, run.out, run.u0, run.gs
+    critical_mass = gs.mass if gs is not None and cfg.model.equation == "E2" else None
 
     # For the model's standing wave the modulus should sit still; track
     # the worst relative L2 deviation over stored fields.
     stationarity = None
-    if standing:
+    if _is_standing_wave(cfg):
         ref = np.abs(u0.values)
         ref_norm = float(np.sqrt(np.sum(ref**2)))
         # the final state of a completed run is its last checkpoint
@@ -629,7 +678,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     if gs is not None:
         _write_groundstate(out / "groundstate.csv", gs)
     (out / "config.ini").write_text(serialize_config(cfg))
-    solves, shots, solve_s = (b - a for a, b in zip(cost_before, solve_cost()))
+    solves, shots, solve_s = run.solve_cost
 
     summary = {
         "format": 1,
@@ -640,8 +689,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
             "dt_used": log.dt_used,
             "n_steps": log.n_steps,
         },
-        "initial_data": notes,
-        "verdict": verdict_obj,
+        "initial_data": run.notes,
+        "verdict": run.verdict,
         "outcome": log.outcome,
         "abort_time": log.abort_time,
         "abort_detail": log.abort_detail,
@@ -654,7 +703,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         "blowup": asdict(detect_blowup(log)),
         "snapshots_recorded": len(log.snapshots),
         "timing": {
-            "wall_seconds": time.monotonic() - started,
+            "wall_seconds": time.monotonic() - run.started,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "groundstate.solve_s": solve_s,
             "groundstate.solves": solves,
@@ -664,8 +713,61 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     # written last and renamed into place: a summary means the run finished
     tmp = out / "summary.json.tmp"
     tmp.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, summary_path)
+    os.replace(tmp, out / "summary.json")
     return out
+
+
+def run_experiments(jobs) -> list:
+    """Execute (config, out_dir or None) jobs; returns, per job in order,
+    its run directory or the exception that stopped it.
+
+    The jobs of one plan_stacks stack march together through
+    evolve_stack: each is prepared (its directory cleared, its initial
+    data built and classified, evolve's preconditions checked), the ones
+    that passed march as one stack, and each is finished (artifacts
+    written, the summary last).  A job that fails stops alone; a failed
+    march stops its stack.  Each summary's timing block counts the
+    ground-state solves of its own preparation, and its wall_seconds runs
+    from that preparation to its summary, so it covers the march its
+    stack shares.
+    """
+    results: list = [None] * len(jobs)
+    for stack in plan_stacks([cfg for cfg, _ in jobs]):
+        # one stack's fields and logs at a time
+        _run_stack(jobs, stack, results)
+    return results
+
+
+def _run_stack(jobs, stack, results) -> None:
+    """Prepare, march and finish the jobs of one stack, into results."""
+    runs = {}
+    for i in stack:
+        try:
+            runs[i] = _prepare(*jobs[i])
+        except Exception as exc:
+            results[i] = exc
+    if not runs:
+        return
+    try:
+        logs = _march(list(runs.values()))
+    except Exception as exc:
+        for i in runs:
+            results[i] = exc
+        return
+    for (i, run), log in zip(runs.items(), logs):
+        try:
+            results[i] = _finish(run, log)
+        except Exception as exc:
+            results[i] = exc
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
+    """Execute one config; returns the run directory.  run_experiments on
+    one job, whose exception, if any, is raised."""
+    (result,) = run_experiments([(cfg, out_dir)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # -- reporting ----------------------------------------------------------------

@@ -13,9 +13,9 @@ Momentum is conserved as well: the nonlinear phase depends on |u| only,
 and the integral of |u|^2 times the gradient of that phase over the torus
 is the integral of an exact gradient.
 
-strang_step() and evolve() share one kernel.  Because P leaves |u|
-unchanged, P(dt/2) P(dt/2) = P(dt) exactly, so m consecutive steps are
-marched as the fused composition (Strang 1968)
+strang_step(), evolve() and evolve_stack() share one kernel.  Because
+P leaves |u| unchanged, P(dt/2) P(dt/2) = P(dt) exactly, so m
+consecutive steps are marched as the fused composition (Strang 1968)
 
     P(dt/2) F(dt) [P(dt) F(dt)]^(m-1) P(dt/2)
 
@@ -32,7 +32,8 @@ the same order as the plain theta = sum mu |u|^(2e); theta *= -tau,
 except that a multiply by mu = 1 is skipped and one by mu = -1 becomes a
 negation or a subtraction, which IEEE arithmetic makes exact.  The phase
 cos(theta) + i sin(theta) takes cos and sin only over the flat index
-window spanning every point with |theta| >= 2^-27; outside it the phase
+window spanning every point with |theta| >= 2^-27 or NaN, found as the
+first and last False of the mask |theta| < 2^-27; outside it the phase
 is 1 + i theta.  That is exact, not an approximation: for |theta| < 2^-27,
 theta^2/2 < 2^-55, so 1 and theta are the correctly rounded cos and sin,
 and numpy returns them (tests/test_propagator.py checks this premise, and
@@ -50,6 +51,45 @@ couplings zero the kernel is the free-flow multiplier alone, with the
 symbol as the left operand: bit-identical to spectral.free_evolve on
 fields under spectral._ELIDED_BYTES, and equal to rounding on larger
 ones, where free_evolve keeps numpy's spectrum-first order.
+
+evolve_stack() marches B flights that share a grid, a model and a
+stepper as one array of shape (B, *grid); evolve() is a stack of one.
+On the small grids of a threshold sweep a step is bound by numpy's
+per-call overhead, not by arithmetic, so one ufunc or FFT call serving
+B flights saves most of the cost of B - 1 calls, and numpy's pocketfft
+runs two or more lines through its multi-line SIMD path.  The FFTs run
+over the trailing grid axes only and every other operation is
+elementwise; numpy transforms each line of a stack to the bits it gives
+the line alone (tests/test_propagator.py checks this), so every flight
+stays bitwise its lone march.  The cos/sin window is the flat window of
+the union of the flights' masks; where it is wider than a flight's own,
+cos and sin return that flight's 1 and theta, so no bit moves.  A march
+of one flight runs in its grid's shape and makes no numpy call that a
+lone march would not.  The exception is a NaN's sign, which numpy's
+multi-line FFT may flip: a flight that overflows is marched again alone
+from the start of the segment, so its abort state is bitwise too.  A
+flight that stops leaves the stack, the others being copied into a
+smaller array.
+
+A stack holds at most _STACK_BYTES = 128 KiB of fields
+(_stack_capacity).  CPU time per flight-step of a stack of B against
+one flight in its grid's shape, on a 2-core Intel Xeon guest (Python
+3.11.7, numpy 2.4.6), medians of alternating batches, for a Gaussian
+bump / complex white noise:
+
+    grid        KiB/field   B = 2         B = 3         B = 4
+    1-D 1024       16       0.72 / 0.79   0.64 / 0.69   0.54 / 0.60
+    1-D 2048       32       0.73 / 0.78   0.70 / 0.74   0.61 / 0.67
+    1-D 4096       64       0.87 / 0.87   0.84 / 0.85   0.78 / 0.77
+    1-D 8192      128       0.80 / 0.88   0.82 / 0.86   0.77 / 0.78
+    2-D 64^2       64       0.91 / 0.93   0.80 / 0.86   0.85 / 0.84
+    2-D 128^2     256       1.01 / 0.99   1.03 / 0.97   1.04 / 0.99
+
+Every stack of at most 128 KiB gained (x0.54 to x0.93).  Past that the
+gain is not reliable: the FFT pair alone of a (2, 8192) noise stack
+costs x1.34 to x1.41 per flight (x0.70 at 1024 and 4096 points), and
+2-D stacks of 128^2 fields gain nothing.  So a field over 128 KiB
+marches alone.
 
 evolve() marches to t_final, records functional snapshots at a fixed step
 cadence, and aborts the moment the recorded diagnostics say the grid has
@@ -88,6 +128,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,6 +160,7 @@ __all__ = [
     "ScatterReport",
     "strang_step",
     "evolve",
+    "evolve_stack",
     "detect_blowup",
     "scattering_proxy",
 ]
@@ -264,27 +306,52 @@ def _nonlinear_terms(mp: ModelParams, couplings: tuple | None = None) -> tuple:
 _TINY_PHASE = 2.0**-27
 
 
-def _workspace(shape) -> tuple:
-    """The kernel's buffers: complex phase, |u|^2, theta, mask."""
-    return (np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape),
-            np.empty(shape, dtype=bool))
+class _Workspace(NamedTuple):
+    """The rotation's buffers for values of one shape, (flights, *grid) or
+    the grid's, with the views it reads them through."""
+
+    phase: np.ndarray       # complex phase; its float64 storage is scratch until built
+    squares: tuple          # that storage's (re*re, im*im) halves of each pair
+    a2: np.ndarray          # |u|^2
+    scratch: np.ndarray     # the storage's first half, shaped as a2
+    theta: np.ndarray
+    small: np.ndarray       # |theta| < _TINY_PHASE
+    rows: tuple             # theta, phase.real, phase.imag, small as (flights, grid
+                            # points), or flat for one flight
+    union: np.ndarray       # small in every flight, per grid point: a buffer of its
+                            # own for a stack, the flat small for one flight
+
+
+def _workspace(shape, rank: int) -> _Workspace:
+    """Buffers and views for values of the given shape whose last rank axes
+    are the grid."""
+    phase = np.empty(shape, dtype=np.complex128)
+    a2, theta = np.empty(shape), np.empty(shape)
+    small = np.empty(shape, dtype=bool)
+    flights = math.prod(shape[:len(shape) - rank])
+    rows = (flights, -1) if flights > 1 else (-1,)
+    flat = phase.reshape(rows)
+    squares = phase.view(np.float64)
+    return _Workspace(
+        phase, (squares[..., 0::2], squares[..., 1::2]), a2,
+        squares.reshape(-1)[:a2.size].reshape(shape), theta, small,
+        (theta.reshape(rows), flat.real, flat.imag, small.reshape(rows)),
+        np.empty(flat.shape[-1], dtype=bool) if flights > 1 else small.reshape(-1),
+    )
 
 
 def _rotate(values, tau, terms, ws):
     """P(tau) in place: u <- u exp(-i tau sum mu |u|^(2e)), through the
     buffers ws of _workspace.  cos and sin run only over the flat index
-    window holding every theta that is NaN or at least _TINY_PHASE in
-    size; outside it the phase is 1 + i theta, the values they return
-    there (see the module docstring)."""
-    phase, a2, theta, wide = ws
-    # until the phase is built, its float64 storage is scratch: |u|^2 =
-    # re*re + im*im squares the interleaved pairs there in one contiguous
-    # pass, then adds them; its first half then takes the second power
-    # term and |theta|
-    squares = np.multiply(values.view(np.float64), values.view(np.float64),
-                          out=phase.view(np.float64))
-    np.add(squares[..., 0::2], squares[..., 1::2], out=a2)
-    scratch = squares.reshape(-1)[:a2.size].reshape(a2.shape)
+    window of grid points holding every theta, in any flight, that is NaN
+    or at least _TINY_PHASE in size; outside it the phase is 1 + i theta,
+    the values they return there (see the module docstring)."""
+    # |u|^2 = re*re + im*im: the interleaved pairs are squared in one
+    # contiguous pass into the phase's storage, then added; the storage's
+    # first half then takes the second power term and |theta|
+    np.multiply(values.view(np.float64), values.view(np.float64), out=ws.phase.view(np.float64))
+    a2, scratch, theta = ws.a2, ws.scratch, ws.theta
+    np.add(*ws.squares, out=a2)
     (mu, e), *rest = terms
     acc = _abs2_power(a2, e, out=theta)
     if mu == -1.0:
@@ -302,30 +369,34 @@ def _rotate(values, tau, terms, ws):
     np.multiply(acc, -tau, out=theta)
 
     np.abs(theta, out=scratch)
-    np.less(scratch, _TINY_PHASE, out=wide)
-    np.logical_not(wide, out=wide)
-    wide, theta, phase = wide.reshape(-1), theta.reshape(-1), phase.reshape(-1)
-    n = wide.size
-    lo = int(wide.argmax())
-    hi = n - int(wide[::-1].argmax()) if wide[lo] else lo
-    np.cos(theta[lo:hi], out=phase.real[lo:hi])
-    np.sin(theta[lo:hi], out=phase.imag[lo:hi])
+    np.less(scratch, _TINY_PHASE, out=ws.small)
+    th, re, im, small = ws.rows
+    if small.ndim > 1:
+        np.all(small, axis=0, out=ws.union)
+    small = ws.union
+    n = small.size
+    lo = int(small.argmin())
+    hi = lo if small[lo] else n - int(small[::-1].argmin())
+    np.cos(th[..., lo:hi], out=re[..., lo:hi])
+    np.sin(th[..., lo:hi], out=im[..., lo:hi])
     for part in (slice(0, lo), slice(hi, n)):
-        phase.real[part] = 1.0
-        phase.imag[part] = theta[part]
-    np.multiply(values, phase.reshape(values.shape), out=values)
+        re[..., part] = 1.0
+        im[..., part] = th[..., part]
+    np.multiply(values, ws.phase, out=values)
 
 
 def _free(values, kin):
-    """F(dt) in place, the symbol as the left operand (numpy's complex
-    product is not bitwise commutative)."""
-    _transform(np.fft.fft, values, values)
+    """F(dt) in place over the grid axes, the last kin.ndim; the symbol is
+    the left operand (numpy's complex product is not bitwise commutative)."""
+    _transform(np.fft.fft, values, values, kin.ndim)
     np.multiply(kin, values, out=values)
-    _transform(np.fft.ifft, values, values)
+    _transform(np.fft.ifft, values, values, kin.ndim)
 
 
 def _advance(values, n, dt, terms, kin):
-    """n Strang steps of size dt, in place.
+    """n Strang steps of size dt, in place.  values is one field on kin's
+    grid or a stack of them, (flights, *grid): every flight takes the same
+    steps, each bitwise as it would alone.
 
     Adjacent half-steps merge, P(dt/2) P(dt/2) = P(dt), because P leaves
     |u| unchanged; the closing half-step is applied once, after the last
@@ -336,7 +407,7 @@ def _advance(values, n, dt, terms, kin):
         for _ in range(n):
             _free(values, kin)
         return
-    ws = _workspace(values.shape)
+    ws = _workspace(values.shape, kin.ndim)
     _rotate(values, 0.5 * dt, terms, ws)
     for _ in range(n - 1):
         _free(values, kin)
@@ -399,6 +470,32 @@ def _late_quarter_start(t_end: float, t_start: float = 0.0) -> float:
     return t_end - 0.25 * span - 1e-12 * max(span, 1.0)
 
 
+# a stack's fields together stay within this many bytes: every stack
+# measured under it gained, and past it the gain is not reliable (see the
+# module docstring)
+_STACK_BYTES = 128 * 1024
+
+
+def _stack_capacity(grid: GridSpec) -> int:
+    """How many flights on grid march as one stack: as many as fit in
+    _STACK_BYTES, and at least one."""
+    return max(1, _STACK_BYTES // (16 * grid.size))
+
+
+def _check_initial_data(u0: ComplexField, cfg: StepperConfig) -> None:
+    """evolve()'s preconditions on u0: finite samples, and edge mass within
+    cfg.edge_mass_max; ValueError names the one that fails."""
+    if u0.allow_nonfinite and not np.all(np.isfinite(u0.values)):
+        # a loaded field may hold NaN or inf for post-mortems; not as data
+        raise ValueError("initial data contains non-finite samples")
+    edge0 = edge_mass_fraction(u0, cfg.edge_cells)
+    if edge0 > cfg.edge_mass_max:
+        raise ValueError(
+            f"initial data violates the edge-decay precondition: "
+            f"edge mass fraction {edge0:.3e} > {cfg.edge_mass_max:.3e}"
+        )
+
+
 def evolve(
     u0: ComplexField,
     mp: ModelParams,
@@ -423,31 +520,52 @@ def evolve(
     _late_quarter_start(n_steps * dt_used), which scattering_proxy never
     reads, so the log holds u0, the late-quarter checkpoints and the final
     or abort state.
+
+    This is evolve_stack() on a stack of one.
+    """
+    return evolve_stack([u0], mp, cfg, virial_weight=virial_weight,
+                        whole_space_virial=whole_space_virial,
+                        bounded_checkpoints=bounded_checkpoints)[0]
+
+
+def evolve_stack(
+    u0s: list,
+    mp: ModelParams,
+    cfg: StepperConfig,
+    *,
+    virial_weight: VirialWeight | None = None,
+    whole_space_virial: bool = False,
+    bounded_checkpoints: bool = False,
+) -> list:
+    """March flights that share a grid, a model and a stepper as one stack,
+    (flights, *grid), and return their logs in order.
+
+    Each log is bitwise the one evolve() returns for its flight alone:
+    every flight records, aborts and checkpoints on its own, as evolve()
+    describes, and one that stops leaves the stack, the others being
+    copied into a smaller array.  Every flight must meet evolve()'s
+    preconditions, or ValueError is raised before any step.  A stack
+    should hold no more than _stack_capacity(grid) flights, past which
+    the gain of stacking is not reliable.
     """
     if virial_weight is not None and whole_space_virial:
         raise ValueError("choose localized or whole-space virial rows, not both")
-    if u0.allow_nonfinite and not np.all(np.isfinite(u0.values)):
-        # a loaded field may hold NaN or inf for post-mortems; not as data
-        raise ValueError("initial data contains non-finite samples")
-    edge0 = edge_mass_fraction(u0, cfg.edge_cells)
-    if edge0 > cfg.edge_mass_max:
-        raise ValueError(
-            f"initial data violates the edge-decay precondition: "
-            f"edge mass fraction {edge0:.3e} > {cfg.edge_mass_max:.3e}"
-        )
+    grid = u0s[0].grid
+    if any(u0.grid != grid for u0 in u0s):
+        raise ValueError("the flights of a stack must share one grid")
+    for u0 in u0s:
+        _check_initial_data(u0, cfg)
 
-    grid = u0.grid
     terms = _nonlinear_terms(mp)
     n_steps = max(int(round(cfg.t_final / cfg.dt)), 1)
     dt = cfg.t_final / n_steps
     kin = _kinetic_phase(grid, dt)
     wsym = derivative_weight_multiplier(grid, mp.s_p).symbol
     mcp = mp.mc_power
-
-    log = TrajectoryLog(params=mp, config=cfg, dt_used=dt, n_steps=n_steps)
     keep_from = _late_quarter_start(n_steps * dt) if bounded_checkpoints else -math.inf
+    logs = [TrajectoryLog(params=mp, config=cfg, dt_used=dt, n_steps=n_steps) for _ in u0s]
 
-    def record(f, t):
+    def record(log, f, t):
         # one forward FFT and one |u| per record, shared by every diagnostic
         spec = _transform(np.fft.fft, f.values, np.empty_like(f.values))
         a = np.abs(f.values)
@@ -462,70 +580,95 @@ def evolve(
             )
         return _scatter_integrand(spec, grid, wsym, mcp)
 
-    last_g = record(u0, 0.0)
-    log.checkpoints.append((0.0, u0))
-    values = u0.values.copy()
-    accum = 0.0
-    log.scatter_series.append(accum)
-    last_t = 0.0
+    # each flight's scattering integrand at its last record, summed by the
+    # left-endpoint rule at its next one
+    pending = []
+    for log, u0 in zip(logs, u0s):
+        pending.append(record(log, u0, 0.0))
+        log.checkpoints.append((0.0, u0))
+        log.scatter_series.append(0.0)
+    values = np.stack([u0.values for u0 in u0s])
+    live = list(range(len(u0s)))     # the log of each row of values
 
     step = 0
-    while step < n_steps:
-        # march straight to the next step whose state is observed
+    while live:
+        # march straight to the next step whose state is observed; one
+        # flight marches in its grid's shape
         target = min(n_steps, (step // cfg.snapshot_every + 1) * cfg.snapshot_every)
         if cfg.checkpoint_every:
             target = min(target, (step // cfg.checkpoint_every + 1) * cfg.checkpoint_every)
-        _advance(values, target - step, dt, terms, kin)
-        step = target
+        # a stack keeps its start, from which a flight that overflows is
+        # marched again alone: numpy's multi-line FFT may give a NaN the
+        # other sign
+        start = values.copy() if len(live) > 1 else None
+        _advance(values[0] if start is None else values, target - step, dt, terms, kin)
+        chunk, step = target - step, target
         t = step * dt
+        recorded = step % cfg.snapshot_every == 0 or step == n_steps
+        if np.all(np.isfinite(values)):
+            finite = [True] * len(live)
+        else:
+            finite = np.isfinite(values).reshape(len(live), -1).all(axis=1)
 
-        if not np.all(np.isfinite(values)):
-            # overflow between snapshots: grid-scale concentration, so the
-            # last good record's growth decides
-            _, blowup = _blowup_criterion(log, len(log.snapshots) - 1, cfg, math.inf)
-            log.outcome = "blowup_detected" if blowup else "resolution_lost"
-            log.abort_time = t
-            log.abort_detail = f"non-finite amplitudes at t = {t:.6g}"
-            log.final_state = ComplexField(grid, values, allow_nonfinite=True)
-            return log
+        stopped = []
+        for row, i in enumerate(live):
+            log = logs[i]
+            if not finite[row]:
+                # overflow between snapshots: grid-scale concentration, so
+                # the last good record's growth decides
+                _, blowup = _blowup_criterion(log, len(log.snapshots) - 1, cfg, math.inf)
+                log.outcome = "blowup_detected" if blowup else "resolution_lost"
+                log.abort_time = t
+                log.abort_detail = f"non-finite amplitudes at t = {t:.6g}"
+                state = values[row]
+                if start is not None:
+                    state = start[row]
+                    _advance(state, chunk, dt, terms, kin)
+                log.final_state = ComplexField(grid, state, allow_nonfinite=True)
+                stopped.append(row)
+                continue
 
-        if step % cfg.snapshot_every and step != n_steps:
-            if t >= keep_from:
-                log.checkpoints.append((t, ComplexField(grid, values)))
-            continue
+            if not recorded:
+                if t >= keep_from:
+                    log.checkpoints.append((t, ComplexField(grid, values[row])))
+                continue
 
-        f = ComplexField(grid, values)
-        g = record(f, t)
-        accum += (t - last_t) * last_g
-        log.scatter_series.append(accum)
-        last_g, last_t = g, t
+            f = ComplexField(grid, values[row])
+            g = record(log, f, t)
+            # times[-2] is the previous record's
+            log.scatter_series.append(log.scatter_series[-1] + (t - log.times[-2]) * pending[i])
+            pending[i] = g
 
-        tail = log.tail_fractions[-1]
-        edge = log.edge_fractions[-1]
-        _, blowup = _blowup_criterion(log, len(log.snapshots) - 1, cfg, tail)
-        if blowup:
-            log.outcome = "blowup_detected"
-            log.abort_detail = blowup
-        elif tail > cfg.tail_fraction_max:
-            log.outcome = "resolution_lost"
-            log.abort_detail = f"spectral tail fraction {tail:.3e}"
-        elif edge > cfg.edge_mass_max:
-            log.outcome = "box_escape"
-            log.abort_detail = f"edge mass fraction {edge:.3e}"
-        if log.outcome != "running":
-            log.abort_time = t
-            log.checkpoints.append((t, f))
-            log.final_state = f
-            return log
+            tail = log.tail_fractions[-1]
+            edge = log.edge_fractions[-1]
+            _, blowup = _blowup_criterion(log, len(log.snapshots) - 1, cfg, tail)
+            if blowup:
+                log.outcome = "blowup_detected"
+                log.abort_detail = blowup
+            elif tail > cfg.tail_fraction_max:
+                log.outcome = "resolution_lost"
+                log.abort_detail = f"spectral tail fraction {tail:.3e}"
+            elif edge > cfg.edge_mass_max:
+                log.outcome = "box_escape"
+                log.abort_detail = f"edge mass fraction {edge:.3e}"
+            if log.outcome != "running":
+                log.abort_time = t
+                log.checkpoints.append((t, f))
+                log.final_state = f
+                stopped.append(row)
+            elif step == n_steps:
+                log.outcome = "completed"
+                log.checkpoints.append((t, f))
+                log.final_state = f
+                stopped.append(row)
+            elif cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and t >= keep_from:
+                log.checkpoints.append((t, f))
 
-        if (cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and step != n_steps
-                and t >= keep_from):
-            log.checkpoints.append((t, f))
-
-    log.outcome = "completed"
-    log.checkpoints.append((log.times[-1], f))
-    log.final_state = f
-    return log
+        if stopped:
+            rows = [row for row in range(len(live)) if row not in stopped]
+            values = values[rows]
+            live = [live[row] for row in rows]
+    return logs
 
 
 # -- outcome analysis ---------------------------------------------------------

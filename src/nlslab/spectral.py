@@ -124,6 +124,34 @@ class GridSpec:
         return tuple(k.reshape((-1,) + (1,) * (self.d - 1 - ax)) for ax in range(self.d))
 
     @cached_property
+    def tail_mask(self) -> np.ndarray:
+        """Modes in the spectral tail: any wavenumber component at least
+        2/3 of the axis maximum in size."""
+        k_edge = np.max(np.abs(self.frequencies))
+        mask = np.zeros(self.shape, dtype=bool)
+        for axis_k in self.k_coords:
+            mask |= np.abs(axis_k) >= (2.0 / 3.0) * k_edge
+        mask.flags.writeable = False
+        return mask
+
+    def edge_mask(self, cells: int) -> np.ndarray:
+        """Sites within `cells` lattice sites of the box boundary, kept per
+        cells value."""
+        mask = self._edge_masks.get(cells)
+        if mask is None:
+            margin = cells * self.dx
+            mask = np.zeros(self.shape, dtype=bool)
+            for x in self.coords:
+                mask |= (x >= self.half_width - margin) | (x < -self.half_width + margin)
+            mask.flags.writeable = False
+            self._edge_masks[cells] = mask
+        return mask
+
+    @cached_property
+    def _edge_masks(self) -> dict:
+        return {}
+
+    @cached_property
     def k_squared(self) -> np.ndarray:
         k2 = sum(k**2 for k in self.k_coords)
         k2.flags.writeable = False
@@ -231,15 +259,19 @@ def low_pass_multiplier(grid: GridSpec, radius: float) -> FourierMultiplier:
 
 # -- transforms ---------------------------------------------------------------
 
-def _transform(fn, src, out):
-    """fn (np.fft.fft or np.fft.ifft) along every axis of src, into out.
+def _transform(fn, src, out, rank=None):
+    """fn (np.fft.fft or np.fft.ifft) along the last rank axes of src (every
+    axis when None), into out.
 
     One axis at a time through numpy.fft's out= (numpy 2.0 or later), last
     axis first, the order in which fftn and ifftn visit them, so it is
     their arithmetic bit for bit without their per-call argument handling
-    or a new array per axis.  out may be src.
+    or a new array per axis.  Leading axes beyond rank index separate
+    fields, each transformed as fftn would transform it alone.  out may be
+    src.
     """
-    for axis in range(src.ndim - 1, -1, -1):
+    first = 0 if rank is None else src.ndim - rank
+    for axis in range(src.ndim - 1, first - 1, -1):
         fn(src, axis=axis, out=out)
         src = out
     return out
@@ -357,11 +389,8 @@ def spectral_tail_fraction(f: ComplexField, *, spectrum=None) -> float:
     total = float(np.sum(spec))
     if total == 0.0:
         return 0.0
-    k_edge = np.max(np.abs(f.grid.frequencies))
-    mask = np.zeros(f.grid.shape, dtype=bool)
-    for axis_k in f.grid.k_coords:
-        mask |= np.abs(axis_k) >= (2.0 / 3.0) * k_edge
-    return float(np.sum(spec[mask])) / total
+    return float(np.sum(spec[f.grid.tail_mask])) / total
+
 
 def edge_mass_fraction(f: ComplexField, cells: int = 4, *, modulus=None) -> float:
     """Mass fraction within `cells` lattice sites of the box boundary.
@@ -370,9 +399,4 @@ def edge_mass_fraction(f: ComplexField, cells: int = 4, *, modulus=None) -> floa
     total = float(np.sum(dens))
     if total == 0.0:
         return 0.0
-    g = f.grid
-    margin = cells * g.dx
-    mask = np.zeros(g.shape, dtype=bool)
-    for x in g.coords:
-        mask |= (x >= g.half_width - margin) | (x < -g.half_width + margin)
-    return float(np.sum(dens[mask])) / total
+    return float(np.sum(dens[f.grid.edge_mask(cells)])) / total

@@ -11,6 +11,7 @@ import pytest
 
 import nlslab
 from nlslab.cli import main
+from nlslab.experiment import load_config, plan_stacks
 
 MODEL = """
 [model]
@@ -243,6 +244,60 @@ def test_evolve_reports_every_job_when_one_fails(tmp_path, capsys, threads):
     assert lines[2] == f"{tmp_path / 'X' / 'c'}: completed"
     assert (tmp_path / "X" / "c" / "summary.json").is_file()
     assert not (tmp_path / "X" / "b" / "summary.json").exists()
+
+
+def _artifacts(run_dir: Path) -> dict:
+    """Every file of a run directory, the summary without its timing block."""
+    out = {}
+    for path in sorted(run_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "summary.json":
+            summary = json.loads(data)
+            del summary["timing"]
+            data = json.dumps(summary, sort_keys=True).encode()
+        out[path.name] = data
+    return out
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_stacked_runs_write_what_lone_runs_write(tmp_path, capsys, threads):
+    # a0/a1/d share a grid and a stepper, so do b0/b1; c is alone on its grid
+    stems = {
+        "a0": QUICK,
+        "b0": BLOWUP,
+        "c": QUICK.replace("n_per_axis = 256", "n_per_axis = 512"),
+        "d": QUICK.replace("amplitude = 0.8", WIDE),
+        "b1": BLOWUP.replace("c = 1.3", "c = 1.4"),
+        "a1": QUICK.replace("amplitude = 0.8", "amplitude = 0.7"),
+    }
+    paths = {stem: _write(tmp_path, f"{stem}.ini", text) for stem, text in stems.items()}
+    assert plan_stacks([load_config(path) for path in paths.values()]) == [
+        [0, 3, 5], [1, 4], [2]]
+    together = tmp_path / "together"
+    argv = ["evolve", "--out", str(together), "--threads", threads]
+    for path in paths.values():
+        argv += ["--config", path]
+    capsys.readouterr()
+    assert main(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+
+    expected = []
+    for stem, path in paths.items():
+        alone = tmp_path / "alone" / stem
+        code = main(["evolve", "--config", path, "--out", str(alone)])
+        line = capsys.readouterr().out.strip()
+        expected.append((line.replace(str(alone), str(together / stem)), code))
+        if stem == "d":
+            assert code == 3 and "edge-decay precondition" in line
+            assert not (together / stem / "summary.json").exists()
+            continue
+        assert _artifacts(together / stem) == _artifacts(alone)
+    assert lines == [line for line, _ in expected]
+    assert [code for _, code in expected] == [0, 3, 0, 3, 3, 0]
+
+    aborts = [json.loads((together / stem / "summary.json").read_text())["abort_time"]
+              for stem in ("b0", "b1")]
+    assert None not in aborts and aborts[0] != aborts[1]
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):

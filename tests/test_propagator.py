@@ -517,6 +517,110 @@ def test_tiny_phases_have_exact_cos_and_sin():
                                   whole[lo:hi].view(np.float64))
 
 
+@pytest.mark.parametrize("n", [512, 4096, 8192])
+def test_fft_of_a_stack_is_each_rows_own_fft_bitwise(n):
+    # the premise of stacked marches: numpy transforms every line of a
+    # stack, in its multi-line path, to the bits it gives the line alone
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    for fn in (np.fft.fft, np.fft.ifft):
+        whole = fn(stack, axis=-1, out=stack.copy())
+        for row, line in zip(whole, stack):
+            alone = fn(line.copy(), out=np.empty_like(line))
+            assert np.array_equal(row.view(np.float64), alone.view(np.float64))
+
+
+def _bump(grid, amplitude, center=0.0):
+    return field_from_function(
+        grid, lambda *x: amplitude * (1.0 + 0.1 * x[0])
+        * np.exp(-((x[0] - center) ** 2 + sum(c**2 for c in x[1:]))))
+
+
+@pytest.mark.parametrize("mp, grid, rows", [
+    # windows at either side of the box, and one with no cos or sin at all
+    (MP1, G1, [("bump", 1.0, -6.0), ("bump", 1.0, 6.0), ("bump", 1e-5, 0.0)]),
+    # a window over the whole grid beside a partial and an empty one
+    (MP1, G1, [("flat", 2.0, 0.0), ("bump", 1.0, 3.0), ("bump", 1e-5, 0.0)]),
+    # a row that overflows to inf and NaN beside two that stay finite
+    (MP1, G1, [("bump", 1.0, 0.0), ("bump", 1e80, 0.0), ("bump", 1e-5, 0.0)]),
+    (ModelParams(d=2, p=4.0, omega=1.0, equation="E2"), G2,
+     [("bump", 0.8, -2.0), ("bump", 0.8, 2.5)]),
+], ids=["partial_partial_empty", "full_partial_empty", "non_finite_row", "2d_pair"])
+def test_a_stack_marches_each_row_as_it_marches_alone(mp, grid, rows):
+    dt, n = 1e-3, 25
+    fields = []
+    for shape, amplitude, center in rows:
+        f = _bump(grid, amplitude, center).values
+        fields.append(f + amplitude if shape == "flat" else f)
+    terms = propagator._nonlinear_terms(mp)
+    kin = propagator._kinetic_phase(grid, dt)
+    stack = np.stack(fields)
+    with np.errstate(all="ignore"):
+        propagator._advance(stack, n, dt, terms, kin)
+        for row, f in zip(stack, fields):
+            alone = f.copy()
+            propagator._advance(alone, n, dt, terms, kin)
+            # NaN where the lone march has NaN, every other sample bitwise;
+            # numpy's multi-line FFT may give a NaN the other sign
+            nan = np.isnan(alone.view(np.float64))
+            assert np.array_equal(np.isnan(row.view(np.float64)), nan)
+            assert np.array_equal(row.view(np.int64)[~nan], alone.view(np.int64)[~nan])
+    finite = np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
+    assert finite.tolist() == [amplitude < 1e10 for _, amplitude, _ in rows]
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_evolve_stack_logs_are_each_flights_evolve_log(double_gs, bounded):
+    g = GridSpec(d=1, n_per_axis=1024, half_width=15.0)
+    q = ground_state_field(double_gs, g)
+    # two blow-ups that abort at different records, a flight that runs to
+    # t_final, and one that overflows before its first record
+    u0s = [ComplexField(g, c * q.values) for c in (1.3, 1.4, 0.7, 1e60)]
+    cfg = StepperConfig(dt=1e-5, t_final=0.03, snapshot_every=25, checkpoint_every=10,
+                        blowup_grad_factor=10.0, tail_fraction_max=3e-3,
+                        edge_mass_max=1e-8)
+    with np.errstate(all="ignore"):
+        stacked = propagator.evolve_stack(u0s, MP1, cfg, virial_weight=VirialWeight(g, 4.0),
+                                          bounded_checkpoints=bounded)
+    assert [log.outcome for log in stacked] == ["blowup_detected", "blowup_detected",
+                                                "completed", "resolution_lost"]
+    assert stacked[0].abort_time != stacked[1].abort_time
+    assert stacked[3].abort_detail.startswith("non-finite amplitudes")
+
+    def bits(f):
+        return f.values.view(np.int64).tobytes()
+
+    def same(a, b):
+        # equal reprs: every float bitwise, -0.0 apart from 0.0, except
+        # that NaN matches NaN (the overflowing flight's record at t = 0)
+        return repr(a) == repr(b)
+
+    for u0, log in zip(u0s, stacked):
+        with np.errstate(all="ignore"):
+            alone = evolve(u0, MP1, cfg, virial_weight=VirialWeight(g, 4.0),
+                           bounded_checkpoints=bounded)
+        for name in ("outcome", "abort_time", "abort_detail", "times", "snapshots",
+                     "tail_fractions", "edge_fractions", "scatter_series", "virial_rows"):
+            assert same(getattr(log, name), getattr(alone, name)), name
+        assert [t for t, _ in log.checkpoints] == [t for t, _ in alone.checkpoints]
+        assert [bits(f) for _, f in log.checkpoints] == [bits(f) for _, f in alone.checkpoints]
+        assert log.checkpoints[0][1] is u0
+        assert bits(log.final_state) == bits(alone.final_state)
+
+
+def test_evolve_stack_refuses_a_bad_flight_before_any_step():
+    g = GridSpec(d=1, n_per_axis=256, half_width=5.0)
+    good = field_from_function(g, lambda x: np.exp(-x**2) + 0j)
+    edgy = field_from_function(g, lambda x: np.exp(-((x - 4.9) ** 2) / 0.01))
+    cfg = StepperConfig(dt=1e-3, t_final=0.1, edge_mass_max=1e-10)
+    with pytest.raises(ValueError, match="edge-decay precondition"):
+        propagator.evolve_stack([good, edgy], MP1, cfg)
+    other = field_from_function(GridSpec(d=1, n_per_axis=128, half_width=5.0),
+                                lambda x: np.exp(-x**2) + 0j)
+    with pytest.raises(ValueError, match="share one grid"):
+        propagator.evolve_stack([good, other], MP1, cfg)
+
+
 # -- aborts -------------------------------------------------------------------
 
 def test_focusing_soliton_overdose_trips_the_blowup_abort(double_gs):

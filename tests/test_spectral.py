@@ -207,6 +207,33 @@ def test_edge_mass_fraction_sees_boundary_content():
     assert edge_mass_fraction(shifted) > 0.4
 
 
+@pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
+def test_monitor_masks_are_cached_read_only_and_as_built_per_call(grid):
+    # the masks spectral_tail_fraction and edge_mass_fraction built on
+    # every call before the grid kept them
+    k_edge = np.max(np.abs(grid.frequencies))
+    tail = np.zeros(grid.shape, dtype=bool)
+    for axis_k in grid.k_coords:
+        tail |= np.abs(axis_k) >= (2.0 / 3.0) * k_edge
+    assert np.array_equal(grid.tail_mask, tail)
+    assert grid.tail_mask is grid.tail_mask
+    for cells in (1, 4, 9):
+        margin = cells * grid.dx
+        edge = np.zeros(grid.shape, dtype=bool)
+        for x in grid.coords:
+            edge |= (x >= grid.half_width - margin) | (x < -grid.half_width + margin)
+        assert np.array_equal(grid.edge_mask(cells), edge)
+        assert grid.edge_mask(cells) is grid.edge_mask(cells)
+    for mask in (grid.tail_mask, grid.edge_mask(4)):
+        with pytest.raises(ValueError):
+            mask[(0,) * grid.d] = True
+    f = _rand(grid)
+    dens = np.abs(f.values) ** 2
+    spec = np.abs(np.fft.fftn(f.values)) ** 2
+    assert edge_mass_fraction(f, 9) == float(np.sum(dens[edge])) / float(np.sum(dens))
+    assert spectral_tail_fraction(f) == float(np.sum(spec[tail])) / float(np.sum(spec))
+
+
 def test_field_rejects_wrong_shape_and_nonfinite():
     g = GridSpec(d=1, n_per_axis=16, half_width=1.0)
     with pytest.raises(ValueError):
