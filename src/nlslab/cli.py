@@ -9,7 +9,7 @@ checks).
 
 Exit codes: 0 on success, 2 on config or validation failure, 3 when a
 run aborted at runtime or a selftest check failed.  evolve marches the
-configs that differ only in their initial data as one stack
+configs that share a model, a grid and a record cadence as one stack
 (experiment.plan_stacks); --threads sizes the pool that takes those
 stacks, with NLS_LAB_THREADS as fallback.  evolve refuses, before any
 run starts, configs that would write to the same directory, and prints

@@ -9,8 +9,10 @@ trajectory CSV, the initial and final fields in NLSF form, and the
 ground-state profile used for classification.  Runs are deterministic:
 random initial data is drawn from a recorded seed and everything else is
 a pure function of the config.  run_experiments marches the configs that
-differ only in their initial data as one stack (propagator.evolve_stack)
-and writes for each run the bytes it writes alone.
+share a model, a grid and a record cadence as one stack
+(propagator.evolve_stack), whatever their step sizes, horizons and abort
+thresholds, so a threshold sweep's scattering and collapse flights march
+together; it writes for each run the bytes it writes alone.
 
 emit_report folds many run directories into one CSV plus a markdown
 table with a dichotomy-agreement column (prediction versus observed
@@ -48,6 +50,7 @@ from .classifier import classify
 from .propagator import (
     StepperConfig,
     _check_initial_data,
+    _ends_on_cadence,
     _stack_capacity,
     detect_blowup,
     evolve,
@@ -593,15 +596,20 @@ class _Run:
 
 
 def _stack_key(cfg: ExperimentConfig) -> tuple:
-    """Everything of cfg that its march reads, apart from the initial state."""
-    return (cfg.model, cfg.n_per_axis, cfg.half_width, cfg.stepper, cfg.virial_radius,
+    """Everything of cfg that its stack-mates must share: what its march
+    reads apart from the initial state and, when its last step is one its
+    record cadence observes, its step size, horizon and abort thresholds."""
+    st = cfg.stepper
+    stepper = (st.snapshot_every, st.checkpoint_every) if _ends_on_cadence(st) else st
+    return (cfg.model, cfg.n_per_axis, cfg.half_width, stepper, cfg.virial_radius,
             cfg.whole_space_virial, _is_standing_wave(cfg))
 
 
 def plan_stacks(cfgs) -> list:
-    """The indices of cfgs in stacks that march together: configs that differ
-    only in [initial_data], [symmetry] and their directory, at most
-    propagator._stack_capacity of them per stack."""
+    """The indices of cfgs in stacks that march together: configs that
+    share [model], [grid], the record cadence and [outputs] (directory
+    aside), whose last steps the cadence observes (else whose [stepper] is
+    the same), at most propagator._stack_capacity of them per stack."""
     groups: dict = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault(_stack_key(cfg), []).append(i)
@@ -649,11 +657,13 @@ def _march(runs: list) -> list:
     if len(runs) == 1:
         # a lone run through evolve, the name perfbench's tracer wraps
         return [evolve(runs[0].u0, cfg.model, cfg.stepper, **kwargs)]
-    return evolve_stack([run.u0 for run in runs], cfg.model, cfg.stepper, **kwargs)
+    return evolve_stack([run.u0 for run in runs], cfg.model, [run.cfg.stepper for run in runs],
+                        **kwargs)
 
 
-def _finish(run: _Run, log) -> Path:
-    """Write a marched run's artifacts, the summary last."""
+def _finish(run: _Run, log, flights: int) -> Path:
+    """Write a marched run's artifacts, the summary last; flights is the
+    size its stack started with."""
     cfg, out, u0, gs = run.cfg, run.out, run.u0, run.gs
     critical_mass = gs.mass if gs is not None and cfg.model.equation == "E2" else None
 
@@ -708,6 +718,7 @@ def _finish(run: _Run, log) -> Path:
             "groundstate.solve_s": solve_s,
             "groundstate.solves": solves,
             "groundstate.shots": shots,
+            "propagator.stack_flights": flights,
         },
     }
     # written last and renamed into place: a summary means the run finished
@@ -729,7 +740,8 @@ def run_experiments(jobs) -> list:
     march stops its stack.  Each summary's timing block counts the
     ground-state solves of its own preparation, and its wall_seconds runs
     from that preparation to its summary, so it covers the march its
-    stack shares.
+    stack shares, with mates of other steppers too;
+    propagator.stack_flights gives the flights that march started with.
     """
     results: list = [None] * len(jobs)
     for stack in plan_stacks([cfg for cfg, _ in jobs]):
@@ -756,7 +768,7 @@ def _run_stack(jobs, stack, results) -> None:
         return
     for (i, run), log in zip(runs.items(), logs):
         try:
-            results[i] = _finish(run, log)
+            results[i] = _finish(run, log, len(runs))
         except Exception as exc:
             results[i] = exc
 

@@ -115,7 +115,10 @@ _WHICH = ("double", "mass_critical", "single_power")
 
 _TAIL_MATCH_FRACTION = 3e-6   # graft the asymptote where Q/Q(0) falls to this
 _BLEND_LENGTHS = 3.0          # blend window in units of the decay length
-_CSV_ROWS = 2048              # groundstate.csv rows per formatted chunk
+# groundstate.csv rows per formatted chunk: a chunk's row strings and float
+# lists are the formatting's transient, which a run's first write adds to
+# what its march left in the heap
+_CSV_ROWS = 512
 
 # shooting integrations and wall seconds of every solve in this process
 _spent = {"shots": 0, "seconds": 0.0}
@@ -223,7 +226,10 @@ def _integrate(a, h, n_steps, d, omega, terms, record=False):
     the one or two terms, is written out in each stage instead of called:
     a solve runs some 50-110 k steps.  Each stage keeps the operations and
     their order, and the scalar float ** (libm pow; numpy's power differs
-    from it in the last bit on some inputs).
+    from it in the last bit on some inputs).  terms are _terms' own, mu = 1
+    then mu = -1, so at x > 0 the stage takes g(x) = x**e1 (- x**e2), the
+    same float: 0.0 + y is y for y >= 0, a multiply by 1 is exact, and
+    y + (-1 * z) is y - z.  Elsewhere it keeps the copysign form.
     """
     q = float(a)
     v = 0.0
@@ -238,6 +244,8 @@ def _integrate(a, h, n_steps, d, omega, terms, record=False):
     two = bool(more)
     if two:
         ((mu2, e2),) = more
+    if mu1 != 1.0 or two and mu2 != -1.0:
+        raise ValueError(f"shooting takes terms with mu = 1 then mu = -1, got {terms}")
 
     cls = -1
     i_stop = n_steps
@@ -246,31 +254,43 @@ def _integrate(a, h, n_steps, d, omega, terms, record=False):
         r = i * h
         rh = r + half
         # stage 1, at r (the only stage that can sit at r = 0)
-        gq = 0.0 + mu1 * copysign(abs(q) ** e1, q)
-        if two:
-            gq += mu2 * copysign(abs(q) ** e2, q)
+        if q > 0.0:
+            gq = q ** e1 - q ** e2 if two else q ** e1
+        else:
+            gq = 0.0 + mu1 * copysign(abs(q) ** e1, q)
+            if two:
+                gq += mu2 * copysign(abs(q) ** e2, q)
         k1v = omega * q - gq
         k1v = k1v - dm1 * v / r if r > 0.0 else k1v / d
         # stage 2, at r + h/2
         q2 = q + half * v
         v2 = v + half * k1v
-        gq = 0.0 + mu1 * copysign(abs(q2) ** e1, q2)
-        if two:
-            gq += mu2 * copysign(abs(q2) ** e2, q2)
+        if q2 > 0.0:
+            gq = q2 ** e1 - q2 ** e2 if two else q2 ** e1
+        else:
+            gq = 0.0 + mu1 * copysign(abs(q2) ** e1, q2)
+            if two:
+                gq += mu2 * copysign(abs(q2) ** e2, q2)
         k2v = omega * q2 - gq - dm1 * v2 / rh
         # stage 3, at r + h/2
         q3 = q + half * v2
         v3 = v + half * k2v
-        gq = 0.0 + mu1 * copysign(abs(q3) ** e1, q3)
-        if two:
-            gq += mu2 * copysign(abs(q3) ** e2, q3)
+        if q3 > 0.0:
+            gq = q3 ** e1 - q3 ** e2 if two else q3 ** e1
+        else:
+            gq = 0.0 + mu1 * copysign(abs(q3) ** e1, q3)
+            if two:
+                gq += mu2 * copysign(abs(q3) ** e2, q3)
         k3v = omega * q3 - gq - dm1 * v3 / rh
         # stage 4, at r + h
         q4 = q + h * v3
         v4 = v + h * k3v
-        gq = 0.0 + mu1 * copysign(abs(q4) ** e1, q4)
-        if two:
-            gq += mu2 * copysign(abs(q4) ** e2, q4)
+        if q4 > 0.0:
+            gq = q4 ** e1 - q4 ** e2 if two else q4 ** e1
+        else:
+            gq = 0.0 + mu1 * copysign(abs(q4) ** e1, q4)
+            if two:
+                gq += mu2 * copysign(abs(q4) ** e2, q4)
         k4v = omega * q4 - gq - dm1 * v4 / (r + h)
         q += h * (v + 2.0 * (v2 + v3) + v4) / 6.0
         v += h * (k1v + 2.0 * (k2v + k3v) + k4v) / 6.0

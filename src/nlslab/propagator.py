@@ -52,8 +52,8 @@ symbol as the left operand: bit-identical to spectral.free_evolve on
 fields under spectral._ELIDED_BYTES, and equal to rounding on larger
 ones, where free_evolve keeps numpy's spectrum-first order.
 
-evolve_stack() marches B flights that share a grid, a model and a
-stepper as one array of shape (B, *grid); evolve() is a stack of one.
+evolve_stack() marches B flights that share a grid, a model and a record
+cadence as one array of shape (B, *grid); evolve() is a stack of one.
 On the small grids of a threshold sweep a step is bound by numpy's
 per-call overhead, not by arithmetic, so one ufunc or FFT call serving
 B flights saves most of the cost of B - 1 calls, and numpy's pocketfft
@@ -70,6 +70,24 @@ multi-line FFT may flip: a flight that overflows is marched again alone
 from the start of the segment, so its abort state is bitwise too.  A
 flight that stops leaves the stack, the others being copied into a
 smaller array.
+
+Each flight keeps its own step size, horizon and abort thresholds.  When
+the step sizes differ, the rotation's angle factor is a column of one
+-dt per flight, and the free flow's symbol is a (B, *grid) array built
+once per stack, row i the symbol of flight i's step, whose rows leave
+with their flights; both ops stay elementwise per flight, so no bit
+moves.  With one step size for all, the kernel takes the scalar and the
+shared symbol, as a lone march does.  The stack marches to the next step
+its shared cadence observes, so a flight that takes a different number
+of steps than a mate must end on such a step (_ends_on_cadence), or its
+last step would split that mate's fused segment.  A threshold sweep's
+two sides, scattering at dt = 1e-4 and collapse at 1e-5 on one grid,
+so march as one stack.  The cost of one fused stack-step at n = 1024,
+1-D E1 p = 7, on the same guest (min of 15 alternating batches of
+8 x 25 steps):
+
+    B           1      2      3      4
+    us/step    44     68     87     105
 
 A stack holds at most _STACK_BYTES = 128 KiB of fields
 (_stack_capacity).  CPU time per flight-step of a stack of B against
@@ -340,12 +358,14 @@ def _workspace(shape, rank: int) -> _Workspace:
     )
 
 
-def _rotate(values, tau, terms, ws):
-    """P(tau) in place: u <- u exp(-i tau sum mu |u|^(2e)), through the
-    buffers ws of _workspace.  cos and sin run only over the flat index
-    window of grid points holding every theta, in any flight, that is NaN
-    or at least _TINY_PHASE in size; outside it the phase is 1 + i theta,
-    the values they return there (see the module docstring)."""
+def _rotate(values, rate, terms, ws):
+    """P(tau) in place for rate = -tau: u <- u exp(i rate sum mu |u|^(2e)),
+    through the buffers ws of _workspace.  rate is a float, or a column of
+    one per flight of a stack, (flights, 1, ..., 1).  cos and sin run only
+    over the flat index window of grid points holding every theta, in any
+    flight, that is NaN or at least _TINY_PHASE in size; outside it the
+    phase is 1 + i theta, the values they return there (see the module
+    docstring)."""
     # |u|^2 = re*re + im*im: the interleaved pairs are squared in one
     # contiguous pass into the phase's storage, then added; the storage's
     # first half then takes the second power term and |theta|
@@ -366,7 +386,7 @@ def _rotate(values, tau, terms, ws):
         if mu != 1.0:
             r = np.multiply(r, mu, out=scratch)
         acc = np.add(acc, r, out=theta)
-    np.multiply(acc, -tau, out=theta)
+    np.multiply(acc, rate, out=theta)
 
     np.abs(theta, out=scratch)
     np.less(scratch, _TINY_PHASE, out=ws.small)
@@ -375,8 +395,10 @@ def _rotate(values, tau, terms, ws):
         np.all(small, axis=0, out=ws.union)
     small = ws.union
     n = small.size
+    # the first and last grid point outside the mask; an all-True mask
+    # gives the empty window [0, 0)
     lo = int(small.argmin())
-    hi = lo if small[lo] else n - int(small[::-1].argmin())
+    hi = small.tobytes().rfind(b"\x00") + 1
     np.cos(th[..., lo:hi], out=re[..., lo:hi])
     np.sin(th[..., lo:hi], out=im[..., lo:hi])
     for part in (slice(0, lo), slice(hi, n)):
@@ -385,35 +407,43 @@ def _rotate(values, tau, terms, ws):
     np.multiply(values, ws.phase, out=values)
 
 
-def _free(values, kin):
-    """F(dt) in place over the grid axes, the last kin.ndim; the symbol is
-    the left operand (numpy's complex product is not bitwise commutative)."""
-    _transform(np.fft.fft, values, values, kin.ndim)
+def _free(values, kin, rank):
+    """F(dt) in place over the grid axes, the last rank; the symbol is the
+    left operand (numpy's complex product is not bitwise commutative)."""
+    _transform(np.fft.fft, values, values, rank)
     np.multiply(kin, values, out=values)
-    _transform(np.fft.ifft, values, values, kin.ndim)
+    _transform(np.fft.ifft, values, values, rank)
 
 
 def _advance(values, n, dt, terms, kin):
-    """n Strang steps of size dt, in place.  values is one field on kin's
-    grid or a stack of them, (flights, *grid): every flight takes the same
-    steps, each bitwise as it would alone.
+    """n Strang steps, in place.  values is one field on kin's grid or a
+    stack of them, (flights, *grid).  dt is a float, the step of every
+    flight, with kin its free-flow symbol on the grid; or, for a stack, a
+    column (flights, 1, ..., 1) of each flight's own step, with kin of
+    shape (flights, *grid) holding each flight's symbol.  Every op is
+    elementwise per flight, so each takes its steps bitwise as it would
+    alone.
 
     Adjacent half-steps merge, P(dt/2) P(dt/2) = P(dt), because P leaves
     |u| unchanged; the closing half-step is applied once, after the last
     free flight, so the state is a whole number of steps on return.  The
     rotation's buffers are allocated once per call.
     """
+    # a stacked symbol's first axis is the flights'
+    rank = kin.ndim if np.ndim(dt) == 0 else kin.ndim - 1
     if not terms:
         for _ in range(n):
-            _free(values, kin)
+            _free(values, kin, rank)
         return
-    ws = _workspace(values.shape, kin.ndim)
-    _rotate(values, 0.5 * dt, terms, ws)
+    ws = _workspace(values.shape, rank)
+    # -(dt/2) and -dt, exact
+    half, whole = -0.5 * dt, -dt
+    _rotate(values, half, terms, ws)
     for _ in range(n - 1):
-        _free(values, kin)
-        _rotate(values, dt, terms, ws)
-    _free(values, kin)
-    _rotate(values, 0.5 * dt, terms, ws)
+        _free(values, kin, rank)
+        _rotate(values, whole, terms, ws)
+    _free(values, kin, rank)
+    _rotate(values, half, terms, ws)
 
 
 def strang_step(
@@ -482,6 +512,35 @@ def _stack_capacity(grid: GridSpec) -> int:
     return max(1, _STACK_BYTES // (16 * grid.size))
 
 
+def _step_count(cfg: StepperConfig) -> int:
+    """The number of steps that reaches cfg.t_final, at least one."""
+    return max(int(round(cfg.t_final / cfg.dt)), 1)
+
+
+def _ends_on_cadence(cfg: StepperConfig) -> bool:
+    """cfg's last step is one its record cadence observes: a multiple of
+    snapshot_every or of a nonzero checkpoint_every.  Only such a flight
+    may share a stack with flights of another length, since every other
+    last step would split its mates' fused segments."""
+    n = _step_count(cfg)
+    every = cfg.checkpoint_every
+    return n % cfg.snapshot_every == 0 or bool(every) and n % every == 0
+
+
+def _check_mates(cfgs) -> None:
+    """evolve_stack()'s rule for the steppers of one stack: one record
+    cadence, and either one step count or every last step on the cadence;
+    ValueError says which part fails."""
+    cadences = {(cfg.snapshot_every, cfg.checkpoint_every) for cfg in cfgs}
+    if len(cadences) > 1:
+        raise ValueError("the flights of a stack must share snapshot_every and checkpoint_every")
+    if len({_step_count(cfg) for cfg in cfgs}) > 1 and not all(map(_ends_on_cadence, cfgs)):
+        raise ValueError(
+            "flights of a stack that take different numbers of steps must each end "
+            "on a step their record cadence observes"
+        )
+
+
 def _check_initial_data(u0: ComplexField, cfg: StepperConfig) -> None:
     """evolve()'s preconditions on u0: finite samples, and edge mass within
     cfg.edge_mass_max; ValueError names the one that fails."""
@@ -523,7 +582,7 @@ def evolve(
 
     This is evolve_stack() on a stack of one.
     """
-    return evolve_stack([u0], mp, cfg, virial_weight=virial_weight,
+    return evolve_stack([u0], mp, [cfg], virial_weight=virial_weight,
                         whole_space_virial=whole_space_virial,
                         bounded_checkpoints=bounded_checkpoints)[0]
 
@@ -531,39 +590,60 @@ def evolve(
 def evolve_stack(
     u0s: list,
     mp: ModelParams,
-    cfg: StepperConfig,
+    cfgs: list,
     *,
     virial_weight: VirialWeight | None = None,
     whole_space_virial: bool = False,
     bounded_checkpoints: bool = False,
 ) -> list:
-    """March flights that share a grid, a model and a stepper as one stack,
-    (flights, *grid), and return their logs in order.
+    """March flights that share a grid, a model and a record cadence as one
+    stack, (flights, *grid), and return their logs in order; cfgs holds
+    each flight's stepper.
 
     Each log is bitwise the one evolve() returns for its flight alone:
-    every flight records, aborts and checkpoints on its own, as evolve()
-    describes, and one that stops leaves the stack, the others being
-    copied into a smaller array.  Every flight must meet evolve()'s
-    preconditions, or ValueError is raised before any step.  A stack
-    should hold no more than _stack_capacity(grid) flights, past which
-    the gain of stacking is not reliable.
+    every flight steps with its own dt_used, records, aborts and
+    checkpoints on its own, as evolve() describes, and one that stops
+    leaves the stack, the others being copied into a smaller array.  The
+    steppers must share snapshot_every and checkpoint_every, and flights
+    of different step counts must each end on a step that cadence
+    observes (_ends_on_cadence); every flight must meet evolve()'s
+    preconditions.  Otherwise ValueError is raised before any step.  A
+    stack should hold no more than _stack_capacity(grid) flights, past
+    which the gain of stacking is not reliable.
     """
     if virial_weight is not None and whole_space_virial:
         raise ValueError("choose localized or whole-space virial rows, not both")
+    if len(cfgs) != len(u0s):
+        raise ValueError(f"{len(u0s)} flights need as many stepper configs, got {len(cfgs)}")
     grid = u0s[0].grid
     if any(u0.grid != grid for u0 in u0s):
         raise ValueError("the flights of a stack must share one grid")
-    for u0 in u0s:
+    _check_mates(cfgs)
+    for u0, cfg in zip(u0s, cfgs):
         _check_initial_data(u0, cfg)
 
     terms = _nonlinear_terms(mp)
-    n_steps = max(int(round(cfg.t_final / cfg.dt)), 1)
-    dt = cfg.t_final / n_steps
-    kin = _kinetic_phase(grid, dt)
+    logs = []
+    for cfg in cfgs:
+        n_steps = _step_count(cfg)
+        logs.append(TrajectoryLog(params=mp, config=cfg, dt_used=cfg.t_final / n_steps,
+                                  n_steps=n_steps))
+    keep_from = [_late_quarter_start(log.n_steps * log.dt_used) if bounded_checkpoints
+                 else -math.inf for log in logs]
+    every, ckpt_every = cfgs[0].snapshot_every, cfgs[0].checkpoint_every
+    steps = {log.dt_used for log in logs}
+    if len(steps) == 1:
+        dt = steps.pop()
+        kin = _kinetic_phase(grid, dt)
+    else:
+        # a step per flight: a column of them and a symbol per flight, whose
+        # rows leave with their flights
+        dt = np.array([log.dt_used for log in logs]).reshape((-1,) + (1,) * grid.d)
+        kin = np.empty((len(logs), *grid.shape), dtype=np.complex128)
+        for row, log in zip(kin, logs):
+            _free_flow_symbol(grid, log.dt_used, out=row)
     wsym = derivative_weight_multiplier(grid, mp.s_p).symbol
     mcp = mp.mc_power
-    keep_from = _late_quarter_start(n_steps * dt) if bounded_checkpoints else -math.inf
-    logs = [TrajectoryLog(params=mp, config=cfg, dt_used=dt, n_steps=n_steps) for _ in u0s]
 
     def record(log, f, t):
         # one forward FFT and one |u| per record, shared by every diagnostic
@@ -573,12 +653,16 @@ def evolve_stack(
         log.times.append(t)
         log.snapshots.append(snap)
         log.tail_fractions.append(spectral_tail_fraction(f, spectrum=spec))
-        log.edge_fractions.append(edge_mass_fraction(f, cfg.edge_cells, modulus=a))
+        log.edge_fractions.append(edge_mass_fraction(f, log.config.edge_cells, modulus=a))
         if virial_weight is not None or whole_space_virial:
             log.virial_rows.append(
                 _virial_row(f, mp, t, virial_weight, whole_space_virial, spec, a, snap)
             )
         return _scatter_integrand(spec, grid, wsym, mcp)
+
+    def alone(row):
+        # the step and symbol the flight in a row of values takes alone
+        return logs[live[row]].dt_used, kin if np.ndim(dt) == 0 else kin[row]
 
     # each flight's scattering integrand at its last record, summed by the
     # left-endpoint rule at its next one
@@ -592,19 +676,21 @@ def evolve_stack(
 
     step = 0
     while live:
-        # march straight to the next step whose state is observed; one
-        # flight marches in its grid's shape
-        target = min(n_steps, (step // cfg.snapshot_every + 1) * cfg.snapshot_every)
-        if cfg.checkpoint_every:
-            target = min(target, (step // cfg.checkpoint_every + 1) * cfg.checkpoint_every)
+        # march straight to the next step whose state is observed, which
+        # every live flight observes; one flight marches in its grid's shape
+        target = min(min(logs[i].n_steps for i in live), (step // every + 1) * every)
+        if ckpt_every:
+            target = min(target, (step // ckpt_every + 1) * ckpt_every)
+        chunk, step = target - step, target
         # a stack keeps its start, from which a flight that overflows is
         # marched again alone: numpy's multi-line FFT may give a NaN the
         # other sign
         start = values.copy() if len(live) > 1 else None
-        _advance(values[0] if start is None else values, target - step, dt, terms, kin)
-        chunk, step = target - step, target
-        t = step * dt
-        recorded = step % cfg.snapshot_every == 0 or step == n_steps
+        if start is None:
+            row_dt, row_kin = alone(0)
+            _advance(values[0], chunk, row_dt, terms, row_kin)
+        else:
+            _advance(values, chunk, dt, terms, kin)
         if np.all(np.isfinite(values)):
             finite = [True] * len(live)
         else:
@@ -612,7 +698,8 @@ def evolve_stack(
 
         stopped = []
         for row, i in enumerate(live):
-            log = logs[i]
+            log, cfg = logs[i], logs[i].config
+            t = step * log.dt_used
             if not finite[row]:
                 # overflow between snapshots: grid-scale concentration, so
                 # the last good record's growth decides
@@ -623,13 +710,14 @@ def evolve_stack(
                 state = values[row]
                 if start is not None:
                     state = start[row]
-                    _advance(state, chunk, dt, terms, kin)
+                    row_dt, row_kin = alone(row)
+                    _advance(state, chunk, row_dt, terms, row_kin)
                 log.final_state = ComplexField(grid, state, allow_nonfinite=True)
                 stopped.append(row)
                 continue
 
-            if not recorded:
-                if t >= keep_from:
+            if step % every and step != log.n_steps:
+                if t >= keep_from[i]:
                     log.checkpoints.append((t, ComplexField(grid, values[row])))
                 continue
 
@@ -656,18 +744,20 @@ def evolve_stack(
                 log.checkpoints.append((t, f))
                 log.final_state = f
                 stopped.append(row)
-            elif step == n_steps:
+            elif step == log.n_steps:
                 log.outcome = "completed"
                 log.checkpoints.append((t, f))
                 log.final_state = f
                 stopped.append(row)
-            elif cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and t >= keep_from:
+            elif ckpt_every and step % ckpt_every == 0 and t >= keep_from[i]:
                 log.checkpoints.append((t, f))
 
         if stopped:
             rows = [row for row in range(len(live)) if row not in stopped]
             values = values[rows]
             live = [live[row] for row in rows]
+            if np.ndim(dt):
+                dt, kin = dt[rows], kin[rows]
     return logs
 
 

@@ -300,6 +300,49 @@ def test_stacked_runs_write_what_lone_runs_write(tmp_path, capsys, threads):
     assert None not in aborts and aborts[0] != aborts[1]
 
 
+# gate 08's scattering side on BLOWUP's grid and cadence, 10x coarser steps
+SCATTER = BLOWUP.replace("dt = 1e-5\nt_final = 0.05", "dt = 1e-4\nt_final = 0.1").replace(
+    "blowup_grad_factor = 10.0\ntail_fraction_max = 1e-3\nedge_mass_max = 1e-8",
+    "tail_fraction_max = 1e-5\nedge_mass_max = 1e-5").replace("c = 1.3", "c = 0.7")
+
+
+def test_a_threshold_sweep_stacks_across_step_sizes(tmp_path, capsys):
+    stems = {
+        "plus": SCATTER,
+        "minus0": BLOWUP,
+        # perfbench's collapse-sweep threshold: stack-mates keep their own
+        "minus1": BLOWUP.replace("c = 1.3", "c = 1.4").replace("= 1e-3", "= 3e-3"),
+        # 1001 steps, off the 25-step cadence: it keeps its own stack
+        "off": SCATTER.replace("t_final = 0.1", "t_final = 0.1001"),
+    }
+    paths = {stem: _write(tmp_path, f"{stem}.ini", text) for stem, text in stems.items()}
+    cfgs = [load_config(path) for path in paths.values()]
+    assert cfgs[0].stepper.dt != cfgs[1].stepper.dt
+    assert plan_stacks(cfgs) == [[0, 1, 2], [3]]
+    together = tmp_path / "together"
+    argv = ["evolve", "--out", str(together)]
+    for path in paths.values():
+        argv += ["--config", path]
+    capsys.readouterr()
+    assert main(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+
+    expected = []
+    for stem, path in paths.items():
+        alone = tmp_path / "alone" / stem
+        main(["evolve", "--config", path, "--out", str(alone)])
+        expected.append(capsys.readouterr().out.strip().replace(str(alone), str(together / stem)))
+        assert _artifacts(together / stem) == _artifacts(alone)
+        timing = json.loads((alone / "summary.json").read_text())["timing"]
+        assert timing["propagator.stack_flights"] == 1
+    assert lines == expected
+    assert [line.split(": ")[-1] for line in lines] == [
+        "completed", "blowup_detected", "blowup_detected", "completed"]
+    flights = [json.loads((together / stem / "summary.json").read_text())["timing"]
+               ["propagator.stack_flights"] for stem in stems]
+    assert flights == [3, 3, 3, 1]
+
+
 def test_missing_config_file_exits_two(tmp_path, capsys):
     assert main(["evolve", "--config", str(tmp_path / "ghost.ini")]) == 2
     assert "no such file" in capsys.readouterr().err

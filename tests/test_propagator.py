@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -553,20 +554,27 @@ def test_a_stack_marches_each_row_as_it_marches_alone(mp, grid, rows):
         f = _bump(grid, amplitude, center).values
         fields.append(f + amplitude if shape == "flat" else f)
     terms = propagator._nonlinear_terms(mp)
-    kin = propagator._kinetic_phase(grid, dt)
-    stack = np.stack(fields)
-    with np.errstate(all="ignore"):
-        propagator._advance(stack, n, dt, terms, kin)
-        for row, f in zip(stack, fields):
-            alone = f.copy()
-            propagator._advance(alone, n, dt, terms, kin)
-            # NaN where the lone march has NaN, every other sample bitwise;
-            # numpy's multi-line FFT may give a NaN the other sign
-            nan = np.isnan(alone.view(np.float64))
-            assert np.array_equal(np.isnan(row.view(np.float64)), nan)
-            assert np.array_equal(row.view(np.int64)[~nan], alone.view(np.int64)[~nan])
-    finite = np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
-    assert finite.tolist() == [amplitude < 1e10 for _, amplitude, _ in rows]
+    # one step for every row (a float and the grid's symbol), then a step
+    # per row (a column and a symbol per row)
+    for dts in ([dt] * len(rows), [dt * 0.5**row for row in range(len(rows))]):
+        if len(set(dts)) == 1:
+            step, kin = dt, propagator._kinetic_phase(grid, dt)
+        else:
+            step = np.array(dts).reshape((-1,) + (1,) * grid.d)
+            kin = np.stack([propagator._free_flow_symbol(grid, h) for h in dts])
+        stack = np.stack(fields)
+        with np.errstate(all="ignore"):
+            propagator._advance(stack, n, step, terms, kin)
+            for row, f, h in zip(stack, fields, dts):
+                alone = f.copy()
+                propagator._advance(alone, n, h, terms, propagator._kinetic_phase(grid, h))
+                # NaN where the lone march has NaN, every other sample
+                # bitwise; numpy's multi-line FFT may give a NaN the other sign
+                nan = np.isnan(alone.view(np.float64))
+                assert np.array_equal(np.isnan(row.view(np.float64)), nan)
+                assert np.array_equal(row.view(np.int64)[~nan], alone.view(np.int64)[~nan])
+        finite = np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
+        assert finite.tolist() == [amplitude < 1e10 for _, amplitude, _ in rows]
 
 
 @pytest.mark.parametrize("bounded", [False, True])
@@ -576,16 +584,15 @@ def test_evolve_stack_logs_are_each_flights_evolve_log(double_gs, bounded):
     # two blow-ups that abort at different records, a flight that runs to
     # t_final, and one that overflows before its first record
     u0s = [ComplexField(g, c * q.values) for c in (1.3, 1.4, 0.7, 1e60)]
-    cfg = StepperConfig(dt=1e-5, t_final=0.03, snapshot_every=25, checkpoint_every=10,
-                        blowup_grad_factor=10.0, tail_fraction_max=3e-3,
-                        edge_mass_max=1e-8)
-    with np.errstate(all="ignore"):
-        stacked = propagator.evolve_stack(u0s, MP1, cfg, virial_weight=VirialWeight(g, 4.0),
-                                          bounded_checkpoints=bounded)
-    assert [log.outcome for log in stacked] == ["blowup_detected", "blowup_detected",
-                                                "completed", "resolution_lost"]
-    assert stacked[0].abort_time != stacked[1].abort_time
-    assert stacked[3].abort_detail.startswith("non-finite amplitudes")
+    minus = StepperConfig(dt=1e-5, t_final=0.03, snapshot_every=25, checkpoint_every=10,
+                          blowup_grad_factor=10.0, tail_fraction_max=3e-3,
+                          edge_mass_max=1e-8)
+    # a threshold sweep's two sides: the scattering flights step 10x
+    # coarser, each flight with its own horizon and thresholds
+    plus = StepperConfig(dt=1e-4, t_final=0.2, snapshot_every=25, checkpoint_every=10,
+                         tail_fraction_max=1e-5, edge_mass_max=1e-5)
+    mixed = [minus, replace(minus, tail_fraction_max=2e-3), plus,
+             replace(plus, dt=5e-5, t_final=0.1, blowup_grad_factor=50.0)]
 
     def bits(f):
         return f.values.view(np.int64).tobytes()
@@ -595,17 +602,31 @@ def test_evolve_stack_logs_are_each_flights_evolve_log(double_gs, bounded):
         # that NaN matches NaN (the overflowing flight's record at t = 0)
         return repr(a) == repr(b)
 
-    for u0, log in zip(u0s, stacked):
+    for cfgs in ([minus] * 4, mixed):
         with np.errstate(all="ignore"):
-            alone = evolve(u0, MP1, cfg, virial_weight=VirialWeight(g, 4.0),
-                           bounded_checkpoints=bounded)
-        for name in ("outcome", "abort_time", "abort_detail", "times", "snapshots",
-                     "tail_fractions", "edge_fractions", "scatter_series", "virial_rows"):
-            assert same(getattr(log, name), getattr(alone, name)), name
-        assert [t for t, _ in log.checkpoints] == [t for t, _ in alone.checkpoints]
-        assert [bits(f) for _, f in log.checkpoints] == [bits(f) for _, f in alone.checkpoints]
-        assert log.checkpoints[0][1] is u0
-        assert bits(log.final_state) == bits(alone.final_state)
+            stacked = propagator.evolve_stack(u0s, MP1, cfgs,
+                                              virial_weight=VirialWeight(g, 4.0),
+                                              bounded_checkpoints=bounded)
+        assert [log.outcome for log in stacked] == ["blowup_detected", "blowup_detected",
+                                                    "completed", "resolution_lost"]
+        assert stacked[0].abort_time != stacked[1].abort_time
+        assert stacked[3].abort_detail.startswith("non-finite amplitudes")
+
+        for u0, cfg, log in zip(u0s, cfgs, stacked):
+            with np.errstate(all="ignore"):
+                alone = evolve(u0, MP1, cfg, virial_weight=VirialWeight(g, 4.0),
+                               bounded_checkpoints=bounded)
+            assert log.config is cfg
+            for name in ("dt_used", "n_steps", "outcome", "abort_time", "abort_detail",
+                         "times", "snapshots", "tail_fractions", "edge_fractions",
+                         "scatter_series", "virial_rows"):
+                assert same(getattr(log, name), getattr(alone, name)), name
+            assert [t for t, _ in log.checkpoints] == [t for t, _ in alone.checkpoints]
+            assert ([bits(f) for _, f in log.checkpoints]
+                    == [bits(f) for _, f in alone.checkpoints])
+            assert log.checkpoints[0][1] is u0
+            assert bits(log.final_state) == bits(alone.final_state)
+    assert len({log.dt_used for log in stacked}) == 3
 
 
 def test_evolve_stack_refuses_a_bad_flight_before_any_step():
@@ -614,11 +635,35 @@ def test_evolve_stack_refuses_a_bad_flight_before_any_step():
     edgy = field_from_function(g, lambda x: np.exp(-((x - 4.9) ** 2) / 0.01))
     cfg = StepperConfig(dt=1e-3, t_final=0.1, edge_mass_max=1e-10)
     with pytest.raises(ValueError, match="edge-decay precondition"):
-        propagator.evolve_stack([good, edgy], MP1, cfg)
+        propagator.evolve_stack([good, edgy], MP1, [cfg] * 2)
     other = field_from_function(GridSpec(d=1, n_per_axis=128, half_width=5.0),
                                 lambda x: np.exp(-x**2) + 0j)
     with pytest.raises(ValueError, match="share one grid"):
-        propagator.evolve_stack([good, other], MP1, cfg)
+        propagator.evolve_stack([good, other], MP1, [cfg] * 2)
+
+
+def test_evolve_stack_refuses_mates_off_the_shared_cadence():
+    g = GridSpec(d=1, n_per_axis=256, half_width=5.0)
+    u0 = field_from_function(g, lambda x: np.exp(-x**2) + 0j)
+    cfg = StepperConfig(dt=1e-3, t_final=0.1, snapshot_every=20)
+    for mate in (replace(cfg, snapshot_every=25), replace(cfg, checkpoint_every=5)):
+        with pytest.raises(ValueError, match="share snapshot_every and checkpoint_every"):
+            propagator.evolve_stack([u0, u0], MP1, [cfg, mate])
+    # 110 steps is off the 20-step cadence: beside a flight of another
+    # length, its last step could split that flight's fused segment
+    off = replace(cfg, t_final=0.11)
+    assert not propagator._ends_on_cadence(off)
+    with pytest.raises(ValueError, match="end on a step their record cadence observes"):
+        propagator.evolve_stack([u0, u0], MP1, [cfg, off])
+    # a nonzero checkpoint cadence that observes it admits it
+    assert propagator._ends_on_cadence(replace(off, checkpoint_every=10))
+    with pytest.raises(ValueError, match="as many stepper configs"):
+        propagator.evolve_stack([u0, u0], MP1, [cfg])
+    # mates of one length need not end on the cadence
+    logs = propagator.evolve_stack([u0, u0], MP1, [off, replace(off, t_final=0.1101)])
+    assert [log.n_steps for log in logs] == [110, 110]
+    assert logs[0].dt_used != logs[1].dt_used
+    assert [log.outcome for log in logs] == ["completed"] * 2
 
 
 # -- aborts -------------------------------------------------------------------
