@@ -50,7 +50,7 @@ from .classifier import classify
 from .propagator import (
     StepperConfig,
     _check_initial_data,
-    _ends_on_cadence,
+    _mate_key,
     _stack_capacity,
     detect_blowup,
     evolve,
@@ -597,12 +597,10 @@ class _Run:
 
 def _stack_key(cfg: ExperimentConfig) -> tuple:
     """Everything of cfg that its stack-mates must share: what its march
-    reads apart from the initial state and, when its last step is one its
-    record cadence observes, its step size, horizon and abort thresholds."""
-    st = cfg.stepper
-    stepper = (st.snapshot_every, st.checkpoint_every) if _ends_on_cadence(st) else st
-    return (cfg.model, cfg.n_per_axis, cfg.half_width, stepper, cfg.virial_radius,
-            cfg.whole_space_virial, _is_standing_wave(cfg))
+    reads apart from the initial state, of [stepper] only its
+    propagator._mate_key."""
+    return (cfg.model, cfg.n_per_axis, cfg.half_width, _mate_key(cfg.stepper),
+            cfg.virial_radius, cfg.whole_space_virial, _is_standing_wave(cfg))
 
 
 def plan_stacks(cfgs) -> list:

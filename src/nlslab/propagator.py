@@ -71,23 +71,35 @@ from the start of the segment, so its abort state is bitwise too.  A
 flight that stops leaves the stack, the others being copied into a
 smaller array.
 
-Each flight keeps its own step size, horizon and abort thresholds.  When
-the step sizes differ, the rotation's angle factor is a column of one
--dt per flight, and the free flow's symbol is a (B, *grid) array built
-once per stack, row i the symbol of flight i's step, whose rows leave
-with their flights; both ops stay elementwise per flight, so no bit
-moves.  With one step size for all, the kernel takes the scalar and the
-shared symbol, as a lone march does.  The stack marches to the next step
-its shared cadence observes, so a flight that takes a different number
-of steps than a mate must end on such a step (_ends_on_cadence), or its
-last step would split that mate's fused segment.  A threshold sweep's
-two sides, scattering at dt = 1e-4 and collapse at 1e-5 on one grid,
-so march as one stack.  The cost of one fused stack-step at n = 1024,
-1-D E1 p = 7, on the same guest (min of 15 alternating batches of
-8 x 25 steps):
+Each flight keeps its own step size, horizon and abort thresholds.  A
+stack of two or more takes the rotation's angle factor as a column of
+one -dt per flight, and the free flow's symbol as a (B, *grid) array
+built once per stack, row i the symbol of flight i's step, whose rows
+leave with their flights; both ops stay elementwise per flight, so no
+bit moves.  A lone march takes the scalar and the cached symbol.  The
+stack marches to the next step its shared cadence observes, so each
+flight must end on such a step (_ends_on_cadence), or its last step
+would split a mate's fused segment; flights that do not must share one
+stepper (_mate_key).  A threshold sweep's two sides, scattering at
+dt = 1e-4 and collapse at 1e-5 on one grid, so march as one stack.  The
+cost of one fused stack-step at n = 1024, 1-D E1 p = 7, on the same
+guest (min of 15 alternating batches of 8 x 25 steps):
 
     B           1      2      3      4
     us/step    44     68     87     105
+
+The per-flight symbol costs nothing measurable: a column-dt stack of B
+equal steps takes x0.92 to x1.05 the time of the same stack on one
+scalar dt and one shared symbol (n = 1024 to 4096, B = 2 to 4; one
+x1.19 at n = 1024, B = 4 read x0.98 to x1.00 in three repeats).  Nor
+does the symbol, as large as the stack's fields, undo the gain at the
+byte cap.  CPU time of a stack of flights alternating dt = 1e-4 and
+1e-5 against the same flights marched alone, Gaussian bump / complex
+white noise, min of 15 alternating batches of 8 x 25 steps:
+
+    grid        KiB/field   B = 2         B = 3         B = 4
+    1-D 2048       32       0.73 / 0.77   0.72 / 0.79   0.80 / 0.71
+    1-D 4096       64       0.89 / 0.89
 
 A stack holds at most _STACK_BYTES = 128 KiB of fields
 (_stack_capacity).  CPU time per flight-step of a stack of B against
@@ -416,13 +428,12 @@ def _free(values, kin, rank):
 
 
 def _advance(values, n, dt, terms, kin):
-    """n Strang steps, in place.  values is one field on kin's grid or a
-    stack of them, (flights, *grid).  dt is a float, the step of every
-    flight, with kin its free-flow symbol on the grid; or, for a stack, a
-    column (flights, 1, ..., 1) of each flight's own step, with kin of
-    shape (flights, *grid) holding each flight's symbol.  Every op is
-    elementwise per flight, so each takes its steps bitwise as it would
-    alone.
+    """n Strang steps, in place.  values is one field, dt a float and kin
+    its free-flow symbol on the field's grid; or a stack of fields,
+    (flights, *grid), dt a column (flights, 1, ..., 1) of each flight's
+    step and kin of shape (flights, *grid) each flight's symbol.  Every op
+    is elementwise per flight, so each takes its steps bitwise as it
+    would alone.
 
     Adjacent half-steps merge, P(dt/2) P(dt/2) = P(dt), because P leaves
     |u| unchanged; the closing half-step is applied once, after the last
@@ -527,17 +538,22 @@ def _ends_on_cadence(cfg: StepperConfig) -> bool:
     return n % cfg.snapshot_every == 0 or bool(every) and n % every == 0
 
 
+def _mate_key(cfg: StepperConfig):
+    """What of cfg its stack-mates must share: its record cadence when its
+    last step is one the cadence observes, else the whole stepper."""
+    return (cfg.snapshot_every, cfg.checkpoint_every) if _ends_on_cadence(cfg) else cfg
+
+
 def _check_mates(cfgs) -> None:
-    """evolve_stack()'s rule for the steppers of one stack: one record
-    cadence, and either one step count or every last step on the cadence;
-    ValueError says which part fails."""
+    """evolve_stack()'s rule for the steppers of one stack: one _mate_key;
+    ValueError says whether the cadence or a last step fails it."""
     cadences = {(cfg.snapshot_every, cfg.checkpoint_every) for cfg in cfgs}
     if len(cadences) > 1:
         raise ValueError("the flights of a stack must share snapshot_every and checkpoint_every")
-    if len({_step_count(cfg) for cfg in cfgs}) > 1 and not all(map(_ends_on_cadence, cfgs)):
+    if len({_mate_key(cfg) for cfg in cfgs}) > 1:
         raise ValueError(
-            "flights of a stack that take different numbers of steps must each end "
-            "on a step their record cadence observes"
+            "flights of a stack must each end on a step their record cadence "
+            "observes, or share one stepper config"
         )
 
 
@@ -604,13 +620,16 @@ def evolve_stack(
     every flight steps with its own dt_used, records, aborts and
     checkpoints on its own, as evolve() describes, and one that stops
     leaves the stack, the others being copied into a smaller array.  The
-    steppers must share snapshot_every and checkpoint_every, and flights
-    of different step counts must each end on a step that cadence
-    observes (_ends_on_cadence); every flight must meet evolve()'s
-    preconditions.  Otherwise ValueError is raised before any step.  A
+    steppers must share snapshot_every and checkpoint_every, and each
+    flight must end on a step that cadence observes (_ends_on_cadence),
+    or else all must share one stepper (_mate_key); every flight must
+    meet evolve()'s preconditions.  Otherwise ValueError is raised before
+    any step; a lone StepperConfig in place of the list, TypeError.  A
     stack should hold no more than _stack_capacity(grid) flights, past
     which the gain of stacking is not reliable.
     """
+    if isinstance(cfgs, StepperConfig):
+        raise TypeError("evolve_stack takes a list of StepperConfig, one per flight")
     if virial_weight is not None and whole_space_virial:
         raise ValueError("choose localized or whole-space virial rows, not both")
     if len(cfgs) != len(u0s):
@@ -631,17 +650,11 @@ def evolve_stack(
     keep_from = [_late_quarter_start(log.n_steps * log.dt_used) if bounded_checkpoints
                  else -math.inf for log in logs]
     every, ckpt_every = cfgs[0].snapshot_every, cfgs[0].checkpoint_every
-    steps = {log.dt_used for log in logs}
-    if len(steps) == 1:
-        dt = steps.pop()
-        kin = _kinetic_phase(grid, dt)
-    else:
-        # a step per flight: a column of them and a symbol per flight, whose
-        # rows leave with their flights
-        dt = np.array([log.dt_used for log in logs]).reshape((-1,) + (1,) * grid.d)
-        kin = np.empty((len(logs), *grid.shape), dtype=np.complex128)
-        for row, log in zip(kin, logs):
-            _free_flow_symbol(grid, log.dt_used, out=row)
+    # a step per flight: a column of them and a symbol per flight, whose
+    # rows leave with their flights; a lone flight's row is the cached one
+    dt = np.array([log.dt_used for log in logs]).reshape((-1,) + (1,) * grid.d)
+    kins = [_kinetic_phase(grid, log.dt_used) for log in logs]
+    kin = np.stack(kins) if len(kins) > 1 else kins[0][np.newaxis]
     wsym = derivative_weight_multiplier(grid, mp.s_p).symbol
     mcp = mp.mc_power
 
@@ -662,7 +675,7 @@ def evolve_stack(
 
     def alone(row):
         # the step and symbol the flight in a row of values takes alone
-        return logs[live[row]].dt_used, kin if np.ndim(dt) == 0 else kin[row]
+        return logs[live[row]].dt_used, kin[row]
 
     # each flight's scattering integrand at its last record, summed by the
     # left-endpoint rule at its next one
@@ -756,8 +769,7 @@ def evolve_stack(
             rows = [row for row in range(len(live)) if row not in stopped]
             values = values[rows]
             live = [live[row] for row in rows]
-            if np.ndim(dt):
-                dt, kin = dt[rows], kin[rows]
+            dt, kin = dt[rows], kin[rows]
     return logs
 
 

@@ -554,14 +554,11 @@ def test_a_stack_marches_each_row_as_it_marches_alone(mp, grid, rows):
         f = _bump(grid, amplitude, center).values
         fields.append(f + amplitude if shape == "flat" else f)
     terms = propagator._nonlinear_terms(mp)
-    # one step for every row (a float and the grid's symbol), then a step
-    # per row (a column and a symbol per row)
+    # one step for every row, then a step per row; a stack takes a column
+    # of steps and a symbol per row either way
     for dts in ([dt] * len(rows), [dt * 0.5**row for row in range(len(rows))]):
-        if len(set(dts)) == 1:
-            step, kin = dt, propagator._kinetic_phase(grid, dt)
-        else:
-            step = np.array(dts).reshape((-1,) + (1,) * grid.d)
-            kin = np.stack([propagator._free_flow_symbol(grid, h) for h in dts])
+        step = np.array(dts).reshape((-1,) + (1,) * grid.d)
+        kin = np.stack([propagator._free_flow_symbol(grid, h) for h in dts])
         stack = np.stack(fields)
         with np.errstate(all="ignore"):
             propagator._advance(stack, n, step, terms, kin)
@@ -659,10 +656,12 @@ def test_evolve_stack_refuses_mates_off_the_shared_cadence():
     assert propagator._ends_on_cadence(replace(off, checkpoint_every=10))
     with pytest.raises(ValueError, match="as many stepper configs"):
         propagator.evolve_stack([u0, u0], MP1, [cfg])
-    # mates of one length need not end on the cadence
-    logs = propagator.evolve_stack([u0, u0], MP1, [off, replace(off, t_final=0.1101)])
-    assert [log.n_steps for log in logs] == [110, 110]
-    assert logs[0].dt_used != logs[1].dt_used
+    with pytest.raises(TypeError, match="one per flight"):
+        propagator.evolve_stack([u0, u0], MP1, cfg)
+    # mates off the cadence share their whole stepper, not just a length
+    with pytest.raises(ValueError, match="share one stepper config"):
+        propagator.evolve_stack([u0, u0], MP1, [off, replace(off, t_final=0.1101)])
+    logs = propagator.evolve_stack([u0, u0], MP1, [off, off])
     assert [log.outcome for log in logs] == ["completed"] * 2
 
 
