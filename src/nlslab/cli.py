@@ -5,7 +5,8 @@ one a run classifies against, unless [groundstate] which names another),
 classify (label initial data and print the verdict JSON), evolve (run
 one or more experiment configs, optionally in a process pool), report
 (aggregate run directories), selftest (quick internal consistency
-checks).
+checks, among them that the installed numpy marches a stack's flights
+bitwise as it marches each alone).
 
 Exit codes: 0 on success, 2 on config or validation failure, 3 when a
 run aborted at runtime or a selftest check failed.  evolve marches the
@@ -238,7 +239,7 @@ def _cmd_selftest(args) -> int:
         free_evolve,
     )
     from .functionals import ModelParams, mass
-    from .propagator import StepperConfig, evolve
+    from .propagator import StepperConfig, evolve, evolve_stack
     from .symmetry import SymmetryElement, apply_symmetry as apply_elem
     from .classifier import classify as classify_field
     from .groundstate import ground_state_field
@@ -269,6 +270,19 @@ def _cmd_selftest(args) -> int:
     log = evolve(u0, mp5, cfg)
     drift = max(abs(s.mass - log.snapshots[0].mass) for s in log.snapshots)
     checks.append(("strang_mass", log.outcome == "completed" and drift < 1e-11, drift))
+
+    # stacking rests on numpy's multi-line FFT giving each line the bits
+    # that line gets alone; a sweep's stack shape: two step sizes, n = 1024
+    g_stack = make_grid(1, 1024, 15.0)
+    u0s = [field_from_function(g_stack, lambda x, a=a: a * np.exp(-(x**2)) + 0j)
+           for a in (0.6, 0.8, 1.0, 1.2)]
+    cfgs = [StepperConfig(dt=dt, t_final=5e-3, snapshot_every=25) for dt in (1e-4, 1e-5) * 2]
+    stacked = evolve_stack(u0s, mp5, cfgs)
+    differ = sum(
+        s.final_state.values.tobytes() != evolve(u, mp5, c).final_state.values.tobytes()
+        for s, u, c in zip(stacked, u0s, cfgs)
+    )
+    checks.append(("stack_bitwise", differ == 0, f"{differ} of 4 flights differ"))
 
     bump = field_from_function(g, lambda x: np.exp(-(x**2)) * (1.0 + 0.5j))
     elem = SymmetryElement(theta=0.7, h=1.3, t0=0.2, x0=(1.5,), xi=(0.9,))

@@ -302,6 +302,13 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.grid()
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from None
+    edge = cfg.stepper.edge_cells
+    if 2 * edge >= cfg.n_per_axis:
+        # the edge band would hold every site, so no data could pass
+        raise ConfigError(
+            f"stepper.edge_cells: {edge} sites at each end cover all "
+            f"{cfg.n_per_axis} sites of an axis"
+        )
 
     init = cfg.initial
     if init.kind not in DATA_KINDS:
@@ -438,7 +445,10 @@ def build_initial_field(cfg: ExperimentConfig):
         notes["which"] = which
         notes["ground_state_amplitude"] = gs.amplitude
     elif init.kind == "file":
-        u0 = load_field(init.path)
+        try:
+            u0 = load_field(init.path)
+        except ValueError as exc:
+            raise ConfigError(f"initial_data.path: {exc}") from None
         if u0.grid != grid:
             raise ConfigError(
                 f"initial_data.path: field grid {u0.grid} does not match config grid {grid}"

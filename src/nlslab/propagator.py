@@ -53,7 +53,8 @@ fields under spectral._ELIDED_BYTES, and equal to rounding on larger
 ones, where free_evolve keeps numpy's spectrum-first order.
 
 evolve_stack() marches B flights that share a grid, a model and a record
-cadence as one array of shape (B, *grid); evolve() is a stack of one.
+cadence as one array of shape (B, *grid); evolve() is a stack of one,
+and every stack, a stack of one included, takes the same march path.
 On the small grids of a threshold sweep a step is bound by numpy's
 per-call overhead, not by arithmetic, so one ufunc or FFT call serving
 B flights saves most of the cost of B - 1 calls, and numpy's pocketfft
@@ -63,20 +64,19 @@ elementwise; numpy transforms each line of a stack to the bits it gives
 the line alone (tests/test_propagator.py checks this), so every flight
 stays bitwise its lone march.  The cos/sin window is the flat window of
 the union of the flights' masks; where it is wider than a flight's own,
-cos and sin return that flight's 1 and theta, so no bit moves.  A march
-of one flight runs in its grid's shape and makes no numpy call that a
-lone march would not.  The exception is a NaN's sign, which numpy's
-multi-line FFT may flip: a flight that overflows is marched again alone
-from the start of the segment, so its abort state is bitwise too.  A
-flight that stops leaves the stack, the others being copied into a
-smaller array.
+cos and sin return that flight's 1 and theta, so no bit moves.  The
+exception is a NaN's sign, which numpy's multi-line FFT may flip: an
+overflowed state is stored with each NaN float64 as numpy's one quiet
+NaN, np.nan, so a flight's abort state too is bitwise the same stacked
+or alone.  A flight that stops leaves the stack, the others being
+copied into a smaller array.
 
 Each flight keeps its own step size, horizon and abort thresholds.  A
-stack of two or more takes the rotation's angle factor as a column of
-one -dt per flight, and the free flow's symbol as a (B, *grid) array
-built once per stack, row i the symbol of flight i's step, whose rows
-leave with their flights; both ops stay elementwise per flight, so no
-bit moves.  A lone march takes the scalar and the cached symbol.  The
+stack takes the rotation's angle factor as a column of one -dt per
+flight, and the free flow's symbol as a (B, *grid) array built once per
+stack from the cached symbols (a view of its flight's for a stack of
+one), row i the symbol of flight i's step, whose rows leave with their
+flights; both ops stay elementwise per flight, so no bit moves.  The
 stack marches to the next step its shared cadence observes, so each
 flight must end on such a step (_ends_on_cadence), or its last step
 would split a mate's fused segment; flights that do not must share one
@@ -119,7 +119,10 @@ Every stack of at most 128 KiB gained (x0.54 to x0.93).  Past that the
 gain is not reliable: the FFT pair alone of a (2, 8192) noise stack
 costs x1.34 to x1.41 per flight (x0.70 at 1024 and 4096 points), and
 2-D stacks of 128^2 fields gain nothing.  So a field over 128 KiB
-marches alone.
+marches alone, as a stack of one, which costs what the march in its
+grid's shape cost: x1.01 to x1.04 at 1-D n = 8192 and x0.86 to x0.95 at
+2-D 256^2 on that guest, the field bitwise equal (CPU medians of 12
+alternating batches of 50 steps, three repeats).
 
 evolve() marches to t_final, records functional snapshots at a fixed step
 cadence, and aborts the moment the recorded diagnostics say the grid has
@@ -594,7 +597,8 @@ def evolve(
     checkpoint is kept; bounded_checkpoints=True drops those before
     _late_quarter_start(n_steps * dt_used), which scattering_proxy never
     reads, so the log holds u0, the late-quarter checkpoints and the final
-    or abort state.
+    or abort state; an abort on non-finite amplitudes stores each NaN as
+    np.nan.
 
     This is evolve_stack() on a stack of one.
     """
@@ -619,7 +623,10 @@ def evolve_stack(
     Each log is bitwise the one evolve() returns for its flight alone:
     every flight steps with its own dt_used, records, aborts and
     checkpoints on its own, as evolve() describes, and one that stops
-    leaves the stack, the others being copied into a smaller array.  The
+    leaves the stack, the others being copied into a smaller array.  Each
+    segment between observed steps is one kernel call on the whole
+    stack, whatever its size.  A state that overflowed stores each NaN as
+    np.nan, the NaN's sign being the one bit a stack may change.  The
     steppers must share snapshot_every and checkpoint_every, and each
     flight must end on a step that cadence observes (_ends_on_cadence),
     or else all must share one stepper (_mate_key); every flight must
@@ -651,7 +658,8 @@ def evolve_stack(
                  else -math.inf for log in logs]
     every, ckpt_every = cfgs[0].snapshot_every, cfgs[0].checkpoint_every
     # a step per flight: a column of them and a symbol per flight, whose
-    # rows leave with their flights; a lone flight's row is the cached one
+    # rows leave with their flights; a lone flight's row is a view of the
+    # cached one
     dt = np.array([log.dt_used for log in logs]).reshape((-1,) + (1,) * grid.d)
     kins = [_kinetic_phase(grid, log.dt_used) for log in logs]
     kin = np.stack(kins) if len(kins) > 1 else kins[0][np.newaxis]
@@ -673,10 +681,6 @@ def evolve_stack(
             )
         return _scatter_integrand(spec, grid, wsym, mcp)
 
-    def alone(row):
-        # the step and symbol the flight in a row of values takes alone
-        return logs[live[row]].dt_used, kin[row]
-
     # each flight's scattering integrand at its last record, summed by the
     # left-endpoint rule at its next one
     pending = []
@@ -690,24 +694,13 @@ def evolve_stack(
     step = 0
     while live:
         # march straight to the next step whose state is observed, which
-        # every live flight observes; one flight marches in its grid's shape
+        # every live flight observes
         target = min(min(logs[i].n_steps for i in live), (step // every + 1) * every)
         if ckpt_every:
             target = min(target, (step // ckpt_every + 1) * ckpt_every)
-        chunk, step = target - step, target
-        # a stack keeps its start, from which a flight that overflows is
-        # marched again alone: numpy's multi-line FFT may give a NaN the
-        # other sign
-        start = values.copy() if len(live) > 1 else None
-        if start is None:
-            row_dt, row_kin = alone(0)
-            _advance(values[0], chunk, row_dt, terms, row_kin)
-        else:
-            _advance(values, chunk, dt, terms, kin)
-        if np.all(np.isfinite(values)):
-            finite = [True] * len(live)
-        else:
-            finite = np.isfinite(values).reshape(len(live), -1).all(axis=1)
+        _advance(values, target - step, dt, terms, kin)
+        step = target
+        finite = np.isfinite(values).reshape(len(live), -1).all(axis=1)
 
         stopped = []
         for row, i in enumerate(live):
@@ -720,12 +713,11 @@ def evolve_stack(
                 log.outcome = "blowup_detected" if blowup else "resolution_lost"
                 log.abort_time = t
                 log.abort_detail = f"non-finite amplitudes at t = {t:.6g}"
-                state = values[row]
-                if start is not None:
-                    state = start[row]
-                    row_dt, row_kin = alone(row)
-                    _advance(state, chunk, row_dt, terms, row_kin)
-                log.final_state = ComplexField(grid, state, allow_nonfinite=True)
+                # numpy's multi-line FFT may give a NaN the other sign, so
+                # each NaN is stored as np.nan; the row leaves the stack
+                parts = values[row].view(np.float64)
+                parts[np.isnan(parts)] = np.nan
+                log.final_state = ComplexField(grid, values[row], allow_nonfinite=True)
                 stopped.append(row)
                 continue
 

@@ -73,7 +73,7 @@ def _write(tmp_path, name, text):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count(": ok") == 6
+    assert out.count(": ok") == 7
     assert "FAIL" not in out
 
 
@@ -216,6 +216,15 @@ def test_values_a_run_would_reject_exit_two_at_parse_time(tmp_path, capsys, comm
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+def test_a_corrupt_data_file_exits_two_naming_its_key(tmp_path, capsys):
+    bad = tmp_path / "bad.nlsf"
+    bad.write_bytes(b"XXXX" + bytes(24))
+    cfg = _write(tmp_path, "bad.ini", QUICK.replace(GAUSSIAN, f"kind = file\npath = {bad}"))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert "config error: initial_data.path:" in out and "bad magic" in out
 
 
 def test_failed_rerun_leaves_no_summary_to_report(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import json
 import math
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -70,6 +70,8 @@ def _with(text=BASE, **sections):
     (("n_per_axis = 256", "n_per_axis = banana"), r"grid\.n_per_axis: cannot parse"),
     (("amplitude = 0.8", "width = -1.0"), r"initial_data\.width: must be positive"),
     (("[grid]", "[lattice]"), r"grid: section missing"),
+    (("snapshot_every = 5", "snapshot_every = 5\nedge_cells = 128"),
+     r"stepper\.edge_cells: 128 sites"),
 ])
 def test_errors_name_the_offending_key(mutation, pattern):
     old, new = mutation
@@ -198,11 +200,13 @@ def _draw_config(rng, data_file) -> ExperimentConfig:
                                    t0=rng.uniform(-1.0, 1.0), x0=_draw_vector(rng, d),
                                    xi=_draw_vector(rng, d))
     localized = equation == "E1" and rng.random() < 0.5
+    n = rng.choice((8, 64, 256, 1024, 8192))
     return ExperimentConfig(
         model=model,
-        n_per_axis=rng.choice((8, 64, 256, 1024, 8192)),
+        n_per_axis=n,
         half_width=half_width,
-        stepper=stepper,
+        # the edge band at both ends must leave an interior
+        stepper=replace(stepper, edge_cells=min(stepper.edge_cells, n // 2 - 1)),
         initial=initial,
         symmetry=symmetry,
         directory=rng.choice(("", "runs/a", "runs/with space")),

@@ -717,6 +717,11 @@ def test_nonfinite_amplitudes_abort_with_a_postmortem_state():
     assert "non-finite" in log.abort_detail
     assert log.final_state is not None
     assert not np.all(np.isfinite(log.final_state.values))
+    # every NaN is stored as np.nan, whatever sign the march gave it
+    parts = log.final_state.values.view(np.float64)
+    nans = np.isnan(parts)
+    assert nans.any()
+    assert np.all(parts.view(np.uint64)[nans] == 0x7FF8000000000000)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
