@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -194,14 +195,22 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+def _finite(raw: str) -> float:
+    # nan and +-inf parse as floats, but no config number may take them
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _vector(raw: str) -> tuple:
     if not raw:
         return ()
-    return tuple(float(part) for part in raw.split(","))
+    return tuple(_finite(part) for part in raw.split(","))
 
 
 # keyed by field annotation, a string under `from __future__ import annotations`
-_PARSE = {"int": int, "float": float, "str": str, "bool": _bool, "tuple": _vector}
+_PARSE = {"int": int, "float": _finite, "str": str, "bool": _bool, "tuple": _vector}
 
 
 def _parser(text: str) -> configparser.ConfigParser:

@@ -83,11 +83,6 @@ class ModelParams:
         return self.d / 2.0 - 2.0 / (self.p - 1.0)
 
     @property
-    def critical_exponent(self) -> float:
-        """Power of the mass-critical term, 1 + 4/d."""
-        return 1.0 + 4.0 / self.d
-
-    @property
     def mc_power(self) -> float:
         """Lebesgue exponent of the mass-critical potential term, 2(d+2)/d."""
         return _mc_power(self.d)

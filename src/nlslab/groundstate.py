@@ -147,6 +147,14 @@ def _terms(mp: ModelParams, which: str, power) -> tuple:
     raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
 
 
+def _g(q: np.ndarray, terms: tuple) -> np.ndarray:
+    """g(q) = sum mu sign(q) |q|^ex over terms, elementwise on real samples."""
+    out = np.zeros_like(q)
+    for mu, ex in terms:
+        out += mu * np.sign(q) * np.abs(q) ** ex
+    return out
+
+
 @dataclass(eq=False, frozen=True)
 class GroundStateSolution:
     """Converged radial profile with its certificate integrals.
@@ -433,9 +441,7 @@ def _ode_residual(r, q, v, h, d, omega, terms):
     qpp[-2] = (v[-1] - v[-3]) / (2.0 * h)
     qpp[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
 
-    g = np.zeros_like(q)
-    for mu, ex in terms:
-        g += mu * np.sign(q) * np.abs(q) ** ex
+    g = _g(q, terms)
     res = np.empty(n)
     res[0] = d * qpp[0] - (omega * q[0] - g[0])
     res[1:] = qpp[1:] + (d - 1.0) / r[1:] * v[1:] - omega * q[1:] + g[1:]
@@ -827,17 +833,11 @@ def ground_state_on_grid(
         q = np.abs(np.asarray(guess, dtype=float))
     q = q.astype(np.complex128)
 
-    def g_of(qr):
-        out = np.zeros_like(qr)
-        for mu, ex in terms:
-            out += mu * np.sign(qr) * np.abs(qr) ** ex
-        return out
-
     change = math.inf
     it = 0
     for it in range(1, max_iter + 1):
         qr = q.real
-        rhs = qr + dtau * g_of(qr)
+        rhs = qr + dtau * _g(qr, terms)
         qn = np.fft.ifftn(np.fft.fftn(rhs) * denom).real
         c = _nehari_rescale(qn, dv, k2, omega, terms)
         qn = c * qn
@@ -848,7 +848,7 @@ def ground_state_on_grid(
 
     qr = q.real
     lap = np.fft.ifftn(-k2 * np.fft.fftn(qr)).real
-    res = float(np.max(np.abs(lap - omega * qr + g_of(qr))))
+    res = float(np.max(np.abs(lap - omega * qr + _g(qr, terms))))
     info = {
         "iterations": it,
         "final_change": change,

@@ -41,16 +41,15 @@ that a slice computes what the whole array computes).  A focused or
 dispersed field is tiny over most of the box, so in 1-D the window is
 a few percent of the grid or less.
 
-The free flow runs the FFT pair in place through spectral._transform,
+The free flow is spectral._apply_symbol, the one free-flow and
+multiplier product: the FFT pair in place through spectral._transform,
 one axis at a time through numpy.fft's out= (numpy 2.0 or later), last
-axis first as fftn and ifftn do, so it is their arithmetic bit for bit;
-a record's forward transform, the scattering integrand's inverse and
-the proxy's pullbacks take the same per-axis path.  The step is
-therefore bitwise the plain full-array composition.  With both
-couplings zero the kernel is the free-flow multiplier alone, with the
-symbol as the left operand: bit-identical to spectral.free_evolve on
-fields under spectral._ELIDED_BYTES, and equal to rounding on larger
-ones, where free_evolve keeps numpy's spectrum-first order.
+axis first as fftn and ifftn do, so it is their arithmetic bit for bit,
+with the symbol as the left operand of the product.  The step is
+therefore bitwise the plain full-array composition, and with both
+couplings zero it is bitwise spectral.free_evolve on every grid; a
+record's forward transform, the scattering integrand's inverse and the
+proxy's pullbacks take the same per-axis path.
 
 evolve_stack() marches B flights that share a grid, a model and a record
 cadence as one array of shape (B, *grid); evolve() is a stack of one,
@@ -81,48 +80,18 @@ stack marches to the next step its shared cadence observes, so each
 flight must end on such a step (_ends_on_cadence), or its last step
 would split a mate's fused segment; flights that do not must share one
 stepper (_mate_key).  A threshold sweep's two sides, scattering at
-dt = 1e-4 and collapse at 1e-5 on one grid, so march as one stack.  The
-cost of one fused stack-step at n = 1024, 1-D E1 p = 7, on the same
-guest (min of 15 alternating batches of 8 x 25 steps):
-
-    B           1      2      3      4
-    us/step    44     68     87     105
-
-The per-flight symbol costs nothing measurable: a column-dt stack of B
-equal steps takes x0.92 to x1.05 the time of the same stack on one
-scalar dt and one shared symbol (n = 1024 to 4096, B = 2 to 4; one
-x1.19 at n = 1024, B = 4 read x0.98 to x1.00 in three repeats).  Nor
-does the symbol, as large as the stack's fields, undo the gain at the
-byte cap.  CPU time of a stack of flights alternating dt = 1e-4 and
-1e-5 against the same flights marched alone, Gaussian bump / complex
-white noise, min of 15 alternating batches of 8 x 25 steps:
-
-    grid        KiB/field   B = 2         B = 3         B = 4
-    1-D 2048       32       0.73 / 0.77   0.72 / 0.79   0.80 / 0.71
-    1-D 4096       64       0.89 / 0.89
+dt = 1e-4 and collapse at 1e-5 on one grid, so march as one stack: the
+per-flight step and symbol cost nothing measurable over one shared
+step, and do not undo the gain of stacking (BENCH_14.json,
+stack_step_us and final_tree).
 
 A stack holds at most _STACK_BYTES = 128 KiB of fields
-(_stack_capacity).  CPU time per flight-step of a stack of B against
-one flight in its grid's shape, on a 2-core Intel Xeon guest (Python
-3.11.7, numpy 2.4.6), medians of alternating batches, for a Gaussian
-bump / complex white noise:
-
-    grid        KiB/field   B = 2         B = 3         B = 4
-    1-D 1024       16       0.72 / 0.79   0.64 / 0.69   0.54 / 0.60
-    1-D 2048       32       0.73 / 0.78   0.70 / 0.74   0.61 / 0.67
-    1-D 4096       64       0.87 / 0.87   0.84 / 0.85   0.78 / 0.77
-    1-D 8192      128       0.80 / 0.88   0.82 / 0.86   0.77 / 0.78
-    2-D 64^2       64       0.91 / 0.93   0.80 / 0.86   0.85 / 0.84
-    2-D 128^2     256       1.01 / 0.99   1.03 / 0.97   1.04 / 0.99
-
-Every stack of at most 128 KiB gained (x0.54 to x0.93).  Past that the
-gain is not reliable: the FFT pair alone of a (2, 8192) noise stack
-costs x1.34 to x1.41 per flight (x0.70 at 1024 and 4096 points), and
-2-D stacks of 128^2 fields gain nothing.  So a field over 128 KiB
-marches alone, as a stack of one, which costs what the march in its
-grid's shape cost: x1.01 to x1.04 at 1-D n = 8192 and x0.86 to x0.95 at
-2-D 256^2 on that guest, the field bitwise equal (CPU medians of 12
-alternating batches of 50 steps, three repeats).
+(_stack_capacity).  Every stack measured under that cap gained; past it
+the gain is not reliable, since the FFT pair of a multi-line stack of
+large lines can cost more per flight than a lone line's, and 2-D stacks
+of 128^2 fields gain nothing (BENCH_13.json, stack_cap).  So a field
+over 128 KiB marches alone, as a stack of one, as strang_step() steps
+its field (timed in BENCH_15.json, stack_of_one_step).
 
 evolve() marches to t_final, records functional snapshots at a fixed step
 cadence, and aborts the moment the recorded diagnostics say the grid has
@@ -219,6 +188,9 @@ class StepperConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.t_final > 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if not math.isfinite(self.t_final / self.dt):
+            # no step count reaches such a horizon
+            raise ValueError(f"t_final / dt must be finite, got {self.t_final} / {self.dt}")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
         if self.checkpoint_every < 0:
@@ -340,8 +312,8 @@ _TINY_PHASE = 2.0**-27
 
 
 class _Workspace(NamedTuple):
-    """The rotation's buffers for values of one shape, (flights, *grid) or
-    the grid's, with the views it reads them through."""
+    """The rotation's buffers for a stack of one shape, (flights, *grid),
+    with the views it reads them through."""
 
     phase: np.ndarray       # complex phase; its float64 storage is scratch until built
     squares: tuple          # that storage's (re*re, im*im) halves of each pair
@@ -350,18 +322,17 @@ class _Workspace(NamedTuple):
     theta: np.ndarray
     small: np.ndarray       # |theta| < _TINY_PHASE
     rows: tuple             # theta, phase.real, phase.imag, small as (flights, grid
-                            # points), or flat for one flight
+                            # points), or flat for a stack of one
     union: np.ndarray       # small in every flight, per grid point: a buffer of its
-                            # own for a stack, the flat small for one flight
+                            # own for two or more flights, the flat small for one
 
 
-def _workspace(shape, rank: int) -> _Workspace:
-    """Buffers and views for values of the given shape whose last rank axes
-    are the grid."""
+def _workspace(shape) -> _Workspace:
+    """Buffers and views for a stack of the given shape, (flights, *grid)."""
     phase = np.empty(shape, dtype=np.complex128)
     a2, theta = np.empty(shape), np.empty(shape)
     small = np.empty(shape, dtype=bool)
-    flights = math.prod(shape[:len(shape) - rank])
+    flights = shape[0]
     rows = (flights, -1) if flights > 1 else (-1,)
     flat = phase.reshape(rows)
     squares = phase.view(np.float64)
@@ -422,41 +393,31 @@ def _rotate(values, rate, terms, ws):
     np.multiply(values, ws.phase, out=values)
 
 
-def _free(values, kin, rank):
-    """F(dt) in place over the grid axes, the last rank; the symbol is the
-    left operand (numpy's complex product is not bitwise commutative)."""
-    _transform(np.fft.fft, values, values, rank)
-    np.multiply(kin, values, out=values)
-    _transform(np.fft.ifft, values, values, rank)
-
-
 def _advance(values, n, dt, terms, kin):
-    """n Strang steps, in place.  values is one field, dt a float and kin
-    its free-flow symbol on the field's grid; or a stack of fields,
-    (flights, *grid), dt a column (flights, 1, ..., 1) of each flight's
-    step and kin of shape (flights, *grid) each flight's symbol.  Every op
-    is elementwise per flight, so each takes its steps bitwise as it
-    would alone.
+    """n Strang steps, in place, of a stack of fields, (flights, *grid);
+    dt is a float or a column (flights, 1, ..., 1) of each flight's step,
+    and kin, of shape (flights, *grid), each flight's free-flow symbol.
+    Every op is elementwise per flight, so each takes its steps bitwise as
+    it would alone.
 
     Adjacent half-steps merge, P(dt/2) P(dt/2) = P(dt), because P leaves
     |u| unchanged; the closing half-step is applied once, after the last
     free flight, so the state is a whole number of steps on return.  The
     rotation's buffers are allocated once per call.
     """
-    # a stacked symbol's first axis is the flights'
-    rank = kin.ndim if np.ndim(dt) == 0 else kin.ndim - 1
+    rank = values.ndim - 1
     if not terms:
         for _ in range(n):
-            _free(values, kin, rank)
+            _apply_symbol(values, kin, values, rank)
         return
-    ws = _workspace(values.shape, rank)
+    ws = _workspace(values.shape)
     # -(dt/2) and -dt, exact
     half, whole = -0.5 * dt, -dt
     _rotate(values, half, terms, ws)
     for _ in range(n - 1):
-        _free(values, kin, rank)
+        _apply_symbol(values, kin, values, rank)
         _rotate(values, whole, terms, ws)
-    _free(values, kin, rank)
+    _apply_symbol(values, kin, values, rank)
     _rotate(values, half, terms, ws)
 
 
@@ -474,10 +435,11 @@ def strang_step(
     is how reduced models (single nonlinearity, or none) are exercised.
     """
     dt = float(dt)
-    v = u.values.copy()
-    _advance(v, 1, dt, _nonlinear_terms(mp, couplings), _kinetic_phase(u.grid, dt))
+    # a stack of one
+    v = u.values[np.newaxis].copy()
+    _advance(v, 1, dt, _nonlinear_terms(mp, couplings), _kinetic_phase(u.grid, dt)[np.newaxis])
     finite = bool(np.all(np.isfinite(v)))
-    return ComplexField(u.grid, v, allow_nonfinite=not finite)
+    return ComplexField(u.grid, v[0], allow_nonfinite=not finite)
 
 
 # -- full trajectories --------------------------------------------------------

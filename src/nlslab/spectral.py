@@ -295,26 +295,22 @@ def transform(f: ComplexField, direction: str = "forward") -> ComplexField:
     return ComplexField(f.grid, out, allow_nonfinite=f.allow_nonfinite)
 
 
-# numpy evaluates symbol * np.fft.fftn(values) in place in the transform's
-# temporary once that reaches this size (temporary elision), and so with
-# the spectrum as the left operand
-_ELIDED_BYTES = 256 * 1024
+def _apply_symbol(values: np.ndarray, symbol: np.ndarray, out: np.ndarray | None = None,
+                  rank=None):
+    """np.fft.ifftn(np.multiply(symbol, np.fft.fftn(values))), bitwise,
+    into out (a new array when None; it may be values, not symbol).  The
+    transforms run over the last rank axes, as in _transform: a stack of
+    fields, (flights, *grid), takes each row's symbol from a (flights,
+    *grid) symbol.
 
-
-def _apply_symbol(values: np.ndarray, symbol: np.ndarray, out: np.ndarray | None = None):
-    """np.fft.ifftn(symbol * np.fft.fftn(values)), bitwise, into out (a new
-    array when None; it may be values, not symbol).
-
-    numpy's complex product is not bitwise commutative, so the operands
-    keep the order numpy gives that expression: the symbol on the left
-    below _ELIDED_BYTES, the spectrum on the left from there on.
+    This is the one free-flow and multiplier product: the stepping kernel,
+    free_evolve, apply_multiplier, the proxy's pullbacks and
+    spectral_translate all call it.  numpy's complex product is not
+    bitwise commutative, so the symbol is always the left operand.
     """
-    spec = _transform(np.fft.fft, values, np.empty_like(values) if out is None else out)
-    if spec.nbytes < _ELIDED_BYTES:
-        np.multiply(symbol, spec, out=spec)
-    else:
-        np.multiply(spec, symbol, out=spec)
-    return _transform(np.fft.ifft, spec, spec)
+    spec = _transform(np.fft.fft, values, np.empty_like(values) if out is None else out, rank)
+    np.multiply(symbol, spec, out=spec)
+    return _transform(np.fft.ifft, spec, spec, rank)
 
 
 def apply_multiplier(f: ComplexField, m: FourierMultiplier) -> ComplexField:

@@ -72,6 +72,12 @@ def _with(text=BASE, **sections):
     (("[grid]", "[lattice]"), r"grid: section missing"),
     (("snapshot_every = 5", "snapshot_every = 5\nedge_cells = 128"),
      r"stepper\.edge_cells: 128 sites"),
+    # config numbers are finite, and so is the step count they imply
+    (("half_width = 15.0", "half_width = inf"), r"grid\.half_width: cannot parse"),
+    (("t_final = 0.02", "t_final = inf"), r"stepper\.t_final: cannot parse"),
+    (("dt = 1e-3", "dt = 1e-320"), r"stepper: t_final / dt must be finite"),
+    (("amplitude = 0.8", "amplitude = nan"), r"initial_data\.amplitude: cannot parse"),
+    (("amplitude = 0.8", "amplitude = inf"), r"initial_data\.amplitude: cannot parse"),
 ])
 def test_errors_name_the_offending_key(mutation, pattern):
     old, new = mutation

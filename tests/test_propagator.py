@@ -75,8 +75,16 @@ def test_edge_heavy_data_is_refused_up_front():
 
 # -- agreement with the free flow --------------------------------------------
 
-def test_zero_couplings_single_step_is_exactly_the_free_propagator():
-    u = _packet()
+@pytest.mark.parametrize("grid", [
+    GridSpec(d=1, n_per_axis=512, half_width=40.0),
+    # 128^2 and 256^2 fields are 256 KiB and 1 MiB
+    GridSpec(d=2, n_per_axis=128, half_width=16.0),
+    GridSpec(d=2, n_per_axis=256, half_width=16.0),
+], ids=["1d_512", "2d_128", "2d_256"])
+def test_zero_couplings_single_step_is_exactly_the_free_propagator(grid):
+    k0 = 12 * math.pi / grid.half_width
+    u = field_from_function(
+        grid, lambda *x: 0.6 * np.exp(-sum(c**2 for c in x)) * np.exp(1j * k0 * x[0]))
     s = strang_step(u, MP1, 1e-3, couplings=(0.0, 0.0))
     f = free_evolve(u, 1e-3)
     assert np.array_equal(s.values, f.values)
@@ -480,9 +488,10 @@ def test_kernel_is_the_plain_strang_loop_bitwise(mp, grid, amplitude, couplings,
 
     ref = u0.values.copy()
     _reference_strang(ref, n, dt, terms, kin)
-    got = u0.values.copy()
-    propagator._advance(got, n, dt, terms, kin)
-    assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+    # the kernel marches stacks: this one of one
+    got = u0.values[np.newaxis].copy()
+    propagator._advance(got, n, dt, terms, kin[np.newaxis])
+    assert np.array_equal(got[0].view(np.float64), ref.view(np.float64))
 
     one = u0.values.copy()
     _reference_strang(one, 1, dt, terms, kin)
@@ -563,8 +572,10 @@ def test_a_stack_marches_each_row_as_it_marches_alone(mp, grid, rows):
         with np.errstate(all="ignore"):
             propagator._advance(stack, n, step, terms, kin)
             for row, f, h in zip(stack, fields, dts):
-                alone = f.copy()
-                propagator._advance(alone, n, h, terms, propagator._kinetic_phase(grid, h))
+                alone = f[np.newaxis].copy()
+                propagator._advance(alone, n, h, terms,
+                                    propagator._kinetic_phase(grid, h)[np.newaxis])
+                alone = alone[0]
                 # NaN where the lone march has NaN, every other sample
                 # bitwise; numpy's multi-line FFT may give a NaN the other sign
                 nan = np.isnan(alone.view(np.float64))

@@ -265,8 +265,9 @@ def test_odd_symbols_zero_the_nyquist_mode_on_their_own_axis(d):
             grid.k_odd[ax][0] = 1.0
 
 
-# the in-place forms are bitwise the plain expressions; 64^2 and 128^2
-# sit on either side of spectral._ELIDED_BYTES
+# the in-place forms are bitwise the plain expressions; a 128^2 field is
+# 256 KiB, the size from which numpy elides the temporary of an operator
+# product, which the references therefore spell as np.multiply
 BITWISE_GRIDS = [GridSpec(d=1, n_per_axis=1024, half_width=30.0),
                  GridSpec(d=2, n_per_axis=64, half_width=8.0),
                  GridSpec(d=2, n_per_axis=128, half_width=8.0)]
@@ -281,10 +282,8 @@ def test_transforms_and_pullbacks_are_the_fftn_expressions_bitwise(grid):
     f = random_smooth_field(grid, seed=5)
     v = f.values
     for t in (0.37, -1.25):
-        # the symbol held by name, as a multiplier holds it: numpy orders a
-        # product of two temporaries differently
         symbol = np.exp(-1j * t * grid.k_squared)
-        want = np.fft.ifftn(symbol * np.fft.fftn(v))
+        want = np.fft.ifftn(np.multiply(symbol, np.fft.fftn(v)))
         assert _same_bits(free_evolve(f, t).values, want)
         sym = np.empty(grid.shape, dtype=np.complex128)
         assert _same_bits(spectral._free_flow_symbol(grid, t, out=sym), symbol)
