@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ComplexField
+from .spectral import ComplexField, GridSpec, _row_sums
 
 __all__ = [
     "ModelParams",
@@ -107,15 +107,17 @@ def _mc_power(d: int) -> float:
     return 2.0 * (d + 2.0) / d
 
 
-def _spectral_integrals(f: ComplexField, spectrum=None) -> tuple:
-    """(||grad u||^2, momentum); spectrum, when given, is np.fft.fftn(f.values)."""
-    g, dv = f.grid, f.grid.cell_volume
-    if spectrum is None:
-        spectrum = np.fft.fftn(f.values)
-    power = np.abs(spectrum / np.sqrt(f.values.size)) ** 2
+def _spectral_integrals(grid: GridSpec, spectrum) -> tuple:
+    """||grad u||^2, then each momentum component, of every field of a stack,
+    (flights, *grid), as arrays of one value per field; spectrum is the
+    stack's per-field np.fft.fftn."""
+    power = np.abs(spectrum / np.sqrt(grid.size)) ** 2
     # Im<i k F, F> = sum k |F|^2
-    return (float(np.sum(g.k_squared * power) * dv),
-            tuple(float(np.sum(k * power) * dv) for k in g.k_odd))
+    return tuple(_row_sums(k * power) * grid.cell_volume for k in (grid.k_squared, *grid.k_odd))
+
+
+def _lone_spectral_integrals(f: ComplexField) -> list:
+    return [float(v[0]) for v in _spectral_integrals(f.grid, np.fft.fftn(f.values)[np.newaxis])]
 
 
 def mass(f: ComplexField) -> float:
@@ -123,7 +125,7 @@ def mass(f: ComplexField) -> float:
 
 
 def gradient_l2_sq(f: ComplexField) -> float:
-    return _spectral_integrals(f)[0]
+    return _lone_spectral_integrals(f)[0]
 
 
 def power_integrals(f: ComplexField, mp: ModelParams) -> tuple:
@@ -139,7 +141,7 @@ def momentum(f: ComplexField) -> np.ndarray:
     symbol i*k, so real fields report momentum at rounding level rather
     than picking up a systematic Nyquist contribution.
     """
-    return np.array(_spectral_integrals(f)[1])
+    return np.array(_lone_spectral_integrals(f)[1:])
 
 
 # -- combiners: the only place the E/S/K/H coefficients are written -----------
@@ -234,12 +236,34 @@ def snapshot(
     """The one integrals pass behind every functional: one forward FFT (or
     the caller's spectrum, np.fft.fftn(f.values)) and one |u| array (or the
     caller's modulus, np.abs(f.values)) give the integrals, the combiners
-    above give E, S, K and H."""
-    grad, mom = _spectral_integrals(f, spectrum)
+    above give E, S, K and H.  This is _snapshots on a stack of one."""
+    if spectrum is None:
+        spectrum = np.fft.fftn(f.values)
     a = np.abs(f.values) if modulus is None else modulus
-    dv = f.grid.cell_volume
-    m = float(np.sum(a**2) * dv)
-    lp1, lmc = float(np.sum(a ** (mp.p + 1.0)) * dv), float(np.sum(a**mp.mc_power) * dv)
+    return _snapshots(f.grid, mp, [t], spectrum[np.newaxis], a[np.newaxis])[0][0]
+
+
+def _snapshots(grid: GridSpec, mp: ModelParams, ts, spectrum, modulus) -> tuple:
+    """snapshot() of every field of a stack, (flights, *grid), at its time
+    in ts, from the stack's per-field np.fft.fftn and |u|: each integral
+    is a per-field reduction over the grid axes.  Returns the snapshots,
+    the density |u|^2 and its per-field sums, which an edge fraction
+    reads (spectral._edge_fractions)."""
+    grad, *mom = _spectral_integrals(grid, spectrum)
+    dv = grid.cell_volume
+    density = modulus**2
+    totals = _row_sums(density)
+    m = totals * dv
+    lp1 = _row_sums(modulus ** (mp.p + 1.0)) * dv
+    lmc = _row_sums(modulus**mp.mc_power) * dv
+    rows = zip(ts, grad.tolist(), zip(*(c.tolist() for c in mom)), m.tolist(), lp1.tolist(),
+               lmc.tolist())
+    snaps = [_snapshot(mp, *row) for row in rows]
+    return snaps, density, totals
+
+
+def _snapshot(mp: ModelParams, t, grad, mom, m, lp1, lmc) -> FunctionalSnapshot:
+    """The snapshot of one field's integrals, through the combiners above."""
     e = _energy(mp, grad, lp1, lmc, mp.couplings)
     return FunctionalSnapshot(t, m, e, mom, _action(mp, e, m),
                               _scaling_derivative(mp, grad, lp1, lmc),

@@ -85,6 +85,20 @@ per-flight step and symbol cost nothing measurable over one shared
 step, and do not undo the gain of stacking (BENCH_14.json,
 stack_step_us and final_tree).
 
+A record is one pass over the stack as well.  The live finite flights
+that record at a step, every live flight on the shared cadence, take one
+forward transform and one |u| for their (flights, *grid) rows; each
+snapshot integral, the tail and edge fractions and the scattering
+integrand is then a per-flight reduction over the grid axes, which
+numpy computes to the bits of the flight's lone sum (tests/test_propagator.py
+checks this premise), and each flight reads its own edge band.  Only
+the list appends, the scattering sum, the blow-up criterion and the
+abort decision loop over the flights.  snapshot(),
+spectral_tail_fraction() and edge_mass_fraction() are the same code on
+a stack of one.  A record builds a ComplexField only where a checkpoint,
+the final state or a localized virial row needs one; virial rows run per
+flight, on the record's row views.
+
 A stack holds at most _STACK_BYTES = 128 KiB of fields
 (_stack_capacity).  Every stack measured under that cap gained; past it
 the gain is not reliable, since the FFT pair of a multi-line stack of
@@ -134,24 +148,32 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .functionals import ModelParams, snapshot
+from .functionals import ModelParams, _snapshots
 from .spectral import (
     ComplexField,
     GridSpec,
     _apply_symbol,
+    _edge_fractions,
     _free_flow_symbol,
     _lp_norm,
+    _row_sums,
+    _tail_fractions,
     _transform,
     derivative_weight_multiplier,
     edge_mass_fraction,
-    spectral_tail_fraction,
 )
 from .virial import (
     VirialWeight,
+    _whole_space_e2,
     virial_derivatives,
     virial_value,
-    whole_space_virial_e2,
 )
+
+# the lone monitors, which a record no longer calls, stay at the names
+# perfbench's tracer looks up here
+from .functionals import snapshot  # noqa: F401
+from .spectral import spectral_tail_fraction  # noqa: F401
+from .virial import whole_space_virial_e2  # noqa: F401
 
 __all__ = [
     "OUTCOMES",
@@ -378,7 +400,7 @@ def _rotate(values, rate, terms, ws):
     np.less(scratch, _TINY_PHASE, out=ws.small)
     th, re, im, small = ws.rows
     if small.ndim > 1:
-        np.all(small, axis=0, out=ws.union)
+        np.logical_and.reduce(small, axis=0, out=ws.union)
     small = ws.union
     n = small.size
     # the first and last grid point outside the mask; an all-True mask
@@ -444,18 +466,21 @@ def strang_step(
 
 # -- full trajectories --------------------------------------------------------
 
-def _scatter_integrand(spectrum, grid, weight_symbol, mc_power) -> float:
-    # overwrites spectrum: the record's last reader, so no buffer is added
+def _scatter_integrand(spectrum, grid, weight_symbol, mc_power) -> np.ndarray:
+    """The scattering integrand of each field of a stack, (flights, *grid),
+    from the stack's per-field np.fft.fftn, which it overwrites: the
+    record's last reader, so no buffer is added."""
     wf = np.multiply(weight_symbol, spectrum, out=spectrum)
-    _transform(np.fft.ifft, wf, wf)
+    _transform(np.fft.ifft, wf, wf, grid.d)
     a2 = wf.real * wf.real + wf.imag * wf.imag
-    return float(np.sum(_abs2_power(a2, 0.5 * mc_power)) * grid.cell_volume)
+    return _row_sums(_abs2_power(a2, 0.5 * mc_power)) * grid.cell_volume
 
 
-def _virial_row(f, mp, t, weight, whole_space, spec, modulus, snap) -> VirialRow:
-    # K is the snapshot's: both kinds of row read it rather than form it again
-    if whole_space:
-        return VirialRow(t, None, None, whole_space_virial_e2(f, mp, snap=snap), None, None)
+def _virial_row(mp, t, snap, weight, f=None, spec=None, modulus=None) -> VirialRow:
+    # K is the snapshot's: both kinds of row read it rather than form it
+    # again, and a whole-space row (weight None) reads nothing else
+    if weight is None:
+        return VirialRow(t, None, None, _whole_space_e2(mp, snap), None, None)
     vd = virial_derivatives(f, mp, weight, spectrum=spec, modulus=modulus)
     return VirialRow(
         t,
@@ -628,30 +653,45 @@ def evolve_stack(
     wsym = derivative_weight_multiplier(grid, mp.s_p).symbol
     mcp = mp.mc_power
 
-    def record(log, f, t):
-        # one forward FFT and one |u| per record, shared by every diagnostic
-        spec = _transform(np.fft.fft, f.values, np.empty_like(f.values))
-        a = np.abs(f.values)
-        snap = snapshot(f, mp, t, spectrum=spec, modulus=a)
-        log.times.append(t)
-        log.snapshots.append(snap)
-        log.tail_fractions.append(spectral_tail_fraction(f, spectrum=spec))
-        log.edge_fractions.append(edge_mass_fraction(f, log.config.edge_cells, modulus=a))
-        if virial_weight is not None or whole_space_virial:
-            log.virial_rows.append(
-                _virial_row(f, mp, t, virial_weight, whole_space_virial, spec, a, snap)
-            )
-        return _scatter_integrand(spec, grid, wsym, mcp)
+    def record(x, flights, step):
+        # every flight of the stack x, (flights, *grid), records at once: one
+        # forward FFT and one |u| for the stack, shared by every diagnostic,
+        # each a per-flight reduction; returns each flight's scattering
+        # integrand
+        spec = _transform(np.fft.fft, x, np.empty_like(x), grid.d)
+        a = np.abs(x)
+        ts = [step * logs[i].dt_used for i in flights]
+        snaps, dens, totals = _snapshots(grid, mp, ts, spec, a)
+        edges = _edge_fractions(dens, totals, grid, [logs[i].config.edge_cells for i in flights])
+        # |u|^2 and |u| are dropped once read, so that a stack of one holds
+        # no more at once than a lone record did
+        del dens
+        tails = _tail_fractions(spec, grid)
+        for row, (i, t, snap, tail, edge) in enumerate(zip(flights, ts, snaps, tails.tolist(),
+                                                           edges.tolist())):
+            log = logs[i]
+            log.times.append(t)
+            log.snapshots.append(snap)
+            log.tail_fractions.append(tail)
+            log.edge_fractions.append(edge)
+            if virial_weight is not None:
+                f = ComplexField(grid, x[row])
+                log.virial_rows.append(
+                    _virial_row(mp, t, snap, virial_weight, f, spec[row], a[row])
+                )
+            elif whole_space_virial:
+                log.virial_rows.append(_virial_row(mp, t, snap, None))
+        del a
+        return _scatter_integrand(spec, grid, wsym, mcp).tolist()
 
     # each flight's scattering integrand at its last record, summed by the
     # left-endpoint rule at its next one
-    pending = []
-    for log, u0 in zip(logs, u0s):
-        pending.append(record(log, u0, 0.0))
-        log.checkpoints.append((0.0, u0))
-        log.scatter_series.append(0.0)
     values = np.stack([u0.values for u0 in u0s])
     live = list(range(len(u0s)))     # the log of each row of values
+    pending = record(values, live, 0)
+    for log, u0 in zip(logs, u0s):
+        log.checkpoints.append((0.0, u0))
+        log.scatter_series.append(0.0)
 
     step = 0
     while live:
@@ -663,6 +703,14 @@ def evolve_stack(
         _advance(values, target - step, dt, terms, kin)
         step = target
         finite = np.isfinite(values).reshape(len(live), -1).all(axis=1)
+        # the finite flights that record at this step, all of them together
+        recording = [row for row, i in enumerate(live)
+                     if finite[row] and (step % every == 0 or step == logs[i].n_steps)]
+        recorded = {}
+        if recording:
+            recorded = dict(zip(recording, record(
+                values if len(recording) == len(live) else values[recording],
+                [live[row] for row in recording], step)))
 
         stopped = []
         for row, i in enumerate(live):
@@ -683,16 +731,14 @@ def evolve_stack(
                 stopped.append(row)
                 continue
 
-            if step % every and step != log.n_steps:
+            if row not in recorded:
                 if t >= keep_from[i]:
                     log.checkpoints.append((t, ComplexField(grid, values[row])))
                 continue
 
-            f = ComplexField(grid, values[row])
-            g = record(log, f, t)
             # times[-2] is the previous record's
             log.scatter_series.append(log.scatter_series[-1] + (t - log.times[-2]) * pending[i])
-            pending[i] = g
+            pending[i] = recorded[row]
 
             tail = log.tail_fractions[-1]
             edge = log.edge_fractions[-1]
@@ -708,16 +754,15 @@ def evolve_stack(
                 log.abort_detail = f"edge mass fraction {edge:.3e}"
             if log.outcome != "running":
                 log.abort_time = t
-                log.checkpoints.append((t, f))
-                log.final_state = f
-                stopped.append(row)
             elif step == log.n_steps:
                 log.outcome = "completed"
+            ends = log.outcome != "running"
+            if ends or ckpt_every and step % ckpt_every == 0 and t >= keep_from[i]:
+                f = ComplexField(grid, values[row])
                 log.checkpoints.append((t, f))
-                log.final_state = f
-                stopped.append(row)
-            elif ckpt_every and step % ckpt_every == 0 and t >= keep_from[i]:
-                log.checkpoints.append((t, f))
+                if ends:
+                    log.final_state = f
+                    stopped.append(row)
 
         if stopped:
             rows = [row for row in range(len(live)) if row not in stopped]

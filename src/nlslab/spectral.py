@@ -378,21 +378,52 @@ def spectral_tail_fraction(f: ComplexField, *, spectrum=None) -> float:
     'Top third' is measured per axis: a mode belongs to the tail when any
     of its wavenumber components exceeds 2/3 of the axis maximum.
     spectrum, when given, is np.fft.fftn(f.values) and saves the transform.
+    This is _tail_fractions on a stack of one.
     """
     if spectrum is None:
         spectrum = np.fft.fftn(f.values)
-    spec = np.abs(spectrum) ** 2
-    total = float(np.sum(spec))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(spec[f.grid.tail_mask])) / total
+    return float(_tail_fractions(spectrum[np.newaxis], f.grid)[0])
 
 
 def edge_mass_fraction(f: ComplexField, cells: int = 4, *, modulus=None) -> float:
     """Mass fraction within `cells` lattice sites of the box boundary.
-    modulus, when given, is np.abs(f.values) and saves taking it."""
-    dens = (np.abs(f.values) if modulus is None else modulus) ** 2
-    total = float(np.sum(dens))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(dens[f.grid.edge_mask(cells)])) / total
+    modulus, when given, is np.abs(f.values) and saves taking it.  This is
+    _edge_fractions on a stack of one."""
+    dens = ((np.abs(f.values) if modulus is None else modulus) ** 2)[np.newaxis]
+    return float(_edge_fractions(dens, _row_sums(dens), f.grid, [cells])[0])
+
+
+# -- the monitors over a stack of fields, (flights, *grid) ---------------------
+# Each row's reduction runs over its own contiguous samples, so it is
+# bitwise the row's lone np.sum: a masked gather is taken in C order by
+# np.compress, since a boolean index over the trailing axes of a stack
+# returns a Fortran-ordered array whose row sums take other bits.
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """np.sum of each row of a stack x, (flights, *grid), over its grid axes."""
+    return np.sum(x.reshape(len(x), -1), axis=-1)
+
+
+def _masked_row_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """np.sum(x[i][mask]) for each row i of a stack x."""
+    return _row_sums(np.compress(mask.reshape(-1), x.reshape(len(x), -1), axis=1))
+
+
+def _fractions(part: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """part / total per row, 0 where total is 0."""
+    return np.divide(part, total, out=np.zeros_like(total), where=total != 0.0)
+
+
+def _tail_fractions(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """spectral_tail_fraction of each field of a stack, from the stack's
+    per-field np.fft.fftn."""
+    power = np.abs(spectrum) ** 2
+    return _fractions(_masked_row_sums(power, grid.tail_mask), _row_sums(power))
+
+
+def _edge_fractions(density: np.ndarray, totals: np.ndarray, grid: GridSpec,
+                    cells) -> np.ndarray:
+    """edge_mass_fraction of each field of a stack, from the stack's
+    |u|^2 and its row sums; row i's band is cells[i] sites deep."""
+    bands = {c: _masked_row_sums(density, grid.edge_mask(c)) for c in set(cells)}
+    return _fractions(np.array([bands[c][row] for row, c in enumerate(cells)]), totals)

@@ -162,7 +162,10 @@ def apply_symmetry(
     vals = out.values
     if any(c != 0.0 for c in e.xi):
         phase = sum(x * c for x, c in zip(g.coords, e.xi))
-        vals = vals * np.exp(1j * phase)
+        # one explicit product, the field on the left: the operator form
+        # would let numpy elide the phase's temporary on large grids and
+        # compute phase * field there, whose bits differ
+        vals = np.multiply(vals, np.exp(1j * phase))
     if e.theta != 0.0:
         vals = vals * np.exp(1j * e.theta)
 

@@ -235,7 +235,11 @@ def whole_space_virial_e2(
     8 K with E2's own signs, from the integrals of snap (snapshot(f, mp)
     when None), so a record's row takes no transform of its own.
     """
+    return _whole_space_e2(mp, snapshot(f, mp) if snap is None else snap)
+
+
+def _whole_space_e2(mp: ModelParams, snap: FunctionalSnapshot) -> float:
+    """whole_space_virial_e2 from the snapshot alone, which is all it reads."""
     if mp.equation != "E2":
         raise ValueError("whole-space E2 identity requested for an E1 model")
-    s = snapshot(f, mp) if snap is None else snap
-    return 8.0 * _scaling_derivative(mp, s.grad_l2_sq, s.lp1, s.lmc, mp.couplings)
+    return 8.0 * _scaling_derivative(mp, snap.grad_l2_sq, snap.lp1, snap.lmc, mp.couplings)

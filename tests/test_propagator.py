@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlslab import propagator
+from nlslab import propagator, spectral
 from nlslab.functionals import ModelParams, _scaling_derivative, snapshot
 from nlslab.groundstate import ground_state_field
 from nlslab.propagator import (
@@ -540,6 +540,22 @@ def test_fft_of_a_stack_is_each_rows_own_fft_bitwise(n):
             assert np.array_equal(row.view(np.float64), alone.view(np.float64))
 
 
+@pytest.mark.parametrize("shape", [(4, 1024), (2, 2048), (1, 8192), (1, 256, 256),
+                                   (2, 128, 128)])
+def test_sums_over_a_stack_are_each_rows_own_sums_bitwise(shape):
+    # the premise of stacked records: np.sum over each row's grid axes, and
+    # over its masked gather in C order, gives the row its lone sum's bits
+    rng = np.random.default_rng(len(shape) * shape[-1])
+    stack = np.exp(8.0 * rng.normal(size=shape))
+    grid = GridSpec(d=len(shape) - 1, n_per_axis=shape[-1], half_width=10.0)
+    masks = [grid.tail_mask, grid.edge_mask(4), grid.edge_mask(9)]
+    sums = [spectral._row_sums(stack)]
+    sums += [spectral._masked_row_sums(stack, mask) for mask in masks]
+    for i, row in enumerate(stack):
+        alone = [np.sum(row)] + [np.sum(row[mask]) for mask in masks]
+        assert [s[i].tobytes() for s in sums] == [a.tobytes() for a in alone]
+
+
 def _bump(grid, amplitude, center=0.0):
     return field_from_function(
         grid, lambda *x: amplitude * (1.0 + 0.1 * x[0])
@@ -599,8 +615,10 @@ def test_evolve_stack_logs_are_each_flights_evolve_log(double_gs, bounded):
     # coarser, each flight with its own horizon and thresholds
     plus = StepperConfig(dt=1e-4, t_final=0.2, snapshot_every=25, checkpoint_every=10,
                          tail_fraction_max=1e-5, edge_mass_max=1e-5)
-    mixed = [minus, replace(minus, tail_fraction_max=2e-3), plus,
-             replace(plus, dt=5e-5, t_final=0.1, blowup_grad_factor=50.0)]
+    # and each with its own edge band: edge_cells is no part of the mate
+    # rule, so one record takes three bands
+    mixed = [minus, replace(minus, tail_fraction_max=2e-3, edge_cells=6), plus,
+             replace(plus, dt=5e-5, t_final=0.1, blowup_grad_factor=50.0, edge_cells=9)]
 
     def bits(f):
         return f.values.view(np.int64).tobytes()

@@ -135,6 +135,22 @@ def test_boost_shifts_k_by_the_kinetic_offset():
     assert abs(shift - want) < 1e-8
 
 
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_boost_multiplies_the_field_by_the_phase_bitwise(n):
+    # the field is the left operand on every grid: numpy's complex product
+    # is not bitwise commutative, and from 128^2 on the operator form
+    # let numpy elide the phase's temporary and put the phase first
+    grid = GridSpec(d=2, n_per_axis=n, half_width=10.0)
+    f = field_from_function(
+        grid, lambda x, y: np.exp(-(x**2 + 2.0 * y**2) / 4.0) * np.exp(0.3j * x * y))
+    dk = math.pi / grid.half_width
+    xi = (3.0 * dk, -5.0 * dk)
+    out = apply_symmetry(f, SymmetryElement(xi=xi))
+    phase = sum(x * c for x, c in zip(grid.coords, xi))
+    want = np.multiply(f.values, np.exp(1j * phase))
+    assert np.array_equal(out.values.view(np.float64), want.view(np.float64))
+
+
 def test_phase_and_free_flow_compose_additively():
     f = _chirped()
     a = apply_symmetry(apply_symmetry(f, SymmetryElement(theta=0.7, t0=0.1)),
