@@ -37,7 +37,6 @@ from .experiment import (
     load_config,
     parse_model,
     plan_stacks,
-    run_experiment,
     run_experiments,
     emit_report,
 )
@@ -165,14 +164,7 @@ def _report_line(out_dir, result) -> tuple:
 def _evolve_worker(stack):
     """(report line, exit code) of each job of one stack; a job that raises
     must not hide the outcomes of the others."""
-    if len(stack) > 1:
-        results = run_experiments(stack)
-    else:
-        # a lone job through run_experiment, the name perfbench's tracer wraps
-        try:
-            results = [run_experiment(*stack[0])]
-        except Exception as exc:
-            results = [exc]
+    results = run_experiments(stack)
     return [_report_line(out_dir, result) for (_, out_dir), result in zip(stack, results)]
 
 

@@ -54,7 +54,6 @@ from .propagator import (
     _mate_key,
     _stack_capacity,
     detect_blowup,
-    evolve,
     evolve_stack,
     scattering_proxy,
 )
@@ -671,9 +670,6 @@ def _march(runs: list) -> list:
     # wave's stationarity, else those of the proxy's Cauchy test
     kwargs = {"virial_weight": weight, "whole_space_virial": cfg.whole_space_virial,
               "bounded_checkpoints": not _is_standing_wave(cfg)}
-    if len(runs) == 1:
-        # a lone run through evolve, the name perfbench's tracer wraps
-        return [evolve(runs[0].u0, cfg.model, cfg.stepper, **kwargs)]
     return evolve_stack([run.u0 for run in runs], cfg.model, [run.cfg.stepper for run in runs],
                         **kwargs)
 
@@ -872,8 +868,9 @@ def _report_row(run_dir: Path, summary: dict) -> dict:
 def emit_report(run_dirs, out_dir) -> dict:
     """Aggregate run summaries into report.csv and report.md.
 
-    Unreadable directories are skipped and listed; returns a dict with
-    rows, skipped entries, and the two output paths.
+    Unreadable directories, and those whose summary.json is not a run
+    summary, are skipped and listed; returns a dict with rows, skipped
+    entries, and the two output paths.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -885,7 +882,8 @@ def emit_report(run_dirs, out_dir) -> dict:
         try:
             summary = json.loads(spath.read_text())
             rows.append(_report_row(rd, summary))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        # ValueError: not JSON (or not UTF-8); the rest: JSON of another shape
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             skipped.append({"directory": str(rd), "reason": f"{type(exc).__name__}: {exc}"})
 
     csv_path = out / "report.csv"

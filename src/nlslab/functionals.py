@@ -231,15 +231,15 @@ class FunctionalSnapshot:
 
 
 def snapshot(
-    f: ComplexField, mp: ModelParams, t: float = 0.0, *, spectrum=None, modulus=None
+    f: ComplexField, mp: ModelParams, t: float = 0.0, *, spectrum=None
 ) -> FunctionalSnapshot:
     """The one integrals pass behind every functional: one forward FFT (or
-    the caller's spectrum, np.fft.fftn(f.values)) and one |u| array (or the
-    caller's modulus, np.abs(f.values)) give the integrals, the combiners
-    above give E, S, K and H.  This is _snapshots on a stack of one."""
+    the caller's spectrum, np.fft.fftn(f.values)) and one |u| array give
+    the integrals, the combiners above give E, S, K and H.  This is
+    _snapshots on a stack of one."""
     if spectrum is None:
         spectrum = np.fft.fftn(f.values)
-    a = np.abs(f.values) if modulus is None else modulus
+    a = np.abs(f.values)
     return _snapshots(f.grid, mp, [t], spectrum[np.newaxis], a[np.newaxis])[0][0]
 
 

@@ -169,12 +169,6 @@ from .virial import (
     virial_value,
 )
 
-# the lone monitors, which a record no longer calls, stay at the names
-# perfbench's tracer looks up here
-from .functionals import snapshot  # noqa: F401
-from .spectral import spectral_tail_fraction  # noqa: F401
-from .virial import whole_space_virial_e2  # noqa: F401
-
 __all__ = [
     "OUTCOMES",
     "StepperConfig",
@@ -244,12 +238,13 @@ class VirialRow:
 class TrajectoryLog:
     """Everything recorded along one run.
 
-    Series are aligned: times[j] matches snapshots[j], tail_fractions[j],
-    edge_fractions[j], and scatter_series[j] (the cumulative diagnostic up
-    to times[j]).  Checkpoints are (t, field) pairs and always include the
-    initial state (u0 itself) and the final or abort state; in between
-    they hold every stored checkpoint, or under evolve's
-    bounded_checkpoints only those at or after _late_quarter_start.
+    Series are aligned: times[j], the t of snapshots[j], matches
+    tail_fractions[j], edge_fractions[j], and scatter_series[j] (the
+    cumulative diagnostic up to times[j]).  Checkpoints are (t, field)
+    pairs and always include the initial state (u0 itself) and the final
+    or abort state; in between they hold every stored checkpoint, or under
+    evolve's bounded_checkpoints only those at or after
+    _late_quarter_start.
     dt_used is the step size after the nudge onto t_final, n_steps the
     number of such steps that reaches t_final.
     """
@@ -258,7 +253,6 @@ class TrajectoryLog:
     config: StepperConfig
     dt_used: float = 0.0
     n_steps: int = 0
-    times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     tail_fractions: list = field(default_factory=list)
     edge_fractions: list = field(default_factory=list)
@@ -271,8 +265,9 @@ class TrajectoryLog:
     final_state: ComplexField | None = None
 
     @property
-    def scatter_accum(self) -> float:
-        return self.scatter_series[-1] if self.scatter_series else 0.0
+    def times(self) -> list:
+        """The record times, read off the snapshots."""
+        return [s.t for s in self.snapshots]
 
     @property
     def energy_drift(self) -> float:
@@ -670,7 +665,6 @@ def evolve_stack(
         for row, (i, t, snap, tail, edge) in enumerate(zip(flights, ts, snaps, tails.tolist(),
                                                            edges.tolist())):
             log = logs[i]
-            log.times.append(t)
             log.snapshots.append(snap)
             log.tail_fractions.append(tail)
             log.edge_fractions.append(edge)
@@ -736,8 +730,9 @@ def evolve_stack(
                     log.checkpoints.append((t, ComplexField(grid, values[row])))
                 continue
 
-            # times[-2] is the previous record's
-            log.scatter_series.append(log.scatter_series[-1] + (t - log.times[-2]) * pending[i])
+            # snapshots[-2] is the previous record's
+            log.scatter_series.append(
+                log.scatter_series[-1] + (t - log.snapshots[-2].t) * pending[i])
             pending[i] = recorded[row]
 
             tail = log.tail_fractions[-1]

@@ -385,11 +385,10 @@ def spectral_tail_fraction(f: ComplexField, *, spectrum=None) -> float:
     return float(_tail_fractions(spectrum[np.newaxis], f.grid)[0])
 
 
-def edge_mass_fraction(f: ComplexField, cells: int = 4, *, modulus=None) -> float:
+def edge_mass_fraction(f: ComplexField, cells: int = 4) -> float:
     """Mass fraction within `cells` lattice sites of the box boundary.
-    modulus, when given, is np.abs(f.values) and saves taking it.  This is
-    _edge_fractions on a stack of one."""
-    dens = ((np.abs(f.values) if modulus is None else modulus) ** 2)[np.newaxis]
+    This is _edge_fractions on a stack of one."""
+    dens = (np.abs(f.values) ** 2)[np.newaxis]
     return float(_edge_fractions(dens, _row_sums(dens), f.grid, [cells])[0])
 
 

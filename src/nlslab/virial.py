@@ -225,17 +225,16 @@ def virial_derivatives(
     return VirialDerivatives(v_prime, v_double, exterior)
 
 
-def whole_space_virial_e2(
-    f: ComplexField, mp: ModelParams, *, snap: FunctionalSnapshot | None = None
-) -> float:
+def whole_space_virial_e2(f: ComplexField, mp: ModelParams) -> float:
     """V'' for the E2 sign convention with the unlocalized |x|^2 weight:
 
         8 [ ||grad u||^2 + d(p-1)/(2(p+1)) |u|_{p+1}^{p+1} - d/(d+2) |u|_mc^mc ],
 
-    8 K with E2's own signs, from the integrals of snap (snapshot(f, mp)
-    when None), so a record's row takes no transform of its own.
+    8 K with E2's own signs, from the integrals of snapshot(f, mp).  A
+    record's row reads its own snapshot (_whole_space_e2) and takes no
+    transform of its own.
     """
-    return _whole_space_e2(mp, snapshot(f, mp) if snap is None else snap)
+    return _whole_space_e2(mp, snapshot(f, mp))
 
 
 def _whole_space_e2(mp: ModelParams, snap: FunctionalSnapshot) -> float:

@@ -27,7 +27,7 @@ from nlslab import experiment, groundstate
 from nlslab.fieldio import load_field, save_field
 from nlslab.functionals import ModelParams, action_K_H, mass
 from nlslab.groundstate import solve_ground_state
-from nlslab.propagator import StepperConfig, evolve, scattering_proxy
+from nlslab.propagator import StepperConfig, evolve, evolve_stack, scattering_proxy
 from nlslab.spectral import GridSpec, field_from_function
 from nlslab.symmetry import SymmetryElement
 
@@ -559,12 +559,12 @@ c = 0.9
 def test_a_run_holds_only_the_fields_it_reads(tmp_path, monkeypatch):
     logs = []
 
-    def keeping(u0, *args, **kwargs):
-        log = evolve(u0, *args, **kwargs)
-        logs.append((u0, log))
-        return log
+    def keeping(u0s, *args, **kwargs):
+        stack = evolve_stack(u0s, *args, **kwargs)
+        logs.extend(zip(u0s, stack))
+        return stack
 
-    monkeypatch.setattr(experiment, "evolve", keeping)
+    monkeypatch.setattr(experiment, "evolve_stack", keeping)
     cfg = parse_config(_with(_TOWNES_64, outputs=f"directory = {tmp_path}/run\n"
                                                  "whole_space_virial = true"))
     summary = json.loads((run_experiment(cfg) / "summary.json").read_text())
@@ -634,11 +634,17 @@ def test_report_aggregates_and_lists_skips(tmp_path):
     good = run_experiment(cfg)
     bogus = tmp_path / "bogus"
     bogus.mkdir()
+    # valid JSON but not a run summary, and a summary that is not UTF-8
+    foreign = []
+    for name, data in (("list", b"[]\n"), ("null_model", b'{"model": null}\n'),
+                       ("not_utf8", b"\xff\xfe{")):
+        foreign.append(tmp_path / name)
+        foreign[-1].mkdir()
+        (foreign[-1] / "summary.json").write_bytes(data)
 
-    rep = emit_report([good, bogus], tmp_path / "report")
+    rep = emit_report([good, bogus, *foreign], tmp_path / "report")
     assert len(rep["rows"]) == 1
-    assert len(rep["skipped"]) == 1
-    assert rep["skipped"][0]["directory"] == str(bogus)
+    assert [s["directory"] for s in rep["skipped"]] == [str(d) for d in (bogus, *foreign)]
 
     row = rep["rows"][0]
     assert row["set_label"] == "A_plus"
@@ -651,7 +657,7 @@ def test_report_aggregates_and_lists_skips(tmp_path):
     assert len(csv_lines) == 2
     md = rep["markdown"].read_text()
     assert "Skipped directories" in md
-    assert str(bogus) in md
+    assert all(str(d) in md for d in (bogus, *foreign))
 
 
 def test_report_with_no_runs_is_just_a_header(tmp_path):

@@ -1,0 +1,53 @@
+"""Tooling: no module of the package imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlslab"
+# __init__.py imports to re-export
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """The names tree imports and never reads, a name listed in its
+    __all__ counting as read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds a
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_every_module_is_checked():
+    assert {"cli", "experiment", "propagator", "spectral"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert _unused_imports(tree) == []
+
+
+def test_an_unused_import_is_caught():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from json import dumps, loads as read\n"
+        "from math import pi, tau\n"
+        "__all__ = ['pi']\n"
+        "def f(x: tau):\n"
+        "    return read(x), os.sep\n"
+    )
+    assert _unused_imports(tree) == ["dumps (line 3)"]

@@ -20,7 +20,6 @@ from nlslab.propagator import (
 from nlslab.spectral import (
     ComplexField,
     GridSpec,
-    edge_mass_fraction,
     field_from_function,
     free_evolve,
     lp_norm,
@@ -29,7 +28,6 @@ from nlslab.virial import (
     VirialWeight,
     virial_derivatives,
     virial_value,
-    whole_space_virial_e2,
 )
 
 MP1 = ModelParams(d=1, p=7.0, omega=1.0, equation="E1")
@@ -329,7 +327,7 @@ def test_each_record_takes_one_forward_fft(monkeypatch, mp, grid, rows):
     (ModelParams(d=2, p=4.0, omega=1.0, equation="E2"),
      GridSpec(d=2, n_per_axis=32, half_width=12.0), "whole_space"),
 ])
-def test_virial_rows_read_the_snapshots_k_bitwise(monkeypatch, mp, grid, rows):
+def test_virial_rows_read_the_snapshots_k_bitwise(mp, grid, rows):
     u0 = field_from_function(
         grid, lambda *x: 0.9 * np.exp(-sum(c**2 for c in x)) * np.exp(2.0j * x[0]))
     cfg = StepperConfig(dt=1e-3, t_final=0.02, snapshot_every=5, **OPEN)
@@ -343,33 +341,14 @@ def test_virial_rows_read_the_snapshots_k_bitwise(monkeypatch, mp, grid, rows):
         k_e2 = _scaling_derivative(mp, snap.grad_l2_sq, snap.lp1, snap.lmc, mp.couplings)
         assert row.v_double_prime == 8.0 * k_e2
 
-    # given the snapshot, the whole-space row takes no transform
-    def refuse(*args, **kwargs):
-        raise AssertionError("transform taken")
-
-    monkeypatch.setattr(np.fft, "fftn", refuse)
-    monkeypatch.setattr(np.fft, "ifftn", refuse)
-    last = whole_space_virial_e2(log.final_state, mp, snap=log.snapshots[-1])
-    assert last == log.virial_rows[-1].v_double_prime
-
 
 def test_shared_record_inputs_give_the_default_results_bitwise():
-    # a record hands its |u| and its snapshot to each diagnostic
-    for mp, grid in ((MP1, GridSpec(d=1, n_per_axis=256, half_width=40.0)),
-                     (ModelParams(d=2, p=4.0, omega=1.0, equation="E2"),
-                      GridSpec(d=2, n_per_axis=32, half_width=12.0))):
-        f = _packet(grid) if grid.d == 1 else field_from_function(
-            grid, lambda x, y: 0.7 * np.exp(-(x**2 + 2.0 * y**2)) * np.exp(0.9j * x))
-        a = np.abs(f.values)
-        snap = snapshot(f, mp)
-        assert snapshot(f, mp, modulus=a) == snap
-        assert edge_mass_fraction(f, 6, modulus=a) == edge_mass_fraction(f, 6)
-        if grid.d == 1:
-            w = VirialWeight(grid, 8.0)
-            assert virial_value(f, w, modulus=a) == virial_value(f, w)
-            assert virial_derivatives(f, mp, w, modulus=a) == virial_derivatives(f, mp, w)
-        else:
-            assert whole_space_virial_e2(f, mp, snap=snap) == whole_space_virial_e2(f, mp)
+    # a record hands its |u| to each localized virial diagnostic
+    f = _packet()
+    a = np.abs(f.values)
+    w = VirialWeight(f.grid, 8.0)
+    assert virial_value(f, w, modulus=a) == virial_value(f, w)
+    assert virial_derivatives(f, MP1, w, modulus=a) == virial_derivatives(f, MP1, w)
 
 
 # -- the fused kernel against single steps ------------------------------------
