@@ -57,7 +57,7 @@ from .propagator import (
     evolve_stack,
     scattering_proxy,
 )
-from .virial import VirialWeight
+from .virial import VirialWeight, _whole_space_e2
 from .symmetry import SymmetryElement, apply_symmetry, large_scale_profile
 from .fieldio import save_field, load_field
 
@@ -330,6 +330,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"initial_data.theta: must lie in (0, 1), got {init.theta}")
     if not init.k_width > 0:
         raise ConfigError(f"initial_data.k_width: must be positive, got {init.k_width}")
+    if init.seed < 0:
+        # numpy's generators refuse it, without naming the key
+        raise ConfigError(f"initial_data.seed: must be nonnegative, got {init.seed}")
     if init.kind == "file":
         if not init.path:
             raise ConfigError("initial_data.path: required for kind 'file'")
@@ -535,38 +538,37 @@ def _drifts(log) -> dict:
 
 
 def _virial_summary(cfg: ExperimentConfig, log, critical_mass: float | None) -> dict | None:
-    rows = log.virial_rows
-    if not rows:
-        return None
     if cfg.virial_radius > 0:
         # each row's remainder is V'' - 8K with K the snapshot's, so the two
         # keys name one series
-        worst = max(abs(r.remainder) for r in rows)
+        worst = max(abs(r.remainder) for r in log.virial_rows)
         return {
             "mode": "localized",
             "radius": cfg.virial_radius,
             "max_identity_residual": worst,
             "max_abs_remainder": worst,
         }
-    # whole-space second derivative against the sharp interpolation bound
-    out = {"mode": "whole_space", "min_v_double_prime": min(r.v_double_prime for r in rows)}
+    if not cfg.whole_space_virial:
+        return None
+    # whole-space second derivative, read off each record's snapshot,
+    # against the sharp interpolation bound
+    series = [_whole_space_e2(cfg.model, snap) for snap in log.snapshots]
+    out = {"mode": "whole_space", "min_v_double_prime": min(series)}
     if critical_mass is not None:
         d = cfg.model.d
         margin = min(
-            row.v_double_prime
-            - 8.0 * (1.0 - (snap.mass / critical_mass) ** (2.0 / d)) * snap.grad_l2_sq
-            for row, snap in zip(rows, log.snapshots)
+            v2 - 8.0 * (1.0 - (snap.mass / critical_mass) ** (2.0 / d)) * snap.grad_l2_sq
+            for v2, snap in zip(series, log.snapshots)
         )
         out["min_bound_margin"] = margin
     return out
 
 
 def _write_trajectory(path: Path, cfg: ExperimentConfig, log):
-    have_virial = bool(log.virial_rows)
     header = snapshot_csv_header(cfg.model.d) + ",tail_fraction,edge_fraction,scatter_accum"
-    if have_virial and cfg.virial_radius > 0:
+    if cfg.virial_radius > 0:
         header += ",V,V_prime,V_double_prime,remainder,exterior"
-    elif have_virial:
+    elif cfg.whole_space_virial:
         header += ",V_double_prime"
     with path.open("w") as fh:
         fh.write(header + "\n")
@@ -576,15 +578,14 @@ def _write_trajectory(path: Path, cfg: ExperimentConfig, log):
                 + f",{log.tail_fractions[j]!r},{log.edge_fractions[j]!r}"
                 + f",{log.scatter_series[j]!r}"
             )
-            if have_virial:
+            if cfg.virial_radius > 0:
                 vr = log.virial_rows[j]
-                if cfg.virial_radius > 0:
-                    row += (
-                        f",{vr.value!r},{vr.v_prime!r},{vr.v_double_prime!r}"
-                        f",{vr.remainder!r},{vr.exterior_integral!r}"
-                    )
-                else:
-                    row += f",{vr.v_double_prime!r}"
+                row += (
+                    f",{vr.value!r},{vr.v_prime!r},{vr.v_double_prime!r}"
+                    f",{vr.remainder!r},{vr.exterior_integral!r}"
+                )
+            elif cfg.whole_space_virial:
+                row += f",{_whole_space_e2(cfg.model, snap)!r}"
             fh.write(row + "\n")
 
 
@@ -618,13 +619,13 @@ def _stack_key(cfg: ExperimentConfig) -> tuple:
     reads apart from the initial state, of [stepper] only its
     propagator._mate_key."""
     return (cfg.model, cfg.n_per_axis, cfg.half_width, _mate_key(cfg.stepper),
-            cfg.virial_radius, cfg.whole_space_virial, _is_standing_wave(cfg))
+            cfg.virial_radius, _is_standing_wave(cfg))
 
 
 def plan_stacks(cfgs) -> list:
     """The indices of cfgs in stacks that march together: configs that
-    share [model], [grid], the record cadence and [outputs] (directory
-    aside), whose last steps the cadence observes (else whose [stepper] is
+    share [model], [grid], the record cadence and the localized virial
+    radius, whose last steps the cadence observes (else whose [stepper] is
     the same), at most propagator._stack_capacity of them per stack."""
     groups: dict = {}
     for i, cfg in enumerate(cfgs):
@@ -668,10 +669,8 @@ def _march(runs: list) -> list:
     weight = VirialWeight(cfg.grid(), cfg.virial_radius) if cfg.virial_radius > 0 else None
     # a run keeps only the checkpoints it reads: all of them for a standing
     # wave's stationarity, else those of the proxy's Cauchy test
-    kwargs = {"virial_weight": weight, "whole_space_virial": cfg.whole_space_virial,
-              "bounded_checkpoints": not _is_standing_wave(cfg)}
     return evolve_stack([run.u0 for run in runs], cfg.model, [run.cfg.stepper for run in runs],
-                        **kwargs)
+                        virial_weight=weight, bounded_checkpoints=not _is_standing_wave(cfg))
 
 
 def _finish(run: _Run, log, flights: int) -> Path:

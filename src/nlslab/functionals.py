@@ -107,6 +107,13 @@ def _mc_power(d: int) -> float:
     return 2.0 * (d + 2.0) / d
 
 
+def _check_dimension(grid: GridSpec, mp: ModelParams) -> None:
+    """Refuse a field on a grid of another dimension than the model's d,
+    from which every exponent of the model is read."""
+    if grid.d != mp.d:
+        raise ValueError(f"field is {grid.d}-D but the model has d = {mp.d}")
+
+
 def _spectral_integrals(grid: GridSpec, spectrum) -> tuple:
     """||grad u||^2, then each momentum component, of every field of a stack,
     (flights, *grid), as arrays of one value per field; spectrum is the
@@ -130,6 +137,7 @@ def gradient_l2_sq(f: ComplexField) -> float:
 
 def power_integrals(f: ComplexField, mp: ModelParams) -> tuple:
     """(lp1, lmc) = (int |u|^{p+1}, int |u|^{2(d+2)/d})."""
+    _check_dimension(f.grid, mp)
     a, dv = np.abs(f.values), f.grid.cell_volume
     return float(np.sum(a ** (mp.p + 1.0)) * dv), float(np.sum(a**mp.mc_power) * dv)
 
@@ -249,6 +257,7 @@ def _snapshots(grid: GridSpec, mp: ModelParams, ts, spectrum, modulus) -> tuple:
     is a per-field reduction over the grid axes.  Returns the snapshots,
     the density |u|^2 and its per-field sums, which an edge fraction
     reads (spectral._edge_fractions)."""
+    _check_dimension(grid, mp)
     grad, *mom = _spectral_integrals(grid, spectrum)
     dv = grid.cell_volume
     density = modulus**2

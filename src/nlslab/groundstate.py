@@ -43,20 +43,21 @@ solve_ground_state() keeps its solutions in a small per-process cache
 keyed on (ModelParams, which, power, r_max, step), so the initial data,
 the classifier, the critical mass and every config of a multi-config
 run share one solve.  The cached solution is frozen and its r, profile
-and derivative arrays are read-only; a call with a guess bypasses the
-cache, and a solve that raises leaves nothing behind.  A solution also
-keeps what is derived from it on first use: the spline that samples it,
-the encoded rows of its groundstate.csv, so the runs sharing it format
-that file once (about 0.64 MB of chunks per written solution), and the
-SHA-256 digest a verdict carries.  The digest comes from CPython's
-built-in module (_sha2 from 3.12, _sha256 before; hashlib only where
-neither exists), because hashlib loads and starts OpenSSL, some 3.6 MB
-resident in every run process, for one hash per solution.
+and derivative arrays are read-only; a solve that raises leaves nothing
+behind.  A solution also keeps what is derived from it on first use:
+the spline that samples it, the encoded rows of its groundstate.csv, so
+the runs sharing it format that file once (about 0.64 MB of chunks per
+written solution), and the SHA-256 digest a verdict carries.  The
+digest comes from CPython's built-in module (_sha2 from 3.12, _sha256
+before; hashlib only where neither exists), because hashlib loads and
+starts OpenSSL, some 3.6 MB resident in every run process, for one hash
+per solution.
 
 A second, independent route (ground_state_on_grid) runs a semi-implicit
-descent on the periodic spectral grid, re-normalized each step onto the
-constraint <S'(Q), Q> = 0.  Shooting and descent agree on Q(0) to about
-1e-8 relative in practice; tests demand 1e-6.
+descent on the periodic spectral grid from a Gaussian seed, re-normalized
+each step onto the constraint <S'(Q), Q> = 0, with a fixed pseudo-time
+step, stopping size and iteration cap.  Shooting and descent agree on
+Q(0) to about 1e-8 relative in practice; tests demand 1e-6.
 
 The radial integrals (composite Simpson) and the clamped cubic spline that
 samples Q onto a lattice are computed in this module, not by scipy: every
@@ -495,7 +496,6 @@ def _certificates(r, q, v, mp, which):
 def solve_ground_state(
     mp: ModelParams,
     which: str = "double",
-    guess=None,
     *,
     power=None,
     r_max: float | None = None,
@@ -503,33 +503,29 @@ def solve_ground_state(
 ) -> GroundStateSolution:
     """Shoot for the positive decaying radial profile.
 
-    guess seeds the amplitude bracket (a profile is reduced to its peak);
     power overrides the exponent for which="single_power", allowing the
     boundary case power = 1 + 4/d that ModelParams itself excludes.
 
-    Without a guess the solution is cached per process on (mp, which,
-    power, r_max, step): equal requests return the same read-only object.
-    A solve that raises is not cached; a guess always solves afresh.
+    The solution is cached per process on (mp, which, power, r_max,
+    step): equal requests return the same read-only object.  A solve
+    that raises is not cached.
     """
-    if guess is None:
-        return _solve_cached(mp, which, power, r_max, step)
-    return _solve(mp, which, guess, power, r_max, step)
+    return _solve_cached(mp, which, power, r_max, step)
 
 
 @lru_cache(maxsize=8)
 def _solve_cached(mp, which, power, r_max, step) -> GroundStateSolution:
-    return _solve(mp, which, None, power, r_max, step)
+    return _solve(mp, which, power, r_max, step)
 
 
 def solve_cost() -> tuple:
     """(solves, shots, seconds) so far in this process: the cache misses of
     solve_ground_state, and the shooting integrations and wall time of
-    every solve that returned (a solve with a guess counts in the last two
-    only)."""
+    every solve that returned."""
     return _solve_cached.cache_info().misses, _spent["shots"], _spent["seconds"]
 
 
-def _solve(mp, which, guess, power, r_max, step) -> GroundStateSolution:
+def _solve(mp, which, power, r_max, step) -> GroundStateSolution:
     started = time.perf_counter()
     terms = _terms(mp, which, power)
     omega = 1.0 if which == "mass_critical" else mp.omega
@@ -546,11 +542,6 @@ def _solve(mp, which, guess, power, r_max, step) -> GroundStateSolution:
 
     p_main = terms[0][1]
     a0 = ((p_main + 1.0) * omega / 2.0) ** (1.0 / (p_main - 1.0))
-    if guess is not None:
-        arr = np.asarray(guess, dtype=float)
-        a0 = float(np.max(np.abs(arr)))
-        if a0 <= 0:
-            raise ValueError("guess must have a positive peak")
 
     def shoot(a):
         return _shoot(a, step, n_steps, d, omega, terms)
@@ -803,35 +794,24 @@ def _nehari_rescale(q, dv, k2_spec, omega, terms):
     return brentq(h, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
-def ground_state_on_grid(
-    mp: ModelParams,
-    grid: GridSpec,
-    which: str = "double",
-    *,
-    power=None,
-    dtau: float = 0.4,
-    tol: float = 1e-13,
-    max_iter: int = 40000,
-    guess=None,
-):
-    """Semi-implicit descent with per-step constraint renormalization.
+def ground_state_on_grid(mp: ModelParams, grid: GridSpec, which: str = "double"):
+    """Semi-implicit descent with per-step constraint renormalization,
+    from the Gaussian of the closed-form single-power amplitude.
 
     Returns (field, info) where info records iterations, the final update
     size, and the sup-norm residual of the stationary equation on the grid.
     """
-    terms = _terms(mp, which, power)
+    terms = _terms(mp, which, None)
     omega = 1.0 if which == "mass_critical" else mp.omega
     k2 = grid.k_squared
     dv = grid.cell_volume
+    # pseudo-time step, stopping update size and iteration cap
+    dtau, tol, max_iter = 0.4, 1e-13, 40000
     denom = 1.0 / (1.0 + dtau * (omega + k2))
 
-    if guess is None:
-        p_main = terms[0][1]
-        a0 = ((p_main + 1.0) * omega / 2.0) ** (1.0 / (p_main - 1.0))
-        q = a0 * np.exp(-0.25 * omega * grid.radius**2)
-    else:
-        q = np.abs(np.asarray(guess, dtype=float))
-    q = q.astype(np.complex128)
+    p_main = terms[0][1]
+    a0 = ((p_main + 1.0) * omega / 2.0) ** (1.0 / (p_main - 1.0))
+    q = (a0 * np.exp(-0.25 * omega * grid.radius**2)).astype(np.complex128)
 
     change = math.inf
     it = 0

@@ -97,7 +97,10 @@ abort decision loop over the flights.  snapshot(),
 spectral_tail_fraction() and edge_mass_fraction() are the same code on
 a stack of one.  A record builds a ComplexField only where a checkpoint,
 the final state or a localized virial row needs one; virial rows run per
-flight, on the record's row views.
+flight, on the record's row views.  The march records only what needs
+the field: the whole-space E2 virial V'' = 8K is a function of each
+snapshot alone, so it is read off log.snapshots when the run's files
+are written (virial._whole_space_e2), never during the march.
 
 A stack holds at most _STACK_BYTES = 128 KiB of fields
 (_stack_capacity).  Every stack measured under that cap gained; past it
@@ -148,7 +151,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .functionals import ModelParams, _snapshots
+from .functionals import ModelParams, _check_dimension, _snapshots
 from .spectral import (
     ComplexField,
     GridSpec,
@@ -162,12 +165,7 @@ from .spectral import (
     derivative_weight_multiplier,
     edge_mass_fraction,
 )
-from .virial import (
-    VirialWeight,
-    _whole_space_e2,
-    virial_derivatives,
-    virial_value,
-)
+from .virial import VirialWeight, virial_derivatives, virial_value
 
 __all__ = [
     "OUTCOMES",
@@ -220,18 +218,14 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class VirialRow:
-    """Virial diagnostics at one snapshot time.
-
-    Localized runs fill every column; whole-space runs fill only
-    v_double_prime and leave the rest None.
-    """
+    """Localized virial diagnostics at one snapshot time."""
 
     t: float
-    value: float | None
-    v_prime: float | None
+    value: float
+    v_prime: float
     v_double_prime: float
-    remainder: float | None
-    exterior_integral: float | None
+    remainder: float
+    exterior_integral: float
 
 
 @dataclass(eq=False)
@@ -338,10 +332,8 @@ class _Workspace(NamedTuple):
     scratch: np.ndarray     # the storage's first half, shaped as a2
     theta: np.ndarray
     small: np.ndarray       # |theta| < _TINY_PHASE
-    rows: tuple             # theta, phase.real, phase.imag, small as (flights, grid
-                            # points), or flat for a stack of one
-    union: np.ndarray       # small in every flight, per grid point: a buffer of its
-                            # own for two or more flights, the flat small for one
+    rows: tuple             # theta, phase.real, phase.imag, small as (flights, grid points)
+    union: np.ndarray       # small in every flight, per grid point
 
 
 def _workspace(shape) -> _Workspace:
@@ -349,15 +341,14 @@ def _workspace(shape) -> _Workspace:
     phase = np.empty(shape, dtype=np.complex128)
     a2, theta = np.empty(shape), np.empty(shape)
     small = np.empty(shape, dtype=bool)
-    flights = shape[0]
-    rows = (flights, -1) if flights > 1 else (-1,)
+    rows = (shape[0], -1)
     flat = phase.reshape(rows)
     squares = phase.view(np.float64)
     return _Workspace(
         phase, (squares[..., 0::2], squares[..., 1::2]), a2,
         squares.reshape(-1)[:a2.size].reshape(shape), theta, small,
         (theta.reshape(rows), flat.real, flat.imag, small.reshape(rows)),
-        np.empty(flat.shape[-1], dtype=bool) if flights > 1 else small.reshape(-1),
+        np.empty(flat.shape[-1], dtype=bool),
     )
 
 
@@ -394,9 +385,7 @@ def _rotate(values, rate, terms, ws):
     np.abs(theta, out=scratch)
     np.less(scratch, _TINY_PHASE, out=ws.small)
     th, re, im, small = ws.rows
-    if small.ndim > 1:
-        np.logical_and.reduce(small, axis=0, out=ws.union)
-    small = ws.union
+    small = np.logical_and.reduce(small, axis=0, out=ws.union)
     n = small.size
     # the first and last grid point outside the mask; an all-True mask
     # gives the empty window [0, 0)
@@ -451,6 +440,7 @@ def strang_step(
     couplings overrides the equation's (mu_critical, mu_super) pair, which
     is how reduced models (single nonlinearity, or none) are exercised.
     """
+    _check_dimension(u.grid, mp)
     dt = float(dt)
     # a stack of one
     v = u.values[np.newaxis].copy()
@@ -471,11 +461,8 @@ def _scatter_integrand(spectrum, grid, weight_symbol, mc_power) -> np.ndarray:
     return _row_sums(_abs2_power(a2, 0.5 * mc_power)) * grid.cell_volume
 
 
-def _virial_row(mp, t, snap, weight, f=None, spec=None, modulus=None) -> VirialRow:
-    # K is the snapshot's: both kinds of row read it rather than form it
-    # again, and a whole-space row (weight None) reads nothing else
-    if weight is None:
-        return VirialRow(t, None, None, _whole_space_e2(mp, snap), None, None)
+def _virial_row(mp, t, snap, weight, f, spec, modulus) -> VirialRow:
+    # K is the snapshot's: the remainder reads it rather than form it again
     vd = virial_derivatives(f, mp, weight, spectrum=spec, modulus=modulus)
     return VirialRow(
         t,
@@ -562,7 +549,6 @@ def evolve(
     cfg: StepperConfig,
     *,
     virial_weight: VirialWeight | None = None,
-    whole_space_virial: bool = False,
     bounded_checkpoints: bool = False,
 ) -> TrajectoryLog:
     """March u0 to cfg.t_final and return the trajectory log.
@@ -572,8 +558,7 @@ def evolve(
     non-finite check also at checkpoint steps; the snapshot that trips a
     threshold is recorded before the run stops, and the abort reason lands
     in .outcome / .abort_detail.  virial_weight attaches localized virial
-    rows (E1 only); whole_space_virial attaches the flat-weight second
-    derivative (E2 only).
+    rows (E1 only).
 
     The log's first checkpoint is u0 itself, not a copy.  By default every
     checkpoint is kept; bounded_checkpoints=True drops those before
@@ -585,7 +570,6 @@ def evolve(
     This is evolve_stack() on a stack of one.
     """
     return evolve_stack([u0], mp, [cfg], virial_weight=virial_weight,
-                        whole_space_virial=whole_space_virial,
                         bounded_checkpoints=bounded_checkpoints)[0]
 
 
@@ -595,7 +579,6 @@ def evolve_stack(
     cfgs: list,
     *,
     virial_weight: VirialWeight | None = None,
-    whole_space_virial: bool = False,
     bounded_checkpoints: bool = False,
 ) -> list:
     """March flights that share a grid, a model and a record cadence as one
@@ -619,8 +602,6 @@ def evolve_stack(
     """
     if isinstance(cfgs, StepperConfig):
         raise TypeError("evolve_stack takes a list of StepperConfig, one per flight")
-    if virial_weight is not None and whole_space_virial:
-        raise ValueError("choose localized or whole-space virial rows, not both")
     if len(cfgs) != len(u0s):
         raise ValueError(f"{len(u0s)} flights need as many stepper configs, got {len(cfgs)}")
     grid = u0s[0].grid
@@ -673,8 +654,6 @@ def evolve_stack(
                 log.virial_rows.append(
                     _virial_row(mp, t, snap, virial_weight, f, spec[row], a[row])
                 )
-            elif whole_space_virial:
-                log.virial_rows.append(_virial_row(mp, t, snap, None))
         del a
         return _scatter_integrand(spec, grid, wsym, mcp).tolist()
 

@@ -195,8 +195,6 @@ def large_scale_profile(
     f: ComplexField,
     elem: SymmetryElement,
     theta: float = 0.5,
-    *,
-    edge_tol: float = 1e-3,
 ) -> ComplexField:
     """Low-pass f at radius h**theta, then apply the element.
 
@@ -204,10 +202,11 @@ def large_scale_profile(
     frequencies up to h**theta survive before the rescaling, with theta
     a free parameter in (0, 1).  The sharp cutoff rings like 1/|x|, so
     the stretched tail reaches the box edge at a level set by the box
-    size, not by the profile; the default edge tolerance is loose for
-    that reason and callers with room to spare should tighten it.
+    size, not by the profile; the scaled profile may therefore hold up
+    to 1e-3 of its mass in the edge band, where apply_symmetry's own
+    default allows 1e-8.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     cut = apply_multiplier(f, low_pass_multiplier(f.grid, elem.h**theta))
-    return apply_symmetry(cut, elem, edge_tol=edge_tol)
+    return apply_symmetry(cut, elem, edge_tol=1e-3)

@@ -38,7 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import FunctionalSnapshot, ModelParams, _scaling_derivative, snapshot
+from .functionals import (
+    FunctionalSnapshot,
+    ModelParams,
+    _check_dimension,
+    _scaling_derivative,
+    snapshot,
+)
 from .spectral import ComplexField, GridSpec
 
 __all__ = [
@@ -193,6 +199,7 @@ def virial_derivatives(
     and saves the transform; modulus, when given, is np.abs(f.values)."""
     if f.grid != w.grid:
         raise ValueError("field and weight live on different grids")
+    _check_dimension(f.grid, mp)
     if mp.equation != "E1":
         raise ValueError("localized V'' tables are for E1; use whole_space_virial_e2")
 
@@ -231,8 +238,8 @@ def whole_space_virial_e2(f: ComplexField, mp: ModelParams) -> float:
         8 [ ||grad u||^2 + d(p-1)/(2(p+1)) |u|_{p+1}^{p+1} - d/(d+2) |u|_mc^mc ],
 
     8 K with E2's own signs, from the integrals of snapshot(f, mp).  A
-    record's row reads its own snapshot (_whole_space_e2) and takes no
-    transform of its own.
+    run reads it off each record's snapshot (_whole_space_e2) when it
+    writes its files, with no transform of its own.
     """
     return _whole_space_e2(mp, snapshot(f, mp))
 

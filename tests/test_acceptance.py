@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from nlslab.classifier import classify
 from nlslab.functionals import (
@@ -39,7 +38,7 @@ from nlslab.spectral import (
     transform,
 )
 from nlslab.symmetry import SymmetryElement, apply_symmetry, spectral_translate
-from nlslab.virial import VirialWeight
+from nlslab.virial import VirialWeight, _whole_space_e2
 
 MP1 = ModelParams(d=1, p=7.0, omega=1.0, equation="E1")
 MP2 = ModelParams(d=1, p=7.0, omega=1.0, equation="E2")
@@ -314,13 +313,13 @@ def test_09_mass_threshold_split(quintic_gs):
 
     amp = math.sqrt(0.8 * mq / math.sqrt(math.pi / 2.0))
     u_sub = field_from_function(big, lambda x: amp * np.exp(-(x**2)))
-    log = evolve(u_sub, MP2, cfg, whole_space_virial=True)
+    log = evolve(u_sub, MP2, cfg)
     checks["sub-threshold completed"] = log.outcome == "completed"
     rep = scattering_proxy(log) if log.outcome == "completed" else None
     checks["sub-threshold proxy PASS"] = bool(rep and rep.passed)
     margin = min(
-        r.v_double_prime - 8.0 * (1.0 - (s.mass / mq) ** 2) * s.grad_l2_sq
-        for r, s in zip(log.virial_rows, log.snapshots)
+        _whole_space_e2(MP2, s) - 8.0 * (1.0 - (s.mass / mq) ** 2) * s.grad_l2_sq
+        for s in log.snapshots
     )
     checks["whole-space V'' lower bound within 1e-8"] = margin >= -1e-8
 

@@ -204,12 +204,15 @@ GAUSSIAN = "kind = gaussian\namplitude = 0.8"
      + "\n[symmetry]\nh = 0.5\n", "initial_data.theta"),
     ("evolve", QUICK.replace(GAUSSIAN, "kind = random_smooth\nk_width = 0"),
      "initial_data.k_width"),
+    ("evolve", QUICK.replace(GAUSSIAN, "kind = random_smooth\nseed = -1"), "initial_data.seed"),
+    ("classify", QUICK.replace(GAUSSIAN, "kind = random_smooth\nseed = -1"),
+     "initial_data.seed"),
     ("evolve", QUICK + "\n[symmetry]\nx0 = 1.0, 2.0\n", "symmetry.x0"),
     ("groundstate", MODEL + "\n[groundstate]\nwhich = doubel\n", "groundstate.which"),
     ("groundstate", MODEL + "\n[groundstate]\nstep = -0.001\n", "groundstate.step"),
     ("groundstate", MODEL + "\n[groundstate]\nr_max = -30\n", "groundstate.r_max"),
-], ids=["which", "power", "theta", "k_width", "x0", "groundstate_which", "groundstate_step",
-        "groundstate_r_max"])
+], ids=["which", "power", "theta", "k_width", "seed", "classify_seed", "x0", "groundstate_which",
+        "groundstate_step", "groundstate_r_max"])
 def test_values_a_run_would_reject_exit_two_at_parse_time(tmp_path, capsys, command, text,
                                                           key):
     cfg = _write(tmp_path, "bad.ini", text)
@@ -270,7 +273,10 @@ def _artifacts(run_dir: Path) -> dict:
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_stacked_runs_write_what_lone_runs_write(tmp_path, capsys, threads):
-    # a0/a1/d share a grid and a stepper, so do b0/b1; c is alone on its grid
+    # a0/a1/d share a grid and a stepper, so do b0/b1; c is alone on its grid;
+    # e0/e1 differ only in whole_space_virial, which the march does not read
+    e2 = QUICK.replace("equation = E1", "equation = E2").replace("classify = false",
+                                                                 "classify = true")
     stems = {
         "a0": QUICK,
         "b0": BLOWUP,
@@ -278,10 +284,12 @@ def test_stacked_runs_write_what_lone_runs_write(tmp_path, capsys, threads):
         "d": QUICK.replace("amplitude = 0.8", WIDE),
         "b1": BLOWUP.replace("c = 1.3", "c = 1.4"),
         "a1": QUICK.replace("amplitude = 0.8", "amplitude = 0.7"),
+        "e0": e2,
+        "e1": e2 + "whole_space_virial = true\n",
     }
     paths = {stem: _write(tmp_path, f"{stem}.ini", text) for stem, text in stems.items()}
     assert plan_stacks([load_config(path) for path in paths.values()]) == [
-        [0, 3, 5], [1, 4], [2]]
+        [0, 3, 5], [1, 4], [2], [6, 7]]
     together = tmp_path / "together"
     argv = ["evolve", "--out", str(together), "--threads", threads]
     for path in paths.values():
@@ -302,7 +310,9 @@ def test_stacked_runs_write_what_lone_runs_write(tmp_path, capsys, threads):
             continue
         assert _artifacts(together / stem) == _artifacts(alone)
     assert lines == [line for line, _ in expected]
-    assert [code for _, code in expected] == [0, 3, 0, 3, 3, 0]
+    assert [code for _, code in expected] == [0, 3, 0, 3, 3, 0, 0, 0]
+    virial = json.loads((together / "e1" / "summary.json").read_text())["virial"]
+    assert virial["mode"] == "whole_space" and "min_bound_margin" in virial
 
     aborts = [json.loads((together / stem / "summary.json").read_text())["abort_time"]
               for stem in ("b0", "b1")]

@@ -1,7 +1,6 @@
 """Config parsing, initial-data construction, run artifacts, reporting."""
 
 import json
-import math
 import random
 from dataclasses import asdict, replace
 
@@ -569,7 +568,7 @@ def test_a_run_holds_only_the_fields_it_reads(tmp_path, monkeypatch):
                                                  "whole_space_virial = true"))
     summary = json.loads((run_experiment(cfg) / "summary.json").read_text())
     (u0, log), = logs
-    full = evolve(u0, cfg.model, cfg.stepper, whole_space_virial=True)
+    full = evolve(u0, cfg.model, cfg.stepper)
     assert full.outcome == log.outcome == "completed"
 
     # u0 itself, the checkpoints from step 45 (t >= 0.045) on, and the final state

@@ -23,12 +23,17 @@ from nlslab.functionals import (
     snapshot_csv_header,
     snapshot_csv_row,
 )
+from nlslab import propagator
+from nlslab.classifier import classify, trap_bounds
 from nlslab.groundstate import ground_state_field
+from nlslab.propagator import StepperConfig, evolve, evolve_stack, strang_step
 from nlslab.spectral import ComplexField, GridSpec, field_from_function
 from nlslab.symmetry import SymmetryElement, apply_symmetry
+from nlslab.virial import VirialWeight, virial_derivatives
 
 MP1 = ModelParams(d=1, p=7.0, omega=1.0, equation="E1")
 MP2 = ModelParams(d=1, p=7.0, omega=1.0, equation="E2")
+TOWNES_MP = ModelParams(d=2, p=4.0, omega=1.0, equation="E2")
 
 
 def _gaussian(amplitude=1.0, k0=0.0, grid=None):
@@ -208,6 +213,43 @@ def test_snapshot_csv_layout(d, ncols):
     assert header.startswith("t,mass,energy,px")
     if d == 2:
         assert ",py," in header
+
+
+# a field whose grid is not the model's dimension would be integrated with
+# another equation's exponents: every entry point refuses it before a step
+ENTRY_POINTS = {
+    "snapshot": lambda u, mp, gs: snapshot(u, mp),
+    "energy": lambda u, mp, gs: energy(u, mp),
+    "action_K_H": lambda u, mp, gs: action_K_H(u, mp),
+    "power_integrals": lambda u, mp, gs: power_integrals(u, mp),
+    "classify": lambda u, mp, gs: classify(u, mp, gs),
+    "trap_bounds": lambda u, mp, gs: trap_bounds(u, mp, gs),
+    "strang_step": lambda u, mp, gs: strang_step(u, mp, 1e-3),
+    "evolve": lambda u, mp, gs: evolve(u, mp, StepperConfig(dt=1e-3, t_final=0.01)),
+    "evolve_stack": lambda u, mp, gs: evolve_stack(
+        [u, u], mp, [StepperConfig(dt=1e-3, t_final=0.01)] * 2),
+    "virial_derivatives": lambda u, mp, gs: virial_derivatives(
+        u, mp, VirialWeight(u.grid, 2.0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_a_field_off_the_models_dimension_is_refused(entry, townes_gs, double_gs, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("stepped a field of the wrong dimension")
+
+    monkeypatch.setattr(propagator, "_advance", no_step)
+    if entry in ("trap_bounds", "virial_derivatives"):
+        # E1 entry points: a 2-D field under the 1-D model
+        u = field_from_function(GridSpec(d=2, n_per_axis=32, half_width=8.0),
+                                lambda x, y: 0.5 * np.exp(-x**2 - y**2))
+        mp, gs, dims = MP1, double_gs, "field is 2-D but the model has d = 1"
+    else:
+        u = field_from_function(GridSpec(d=1, n_per_axis=256, half_width=15.0),
+                                lambda x: 0.5 * np.exp(-(x**2)))
+        mp, gs, dims = TOWNES_MP, townes_gs, "field is 1-D but the model has d = 2"
+    with pytest.raises(ValueError, match=dims):
+        ENTRY_POINTS[entry](u, mp, gs)
 
 
 def test_snapshot_csv_row_round_trips_through_float():

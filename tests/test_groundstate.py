@@ -286,7 +286,7 @@ SEARCH_IDS = ["1d-e1-p7", "1d-e1-p7-w2", "1d-e1-p9", "2d-e1-p3.5", "2d-townes", 
 def test_search_lands_on_the_bisection_amplitude_bitwise(monkeypatch, mp, which, power, _):
     gs = solve_ground_state(mp, which, power=power)
     monkeypatch.setattr(groundstate, "_search_amplitude", _reference_bisection)
-    want = groundstate._solve(mp, which, None, power, None, None)
+    want = groundstate._solve(mp, which, power, None, None)
     assert gs.amplitude == want.amplitude
     assert np.array_equal(gs.profile, want.profile)
     assert np.array_equal(gs.derivative, want.derivative)
@@ -345,11 +345,8 @@ def test_equal_requests_share_one_read_only_solution(fresh_cache):
         gs.amplitude = 1.0
 
 
-def test_a_guess_or_a_different_step_solves_afresh(fresh_cache):
+def test_a_different_step_solves_afresh(fresh_cache):
     gs = solve_ground_state(CRITICAL_MP, which="mass_critical")
-    guessed = solve_ground_state(CRITICAL_MP, which="mass_critical", guess=gs.profile)
-    assert guessed is not gs
-    assert guessed.amplitude == pytest.approx(gs.amplitude, rel=1e-10)
     coarser = solve_ground_state(CRITICAL_MP, which="mass_critical", step=2.0 * gs.step)
     assert coarser is not gs
     assert coarser.step == pytest.approx(2.0 * gs.step)

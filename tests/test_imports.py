@@ -1,13 +1,17 @@
-"""Tooling: no module of the package imports a name it never uses."""
+"""Tooling: no module of the package, and no test file, imports a name it
+never uses."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlslab"
-# __init__.py imports to re-export
-MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "nlslab"
+# each checked file by its name: a package module by its stem (__init__.py
+# imports to re-export), a test file as tests/<stem>
+MODULES = {p.stem: p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+MODULES.update({f"tests/{p.stem}": p for p in sorted(TESTS.glob("*.py"))})
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -31,12 +35,13 @@ def _unused_imports(tree: ast.Module) -> list:
 
 
 def test_every_module_is_checked():
-    assert {"cli", "experiment", "propagator", "spectral"} <= set(MODULES)
+    assert {"cli", "experiment", "propagator", "spectral", "tests/conftest",
+            "tests/test_imports"} <= set(MODULES)
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_imports(module):
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    tree = ast.parse(MODULES[module].read_text())
     assert _unused_imports(tree) == []
 
 

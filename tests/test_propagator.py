@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nlslab import propagator, spectral
+from nlslab.experiment import parse_config, run_experiment
 from nlslab.functionals import ModelParams, _scaling_derivative, snapshot
 from nlslab.groundstate import ground_state_field
 from nlslab.propagator import (
@@ -83,7 +84,8 @@ def test_zero_couplings_single_step_is_exactly_the_free_propagator(grid):
     k0 = 12 * math.pi / grid.half_width
     u = field_from_function(
         grid, lambda *x: 0.6 * np.exp(-sum(c**2 for c in x)) * np.exp(1j * k0 * x[0]))
-    s = strang_step(u, MP1, 1e-3, couplings=(0.0, 0.0))
+    # the model of the grid's dimension: strang_step refuses any other
+    s = strang_step(u, ModelParams(d=grid.d, p=7.0), 1e-3, couplings=(0.0, 0.0))
     f = free_evolve(u, 1e-3)
     assert np.array_equal(s.values, f.values)
 
@@ -296,8 +298,8 @@ def test_each_record_takes_one_forward_fft(monkeypatch, mp, grid, rows):
     u0 = field_from_function(grid, lambda *x: 0.5 * np.exp(-sum(c**2 for c in x)) + 0j)
     cfg = StepperConfig(dt=1e-3, t_final=6e-3, snapshot_every=1, **OPEN)
     localized = rows == "localized"
-    rows = ({"virial_weight": VirialWeight(grid, 4.0)} if localized
-            else {"whole_space_virial": True})
+    # whole-space V'' is read off the snapshots when the files are written
+    rows = {"virial_weight": VirialWeight(grid, 4.0)} if localized else {}
     # transforms of the whole field: an fftn (ifftn) call, or d per-axis
     # fft (ifft) calls (the stepping kernel transforms one axis at a time)
     calls = {"forward": [], "inverse": []}
@@ -314,10 +316,11 @@ def test_each_record_takes_one_forward_fft(monkeypatch, mp, grid, rows):
     monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft, "inverse", 1.0 / grid.d))
     log = evolve(u0, mp, cfg, **rows)
     assert log.outcome == "completed"
-    assert len(log.virial_rows) == len(log.times) == log.n_steps + 1
+    assert len(log.times) == log.n_steps + 1
+    assert len(log.virial_rows) == (len(log.times) if localized else 0)
     assert sum(calls["forward"]) == log.n_steps + len(log.times)
     # per record: the scatter integrand's, plus the d gradient fields of a
-    # localized row; a whole-space row reads its snapshot and takes none
+    # localized row
     per_record = 1 + grid.d if localized else 1
     assert sum(calls["inverse"]) == log.n_steps + per_record * len(log.times)
 
@@ -327,7 +330,7 @@ def test_each_record_takes_one_forward_fft(monkeypatch, mp, grid, rows):
     (ModelParams(d=2, p=4.0, omega=1.0, equation="E2"),
      GridSpec(d=2, n_per_axis=32, half_width=12.0), "whole_space"),
 ])
-def test_virial_rows_read_the_snapshots_k_bitwise(mp, grid, rows):
+def test_virial_rows_read_the_snapshots_k_bitwise(tmp_path, mp, grid, rows):
     u0 = field_from_function(
         grid, lambda *x: 0.9 * np.exp(-sum(c**2 for c in x)) * np.exp(2.0j * x[0]))
     cfg = StepperConfig(dt=1e-3, t_final=0.02, snapshot_every=5, **OPEN)
@@ -336,10 +339,25 @@ def test_virial_rows_read_the_snapshots_k_bitwise(mp, grid, rows):
         for row, snap in zip(log.virial_rows, log.snapshots, strict=True):
             assert row.remainder == row.v_double_prime - 8.0 * snap.scaling_derivative
         return
-    log = evolve(u0, mp, cfg, whole_space_virial=True)
-    for row, snap in zip(log.virial_rows, log.snapshots, strict=True):
-        k_e2 = _scaling_derivative(mp, snap.grad_l2_sq, snap.lp1, snap.lmc, mp.couplings)
-        assert row.v_double_prime == 8.0 * k_e2
+    # the same flight through a run: whole-space V'' is written from each
+    # record's snapshot, whose integrals the CSV carries to the bit
+    cfg_text = (
+        f"[model]\nd = {mp.d}\np = {mp.p}\nomega = {mp.omega}\nequation = {mp.equation}\n"
+        f"[grid]\nn_per_axis = {grid.n_per_axis}\nhalf_width = {grid.half_width}\n"
+        "[stepper]\ndt = 1e-3\nt_final = 0.02\nsnapshot_every = 5\n"
+        "tail_fraction_max = 1.0\nedge_mass_max = 1.0\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.9\nwavenumber = 2.0\n"
+        "[outputs]\nclassify = false\nwhole_space_virial = true\n"
+    )
+    run = run_experiment(parse_config(cfg_text), tmp_path)
+    header, *lines = (run / "trajectory.csv").read_text().splitlines()
+    col = {name: j for j, name in enumerate(header.split(","))}
+    assert len(lines) == len(evolve(u0, mp, cfg).snapshots)
+    for line in lines:
+        cells = line.split(",")
+        grad, lp1, lmc = (float(cells[col[k]]) for k in ("grad_l2_sq", "lp1", "lmc"))
+        k_e2 = _scaling_derivative(mp, grad, lp1, lmc, mp.couplings)
+        assert cells[col["V_double_prime"]] == repr(8.0 * k_e2)
 
 
 def test_shared_record_inputs_give_the_default_results_bitwise():

@@ -1,13 +1,11 @@
 """Localized variance weight tables and the second-derivative identity."""
 
-import math
-
 import numpy as np
 import pytest
 
 from nlslab.functionals import ModelParams, action_K_H, gradient_l2_sq, power_integrals
 from nlslab.propagator import StepperConfig, evolve, strang_step
-from nlslab.spectral import ComplexField, GridSpec, field_from_function
+from nlslab.spectral import GridSpec, field_from_function
 from nlslab.virial import (
     VirialWeight,
     smoothstep_c4,
@@ -173,24 +171,3 @@ def test_trajectory_rows_carry_the_identity():
     for row, snap in zip(log.virial_rows, log.snapshots):
         assert row.v_double_prime == pytest.approx(8.0 * snap.scaling_derivative, abs=1e-9)
         assert row.value is not None and row.v_prime is not None
-
-
-def test_whole_space_rows_during_evolution():
-    g = GridSpec(d=1, n_per_axis=512, half_width=20.0)
-    u = field_from_function(g, lambda x: 0.8 * np.exp(-(x**2)))
-    cfg = StepperConfig(dt=1e-4, t_final=0.05, snapshot_every=100,
-                        tail_fraction_max=1.0, edge_mass_max=1.0)
-    log = evolve(u, MP2, cfg, whole_space_virial=True)
-    assert log.outcome == "completed"
-    assert all(r.value is None and r.remainder is None for r in log.virial_rows)
-    assert all(math.isfinite(r.v_double_prime) for r in log.virial_rows)
-
-
-def test_localized_and_whole_space_rows_are_mutually_exclusive():
-    g = GridSpec(d=1, n_per_axis=256, half_width=20.0)
-    u = field_from_function(g, lambda x: 0.5 * np.exp(-(x**2)))
-    w = VirialWeight(g, 8.0)
-    cfg = StepperConfig(dt=1e-3, t_final=0.01, snapshot_every=10,
-                        tail_fraction_max=1.0, edge_mass_max=1.0)
-    with pytest.raises(ValueError, match="not both"):
-        evolve(u, MP1, cfg, virial_weight=w, whole_space_virial=True)
