@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .spectral import ComplexField, spectral_tail_fraction
+from .spectral import ComplexField, _tail_fractions
 from .functionals import (
-    ModelParams, _action, _action_values, _energy, _scaling_derivative, snapshot,
+    ModelParams, _action, _action_values, _energy, _scaling_derivative, _snapshots, snapshot,
 )
 from .groundstate import GroundStateSolution
 
@@ -96,14 +96,6 @@ def ground_state_digest(gs: GroundStateSolution) -> str:
     return gs._digest
 
 
-def _relative_error_scale(u0: ComplexField, spectrum) -> float:
-    # Under-resolved fields carry truncation error far above rounding.
-    # The top-band power fraction understates the aliasing error of the
-    # nonlinear integrands by a small factor (about 2 on coarsely sampled
-    # solitons), so pad it.
-    return _QUAD_EPS + 10.0 * float(spectral_tail_fraction(u0, spectrum=spectrum))
-
-
 def _check_compatible(mp: ModelParams, gs: GroundStateSolution):
     if mp.equation == "E1":
         if gs.which != "double":
@@ -161,10 +153,14 @@ def classify(
     """
     _check_compatible(mp, gs)
 
-    spectrum = np.fft.fftn(u0.values)
-    rel = _relative_error_scale(u0, spectrum)
+    spectrum = np.fft.fftn(u0.values)[np.newaxis]
+    # Under-resolved fields carry truncation error far above rounding.
+    # The top-band power fraction understates the aliasing error of the
+    # nonlinear integrands by a small factor (about 2 on coarsely sampled
+    # solitons), so pad it.
+    rel = _QUAD_EPS + 10.0 * float(_tail_fractions(spectrum, u0.grid)[0])
     digest = ground_state_digest(gs)
-    snap = snapshot(u0, mp, spectrum=spectrum)
+    snap = _snapshots(u0.grid, mp, [0.0], spectrum, np.abs(u0.values)[np.newaxis])[0][0]
 
     mass_unc = rel * snap.mass + _QUAD_EPS * gs.mass
     mass_margin = Margin(snap.mass - gs.mass, mass_unc)

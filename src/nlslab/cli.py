@@ -31,13 +31,13 @@ import numpy as np
 from .experiment import (
     ConfigError,
     _initial_state,
+    _run_stack,
     _threshold_profile,
     _threshold_verdict,
     _write_groundstate,
     load_config,
     parse_model,
     plan_stacks,
-    run_experiments,
     emit_report,
 )
 from .classifier import ground_state_digest, verdict_to_json
@@ -162,9 +162,10 @@ def _report_line(out_dir, result) -> tuple:
 
 
 def _evolve_worker(stack):
-    """(report line, exit code) of each job of one stack; a job that raises
-    must not hide the outcomes of the others."""
-    results = run_experiments(stack)
+    """(report line, exit code) of each job of one planned stack, run as
+    it is; a job that raises must not hide the outcomes of the others."""
+    results = [None] * len(stack)
+    _run_stack(stack, range(len(stack)), results)
     return [_report_line(out_dir, result) for (_, out_dir), result in zip(stack, results)]
 
 
@@ -232,6 +233,7 @@ def _cmd_selftest(args) -> int:
     )
     from .functionals import ModelParams, mass
     from .propagator import StepperConfig, evolve, evolve_stack
+    from .virial import VirialWeight
     from .symmetry import SymmetryElement, apply_symmetry as apply_elem
     from .classifier import classify as classify_field
     from .groundstate import ground_state_field
@@ -265,18 +267,20 @@ def _cmd_selftest(args) -> int:
 
     # stacking rests on numpy's multi-line FFT and per-row sums giving each
     # line the bits that line gets alone; a sweep's stack shape: two step
-    # sizes, n = 1024
+    # sizes, n = 1024, with localized virial rows
     g_stack = make_grid(1, 1024, 15.0)
+    weight = VirialWeight(g_stack, 4.0)
     u0s = [field_from_function(g_stack, lambda x, a=a: a * np.exp(-(x**2)) + 0j)
            for a in (0.6, 0.8, 1.0, 1.2)]
     cfgs = [StepperConfig(dt=dt, t_final=5e-3, snapshot_every=25) for dt in (1e-4, 1e-5) * 2]
-    stacked = evolve_stack(u0s, mp5, cfgs)
+    stacked = evolve_stack(u0s, mp5, cfgs, virial_weight=weight)
     # each flight's record series, by repr (every float's bits), and its
     # final state
-    series = ("times", "snapshots", "tail_fractions", "edge_fractions", "scatter_series")
+    series = ("times", "snapshots", "tail_fractions", "edge_fractions", "scatter_series",
+              "virial_rows")
     differ = 0
     for s, u, c in zip(stacked, u0s, cfgs):
-        alone = evolve(u, mp5, c)
+        alone = evolve(u, mp5, c, virial_weight=weight)
         differ += (any(repr(getattr(s, name)) != repr(getattr(alone, name)) for name in series)
                    or s.final_state.values.tobytes() != alone.final_state.values.tobytes())
     checks.append(("stack_bitwise", differ == 0, f"{differ} of 4 flights differ"))

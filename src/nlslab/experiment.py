@@ -323,8 +323,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"initial_data.kind: unknown kind {init.kind!r}, expected one of {DATA_KINDS}"
         )
-    if init.width <= 0:
-        raise ConfigError(f"initial_data.width: must be positive, got {init.width}")
+    for key in ("width", "rate", "exponent"):
+        if getattr(init, key) <= 0:
+            raise ConfigError(f"initial_data.{key}: must be positive, got {getattr(init, key)}")
     _check_profile("initial_data", init.which, init.power)
     if not 0.0 < init.theta < 1.0:
         raise ConfigError(f"initial_data.theta: must lie in (0, 1), got {init.theta}")
@@ -351,6 +352,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if n not in (0, cfg.model.d):
             raise ConfigError(f"symmetry.{key}: {n} components on a {cfg.model.d}-D grid")
 
+    if cfg.virial_radius < 0:
+        raise ConfigError(f"outputs.virial_radius: must be nonnegative, got {cfg.virial_radius}")
     if cfg.virial_radius > 0 and cfg.model.equation != "E1":
         raise ConfigError(
             "outputs.virial_radius: localized virial tracking needs equation E1"

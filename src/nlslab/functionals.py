@@ -238,17 +238,12 @@ class FunctionalSnapshot:
     lmc: float
 
 
-def snapshot(
-    f: ComplexField, mp: ModelParams, t: float = 0.0, *, spectrum=None
-) -> FunctionalSnapshot:
-    """The one integrals pass behind every functional: one forward FFT (or
-    the caller's spectrum, np.fft.fftn(f.values)) and one |u| array give
-    the integrals, the combiners above give E, S, K and H.  This is
-    _snapshots on a stack of one."""
-    if spectrum is None:
-        spectrum = np.fft.fftn(f.values)
-    a = np.abs(f.values)
-    return _snapshots(f.grid, mp, [t], spectrum[np.newaxis], a[np.newaxis])[0][0]
+def snapshot(f: ComplexField, mp: ModelParams, t: float = 0.0) -> FunctionalSnapshot:
+    """The one integrals pass behind every functional: one forward FFT and
+    one |u| array give the integrals, the combiners above give E, S, K
+    and H.  This is _snapshots on a stack of one."""
+    spectrum = np.fft.fftn(f.values)[np.newaxis]
+    return _snapshots(f.grid, mp, [t], spectrum, np.abs(f.values)[np.newaxis])[0][0]
 
 
 def _snapshots(grid: GridSpec, mp: ModelParams, ts, spectrum, modulus) -> tuple:

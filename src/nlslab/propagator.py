@@ -93,14 +93,15 @@ integrand is then a per-flight reduction over the grid axes, which
 numpy computes to the bits of the flight's lone sum (tests/test_propagator.py
 checks this premise), and each flight reads its own edge band.  Only
 the list appends, the scattering sum, the blow-up criterion and the
-abort decision loop over the flights.  snapshot(),
-spectral_tail_fraction() and edge_mass_fraction() are the same code on
-a stack of one.  A record builds a ComplexField only where a checkpoint,
-the final state or a localized virial row needs one; virial rows run per
-flight, on the record's row views.  The march records only what needs
-the field: the whole-space E2 virial V'' = 8K is a function of each
-snapshot alone, so it is read off log.snapshots when the run's files
-are written (virial._whole_space_e2), never during the march.
+abort decision loop over the flights.  The localized virial rows are
+such reductions too (virial._virial_rows).  snapshot(),
+spectral_tail_fraction(), edge_mass_fraction(), virial_value() and
+virial_derivatives() are the same code on a stack of one.  A record
+builds a ComplexField only for a checkpoint or the final state.  The
+march records only what needs the field: the whole-space E2 virial
+V'' = 8K is a function of each snapshot alone, so it is read off
+log.snapshots when the run's files are written (virial._whole_space_e2),
+never during the march.
 
 A stack holds at most _STACK_BYTES = 128 KiB of fields
 (_stack_capacity).  Every stack measured under that cap gained; past it
@@ -165,7 +166,7 @@ from .spectral import (
     derivative_weight_multiplier,
     edge_mass_fraction,
 )
-from .virial import VirialWeight, virial_derivatives, virial_value
+from .virial import VirialWeight, _virial_rows
 
 __all__ = [
     "OUTCOMES",
@@ -461,19 +462,6 @@ def _scatter_integrand(spectrum, grid, weight_symbol, mc_power) -> np.ndarray:
     return _row_sums(_abs2_power(a2, 0.5 * mc_power)) * grid.cell_volume
 
 
-def _virial_row(mp, t, snap, weight, f, spec, modulus) -> VirialRow:
-    # K is the snapshot's: the remainder reads it rather than form it again
-    vd = virial_derivatives(f, mp, weight, spectrum=spec, modulus=modulus)
-    return VirialRow(
-        t,
-        virial_value(f, weight, modulus=modulus),
-        vd.v_prime,
-        vd.v_double_prime,
-        vd.v_double_prime - 8.0 * snap.scaling_derivative,
-        vd.exterior_integral,
-    )
-
-
 def _late_quarter_start(t_end: float, t_start: float = 0.0) -> float:
     """Earliest checkpoint time the proxy's Cauchy test reads on a run
     recorded from t_start to t_end: the start of the last quarter, less a
@@ -639,21 +627,21 @@ def evolve_stack(
         ts = [step * logs[i].dt_used for i in flights]
         snaps, dens, totals = _snapshots(grid, mp, ts, spec, a)
         edges = _edge_fractions(dens, totals, grid, [logs[i].config.edge_cells for i in flights])
+        virial = () if virial_weight is None else zip(
+            *(v.tolist() for v in _virial_rows(mp, virial_weight, x, spec, a, dens)))
         # |u|^2 and |u| are dropped once read, so that a stack of one holds
         # no more at once than a lone record did
         del dens
         tails = _tail_fractions(spec, grid)
-        for row, (i, t, snap, tail, edge) in enumerate(zip(flights, ts, snaps, tails.tolist(),
-                                                           edges.tolist())):
+        for i, t, snap, tail, edge in zip(flights, ts, snaps, tails.tolist(), edges.tolist()):
             log = logs[i]
             log.snapshots.append(snap)
             log.tail_fractions.append(tail)
             log.edge_fractions.append(edge)
-            if virial_weight is not None:
-                f = ComplexField(grid, x[row])
-                log.virial_rows.append(
-                    _virial_row(mp, t, snap, virial_weight, f, spec[row], a[row])
-                )
+        for i, t, snap, (v, vp, vpp, ext) in zip(flights, ts, snaps, virial):
+            # K is the snapshot's: the remainder reads it rather than form it again
+            logs[i].virial_rows.append(
+                VirialRow(t, v, vp, vpp, vpp - 8.0 * snap.scaling_derivative, ext))
         del a
         return _scatter_integrand(spec, grid, wsym, mcp).tolist()
 
@@ -704,32 +692,30 @@ def evolve_stack(
                 stopped.append(row)
                 continue
 
-            if row not in recorded:
-                if t >= keep_from[i]:
-                    log.checkpoints.append((t, ComplexField(grid, values[row])))
-                continue
+            if row in recorded:
+                # snapshots[-2] is the previous record's
+                log.scatter_series.append(
+                    log.scatter_series[-1] + (t - log.snapshots[-2].t) * pending[i])
+                pending[i] = recorded[row]
 
-            # snapshots[-2] is the previous record's
-            log.scatter_series.append(
-                log.scatter_series[-1] + (t - log.snapshots[-2].t) * pending[i])
-            pending[i] = recorded[row]
-
-            tail = log.tail_fractions[-1]
-            edge = log.edge_fractions[-1]
-            _, blowup = _blowup_criterion(log, len(log.snapshots) - 1, cfg, tail)
-            if blowup:
-                log.outcome = "blowup_detected"
-                log.abort_detail = blowup
-            elif tail > cfg.tail_fraction_max:
-                log.outcome = "resolution_lost"
-                log.abort_detail = f"spectral tail fraction {tail:.3e}"
-            elif edge > cfg.edge_mass_max:
-                log.outcome = "box_escape"
-                log.abort_detail = f"edge mass fraction {edge:.3e}"
-            if log.outcome != "running":
-                log.abort_time = t
-            elif step == log.n_steps:
-                log.outcome = "completed"
+                tail = log.tail_fractions[-1]
+                edge = log.edge_fractions[-1]
+                _, blowup = _blowup_criterion(log, len(log.snapshots) - 1, cfg, tail)
+                if blowup:
+                    log.outcome = "blowup_detected"
+                    log.abort_detail = blowup
+                elif tail > cfg.tail_fraction_max:
+                    log.outcome = "resolution_lost"
+                    log.abort_detail = f"spectral tail fraction {tail:.3e}"
+                elif edge > cfg.edge_mass_max:
+                    log.outcome = "box_escape"
+                    log.abort_detail = f"edge mass fraction {edge:.3e}"
+                if log.outcome != "running":
+                    log.abort_time = t
+                elif step == log.n_steps:
+                    log.outcome = "completed"
+            # a finite flight that did not record is at a checkpoint step,
+            # as _check_mates puts every mate's last step on the cadence
             ends = log.outcome != "running"
             if ends or ckpt_every and step % ckpt_every == 0 and t >= keep_from[i]:
                 f = ComplexField(grid, values[row])

@@ -372,17 +372,14 @@ def random_smooth_field(
     return ComplexField(grid, vals)
 
 
-def spectral_tail_fraction(f: ComplexField, *, spectrum=None) -> float:
+def spectral_tail_fraction(f: ComplexField) -> float:
     """Fraction of spectral mass carried by the top third of frequencies.
 
     'Top third' is measured per axis: a mode belongs to the tail when any
     of its wavenumber components exceeds 2/3 of the axis maximum.
-    spectrum, when given, is np.fft.fftn(f.values) and saves the transform.
     This is _tail_fractions on a stack of one.
     """
-    if spectrum is None:
-        spectrum = np.fft.fftn(f.values)
-    return float(_tail_fractions(spectrum[np.newaxis], f.grid)[0])
+    return float(_tail_fractions(np.fft.fftn(f.values)[np.newaxis], f.grid)[0])
 
 
 def edge_mass_fraction(f: ComplexField, cells: int = 4) -> float:

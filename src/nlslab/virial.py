@@ -28,6 +28,10 @@ formed by the caller with the K of a functionals snapshot, is controlled by
 the exterior integral of |grad u|^2 + R^-2 |u|^2 + |u|^mc + |u|^{p+1},
 which is also reported.
 
+A record computes them for every flight of a stack at once, from its
+spectrum, |u| and |u|^2 (_virial_rows); virial_value and
+virial_derivatives are that code on a stack of one.
+
 For E2 the whole-space identity has the potential signs reversed and needs
 no weight; whole_space_virial_e2 reads it off a snapshot.
 """
@@ -45,7 +49,7 @@ from .functionals import (
     _scaling_derivative,
     snapshot,
 )
-from .spectral import ComplexField, GridSpec
+from .spectral import ComplexField, GridSpec, _masked_row_sums, _row_sums, _transform
 
 __all__ = [
     "VirialWeight",
@@ -175,61 +179,65 @@ class VirialDerivatives:
     exterior_integral: float
 
 
-def virial_value(f: ComplexField, w: VirialWeight, *, modulus=None) -> float:
-    """int R^2 phi(|x|/R) |u|^2; modulus is as for virial_derivatives."""
+def virial_value(f: ComplexField, w: VirialWeight) -> float:
+    """int R^2 phi(|x|/R) |u|^2: _virial_rows' V on a stack of one."""
     if f.grid != w.grid:
         raise ValueError("field and weight live on different grids")
-    a = np.abs(f.values) if modulus is None else modulus
-    return float(np.sum(w.value * a**2) * f.grid.cell_volume)
+    return float(_variances(w, (np.abs(f.values) ** 2)[np.newaxis])[0])
 
 
-def _gradient_fields(f: ComplexField, spectrum=None):
-    if spectrum is None:
-        spectrum = np.fft.fftn(f.values)
-    # the odd symbol i*k broadcast per axis: spectral.gradient_multiplier's
-    # values, without a full-grid symbol array per axis per record
-    return [np.fft.ifftn(du, out=du) for du in (1j * k * spectrum for k in f.grid.k_odd)]
-
-
-def virial_derivatives(
-    f: ComplexField, mp: ModelParams, w: VirialWeight, *, spectrum=None, modulus=None
-) -> VirialDerivatives:
+def virial_derivatives(f: ComplexField, mp: ModelParams, w: VirialWeight) -> VirialDerivatives:
     """First and second time derivatives of the localized variance, plus the
-    exterior bound integrand.  spectrum, when given, is np.fft.fftn(f.values)
-    and saves the transform; modulus, when given, is np.abs(f.values)."""
+    exterior bound integrand: _virial_rows on a stack of one."""
     if f.grid != w.grid:
         raise ValueError("field and weight live on different grids")
     _check_dimension(f.grid, mp)
     if mp.equation != "E1":
         raise ValueError("localized V'' tables are for E1; use whole_space_virial_e2")
+    x = f.values[np.newaxis]
+    a = np.abs(x)
+    _, *rows = _virial_rows(mp, w, x, np.fft.fftn(f.values)[np.newaxis], a, a**2)
+    return VirialDerivatives(*(float(v[0]) for v in rows))
 
+
+def _variances(w: VirialWeight, density) -> np.ndarray:
+    """V of every field of a stack, (flights, *grid), from its |u|^2."""
+    return _row_sums(w.value * density) * w.grid.cell_volume
+
+
+def _virial_rows(mp: ModelParams, w: VirialWeight, x, spectrum, modulus, density) -> tuple:
+    """V, V', V'' and the exterior integral of every field of a stack x,
+    (flights, *grid), as arrays of one value per field, from the stack's
+    per-field np.fft.fftn, |u| and |u|^2, which it leaves as they are.
+    Each integral is a per-field reduction over the grid axes, the
+    exterior one over the C-order gather of the exterior mask, so each
+    row is bitwise its field's lone value."""
     d, p = mp.d, mp.p
-    dv = f.grid.cell_volume
-    u = f.values
-    absu = np.abs(u) if modulus is None else modulus
-    dens = absu**2
+    dv = w.grid.cell_volume
 
-    grads = _gradient_fields(f, spectrum)
+    # the odd symbol i*k broadcast per axis: spectral.gradient_multiplier's
+    # values, without a full-grid symbol array per axis
+    grads = [_transform(np.fft.ifft, du, du, d)
+             for du in ((1j * k) * spectrum for k in w.grid.k_odd)]
     radial = sum(xh * du for xh, du in zip(w.unit_radial, grads))
     grad_sq_dens = sum(np.abs(du) ** 2 for du in grads)
-    del grads  # evolve holds its record spectrum through this call: keep the peak flat
+    del grads  # a record holds its spectrum through this call: keep the peak flat
     rad_sq_dens = np.abs(radial) ** 2
 
-    v_prime = 2.0 * w.R * float(np.sum(w.phi1 * np.imag(radial * np.conj(u))) * dv)
+    v_prime = 2.0 * w.R * (_row_sums(w.phi1 * np.imag(radial * np.conj(x))) * dv)
 
-    pot_mc = absu**mp.mc_power
-    pot_p = absu ** (p + 1.0)
+    pot_mc = modulus**mp.mc_power
+    pot_p = modulus ** (p + 1.0)
 
-    hess = 4.0 * float(np.sum(w.phi2 * rad_sq_dens
-                              + w.phi1_over_s * (grad_sq_dens - rad_sq_dens)) * dv)
-    bilap = -float(np.sum(w.bilaplacian * dens) * dv)
-    term_mc = 4.0 / (d + 2.0) * float(np.sum(w.laplacian * pot_mc) * dv)
-    term_p = -2.0 * (p - 1.0) / (p + 1.0) * float(np.sum(w.laplacian * pot_p) * dv)
-    v_double = hess + bilap + term_mc + term_p
+    hess = 4.0 * (_row_sums(w.phi2 * rad_sq_dens
+                            + w.phi1_over_s * (grad_sq_dens - rad_sq_dens)) * dv)
+    bilap = -(_row_sums(w.bilaplacian * density) * dv)
+    term_mc = 4.0 / (d + 2.0) * (_row_sums(w.laplacian * pot_mc) * dv)
+    term_p = -2.0 * (p - 1.0) / (p + 1.0) * (_row_sums(w.laplacian * pot_p) * dv)
 
-    ext = w.exterior_mask
-    exterior = float(np.sum((grad_sq_dens + dens / w.R**2 + pot_mc + pot_p)[ext]) * dv)
-    return VirialDerivatives(v_prime, v_double, exterior)
+    exterior = _masked_row_sums(grad_sq_dens + density / w.R**2 + pot_mc + pot_p,
+                                w.exterior_mask) * dv
+    return _variances(w, density), v_prime, hess + bilap + term_mc + term_p, exterior
 
 
 def whole_space_virial_e2(f: ComplexField, mp: ModelParams) -> float:

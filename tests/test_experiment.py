@@ -77,6 +77,17 @@ def _with(text=BASE, **sections):
     (("dt = 1e-3", "dt = 1e-320"), r"stepper: t_final / dt must be finite"),
     (("amplitude = 0.8", "amplitude = nan"), r"initial_data\.amplitude: cannot parse"),
     (("amplitude = 0.8", "amplitude = inf"), r"initial_data\.amplitude: cannot parse"),
+    # a negative radius would turn localized tracking off, as 0 does
+    (("amplitude = 0.8", "amplitude = 0.8\n[outputs]\nvirial_radius = -3.0"),
+     r"outputs\.virial_radius: must be nonnegative"),
+    # the sech recipe's rate and exponent: a nonpositive exponent or rate
+    # leaves no decaying profile, and a negative rate is its absolute value
+    (("kind = gaussian", "kind = sech\nrate = 0"), r"initial_data\.rate: must be positive"),
+    (("kind = gaussian", "kind = sech\nrate = -2"), r"initial_data\.rate: must be positive"),
+    (("kind = gaussian", "kind = sech\nexponent = 0"),
+     r"initial_data\.exponent: must be positive"),
+    (("kind = gaussian", "kind = sech\nexponent = -1"),
+     r"initial_data\.exponent: must be positive"),
 ])
 def test_errors_name_the_offending_key(mutation, pattern):
     old, new = mutation

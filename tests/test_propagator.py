@@ -25,11 +25,7 @@ from nlslab.spectral import (
     free_evolve,
     lp_norm,
 )
-from nlslab.virial import (
-    VirialWeight,
-    virial_derivatives,
-    virial_value,
-)
+from nlslab.virial import VirialWeight
 
 MP1 = ModelParams(d=1, p=7.0, omega=1.0, equation="E1")
 MP2 = ModelParams(d=1, p=7.0, omega=1.0, equation="E2")
@@ -358,15 +354,6 @@ def test_virial_rows_read_the_snapshots_k_bitwise(tmp_path, mp, grid, rows):
         grad, lp1, lmc = (float(cells[col[k]]) for k in ("grad_l2_sq", "lp1", "lmc"))
         k_e2 = _scaling_derivative(mp, grad, lp1, lmc, mp.couplings)
         assert cells[col["V_double_prime"]] == repr(8.0 * k_e2)
-
-
-def test_shared_record_inputs_give_the_default_results_bitwise():
-    # a record hands its |u| to each localized virial diagnostic
-    f = _packet()
-    a = np.abs(f.values)
-    w = VirialWeight(f.grid, 8.0)
-    assert virial_value(f, w, modulus=a) == virial_value(f, w)
-    assert virial_derivatives(f, MP1, w, modulus=a) == virial_derivatives(f, MP1, w)
 
 
 # -- the fused kernel against single steps ------------------------------------

@@ -5,9 +5,10 @@ import pytest
 
 from nlslab.functionals import ModelParams, action_K_H, gradient_l2_sq, power_integrals
 from nlslab.propagator import StepperConfig, evolve, strang_step
-from nlslab.spectral import GridSpec, field_from_function
+from nlslab.spectral import GridSpec, _transform, field_from_function
 from nlslab.virial import (
     VirialWeight,
+    _virial_rows,
     smoothstep_c4,
     smoothstep_c4_prime,
     virial_derivatives,
@@ -136,6 +137,56 @@ def test_first_derivative_matches_time_differencing():
     mid = virial_derivatives(states[1], MP1, w)
     fd = (vs[2] - vs[0]) / (2 * dt)
     assert fd == pytest.approx(mid.v_prime, rel=1e-6)
+
+
+def _per_field_reference(f, mp, w):
+    """V, V', V'' and the exterior integral of one field by the plain
+    per-field formulas: np.fft.ifftn per gradient, np.sum per integral
+    and a boolean gather for the exterior."""
+    u, dv, d, p = f.values, f.grid.cell_volume, mp.d, mp.p
+    absu = np.abs(u)
+    dens = absu**2
+    spectrum = np.fft.fftn(u)
+    grads = [np.fft.ifftn(1j * k * spectrum) for k in f.grid.k_odd]
+    radial = sum(xh * du for xh, du in zip(w.unit_radial, grads))
+    grad_sq = sum(np.abs(du) ** 2 for du in grads)
+    rad_sq = np.abs(radial) ** 2
+    pot_mc, pot_p = absu**mp.mc_power, absu ** (p + 1.0)
+    value = float(np.sum(w.value * dens) * dv)
+    v_prime = 2.0 * w.R * float(np.sum(w.phi1 * np.imag(radial * np.conj(u))) * dv)
+    hess = 4.0 * float(np.sum(w.phi2 * rad_sq + w.phi1_over_s * (grad_sq - rad_sq)) * dv)
+    bilap = -float(np.sum(w.bilaplacian * dens) * dv)
+    term_mc = 4.0 / (d + 2.0) * float(np.sum(w.laplacian * pot_mc) * dv)
+    term_p = -2.0 * (p - 1.0) / (p + 1.0) * float(np.sum(w.laplacian * pot_p) * dv)
+    exterior = float(np.sum((grad_sq + dens / w.R**2 + pot_mc + pot_p)[w.exterior_mask]) * dv)
+    return value, v_prime, hess + bilap + term_mc + term_p, exterior
+
+
+@pytest.mark.parametrize("mp, grid, R", [
+    (MP1, GridSpec(d=1, n_per_axis=512, half_width=20.0), 3.0),
+    (ModelParams(d=2, p=5.0, omega=1.0, equation="E1"),
+     GridSpec(d=2, n_per_axis=64, half_width=12.0), 2.5),
+], ids=["1d", "2d"])
+def test_stacked_virial_rows_are_the_per_field_formulas_bitwise(mp, grid, R):
+    # off-centre moving packets, so every table and the exterior band count
+    fields = [
+        field_from_function(grid, lambda *x, a=a, s=s: a * np.exp(
+            -sum((c - s) ** 2 for c in x) / 2.0 + 1j * (0.7 - s) * x[0]))
+        for a, s in ((0.8, 0.0), (1.1, 1.5), (1.4, -2.5))
+    ]
+    w = VirialWeight(grid, R)
+    refs = [_per_field_reference(f, mp, w) for f in fields]
+    for f, ref in zip(fields, refs):
+        dv = virial_derivatives(f, mp, w)
+        got = (virial_value(f, w), dv.v_prime, dv.v_double_prime, dv.exterior_integral)
+        assert repr(got) == repr(ref)
+    assert refs[2][3] > 0.0
+    # the record's stack: per-row spectra, |u| and |u|^2 of three fields
+    x = np.stack([f.values for f in fields])
+    spectrum = _transform(np.fft.fft, x, np.empty_like(x), grid.d)
+    a = np.abs(x)
+    rows = _virial_rows(mp, w, x, spectrum, a, a**2)
+    assert repr(list(zip(*(v.tolist() for v in rows)))) == repr(refs)
 
 
 def test_whole_space_identity_matches_time_differencing():
