@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .spectral import ComplexField, _tail_fractions
+from .spectral import ComplexField, _scratch, _spectrum, _tail_fractions
 from .functionals import (
     ModelParams, _action, _action_values, _energy, _scaling_derivative, _snapshots, snapshot,
 )
@@ -153,14 +153,16 @@ def classify(
     """
     _check_compatible(mp, gs)
 
-    spectrum = np.fft.fftn(u0.values)[np.newaxis]
+    x = u0.values[np.newaxis]
+    scratch = _scratch(x.shape)
+    spectrum = _spectrum(x, scratch)
     # Under-resolved fields carry truncation error far above rounding.
     # The top-band power fraction understates the aliasing error of the
     # nonlinear integrands by a small factor (about 2 on coarsely sampled
     # solitons), so pad it.
-    rel = _QUAD_EPS + 10.0 * float(_tail_fractions(spectrum, u0.grid)[0])
+    rel = _QUAD_EPS + 10.0 * float(_tail_fractions(spectrum, u0.grid, scratch)[0])
     digest = ground_state_digest(gs)
-    snap = _snapshots(u0.grid, mp, [0.0], spectrum, np.abs(u0.values)[np.newaxis])[0][0]
+    snap = _snapshots(u0.grid, mp, [0.0], x, spectrum, scratch)[0][0]
 
     mass_unc = rel * snap.mass + _QUAD_EPS * gs.mass
     mass_margin = Margin(snap.mass - gs.mass, mass_unc)
@@ -310,7 +312,7 @@ def trap_bounds(
 # -- serialization ------------------------------------------------------------
 
 def verdict_to_json(v: Verdict) -> str:
-    return json.dumps(asdict(v), sort_keys=True, indent=2)
+    return json.dumps(asdict(v), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _margin_from(obj) -> Margin | None:

@@ -132,7 +132,7 @@ def _cmd_groundstate(args) -> int:
             "digest": ground_state_digest(gs),
         }
         (out / f"{stem}.groundstate.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n"
+            json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n"
         )
         print(f"{stem}: amplitude {gs.amplitude:.12g}, mass {gs.mass:.12g}")
     return 0
@@ -267,23 +267,33 @@ def _cmd_selftest(args) -> int:
 
     # stacking rests on numpy's multi-line FFT and per-row sums giving each
     # line the bits that line gets alone; a sweep's stack shape: two step
-    # sizes, n = 1024, with localized virial rows
+    # sizes, n = 1024, with localized virial rows; and a 2-D stack in
+    # padded rows whose first flight leaves it halfway
     g_stack = make_grid(1, 1024, 15.0)
     weight = VirialWeight(g_stack, 4.0)
     u0s = [field_from_function(g_stack, lambda x, a=a: a * np.exp(-(x**2)) + 0j)
            for a in (0.6, 0.8, 1.0, 1.2)]
     cfgs = [StepperConfig(dt=dt, t_final=5e-3, snapshot_every=25) for dt in (1e-4, 1e-5) * 2]
-    stacked = evolve_stack(u0s, mp5, cfgs, virial_weight=weight)
+    g_2d = make_grid(2, 32, 10.0)
+    mp_2d = ModelParams(d=2, p=4.0, omega=1.0, equation="E2")
+    u0s_2d = [field_from_function(g_2d, lambda x, y, a=a: a * np.exp(-(x**2 + y**2) / 4) + 0j)
+              for a in (0.6, 0.9)]
+    cfgs_2d = [StepperConfig(dt=1e-3, t_final=t, snapshot_every=5) for t in (0.01, 0.02)]
+    marches = [(u0s, mp5, cfgs, weight), (u0s_2d, mp_2d, cfgs_2d, None)]
     # each flight's record series, by repr (every float's bits), and its
     # final state
     series = ("times", "snapshots", "tail_fractions", "edge_fractions", "scatter_series",
               "virial_rows")
-    differ = 0
-    for s, u, c in zip(stacked, u0s, cfgs):
-        alone = evolve(u, mp5, c, virial_weight=weight)
-        differ += (any(repr(getattr(s, name)) != repr(getattr(alone, name)) for name in series)
-                   or s.final_state.values.tobytes() != alone.final_state.values.tobytes())
-    checks.append(("stack_bitwise", differ == 0, f"{differ} of 4 flights differ"))
+    differ = flights = 0
+    for fields, mp, steppers, w in marches:
+        stacked = evolve_stack(fields, mp, steppers, virial_weight=w)
+        for s, u, c in zip(stacked, fields, steppers):
+            alone = evolve(u, mp, c, virial_weight=w)
+            flights += 1
+            differ += (
+                any(repr(getattr(s, name)) != repr(getattr(alone, name)) for name in series)
+                or s.final_state.values.tobytes() != alone.final_state.values.tobytes())
+    checks.append(("stack_bitwise", differ == 0, f"{differ} of {flights} flights differ"))
 
     bump = field_from_function(g, lambda x: np.exp(-(x**2)) * (1.0 + 0.5j))
     elem = SymmetryElement(theta=0.7, h=1.3, t0=0.2, x0=(1.5,), xi=(0.9,))

@@ -738,7 +738,7 @@ def _finish(run: _Run, log, flights: int) -> Path:
     }
     # written last and renamed into place: a summary means the run finished
     tmp = out / "summary.json.tmp"
-    tmp.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    tmp.write_text(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
     os.replace(tmp, out / "summary.json")
     return out
 
@@ -888,11 +888,16 @@ def emit_report(run_dirs, out_dir) -> dict:
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             skipped.append({"directory": str(rd), "reason": f"{type(exc).__name__}: {exc}"})
 
+    # imported here: a run should not pay for the import
+    import csv
+
     csv_path = out / "report.csv"
-    with csv_path.open("w") as fh:
-        fh.write(",".join(_REPORT_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(row[c] for c in _REPORT_COLUMNS) + "\n")
+    with csv_path.open("w", newline="") as fh:
+        # a cell holding a comma or a quote, such as a run directory's
+        # name, is quoted, so every row keeps the header's columns
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_REPORT_COLUMNS)
+        writer.writerows([row[c] for c in _REPORT_COLUMNS] for row in rows)
 
     md_path = out / "report.md"
     with md_path.open("w") as fh:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ComplexField, GridSpec, _row_sums
+from .spectral import ComplexField, GridSpec, _row_sums, _Scratch, _scratch, _spectrum
 
 __all__ = [
     "ModelParams",
@@ -114,17 +114,30 @@ def _check_dimension(grid: GridSpec, mp: ModelParams) -> None:
         raise ValueError(f"field is {grid.d}-D but the model has d = {mp.d}")
 
 
-def _spectral_integrals(grid: GridSpec, spectrum) -> tuple:
+def _spectral_integrals(grid: GridSpec, spectrum, scratch: _Scratch) -> tuple:
     """||grad u||^2, then each momentum component, of every field of a stack,
     (flights, *grid), as arrays of one value per field; spectrum is the
-    stack's per-field np.fft.fftn."""
-    power = np.abs(spectrum / np.sqrt(grid.size)) ** 2
+    stack's per-field np.fft.fftn.  The unitary spectrum goes into
+    scratch.block, |.|^2 of it into scratch.spare, each product into the
+    block's first half."""
+    # numpy's spectrum / sqrt(N) multiplies re and im by 1 / sqrt(N) (its
+    # complex division by c + 0j), bit for bit apart from the sign of a
+    # zero, which |.| drops
+    scaled = scratch.block
+    np.multiply(spectrum.view(np.float64), 1.0 / np.sqrt(grid.size),
+                out=scaled.view(np.float64))
+    power = np.abs(scaled, out=scratch.spare)
+    np.multiply(power, power, out=power)
+    product = scratch.halves[0]
     # Im<i k F, F> = sum k |F|^2
-    return tuple(_row_sums(k * power) * grid.cell_volume for k in (grid.k_squared, *grid.k_odd))
+    return tuple(_row_sums(np.multiply(k, power, out=product)) * grid.cell_volume
+                 for k in (grid.k_squared, *grid.k_odd))
 
 
 def _lone_spectral_integrals(f: ComplexField) -> list:
-    return [float(v[0]) for v in _spectral_integrals(f.grid, np.fft.fftn(f.values)[np.newaxis])]
+    x = f.values[np.newaxis]
+    scratch = _scratch(x.shape)
+    return [float(v[0]) for v in _spectral_integrals(f.grid, _spectrum(x, scratch), scratch)]
 
 
 def mass(f: ComplexField) -> float:
@@ -242,28 +255,32 @@ def snapshot(f: ComplexField, mp: ModelParams, t: float = 0.0) -> FunctionalSnap
     """The one integrals pass behind every functional: one forward FFT and
     one |u| array give the integrals, the combiners above give E, S, K
     and H.  This is _snapshots on a stack of one."""
-    spectrum = np.fft.fftn(f.values)[np.newaxis]
-    return _snapshots(f.grid, mp, [t], spectrum, np.abs(f.values)[np.newaxis])[0][0]
+    x = f.values[np.newaxis]
+    scratch = _scratch(x.shape)
+    return _snapshots(f.grid, mp, [t], x, _spectrum(x, scratch), scratch)[0][0]
 
 
-def _snapshots(grid: GridSpec, mp: ModelParams, ts, spectrum, modulus) -> tuple:
-    """snapshot() of every field of a stack, (flights, *grid), at its time
-    in ts, from the stack's per-field np.fft.fftn and |u|: each integral
-    is a per-field reduction over the grid axes.  Returns the snapshots,
-    the density |u|^2 and its per-field sums, which an edge fraction
-    reads (spectral._edge_fractions)."""
+def _snapshots(grid: GridSpec, mp: ModelParams, ts, x, spectrum, scratch: _Scratch) -> tuple:
+    """snapshot() of every field of a stack x, (flights, *grid), at its
+    time in ts, from the stack's per-field np.fft.fftn: each integral is a
+    per-field reduction over the grid axes.  Returns the snapshots, |u|
+    and the density |u|^2, which take scratch.halves, and the density's
+    per-field sums, which an edge fraction reads
+    (spectral._edge_fractions); the powers of |u| go into scratch.spare."""
     _check_dimension(grid, mp)
-    grad, *mom = _spectral_integrals(grid, spectrum)
+    grad, *mom = _spectral_integrals(grid, spectrum, scratch)
     dv = grid.cell_volume
-    density = modulus**2
+    modulus, density = scratch.halves
+    np.abs(x, out=modulus)
+    np.multiply(modulus, modulus, out=density)
     totals = _row_sums(density)
     m = totals * dv
-    lp1 = _row_sums(modulus ** (mp.p + 1.0)) * dv
-    lmc = _row_sums(modulus**mp.mc_power) * dv
+    lp1 = _row_sums(np.power(modulus, mp.p + 1.0, out=scratch.spare)) * dv
+    lmc = _row_sums(np.power(modulus, mp.mc_power, out=scratch.spare)) * dv
     rows = zip(ts, grad.tolist(), zip(*(c.tolist() for c in mom)), m.tolist(), lp1.tolist(),
                lmc.tolist())
     snaps = [_snapshot(mp, *row) for row in rows]
-    return snaps, density, totals
+    return snaps, modulus, density, totals
 
 
 def _snapshot(mp: ModelParams, t, grad, mom, m, lp1, lmc) -> FunctionalSnapshot:

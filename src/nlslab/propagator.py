@@ -24,10 +24,12 @@ is applied only where the state is observed: at a snapshot, at a stored
 checkpoint and at the last step; the non-finite check runs at each of
 those points.  Fusing moves results by rounding only.
 
-The kernel makes no per-step temporaries: each call of the march
-allocates the rotation's buffers once (the complex phase, whose storage
-is scratch until the phase is built, |u|^2, the angle theta and a mask)
-and every numpy op writes through out=.  The angle is computed with the same operations in
+The kernel makes no per-step temporaries: the rotation's buffers (the
+complex phase, whose storage is scratch until the phase is built, |u|^2,
+the angle theta and a mask) are the stack's, allocated once (see the
+storage plan below), and every numpy op writes through out=.  The only
+per-step allocation is the bytes copy of the mask row in which the
+window below is found.  The angle is computed with the same operations in
 the same order as the plain theta = sum mu |u|^(2e); theta *= -tau,
 except that a multiply by mu = 1 is skipped and one by mu = -1 becomes a
 negation or a subtraction, which IEEE arithmetic makes exact.  The phase
@@ -42,7 +44,8 @@ dispersed field is tiny over most of the box, so in 1-D the window is
 a few percent of the grid or less.
 
 The free flow is spectral._apply_symbol, the one free-flow and
-multiplier product: the FFT pair in place through spectral._transform,
+multiplier product, on the stack's storage: the FFT pair in place
+through spectral._transform on the grid's view of it,
 one axis at a time through numpy.fft's out= (numpy 2.0 or later), last
 axis first as fftn and ifftn do, so it is their arithmetic bit for bit,
 with the symbol as the left operand of the product.  The step is
@@ -103,6 +106,47 @@ V'' = 8K is a function of each snapshot alone, so it is read off
 log.snapshots when the run's files are written (virial._whole_space_e2),
 never during the march.
 
+The storage plan.  evolve_stack() lays out each stack once.  Its fields
+are the rows of one complex array, (flights, *row) (_lay_out); in 2-D a
+row is the n x n grid with each of its n lines padded by _PAD = 8
+elements, and the cached free-flow symbol (_kinetic_phase) and the
+rotation's workspace take the same layout.  Why a pad: a 256-point
+complex line is 4096 bytes, so unpadded every load of a column
+transform, one element per line, falls in one L1 cache set; 8 elements
+(128 bytes, two cache lines) give each line its own set, keep each line
+as 64-byte aligned as the array is, and cost 3 % of a 256^2 row.  The
+axis -2 FFT of a 256^2 field measured 563 us plain and 425 us padded,
+and a 256^2 step took 12 % less time (7 % less at 128^2, 18 % at 512^2,
+level at 64^2; 2-D E2 p = 4, one field).  The FFTs run on the grid's
+view, storage[..., :n] (spectral._grid_view); the elementwise ops, the
+rotation and the free flow's product, run over the whole contiguous
+storage.  No bit moves, on two premises that tests/test_propagator.py
+checks: the pads hold 0 and stay 0 (|u|^2 is 0 there, so theta is 0 and
+the phase 1 + 0i, and the symbol's pads are 0, so each product leaves
+0), and no transform or sum reads a pad.  1-D rows are not padded.
+
+One set of buffers, _Buffers, allocated for the stack's first and
+largest shape, serves every segment and every record; once flights
+leave, the kernel and the record take views of its leading elements.  A
+record borrows the workspace, adding one float array: the phase holds
+the spectrum, the float pair a2 and theta holds |u| and |u|^2 or, read
+as one complex array, the unitary spectrum, and the added array the
+products and powers (spectral._Scratch), each written through out= and
+C-contiguous, as the row sums need.  The unitary spectrum, spectrum /
+sqrt(N), is formed as the float64 view times 1 / sqrt(N): numpy divides
+by c + 0i as (re + im*0) * (1/c), (im - re*0) * (1/c), so the two differ
+at most in the sign of a zero, which the |.| the value feeds drops.  So
+no segment or record allocates a float or complex array of the grid's
+size, the localized virial rows' arrays aside; what else is allocated is
+the mask row's bytes copy above, one byte per point, and numpy's ufunc
+buffers for a strided operand (np.getbufsize() elements at most).
+Freed and allocated afresh, those buffers cost glibc's trim and a page
+fault per page at every segment and record: a 2-D 256^2 run
+(perfbench's townes_2d) took about 33 000 minor faults per call, and
+takes about 8 500 with them held.  The buffers are dropped before a
+stopping stack makes its final copies, so a run's peak holds them or the
+copies, never both.
+
 A stack holds at most _STACK_BYTES = 128 KiB of fields
 (_stack_capacity).  Every stack measured under that cap gained; past it
 the gain is not reliable, since the FFT pair of a multi-line stack of
@@ -156,11 +200,15 @@ from .functionals import ModelParams, _check_dimension, _snapshots
 from .spectral import (
     ComplexField,
     GridSpec,
+    _Scratch,
     _apply_symbol,
     _edge_fractions,
     _free_flow_symbol,
+    _grid_view,
     _lp_norm,
     _row_sums,
+    _scratch,
+    _spectrum,
     _tail_fractions,
     _transform,
     derivative_weight_multiplier,
@@ -281,13 +329,35 @@ class TrajectoryLog:
 
 # -- the stepping kernel ------------------------------------------------------
 
+# 2-D rows are padded by this many elements (see the module docstring)
+_PAD = 8
+
+
+def _storage_shape(grid: GridSpec, flights: int) -> tuple:
+    """The shape of the storage of a stack of flights fields on grid:
+    (flights, *grid), each 2-D row padded by _PAD elements."""
+    shape = (flights, *grid.shape)
+    return shape if grid.d == 1 else shape[:-1] + (shape[-1] + _PAD,)
+
+
+def _lay_out(fields, grid: GridSpec) -> np.ndarray:
+    """A stack's storage holding the given arrays, each of the grid's
+    shape, as its rows, with every pad 0."""
+    storage = np.zeros(_storage_shape(grid, len(fields)), dtype=np.complex128)
+    for row, f in zip(_grid_view(storage, grid.d), fields):
+        row[...] = f
+    return storage
+
+
 @lru_cache(maxsize=2)
 def _kinetic_phase(grid: GridSpec, dt: float) -> np.ndarray:
-    """The free-flow symbol of one step, kept for the flight or the
-    strang_step loop that reuses it.  Two entries cover a loop that steps
-    forwards and back; each is a grid-sized array, so a multi-config run
-    keeps no more than two."""
-    ph = _free_flow_symbol(grid, dt)
+    """The free-flow symbol of one step, laid out as one row of a stack's
+    storage with pads 0, kept for the flight or the strang_step loop that
+    reuses it.  Two entries cover a loop that steps forwards and back;
+    each is a grid-sized array, so a multi-config run keeps no more than
+    two."""
+    ph = np.zeros(_storage_shape(grid, 1)[1:], dtype=np.complex128)
+    _free_flow_symbol(grid, dt, out=_grid_view(ph, grid.d))
     ph.setflags(write=False)
     return ph
 
@@ -324,8 +394,8 @@ _TINY_PHASE = 2.0**-27
 
 
 class _Workspace(NamedTuple):
-    """The rotation's buffers for a stack of one shape, (flights, *grid),
-    with the views it reads them through."""
+    """The rotation's buffers for a stack of storage of one shape,
+    (flights, *row), with the views it reads them through."""
 
     phase: np.ndarray       # complex phase; its float64 storage is scratch until built
     squares: tuple          # that storage's (re*re, im*im) halves of each pair
@@ -333,24 +403,55 @@ class _Workspace(NamedTuple):
     scratch: np.ndarray     # the storage's first half, shaped as a2
     theta: np.ndarray
     small: np.ndarray       # |theta| < _TINY_PHASE
-    rows: tuple             # theta, phase.real, phase.imag, small as (flights, grid points)
-    union: np.ndarray       # small in every flight, per grid point
+    rows: tuple             # theta, phase.real, phase.imag, small as (flights, row points)
+    union: np.ndarray       # small in every flight, per row point
 
 
-def _workspace(shape) -> _Workspace:
-    """Buffers and views for a stack of the given shape, (flights, *grid)."""
-    phase = np.empty(shape, dtype=np.complex128)
-    a2, theta = np.empty(shape), np.empty(shape)
-    small = np.empty(shape, dtype=bool)
-    rows = (shape[0], -1)
-    flat = phase.reshape(rows)
-    squares = phase.view(np.float64)
-    return _Workspace(
-        phase, (squares[..., 0::2], squares[..., 1::2]), a2,
-        squares.reshape(-1)[:a2.size].reshape(shape), theta, small,
-        (theta.reshape(rows), flat.real, flat.imag, small.reshape(rows)),
-        np.empty(flat.shape[-1], dtype=bool),
-    )
+class _Buffers:
+    """One stack's buffers, allocated once for its first and largest
+    shape, (flights, *row): the kernel's workspace and a record's
+    _Scratch are views of their leading elements for the flights at
+    hand.  A record borrows the workspace's complex phase for its
+    spectrum and its float pair, a2 and theta, for its block, and adds
+    one float array."""
+
+    def __init__(self, shape, grid: GridSpec):
+        size = math.prod(shape)
+        self.grid = grid
+        self.phase = np.empty(size, dtype=np.complex128)
+        self.floats = np.empty(2 * size)
+        self.small = np.empty(size, dtype=bool)
+        self.union = np.empty(size // shape[0], dtype=bool)
+        self.spare = np.empty(shape[0] * grid.size)
+        self.row = shape[1:]
+        self._views = {}
+
+    def workspace(self, flights: int) -> _Workspace:
+        """The kernel's workspace for the storage of flights fields."""
+        key = ("kernel", flights)
+        if key not in self._views:
+            shape = (flights, *self.row)
+            size = math.prod(shape)
+            phase = self.phase[:size].reshape(shape)
+            a2, theta = self.floats[:2 * size].reshape((2, *shape))
+            small = self.small[:size].reshape(shape)
+            flat = phase.reshape(flights, -1)
+            squares = phase.view(np.float64)
+            self._views[key] = _Workspace(
+                phase, (squares[..., 0::2], squares[..., 1::2]), a2,
+                squares.reshape(-1)[:size].reshape(shape), theta, small,
+                (theta.reshape(flights, -1), flat.real, flat.imag, small.reshape(flights, -1)),
+                self.union,
+            )
+        return self._views[key]
+
+    def scratch(self, flights: int) -> _Scratch:
+        """A record's buffers for flights fields."""
+        key = ("record", flights)
+        if key not in self._views:
+            self._views[key] = _scratch((flights, *self.grid.shape), self.phase, self.floats,
+                                        self.spare)
+        return self._views[key]
 
 
 def _rotate(values, rate, terms, ws):
@@ -400,24 +501,23 @@ def _rotate(values, rate, terms, ws):
     np.multiply(values, ws.phase, out=values)
 
 
-def _advance(values, n, dt, terms, kin):
-    """n Strang steps, in place, of a stack of fields, (flights, *grid);
-    dt is a float or a column (flights, 1, ..., 1) of each flight's step,
-    and kin, of shape (flights, *grid), each flight's free-flow symbol.
-    Every op is elementwise per flight, so each takes its steps bitwise as
-    it would alone.
+def _advance(values, n, dt, terms, kin, ws):
+    """n Strang steps, in place, of a stack's storage, (flights, *row),
+    every pad 0; dt is a float or a column (flights, 1, ..., 1) of each
+    flight's step, kin, of the storage's shape, each flight's free-flow
+    symbol with pads 0, and ws the rotation's workspace for that shape
+    (_Buffers.workspace).  Every op is elementwise per flight, so each
+    takes its steps bitwise as it would alone, and the pads stay 0.
 
     Adjacent half-steps merge, P(dt/2) P(dt/2) = P(dt), because P leaves
     |u| unchanged; the closing half-step is applied once, after the last
-    free flight, so the state is a whole number of steps on return.  The
-    rotation's buffers are allocated once per call.
+    free flight, so the state is a whole number of steps on return.
     """
     rank = values.ndim - 1
     if not terms:
         for _ in range(n):
             _apply_symbol(values, kin, values, rank)
         return
-    ws = _workspace(values.shape)
     # -(dt/2) and -dt, exact
     half, whole = -0.5 * dt, -dt
     _rotate(values, half, terms, ws)
@@ -444,22 +544,29 @@ def strang_step(
     _check_dimension(u.grid, mp)
     dt = float(dt)
     # a stack of one
-    v = u.values[np.newaxis].copy()
-    _advance(v, 1, dt, _nonlinear_terms(mp, couplings), _kinetic_phase(u.grid, dt)[np.newaxis])
+    v = _lay_out([u.values], u.grid)
+    _advance(v, 1, dt, _nonlinear_terms(mp, couplings), _kinetic_phase(u.grid, dt)[np.newaxis],
+             _Buffers(v.shape, u.grid).workspace(1))
     finite = bool(np.all(np.isfinite(v)))
-    return ComplexField(u.grid, v[0], allow_nonfinite=not finite)
+    return ComplexField(u.grid, _grid_view(v[0]), allow_nonfinite=not finite)
 
 
 # -- full trajectories --------------------------------------------------------
 
-def _scatter_integrand(spectrum, grid, weight_symbol, mc_power) -> np.ndarray:
+def _scatter_integrand(spectrum, grid, weight_symbol, mc_power, scratch) -> np.ndarray:
     """The scattering integrand of each field of a stack, (flights, *grid),
-    from the stack's per-field np.fft.fftn, which it overwrites: the
-    record's last reader, so no buffer is added."""
-    wf = np.multiply(weight_symbol, spectrum, out=spectrum)
+    from the stack's per-field np.fft.fftn: the record's last reader, so
+    its storage takes the squared parts once the weighted field is formed
+    in scratch.block; |.|^2 goes into scratch.spare and its power into the
+    block's first half."""
+    wf = np.multiply(weight_symbol, spectrum, out=scratch.block)
     _transform(np.fft.ifft, wf, wf, grid.d)
-    a2 = wf.real * wf.real + wf.imag * wf.imag
-    return _row_sums(_abs2_power(a2, 0.5 * mc_power)) * grid.cell_volume
+    # re*re + im*im, as _rotate forms |u|^2: each pair squared in one
+    # contiguous pass, then added
+    parts = wf.view(np.float64)
+    squares = np.multiply(parts, parts, out=spectrum.view(np.float64))
+    a2 = np.add(squares[..., 0::2], squares[..., 1::2], out=scratch.spare)
+    return _row_sums(_abs2_power(a2, 0.5 * mc_power, out=scratch.halves[0])) * grid.cell_volume
 
 
 def _late_quarter_start(t_end: float, t_start: float = 0.0) -> float:
@@ -616,23 +723,25 @@ def evolve_stack(
     kin = np.stack(kins) if len(kins) > 1 else kins[0][np.newaxis]
     wsym = derivative_weight_multiplier(grid, mp.s_p).symbol
     mcp = mp.mc_power
+    values = _lay_out([u0.values for u0 in u0s], grid)
+    buffers = _Buffers(values.shape, grid)
 
     def record(x, flights, step):
-        # every flight of the stack x, (flights, *grid), records at once: one
-        # forward FFT and one |u| for the stack, shared by every diagnostic,
-        # each a per-flight reduction; returns each flight's scattering
-        # integrand
-        spec = _transform(np.fft.fft, x, np.empty_like(x), grid.d)
-        a = np.abs(x)
+        # every flight of the stack storage x records at once: one forward
+        # FFT and one |u| for the stack, shared by every diagnostic, each a
+        # per-flight reduction, all in the stack's buffers; returns each
+        # flight's scattering integrand
+        u = _grid_view(x, grid.d)
+        scratch = buffers.scratch(len(flights))
+        spec = _spectrum(u, scratch)
         ts = [step * logs[i].dt_used for i in flights]
-        snaps, dens, totals = _snapshots(grid, mp, ts, spec, a)
-        edges = _edge_fractions(dens, totals, grid, [logs[i].config.edge_cells for i in flights])
+        snaps, a, dens, totals = _snapshots(grid, mp, ts, u, spec, scratch)
+        edges = _edge_fractions(dens, totals, grid, [logs[i].config.edge_cells for i in flights],
+                                scratch.spare)
         virial = () if virial_weight is None else zip(
-            *(v.tolist() for v in _virial_rows(mp, virial_weight, x, spec, a, dens)))
-        # |u|^2 and |u| are dropped once read, so that a stack of one holds
-        # no more at once than a lone record did
-        del dens
-        tails = _tail_fractions(spec, grid)
+            *(v.tolist() for v in _virial_rows(mp, virial_weight, u, spec, a, dens)))
+        # |u| and |u|^2 are read: the tail fractions take their storage
+        tails = _tail_fractions(spec, grid, scratch)
         for i, t, snap, tail, edge in zip(flights, ts, snaps, tails.tolist(), edges.tolist()):
             log = logs[i]
             log.snapshots.append(snap)
@@ -642,12 +751,10 @@ def evolve_stack(
             # K is the snapshot's: the remainder reads it rather than form it again
             logs[i].virial_rows.append(
                 VirialRow(t, v, vp, vpp, vpp - 8.0 * snap.scaling_derivative, ext))
-        del a
-        return _scatter_integrand(spec, grid, wsym, mcp).tolist()
+        return _scatter_integrand(spec, grid, wsym, mcp, scratch).tolist()
 
     # each flight's scattering integrand at its last record, summed by the
     # left-endpoint rule at its next one
-    values = np.stack([u0.values for u0 in u0s])
     live = list(range(len(u0s)))     # the log of each row of values
     pending = record(values, live, 0)
     for log, u0 in zip(logs, u0s):
@@ -661,9 +768,10 @@ def evolve_stack(
         target = min(min(logs[i].n_steps for i in live), (step // every + 1) * every)
         if ckpt_every:
             target = min(target, (step // ckpt_every + 1) * ckpt_every)
-        _advance(values, target - step, dt, terms, kin)
+        ws = buffers.workspace(len(live))
+        _advance(values, target - step, dt, terms, kin, ws)
         step = target
-        finite = np.isfinite(values).reshape(len(live), -1).all(axis=1)
+        finite = np.isfinite(values, out=ws.small).reshape(len(live), -1).all(axis=1)
         # the finite flights that record at this step, all of them together
         recording = [row for row, i in enumerate(live)
                      if finite[row] and (step % every == 0 or step == logs[i].n_steps)]
@@ -673,7 +781,7 @@ def evolve_stack(
                 values if len(recording) == len(live) else values[recording],
                 [live[row] for row in recording], step)))
 
-        stopped = []
+        stopped, kept = [], []
         for row, i in enumerate(live):
             log, cfg = logs[i], logs[i].config
             t = step * log.dt_used
@@ -688,7 +796,6 @@ def evolve_stack(
                 # each NaN is stored as np.nan; the row leaves the stack
                 parts = values[row].view(np.float64)
                 parts[np.isnan(parts)] = np.nan
-                log.final_state = ComplexField(grid, values[row], allow_nonfinite=True)
                 stopped.append(row)
                 continue
 
@@ -716,13 +823,22 @@ def evolve_stack(
                     log.outcome = "completed"
             # a finite flight that did not record is at a checkpoint step,
             # as _check_mates puts every mate's last step on the cadence
-            ends = log.outcome != "running"
-            if ends or ckpt_every and step % ckpt_every == 0 and t >= keep_from[i]:
-                f = ComplexField(grid, values[row])
-                log.checkpoints.append((t, f))
-                if ends:
-                    log.final_state = f
-                    stopped.append(row)
+            if log.outcome != "running":
+                stopped.append(row)
+            elif ckpt_every and step % ckpt_every == 0 and t >= keep_from[i]:
+                kept.append(row)
+
+        if len(stopped) == len(live):
+            # the stack is done: its buffers go before the final copies
+            buffers = ws = None
+        fields = _grid_view(values, grid.d)
+        for row in kept + stopped:
+            log = logs[live[row]]
+            f = ComplexField(grid, fields[row], allow_nonfinite=not finite[row])
+            if finite[row]:
+                log.checkpoints.append((step * log.dt_used, f))
+            if row in stopped:
+                log.final_state = f
 
         if stopped:
             rows = [row for row in range(len(live)) if row not in stopped]
@@ -789,7 +905,7 @@ class ScatterReport:
     accumulated: float
     mean_rate: float
     late_rate: float
-    decay_factor: float
+    decay_factor: float | None
     cauchy_distance: float | None
 
 
@@ -798,10 +914,11 @@ def scattering_proxy(log: TrajectoryLog) -> ScatterReport:
 
     passed means the accumulator's growth rate over the last quarter of the
     run fell below 1% of its whole-run mean rate.  decay_factor is max over
-    final of the L^{p+1} norm.  cauchy_distance is the largest relative L^2
-    distance between free-flow pullbacks of last-quarter checkpoints (those
-    at or after _late_quarter_start) and the final pullback (None when
-    fewer than two were stored).  The final pullback is formed first; each
+    final of the L^{p+1} norm (None when the final norm is 0, as a zero
+    field's is: no number states it).  cauchy_distance is the largest
+    relative L^2 distance between free-flow pullbacks of last-quarter
+    checkpoints (those at or after _late_quarter_start) and the final
+    pullback (None when fewer than two were stored).  The final pullback is formed first; each
     earlier one is formed, compared and dropped, so two pullbacks at most
     are held at once.
     """
@@ -824,7 +941,7 @@ def scattering_proxy(log: TrajectoryLog) -> ScatterReport:
 
     p1 = log.params.p + 1.0
     norms = [s.lp1 ** (1.0 / p1) for s in log.snapshots]
-    decay_factor = max(norms) / norms[-1] if norms[-1] > 0 else math.inf
+    decay_factor = max(norms) / norms[-1] if norms[-1] > 0 else None
 
     keep_from = _late_quarter_start(times[-1], times[0])
     late_cps = [(t, f) for t, f in log.checkpoints if t >= keep_from]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,6 +115,12 @@ class GridSpec:
         ky.flags.writeable = False
         return (kx, ky)
 
+    def _axes(self, v: np.ndarray) -> tuple:
+        """The axis vector v once per axis, shaped to broadcast against the
+        lattice: what coords and k_coords hold, without a full array per
+        axis, so the lattice tables below cost no mesh."""
+        return tuple(v.reshape((-1,) + (1,) * (self.d - 1 - ax)) for ax in range(self.d))
+
     @cached_property
     def k_odd(self) -> tuple:
         """Wavenumbers of the odd symbol i*k_axis, unpaired Nyquist mode
@@ -121,7 +128,7 @@ class GridSpec:
         k = self.frequencies.copy()
         k[self.n_per_axis // 2] = 0.0
         k.flags.writeable = False
-        return tuple(k.reshape((-1,) + (1,) * (self.d - 1 - ax)) for ax in range(self.d))
+        return self._axes(k)
 
     @cached_property
     def tail_mask(self) -> np.ndarray:
@@ -129,7 +136,7 @@ class GridSpec:
         2/3 of the axis maximum in size."""
         k_edge = np.max(np.abs(self.frequencies))
         mask = np.zeros(self.shape, dtype=bool)
-        for axis_k in self.k_coords:
+        for axis_k in self._axes(self.frequencies):
             mask |= np.abs(axis_k) >= (2.0 / 3.0) * k_edge
         mask.flags.writeable = False
         return mask
@@ -141,7 +148,7 @@ class GridSpec:
         if mask is None:
             margin = cells * self.dx
             mask = np.zeros(self.shape, dtype=bool)
-            for x in self.coords:
+            for x in self._axes(self.axis):
                 mask |= (x >= self.half_width - margin) | (x < -self.half_width + margin)
             mask.flags.writeable = False
             self._edge_masks[cells] = mask
@@ -152,17 +159,37 @@ class GridSpec:
         return {}
 
     @cached_property
+    def _tail_positions(self) -> np.ndarray:
+        """The flat C-order positions of tail_mask, which a stack's tail
+        sums gather (_masked_row_sums)."""
+        return _positions(self.tail_mask)
+
+    def _edge_positions(self, cells: int) -> np.ndarray:
+        """The flat C-order positions of edge_mask(cells), kept per cells
+        value."""
+        key = ("positions", cells)
+        if key not in self._edge_masks:
+            self._edge_masks[key] = _positions(self.edge_mask(cells))
+        return self._edge_masks[key]
+
+    @cached_property
     def k_squared(self) -> np.ndarray:
-        k2 = sum(k**2 for k in self.k_coords)
+        k2 = sum(k**2 for k in self._axes(self.frequencies))
         k2.flags.writeable = False
         return k2
 
     @cached_property
     def radius(self) -> np.ndarray:
         """|x| over the lattice (box coordinates, not periodic distance)."""
-        r = np.sqrt(sum(x**2 for x in self.coords))
+        r = np.sqrt(sum(x**2 for x in self._axes(self.axis)))
         r.flags.writeable = False
         return r
+
+
+def _positions(mask: np.ndarray) -> np.ndarray:
+    """The flat C-order positions of a mask's True entries.  They are left
+    writeable: np.take copies indices it cannot write."""
+    return np.flatnonzero(mask)
 
 
 def make_grid(d: int, n_per_axis: int, half_width: float) -> GridSpec:
@@ -295,6 +322,14 @@ def transform(f: ComplexField, direction: str = "forward") -> ComplexField:
     return ComplexField(f.grid, out, allow_nonfinite=f.allow_nonfinite)
 
 
+def _grid_view(storage: np.ndarray, rank=None) -> np.ndarray:
+    """The fields held in storage whose last rank axes (every axis when
+    None) span a square grid: in 2-D the last axis may run past the grid
+    into pad elements, and the view stops at the grid's n."""
+    rank = storage.ndim if rank is None else rank
+    return storage[..., :storage.shape[-2]] if rank == 2 else storage
+
+
 def _apply_symbol(values: np.ndarray, symbol: np.ndarray, out: np.ndarray | None = None,
                   rank=None):
     """np.fft.ifftn(np.multiply(symbol, np.fft.fftn(values))), bitwise,
@@ -303,14 +338,23 @@ def _apply_symbol(values: np.ndarray, symbol: np.ndarray, out: np.ndarray | None
     fields, (flights, *grid), takes each row's symbol from a (flights,
     *grid) symbol.
 
+    values, symbol and out are storage of one layout: 2-D rows may carry
+    pad elements past the grid (_grid_view), and the transforms run on
+    the grid's view of them while the product runs over the whole
+    storage, so the pads of values and out must hold 0 and those of
+    symbol be finite; the pads of out then hold 0 on return.
+
     This is the one free-flow and multiplier product: the stepping kernel,
     free_evolve, apply_multiplier, the proxy's pullbacks and
     spectral_translate all call it.  numpy's complex product is not
     bitwise commutative, so the symbol is always the left operand.
     """
-    spec = _transform(np.fft.fft, values, np.empty_like(values) if out is None else out, rank)
+    spec = np.zeros_like(values) if out is None else out
+    view = _grid_view(spec, rank)
+    _transform(np.fft.fft, _grid_view(values, rank), view, rank)
     np.multiply(symbol, spec, out=spec)
-    return _transform(np.fft.ifft, spec, spec, rank)
+    _transform(np.fft.ifft, view, view, rank)
+    return spec
 
 
 def apply_multiplier(f: ComplexField, m: FourierMultiplier) -> ComplexField:
@@ -379,7 +423,9 @@ def spectral_tail_fraction(f: ComplexField) -> float:
     of its wavenumber components exceeds 2/3 of the axis maximum.
     This is _tail_fractions on a stack of one.
     """
-    return float(_tail_fractions(np.fft.fftn(f.values)[np.newaxis], f.grid)[0])
+    x = f.values[np.newaxis]
+    scratch = _scratch(x.shape)
+    return float(_tail_fractions(_spectrum(x, scratch), f.grid, scratch)[0])
 
 
 def edge_mass_fraction(f: ComplexField, cells: int = 4) -> float:
@@ -392,17 +438,60 @@ def edge_mass_fraction(f: ComplexField, cells: int = 4) -> float:
 # -- the monitors over a stack of fields, (flights, *grid) ---------------------
 # Each row's reduction runs over its own contiguous samples, so it is
 # bitwise the row's lone np.sum: a masked gather is taken in C order by
-# np.compress, since a boolean index over the trailing axes of a stack
-# returns a Fortran-ordered array whose row sums take other bits.
+# np.take at the mask's cached positions, since a boolean index over the
+# trailing axes of a stack returns a Fortran-ordered array whose row sums
+# take other bits.
+
+class _Scratch(NamedTuple):
+    """A record's buffers for a stack of fields, (flights, *grid), each
+    C-contiguous, as the row sums need: the spectrum, a complex block
+    whose float storage also serves as two float arrays (halves), and one
+    float array more.  Every monitor below writes its |.|, products and
+    powers into them, so a record allocates no grid-sized array."""
+
+    spectrum: np.ndarray
+    block: np.ndarray
+    spare: np.ndarray
+
+    @property
+    def halves(self) -> np.ndarray:
+        return self.block.view(np.float64).reshape((2,) + self.spare.shape)
+
+
+def _scratch(shape, spectrum=None, block=None, spare=None) -> _Scratch:
+    """_Scratch for a stack of the given shape, (flights, *grid), over the
+    leading elements of the flat arrays given (complex, float64 of twice
+    the stack's size, float64), or new ones where None."""
+    size = int(np.prod(shape))
+    spectrum = np.empty(size, dtype=np.complex128) if spectrum is None else spectrum
+    block = np.empty(2 * size) if block is None else block
+    spare = np.empty(size) if spare is None else spare
+    return _Scratch(spectrum[:size].reshape(shape),
+                    block[:2 * size].view(np.complex128).reshape(shape),
+                    spare[:size].reshape(shape))
+
+
+def _spectrum(x: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """The per-field np.fft.fftn of a stack x, (flights, *grid), bitwise,
+    into scratch.spectrum."""
+    return _transform(np.fft.fft, x, scratch.spectrum, x.ndim - 1)
+
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """np.sum of each row of a stack x, (flights, *grid), over its grid axes."""
     return np.sum(x.reshape(len(x), -1), axis=-1)
 
 
-def _masked_row_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """np.sum(x[i][mask]) for each row i of a stack x."""
-    return _row_sums(np.compress(mask.reshape(-1), x.reshape(len(x), -1), axis=1))
+def _masked_row_sums(x: np.ndarray, positions: np.ndarray, into=None) -> np.ndarray:
+    """np.sum(x[i][mask]) for each row i of a stack x, given the flat
+    C-order positions of the mask (_positions); the gather goes into the
+    leading elements of the contiguous float array into (a new array when
+    None), which must not overlap x."""
+    out = None if into is None else (
+        into.reshape(-1)[:len(x) * len(positions)].reshape(len(x), -1))
+    # every position is in range, so "clip" clips nothing; unlike "raise"
+    # it lets np.take write into out without a copy of it
+    return _row_sums(np.take(x.reshape(len(x), -1), positions, axis=1, out=out, mode="clip"))
 
 
 def _fractions(part: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -410,16 +499,20 @@ def _fractions(part: np.ndarray, total: np.ndarray) -> np.ndarray:
     return np.divide(part, total, out=np.zeros_like(total), where=total != 0.0)
 
 
-def _tail_fractions(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _tail_fractions(spectrum: np.ndarray, grid: GridSpec, scratch: _Scratch) -> np.ndarray:
     """spectral_tail_fraction of each field of a stack, from the stack's
-    per-field np.fft.fftn."""
-    power = np.abs(spectrum) ** 2
-    return _fractions(_masked_row_sums(power, grid.tail_mask), _row_sums(power))
+    per-field np.fft.fftn; |spectrum|^2 goes into scratch.spare and the
+    gather into scratch.block."""
+    power = np.abs(spectrum, out=scratch.spare)
+    np.multiply(power, power, out=power)
+    return _fractions(_masked_row_sums(power, grid._tail_positions, scratch.halves),
+                      _row_sums(power))
 
 
 def _edge_fractions(density: np.ndarray, totals: np.ndarray, grid: GridSpec,
-                    cells) -> np.ndarray:
+                    cells, into=None) -> np.ndarray:
     """edge_mass_fraction of each field of a stack, from the stack's
-    |u|^2 and its row sums; row i's band is cells[i] sites deep."""
-    bands = {c: _masked_row_sums(density, grid.edge_mask(c)) for c in set(cells)}
+    |u|^2 and its row sums; row i's band is cells[i] sites deep.  Each
+    band's gather goes into into, as in _masked_row_sums."""
+    bands = {c: _masked_row_sums(density, grid._edge_positions(c), into) for c in set(cells)}
     return _fractions(np.array([bands[c][row] for row, c in enumerate(cells)]), totals)

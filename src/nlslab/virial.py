@@ -49,7 +49,14 @@ from .functionals import (
     _scaling_derivative,
     snapshot,
 )
-from .spectral import ComplexField, GridSpec, _masked_row_sums, _row_sums, _transform
+from .spectral import (
+    ComplexField,
+    GridSpec,
+    _masked_row_sums,
+    _positions,
+    _row_sums,
+    _transform,
+)
 
 __all__ = [
     "VirialWeight",
@@ -164,6 +171,7 @@ class VirialWeight:
         safe = np.where(r > 0, r, 1.0)
         self.unit_radial = tuple(np.where(r > 0, x / safe, 0.0) for x in g.coords)
         self.exterior_mask = s >= 1.0
+        self.exterior_positions = _positions(self.exterior_mask)
         for arr in (self.value, self.phi1, self.phi2, self.phi1_over_s,
                     self.laplacian, self.bilaplacian):
             arr.flags.writeable = False
@@ -236,7 +244,7 @@ def _virial_rows(mp: ModelParams, w: VirialWeight, x, spectrum, modulus, density
     term_p = -2.0 * (p - 1.0) / (p + 1.0) * (_row_sums(w.laplacian * pot_p) * dv)
 
     exterior = _masked_row_sums(grad_sq_dens + density / w.R**2 + pot_mc + pot_p,
-                                w.exterior_mask) * dv
+                                w.exterior_positions) * dv
     return _variances(w, density), v_prime, hess + bilap + term_mc + term_p, exterior
 
 

@@ -156,6 +156,23 @@ def test_evolve_single_config_uses_out_directly(tmp_path, capsys):
     assert "completed" in capsys.readouterr().out
 
 
+def _strict(text: str):
+    """json.loads refusing the non-standard NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_zero_field_writes_strict_json(tmp_path, capsys):
+    # a zero field's L^{p+1} norm ends at 0, so no decay factor is finite
+    cfg = _write(tmp_path, "zero.ini", QUICK.replace("amplitude = 0.8", "amplitude = 0.0"))
+    out = tmp_path / "zero"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    summary = _strict((out / "summary.json").read_text())
+    assert summary["outcome"] == "completed"
+    assert summary["scattering_proxy"]["decay_factor"] is None
+
+
 def test_evolve_many_configs_get_stem_subdirectories(tmp_path):
     a = _write(tmp_path, "a.ini", QUICK)
     b = _write(tmp_path, "b.ini",

@@ -1,5 +1,6 @@
 """Config parsing, initial-data construction, run artifacts, reporting."""
 
+import csv
 import json
 import random
 from dataclasses import asdict, replace
@@ -668,6 +669,17 @@ def test_report_aggregates_and_lists_skips(tmp_path):
     md = rep["markdown"].read_text()
     assert "Skipped directories" in md
     assert all(str(d) in md for d in (bogus, *foreign))
+
+
+def test_report_csv_keeps_a_comma_in_a_run_name_in_its_cell(tmp_path):
+    run = run_experiment(_quick_cfg(tmp_path, extra_outputs="classify = false"),
+                         tmp_path / "a,b")
+    rep = emit_report([run], tmp_path / "report")
+    with rep["csv"].open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert [len(row) for row in rows] == [len(header)] == [17]
+    cells = dict(zip(header, rows[0]))
+    assert (cells["run"], cells["outcome"]) == ("a,b", "completed")
 
 
 def test_report_with_no_runs_is_just_a_header(tmp_path):

@@ -421,7 +421,10 @@ def _reference_strang(values, n, dt, terms, kin):
         v *= phase
 
     def free(v):
-        v[...] = np.fft.ifftn(kin * np.fft.fftn(v))
+        # np.multiply, not kin * ...: from 256 KiB numpy elides the FFT's
+        # temporary and forms the product with the operands swapped, which
+        # is not bitwise the same for complex numbers
+        v[...] = np.fft.ifftn(np.multiply(kin, np.fft.fftn(v)))
 
     if not terms:
         for _ in range(n):
@@ -471,14 +474,15 @@ def test_kernel_is_the_plain_strang_loop_bitwise(mp, grid, amplitude, couplings,
             "partial": 0 < wide.mean() < 0.9}[window]
 
     ref = u0.values.copy()
-    _reference_strang(ref, n, dt, terms, kin)
-    # the kernel marches stacks: this one of one
-    got = u0.values[np.newaxis].copy()
-    propagator._advance(got, n, dt, terms, kin[np.newaxis])
-    assert np.array_equal(got[0].view(np.float64), ref.view(np.float64))
+    _reference_strang(ref, n, dt, terms, spectral._grid_view(kin))
+    # the kernel marches a stack's storage: this one of one, 2-D rows padded
+    got = propagator._lay_out([u0.values], grid)
+    propagator._advance(got, n, dt, terms, kin[np.newaxis],
+                        propagator._Buffers(got.shape, grid).workspace(1))
+    assert np.array_equal(spectral._grid_view(got[0]).view(np.float64), ref.view(np.float64))
 
     one = u0.values.copy()
-    _reference_strang(one, 1, dt, terms, kin)
+    _reference_strang(one, 1, dt, terms, spectral._grid_view(kin))
     step = strang_step(u0, mp, dt, couplings=couplings)
     assert np.array_equal(step.values.view(np.float64), one.view(np.float64))
 
@@ -534,7 +538,7 @@ def test_sums_over_a_stack_are_each_rows_own_sums_bitwise(shape):
     grid = GridSpec(d=len(shape) - 1, n_per_axis=shape[-1], half_width=10.0)
     masks = [grid.tail_mask, grid.edge_mask(4), grid.edge_mask(9)]
     sums = [spectral._row_sums(stack)]
-    sums += [spectral._masked_row_sums(stack, mask) for mask in masks]
+    sums += [spectral._masked_row_sums(stack, spectral._positions(mask)) for mask in masks]
     for i, row in enumerate(stack):
         alone = [np.sum(row)] + [np.sum(row[mask]) for mask in masks]
         assert [s[i].tobytes() for s in sums] == [a.tobytes() for a in alone]
@@ -568,14 +572,17 @@ def test_a_stack_marches_each_row_as_it_marches_alone(mp, grid, rows):
     for dts in ([dt] * len(rows), [dt * 0.5**row for row in range(len(rows))]):
         step = np.array(dts).reshape((-1,) + (1,) * grid.d)
         kin = np.stack([propagator._free_flow_symbol(grid, h) for h in dts])
+        # unpadded storage, against each row alone in padded storage
         stack = np.stack(fields)
         with np.errstate(all="ignore"):
-            propagator._advance(stack, n, step, terms, kin)
+            propagator._advance(stack, n, step, terms, kin,
+                                propagator._Buffers(stack.shape, grid).workspace(len(rows)))
             for row, f, h in zip(stack, fields, dts):
-                alone = f[np.newaxis].copy()
+                alone = propagator._lay_out([f], grid)
                 propagator._advance(alone, n, h, terms,
-                                    propagator._kinetic_phase(grid, h)[np.newaxis])
-                alone = alone[0]
+                                    propagator._kinetic_phase(grid, h)[np.newaxis],
+                                    propagator._Buffers(alone.shape, grid).workspace(1))
+                alone = spectral._grid_view(alone[0])
                 # NaN where the lone march has NaN, every other sample
                 # bitwise; numpy's multi-line FFT may give a NaN the other sign
                 nan = np.isnan(alone.view(np.float64))
@@ -583,6 +590,83 @@ def test_a_stack_marches_each_row_as_it_marches_alone(mp, grid, rows):
                 assert np.array_equal(row.view(np.int64)[~nan], alone.view(np.int64)[~nan])
         finite = np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
         assert finite.tolist() == [amplitude < 1e10 for _, amplitude, _ in rows]
+
+
+MP2D = ModelParams(d=2, p=4.0, omega=1.0, equation="E2")
+
+
+@pytest.mark.parametrize("n, amplitudes, steps", [
+    (128, [0.8], [10]),
+    (256, [0.8], [10]),
+    # the first flight stops at step 10 and the second marches on alone
+    (64, [0.8, 0.6], [10, 20]),
+], ids=["128_one", "256_one", "64_two_then_one"])
+def test_a_2d_stack_in_padded_rows_is_the_plain_contiguous_march(monkeypatch, n, amplitudes,
+                                                                   steps):
+    grid = GridSpec(d=2, n_per_axis=n, half_width=8.0)
+    dt = 1e-3
+    u0s = [_bump(grid, a, center) for a, center in zip(amplitudes, (-1.0, 1.5))]
+    cfgs = [StepperConfig(dt=dt, t_final=k * dt, snapshot_every=5, checkpoint_every=5, **OPEN)
+            for k in steps]
+    marched = []
+    advance = propagator._advance
+
+    def checking(values, *args):
+        # every segment marches storage whose rows run _PAD elements past
+        # the grid, and those pads hold 0 throughout
+        assert values.shape[1:] == (n, n + propagator._PAD)
+        advance(values, *args)
+        assert not values[..., n:].any()
+        marched.append(len(values))
+
+    monkeypatch.setattr(propagator, "_advance", checking)
+    logs = propagator.evolve_stack(u0s, MP2D, cfgs)
+    assert [log.outcome for log in logs] == ["completed"] * len(u0s)
+    assert marched == [len(u0s)] * 2 + [1] * (len(marched) - 2)
+
+    terms = propagator._nonlinear_terms(MP2D)
+    kin = propagator._free_flow_symbol(grid, dt)
+    for u0, log in zip(u0s, logs):
+        assert log.dt_used == dt
+        ref, states = u0.values.copy(), {0: u0.values}
+        for step in range(5, log.n_steps + 1, 5):
+            _reference_strang(ref, 5, dt, terms, kin)
+            states[step] = ref.copy()
+        assert [round(t / dt) for t, _ in log.checkpoints] == sorted(states)
+        for t, f in log.checkpoints:
+            assert np.array_equal(f.values.view(np.float64),
+                                  states[round(t / dt)].view(np.float64))
+        assert log.final_state is log.checkpoints[-1][1]
+
+
+def test_a_record_step_of_a_2d_stack_allocates_no_grid_sized_array(monkeypatch):
+    # the record writes into the stack's buffers; what it may still
+    # allocate is small objects and numpy's ufunc buffers for a strided
+    # operand, np.getbufsize() = 8192 elements at most, which is below one
+    # float64 array of this stack's fields
+    grid = GridSpec(d=2, n_per_axis=128, half_width=8.0)
+    u0s = [_bump(grid, a) for a in (0.5, 0.7)]
+    cfg = StepperConfig(dt=1e-3, t_final=0.01, snapshot_every=1, **OPEN)
+    grid_sized = len(u0s) * grid.size * 8
+    assert 16 * np.getbufsize() < grid_sized
+    peaks, start = [], []
+
+    def no_step(*args):
+        # between two segments: the finiteness check and one record step
+        if start:
+            peaks.append(tracemalloc.get_traced_memory()[1] - start[-1])
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+
+    monkeypatch.setattr(propagator, "_advance", no_step)
+    tracemalloc.start()
+    try:
+        logs = propagator.evolve_stack(u0s, MP2D, [cfg] * 2)
+    finally:
+        tracemalloc.stop()
+    assert [len(log.snapshots) for log in logs] == [11, 11]
+    assert len(peaks) == 9
+    assert max(peaks) < grid_sized
 
 
 @pytest.mark.parametrize("bounded", [False, True])
