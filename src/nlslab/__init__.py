@@ -11,7 +11,6 @@ from .spectral import (
     transform,
     apply_multiplier,
     lp_norm,
-    inner_product,
 )
 from .functionals import (
     ModelParams,

@@ -38,7 +38,6 @@ __all__ = [
     "trap_bounds",
     "ground_state_digest",
     "verdict_to_json",
-    "verdict_from_json",
 ]
 
 SET_LABELS = (
@@ -314,23 +313,3 @@ def trap_bounds(
 def verdict_to_json(v: Verdict) -> str:
     return json.dumps(asdict(v), sort_keys=True, indent=2, allow_nan=False)
 
-
-def _margin_from(obj) -> Margin | None:
-    if obj is None:
-        return None
-    return Margin(float(obj["value"]), float(obj["uncertainty"]))
-
-
-def verdict_from_json(text: str) -> Verdict:
-    obj = json.loads(text)
-    return Verdict(
-        equation=obj["equation"],
-        set_label=obj["set_label"],
-        prediction=obj["prediction"],
-        action_margin=_margin_from(obj["action_margin"]),
-        k_value=_margin_from(obj["k_value"]),
-        mass_margin=_margin_from(obj["mass_margin"]),
-        h1_bound=obj["h1_bound"],
-        hypotheses=obj["hypotheses"],
-        ground_state_digest=obj["ground_state_digest"],
-    )

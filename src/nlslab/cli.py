@@ -11,8 +11,8 @@ stack's flights bitwise as it marches and records each alone).
 Exit codes: 0 on success, 2 on config or validation failure, 3 when a
 run aborted at runtime or a selftest check failed.  evolve marches the
 configs that share a model, a grid and a record cadence as one stack
-(experiment.plan_stacks); --threads sizes the pool that takes those
-stacks, with NLS_LAB_THREADS as fallback.  evolve refuses, before any
+(experiment.plan_stacks); --threads (default 1) sizes the pool that
+takes those stacks.  evolve refuses, before any
 run starts, configs that would write to the same directory, and prints
 one line per run in config order, the outcome or the error, even when
 some runs fail.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -73,9 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--threads",
         type=int,
-        default=0,
+        default=1,
         metavar="N",
-        help="work pool size (default: NLS_LAB_THREADS or 1)",
+        help="work pool size (default: 1)",
     )
 
     rp = sub.add_parser("report", help="aggregate run directories into CSV + markdown")
@@ -84,19 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("selftest", help="fast internal consistency checks")
     return ap
-
-
-def _resolve_threads(args) -> int:
-    n = args.threads
-    if n == 0:
-        raw = os.environ.get("NLS_LAB_THREADS", "1")
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"NLS_LAB_THREADS: cannot parse {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"threads: must be at least 1, got {n}")
-    return n
 
 
 def _require_configs(args) -> list:
@@ -171,7 +157,9 @@ def _evolve_worker(stack):
 
 def _cmd_evolve(args) -> int:
     paths = _require_configs(args)
-    threads = _resolve_threads(args)
+    threads = args.threads
+    if threads < 1:
+        raise ConfigError(f"threads: must be at least 1, got {threads}")
     # validate every config and place every run before any run starts
     jobs, owner = [], {}
     for path in paths:

@@ -177,7 +177,8 @@ _SCHEMA = {
 class _SolverOverrides:
     """[groundstate], read by parse_model only (parse_config refuses it):
     solve_ground_state keyword arguments; an empty or zero value keeps the
-    solver's default, and r_max and step must otherwise be positive."""
+    solver's default, r_max and step must otherwise be positive, and power
+    is refused unless which is single_power."""
 
     which: str = ""
     power: float = 0.0
@@ -386,7 +387,13 @@ def parse_model(text: str):
     kwargs: dict = {}
     if parser.has_section("groundstate"):
         overrides = _read(parser, "groundstate", _keys(_SolverOverrides))
-        _check_profile("groundstate", overrides.get("which", ""), overrides.get("power", 0.0))
+        which, power = overrides.get("which", ""), overrides.get("power", 0.0)
+        _check_profile("groundstate", which, power)
+        if power != 0.0 and which != "single_power":
+            raise ConfigError(
+                f"groundstate.power: sets the single_power exponent, but which is "
+                f"{which or 'unset'}"
+            )
         for key in ("r_max", "step"):
             value = overrides.get(key, 0.0)
             if value != 0.0 and not value > 0.0:

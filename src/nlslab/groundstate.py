@@ -56,8 +56,10 @@ per solution.
 A second, independent route (ground_state_on_grid) runs a semi-implicit
 descent on the periodic spectral grid from a Gaussian seed, re-normalized
 each step onto the constraint <S'(Q), Q> = 0, with a fixed pseudo-time
-step, stopping size and iteration cap.  Shooting and descent agree on
-Q(0) to about 1e-8 relative in practice; tests demand 1e-6.
+step, stopping size and iteration cap.  The rescale's root is found by
+the same _search_amplitude, with -<S'(c Q), c Q> as its miss.  Shooting
+and descent agree on Q(0) to about 1e-8 relative in practice; tests
+demand 1e-6.
 
 The radial integrals (composite Simpson) and the clamped cubic spline that
 samples Q onto a lattice are computed in this module, not by scipy: every
@@ -69,8 +71,7 @@ system solved as LAPACK dgtsv does, and PPoly's interval search and
 ascending-power sum), so certificates and sampled fields are bitwise what
 scipy gives; the tests compare them.  The spline's tridiagonal sweep runs
 in place over memoryviews of its numpy rows, so solving it makes no
-Python list of a profile-sized row.  Only ground_state_on_grid, which no
-run calls, imports scipy (brentq).
+Python list of a profile-sized row.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -134,7 +135,10 @@ class ConvergenceError(RuntimeError):
 
 
 def _terms(mp: ModelParams, which: str, power) -> tuple:
-    """((mu, exponent), ...) for g(Q) = sum mu |Q|^(exponent-1) Q."""
+    """((mu, exponent), ...) for g(Q) = sum mu |Q|^(exponent-1) Q; power
+    is single_power's exponent and refused with any other which."""
+    if power is not None and which != "single_power":
+        raise ValueError(f"power sets the single_power exponent, not {which!r}'s")
     qc = 1.0 + 4.0 / mp.d
     if which == "double":
         return ((1.0, mp.p), (-1.0, qc))
@@ -767,9 +771,9 @@ def _spline_eval(x, coeffs, r):
 # -- independent route: constrained descent on the spectral grid --------------
 
 def _nehari_rescale(q, dv, k2_spec, omega, terms):
-    """Amplitude c > 0 with <S'(c q), c q> = 0."""
-    from scipy.optimize import brentq  # the only scipy use; no run gets here
-
+    """Amplitude c > 0 with <S'(c q), c q> = 0: the root of h(c) below,
+    bracketed by doubling and halving and then shrunk to adjacent floats
+    by _search_amplitude, whose shot at c has miss -h(c)."""
     qhat = np.fft.fftn(q)
     grad = float(np.sum(k2_spec * np.abs(qhat) ** 2)) / q.size * dv
     m = float(np.sum(np.abs(q) ** 2) * dv)
@@ -791,7 +795,12 @@ def _nehari_rescale(q, dv, k2_spec, omega, terms):
         lo /= 2.0
         if lo < 1e-12:
             raise ConvergenceError("constraint rescale bracket collapsed")
-    return brentq(h, lo, hi, xtol=1e-15, rtol=8.9e-16)
+
+    def shot(c):
+        miss = -h(c)
+        return (1 if miss > 0.0 else -1), miss
+
+    return _search_amplitude(lo, -h(lo), hi, -h(hi), shot)[0]
 
 
 def ground_state_on_grid(mp: ModelParams, grid: GridSpec, which: str = "double"):

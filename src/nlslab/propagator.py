@@ -217,7 +217,6 @@ from .spectral import (
 from .virial import VirialWeight, _virial_rows
 
 __all__ = [
-    "OUTCOMES",
     "StepperConfig",
     "TrajectoryLog",
     "VirialRow",
@@ -229,9 +228,6 @@ __all__ = [
     "detect_blowup",
     "scattering_proxy",
 ]
-
-OUTCOMES = ("completed", "blowup_detected", "resolution_lost", "box_escape")
-
 
 @dataclass(frozen=True)
 class StepperConfig:

@@ -29,10 +29,8 @@ __all__ = [
     "transform",
     "apply_multiplier",
     "lp_norm",
-    "inner_product",
     "field_from_function",
     "random_smooth_field",
-    "multiplier_from_symbol",
     "k_squared_multiplier",
     "gradient_multiplier",
     "free_flow_multiplier",
@@ -222,7 +220,6 @@ class FourierMultiplier:
 
     grid: GridSpec
     symbol: np.ndarray
-    description: str = ""
 
     def __post_init__(self):
         sym = np.array(self.symbol, dtype=np.complex128, copy=True)
@@ -236,13 +233,8 @@ class FourierMultiplier:
         self.symbol = sym
 
 
-def multiplier_from_symbol(grid: GridSpec, fn, description: str = "") -> FourierMultiplier:
-    """Build a multiplier from a callable of the d wavenumber arrays."""
-    return FourierMultiplier(grid, fn(*grid.k_coords), description)
-
-
 def k_squared_multiplier(grid: GridSpec) -> FourierMultiplier:
-    return FourierMultiplier(grid, grid.k_squared, "|k|^2")
+    return FourierMultiplier(grid, grid.k_squared)
 
 
 def gradient_multiplier(grid: GridSpec, axis: int) -> FourierMultiplier:
@@ -250,12 +242,12 @@ def gradient_multiplier(grid: GridSpec, axis: int) -> FourierMultiplier:
     if not 0 <= axis < grid.d:
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
     sym = np.broadcast_to(1j * grid.k_odd[axis], grid.shape)
-    return FourierMultiplier(grid, sym, f"i*k[{axis}]")
+    return FourierMultiplier(grid, sym)
 
 
 def free_flow_multiplier(grid: GridSpec, t: float) -> FourierMultiplier:
     """Symbol of the free propagator over time t: exp(-i*t*|k|^2)."""
-    return FourierMultiplier(grid, _free_flow_symbol(grid, t), f"free({t})")
+    return FourierMultiplier(grid, _free_flow_symbol(grid, t))
 
 
 def _free_flow_symbol(grid: GridSpec, t: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -273,7 +265,7 @@ def _free_flow_symbol(grid: GridSpec, t: float, out: np.ndarray | None = None) -
 def derivative_weight_multiplier(grid: GridSpec, s: float) -> FourierMultiplier:
     """Inhomogeneous derivative weight with symbol 1 + |k|^s."""
     kk = np.sqrt(grid.k_squared)
-    return FourierMultiplier(grid, 1.0 + kk**s, f"1+|k|^{s}")
+    return FourierMultiplier(grid, 1.0 + kk**s)
 
 
 def low_pass_multiplier(grid: GridSpec, radius: float) -> FourierMultiplier:
@@ -281,7 +273,7 @@ def low_pass_multiplier(grid: GridSpec, radius: float) -> FourierMultiplier:
     if radius < 0:
         raise ValueError("cutoff radius must be nonnegative")
     sym = (grid.k_squared <= radius**2).astype(np.complex128)
-    return FourierMultiplier(grid, sym, f"lowpass({radius})")
+    return FourierMultiplier(grid, sym)
 
 
 # -- transforms ---------------------------------------------------------------
@@ -368,7 +360,7 @@ def free_evolve(f: ComplexField, t: float) -> ComplexField:
     return apply_multiplier(f, free_flow_multiplier(f.grid, t))
 
 
-# -- norms and inner products -------------------------------------------------
+# -- norms --------------------------------------------------------------------
 
 def lp_norm(f: ComplexField, q: float) -> float:
     """Rectangle-rule L^q norm, (sum |f|^q dx^d)^(1/q)."""
@@ -384,13 +376,6 @@ def _lp_norm(values: np.ndarray, q: float, cell_volume: float,
     a = np.abs(values, out=out)
     a **= q
     return float(np.sum(a) * cell_volume) ** (1.0 / q)
-
-
-def inner_product(f: ComplexField, g: ComplexField) -> complex:
-    """sum f * conj(g) * dx^d."""
-    if f.grid != g.grid:
-        raise ValueError("inner product requires fields on the same grid")
-    return complex(np.sum(f.values * np.conj(g.values)) * f.grid.cell_volume)
 
 
 # -- constructors and lattice diagnostics ------------------------------------

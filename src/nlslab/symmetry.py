@@ -32,7 +32,6 @@ from .spectral import (
 
 __all__ = [
     "SymmetryElement",
-    "identity_element",
     "snap_to_grid",
     "apply_symmetry",
     "spectral_translate",
@@ -58,10 +57,6 @@ class SymmetryElement:
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "x0", tuple(float(c) for c in self.x0))
         object.__setattr__(self, "xi", tuple(float(c) for c in self.xi))
-
-
-def identity_element(d: int) -> SymmetryElement:
-    return SymmetryElement(x0=(0.0,) * d, xi=(0.0,) * d)
 
 
 def _as_vector(comps: tuple, d: int, name: str) -> tuple:

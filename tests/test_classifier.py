@@ -1,7 +1,9 @@
 """Threshold classification: labels, gating, trapping bounds, serialization."""
 
 import hashlib
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from nlslab.classifier import (
     classify,
     ground_state_digest,
     trap_bounds,
-    verdict_from_json,
     verdict_to_json,
 )
 from nlslab.functionals import ModelParams, mass
@@ -234,7 +235,7 @@ def test_digest_is_hashlib_sha256_of_the_header_and_profile(request, profile):
 def test_verdict_round_trips_through_json(double_gs):
     for c in (0.5, 1.0, 1.2):
         v = classify(_scaled(double_gs, c), MP1, double_gs)
-        assert verdict_from_json(verdict_to_json(v)) == v
+        assert json.loads(verdict_to_json(v)) == asdict(v)
 
 
 def test_verdict_rejects_unknown_labels():

@@ -228,8 +228,10 @@ GAUSSIAN = "kind = gaussian\namplitude = 0.8"
     ("groundstate", MODEL + "\n[groundstate]\nwhich = doubel\n", "groundstate.which"),
     ("groundstate", MODEL + "\n[groundstate]\nstep = -0.001\n", "groundstate.step"),
     ("groundstate", MODEL + "\n[groundstate]\nr_max = -30\n", "groundstate.r_max"),
+    ("groundstate", MODEL + "\n[groundstate]\nwhich = double\npower = 5.0\n",
+     "groundstate.power"),
 ], ids=["which", "power", "theta", "k_width", "seed", "classify_seed", "x0", "groundstate_which",
-        "groundstate_step", "groundstate_r_max"])
+        "groundstate_step", "groundstate_r_max", "groundstate_power"])
 def test_values_a_run_would_reject_exit_two_at_parse_time(tmp_path, capsys, command, text,
                                                           key):
     cfg = _write(tmp_path, "bad.ini", text)
@@ -406,19 +408,6 @@ def test_report_aggregates_and_flags_skips(tmp_path, capsys):
     assert (tmp_path / "rep" / "report.md").is_file()
 
 
-def test_threads_env_fallback_is_parsed(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, "run.ini", QUICK)
-    monkeypatch.setenv("NLS_LAB_THREADS", "2")
-    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "env")]) == 0
-
-
-def test_threads_env_garbage_exits_two(tmp_path, monkeypatch, capsys):
-    cfg = _write(tmp_path, "run.ini", QUICK)
-    monkeypatch.setenv("NLS_LAB_THREADS", "banana")
-    assert main(["evolve", "--config", cfg]) == 2
-    assert "NLS_LAB_THREADS" in capsys.readouterr().err
-
-
 def test_nonpositive_threads_exit_two(tmp_path, capsys):
     cfg = _write(tmp_path, "run.ini", QUICK)
     assert main(["evolve", "--config", cfg, "--threads", "-3"]) == 2
@@ -456,35 +445,54 @@ def test_evolve_refuses_configs_sharing_outputs_directory(tmp_path, capsys):
     assert not (tmp_path / "shared").exists()
 
 
-SCIPY_FREE_RUN = """
+SCIPY_BLOCKED = """
 import sys
+
+class NoScipy:
+    # refuses scipy and records each attempt, so a caught ImportError shows too
+    tried = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            self.tried.append(name)
+            raise ModuleNotFoundError(f"no module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+import nlslab
 import nlslab.cli
-from nlslab.experiment import load_config, run_experiment
 
 # only evolve --threads above 1 imports the process pool
 assert "concurrent.futures.process" not in sys.modules
-
-def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-assert loaded() == [], loaded()
-run_experiment(load_config(sys.argv[1]))
-assert loaded() == [], loaded()
+code = nlslab.cli.main(sys.argv[1:])
+assert NoScipy.tried == [], NoScipy.tried
+sys.exit(code)
 """
 
 
-def test_a_run_never_imports_scipy(tmp_path):
-    # a fresh interpreter: this test process has scipy loaded already
+@pytest.mark.parametrize("command", ["groundstate", "classify", "evolve", "report", "selftest"])
+def test_a_run_never_imports_scipy(tmp_path, command):
+    # a fresh interpreter with scipy unimportable: this test process has it loaded
     text = QUICK.replace("kind = gaussian\namplitude = 0.8",
                          "kind = scaled_ground_state\nc = 0.5")
     text = text.replace("classify = false", f"classify = true\ndirectory = {tmp_path / 'run'}")
     config = _write(tmp_path, "gs.ini", text)
+    argv = {
+        "groundstate": ["groundstate", "--config", config, "--out", str(tmp_path / "gs")],
+        "classify": ["classify", "--config", config, "--out", str(tmp_path / "verdicts")],
+        "evolve": ["evolve", "--config", config],
+        "report": ["report", str(tmp_path / "run"), "--out", str(tmp_path / "rep")],
+        "selftest": ["selftest"],
+    }[command]
+    if command == "report":
+        assert main(["evolve", "--config", config]) == 0
     env = dict(os.environ, PYTHONPATH=str(Path(nlslab.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, config], env=env,
+    done = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, *argv], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert summary["verdict"]["set_label"] == "A_plus"
+    if command == "evolve":
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["verdict"]["set_label"] == "A_plus"
 
 
 OPENSSL_FREE_RUN = """

@@ -137,6 +137,39 @@ def test_descent_and_shooting_agree_on_peak_height(double_gs):
     assert info["residual"] < 1e-5
 
 
+def _brentq_rescale(q, dv, k2_spec, omega, terms):
+    """The descent's constraint rescale as it was with scipy's brentq
+    finishing the doubling-and-halving bracket."""
+    grad = float(np.sum(k2_spec * np.abs(np.fft.fftn(q)) ** 2)) / q.size * dv
+    quad_part = grad + omega * float(np.sum(np.abs(q) ** 2) * dv)
+    ints = [(mu, ex, float(np.sum(np.abs(q) ** (ex + 1.0)) * dv)) for mu, ex in terms]
+
+    def h(c):
+        return quad_part - sum(mu * c ** (ex - 1.0) * val for mu, ex, val in ints)
+
+    hi = 1.0
+    while h(hi) >= 0.0:
+        hi *= 2.0
+    lo = hi / 2.0
+    while h(lo) < 0.0:
+        lo /= 2.0
+    return brentq(h, lo, hi, xtol=1e-15, rtol=8.9e-16)
+
+
+def test_descent_moves_by_rounding_from_the_brentq_rescale(monkeypatch):
+    cases = [(DOUBLE_MP, GridSpec(d=1, n_per_axis=1024, half_width=30.0), "double"),
+             (CRITICAL_MP, GridSpec(d=1, n_per_axis=1024, half_width=30.0), "mass_critical"),
+             (ModelParams(d=2, p=4.0, omega=1.0, equation="E2"),
+              GridSpec(d=2, n_per_axis=64, half_width=12.0), "mass_critical")]
+    shipped = [ground_state_on_grid(mp, grid, which) for mp, grid, which in cases]
+    monkeypatch.setattr(groundstate, "_nehari_rescale", _brentq_rescale)
+    for (mp, grid, which), (q, info) in zip(cases, shipped):
+        want, want_info = ground_state_on_grid(mp, grid, which)
+        assert info["iterations"] == want_info["iterations"]
+        peak = float(np.max(np.abs(want.values)))
+        assert float(np.max(np.abs(q.values - want.values))) <= 1e-15 * peak
+
+
 def test_perturbed_profile_fails_the_certificates(double_gs):
     warped = double_gs.profile * (1.0 + 0.01 * np.exp(-double_gs.r))
     fake = dataclasses.replace(double_gs, profile=warped)
@@ -324,6 +357,9 @@ def test_single_power_defaults_to_the_supercritical_exponent():
 def test_unknown_mode_is_rejected(double_gs):
     with pytest.raises(ValueError):
         solve_ground_state(DOUBLE_MP, which="nodal")
+    # power is single_power's exponent; another profile would ignore it
+    with pytest.raises(ValueError, match="single_power"):
+        solve_ground_state(DOUBLE_MP, which="double", power=5.0)
 
 
 # -- per-process cache --------------------------------------------------------

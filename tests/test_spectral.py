@@ -14,12 +14,10 @@ from nlslab.spectral import (
     field_from_function,
     free_evolve,
     gradient_multiplier,
-    inner_product,
     k_squared_multiplier,
     low_pass_multiplier,
     lp_norm,
     make_grid,
-    multiplier_from_symbol,
     random_smooth_field,
     spectral_tail_fraction,
     transform,
@@ -78,15 +76,6 @@ def test_round_trip(grid):
     f = _rand(grid, seed=11)
     back = transform(transform(f), direction="inverse")
     assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
-
-
-def test_inner_product_is_sesquilinear_and_parseval():
-    g = GRIDS[0]
-    f, h = _rand(g, 1), _rand(g, 2)
-    ip = inner_product(f, h)
-    assert inner_product(h, f) == pytest.approx(np.conj(ip))
-    spec = inner_product(transform(f), transform(h))
-    assert spec == pytest.approx(ip, rel=1e-12)
 
 
 # -- multipliers on plane waves ----------------------------------------------
@@ -243,13 +232,6 @@ def test_field_rejects_wrong_shape_and_nonfinite():
     with pytest.raises(ValueError):
         ComplexField(g, bad)
     ComplexField(g, bad, allow_nonfinite=True)
-
-
-def test_multiplier_from_symbol_evaluates_on_the_lattice():
-    g = GridSpec(d=1, n_per_axis=64, half_width=4.0)
-    m = multiplier_from_symbol(g, lambda k: np.exp(-(k**2)), "gauss")
-    assert m.symbol.shape == g.shape
-    assert m.symbol[0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("d", [1, 2])
