@@ -9,13 +9,14 @@ checks, among them that the installed numpy marches and records a
 stack's flights bitwise as it marches and records each alone).
 
 Exit codes: 0 on success, 2 on config or validation failure, 3 when a
-run aborted at runtime or a selftest check failed.  evolve marches the
-configs that share a model, a grid and a record cadence as one stack
+run aborted at runtime or a selftest check failed.  groundstate,
+classify and evolve load every config and place every output
+(experiment._place) before any work, and refuse, naming both configs,
+two that would write to the same path.  evolve marches the configs that
+share a model, a grid and a record cadence as one stack
 (experiment.plan_stacks); --threads (default 1) sizes the pool that
-takes those stacks.  evolve refuses, before any
-run starts, configs that would write to the same directory, and prints
-one line per run in config order, the outcome or the error, even when
-some runs fail.
+takes those stacks.  It prints one line per run in config order, the
+outcome or the error, even when some fail.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ import numpy as np
 from .experiment import (
     ConfigError,
     _initial_state,
+    _place,
     _run_stack,
     _threshold_profile,
     _threshold_verdict,
     _write_groundstate,
-    load_config,
+    parse_config,
     parse_model,
     plan_stacks,
     emit_report,
@@ -85,25 +87,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _require_configs(args) -> list:
+def _admit(args, parse, output) -> list:
+    """(parsed config, output path) of each --config in order: every one
+    parsed by parse(text), then placed at output(path, parsed) by
+    experiment._place, before any command does work."""
     if not args.config:
         raise ConfigError(f"{args.command}: at least one --config is required")
+    loaded = []
     for path in args.config:
         if not Path(path).is_file():
             raise ConfigError(f"--config: no such file {path!r}")
-    return args.config
+        loaded.append(parse(Path(path).read_text()))
+    placed = _place((path, output(path, cfg)) for path, cfg in zip(args.config, loaded))
+    for where in placed:
+        if isinstance(where, ConfigError):
+            raise where
+    return list(zip(loaded, placed))
 
 
 def _cmd_groundstate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for path in _require_configs(args):
-        model, kwargs = parse_model(Path(path).read_text())
+    admitted = _admit(args, parse_model,
+                      lambda path, _: Path(args.out) / f"{Path(path).stem}.groundstate.json")
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    for path, ((model, kwargs), where) in zip(args.config, admitted):
         # without [groundstate] which, the profile a run classifies against
         kwargs.setdefault("which", _threshold_profile(model))
         gs = solve_ground_state(model, **kwargs)
-        stem = Path(path).stem
-        _write_groundstate(out / f"{stem}.groundstate.csv", gs)
+        _write_groundstate(where.with_suffix(".csv"), gs)
         meta = {
             "which": gs.which,
             "d": model.d,
@@ -117,22 +127,20 @@ def _cmd_groundstate(args) -> int:
             "residual": gs.residual,
             "digest": ground_state_digest(gs),
         }
-        (out / f"{stem}.groundstate.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        )
-        print(f"{stem}: amplitude {gs.amplitude:.12g}, mass {gs.mass:.12g}")
+        where.write_text(json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n")
+        print(f"{Path(path).stem}: amplitude {gs.amplitude:.12g}, mass {gs.mass:.12g}")
     return 0
 
 
 def _cmd_classify(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for path in _require_configs(args):
-        cfg = load_config(path)
+    admitted = _admit(args, parse_config,
+                      lambda path, _: Path(args.out) / f"{Path(path).stem}.verdict.json")
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    for cfg, where in admitted:
         _, verdict = _threshold_verdict(_initial_state(cfg)[0], cfg.model)
         text = verdict_to_json(verdict)
         print(text)
-        (out / f"{Path(path).stem}.verdict.json").write_text(text + "\n")
+        where.write_text(text + "\n")
     return 0
 
 
@@ -156,27 +164,13 @@ def _evolve_worker(stack):
 
 
 def _cmd_evolve(args) -> int:
-    paths = _require_configs(args)
     threads = args.threads
     if threads < 1:
         raise ConfigError(f"threads: must be at least 1, got {threads}")
-    # validate every config and place every run before any run starts
-    jobs, owner = [], {}
-    for path in paths:
-        cfg = load_config(path)
-        if not args.out:
-            where = cfg.directory
-        elif len(paths) == 1:
-            where = args.out
-        else:
-            where = str(Path(args.out) / Path(path).stem)
-        if not where:
-            raise ConfigError(f"{path}: outputs.directory: no output directory given")
-        key = Path(where).resolve()
-        if key in owner:
-            raise ConfigError(f"{owner[key]} and {path} both write to {where}")
-        owner[key] = path
-        jobs.append((cfg, where))
+    # --out is the run directory of one config, the parent of several
+    one = len(args.config) == 1
+    jobs = _admit(args, parse_config, lambda path, cfg: cfg.directory if not args.out
+                  else args.out if one else Path(args.out) / Path(path).stem)
 
     # configs that differ only in their initial data march as one stack;
     # the pool takes stacks, and the lines come back in config order

@@ -2,13 +2,16 @@
 
 A run is described by an INI file with sections [model], [grid],
 [stepper], [initial_data], optional [symmetry], and [outputs]; _SCHEMA
-states each section's keys once, and keys or sections it does not name
-are refused.  Running one produces a directory holding the echoed config, a JSON summary
-(verdict, outcome, drifts, virial and scattering diagnostics), the
+states each section's keys once, and keys or sections it does not name are
+refused.  The dataclass holding a value checks it on construction, so a
+config built in Python meets the rules a parsed one does.  _place decides
+each job's output before any job starts, and refuses a second claim on one
+path.  A run produces a directory holding the echoed config, a JSON
+summary (verdict, outcome, drifts, virial and scattering diagnostics), the
 trajectory CSV, the initial and final fields in NLSF form, and the
 ground-state profile used for classification.  Runs are deterministic:
-random initial data is drawn from a recorded seed and everything else is
-a pure function of the config.  run_experiments marches the configs that
+random initial data is drawn from a recorded seed and everything else is a
+pure function of the config.  run_experiments marches the configs that
 share a model, a grid and a record cadence as one stack
 (propagator.evolve_stack), whatever their step sizes, horizons and abort
 thresholds, so a threshold sweep's scattering and collapse flights march
@@ -89,6 +92,15 @@ class ConfigError(ValueError):
     """Malformed or inadmissible config; message carries section.key."""
 
 
+def _check_profile(section: str, which: str, power: float) -> None:
+    """Refuse a ground-state profile the solver would refuse; empty which
+    and zero power mean unset."""
+    if which and which not in _WHICH:
+        raise ConfigError(f"{section}.which: unknown profile {which!r}, expected one of {_WHICH}")
+    if power != 0.0 and not power > 1.0:
+        raise ConfigError(f"{section}.power: single_power exponent must exceed 1, got {power}")
+
+
 @dataclass(frozen=True)
 class InitialData:
     """One initial-data recipe; unused fields keep their defaults.
@@ -114,6 +126,29 @@ class InitialData:
     critical_mass_fraction: float = 0.0
     theta: float = 0.5
 
+    def __post_init__(self):
+        if self.kind not in DATA_KINDS:
+            raise ConfigError(f"initial_data.kind: unknown kind {self.kind!r}, "
+                              f"expected one of {DATA_KINDS}")
+        for key in ("width", "rate", "exponent", "k_width"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"initial_data.{key}: must be positive, got {vars(self)[key]}")
+        _check_profile("initial_data", self.which, self.power)
+        if not 0.0 < self.theta < 1.0:
+            raise ConfigError(f"initial_data.theta: must lie in (0, 1), got {self.theta}")
+        if self.seed < 0:
+            # numpy's generators refuse it, without naming the key
+            raise ConfigError(f"initial_data.seed: must be nonnegative, got {self.seed}")
+        if self.kind == "file":
+            if not self.path:
+                raise ConfigError("initial_data.path: required for kind 'file'")
+            if not Path(self.path).is_file():
+                raise ConfigError(f"initial_data.path: no such file {self.path!r}")
+        if self.mass_target < 0 or self.critical_mass_fraction < 0:
+            raise ConfigError("initial_data: mass targets must be nonnegative")
+        if self.mass_target > 0 and self.critical_mass_fraction > 0:
+            raise ConfigError("initial_data: give mass_target or critical_mass_fraction, not both")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -127,6 +162,33 @@ class ExperimentConfig:
     classify_data: bool = True
     virial_radius: float = 0.0
     whole_space_virial: bool = False
+
+    def __post_init__(self):
+        try:
+            self.grid()
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from None
+        edge = self.stepper.edge_cells
+        if 2 * edge >= self.n_per_axis:
+            # the edge band would hold every site, so no data could pass
+            raise ConfigError(f"stepper.edge_cells: {edge} sites at each end cover all "
+                              f"{self.n_per_axis} sites of an axis")
+        if self.initial.kind == "large_scale" and self.symmetry is None:
+            raise ConfigError("symmetry: section required for initial_data kind 'large_scale'")
+        for key in ("x0", "xi"):
+            n = 0 if self.symmetry is None else len(getattr(self.symmetry, key))
+            if n not in (0, self.model.d):
+                raise ConfigError(f"symmetry.{key}: {n} components on a {self.model.d}-D grid")
+        radius = self.virial_radius
+        if radius < 0:
+            raise ConfigError(f"outputs.virial_radius: must be nonnegative, got {radius}")
+        if radius > 0 and self.model.equation != "E1":
+            raise ConfigError("outputs.virial_radius: localized virial tracking needs equation E1")
+        if self.whole_space_virial and self.model.equation != "E2":
+            raise ConfigError("outputs.whole_space_virial: whole-space identity holds for E2 only")
+        if radius > 0 and 2.0 * radius > self.half_width:
+            raise ConfigError(f"outputs.virial_radius: weight support 2R = {2 * radius} "
+                              f"exceeds half_width {self.half_width}")
 
     def grid(self) -> GridSpec:
         return make_grid(self.model.d, self.n_per_axis, self.half_width)
@@ -177,13 +239,22 @@ _SCHEMA = {
 class _SolverOverrides:
     """[groundstate], read by parse_model only (parse_config refuses it):
     solve_ground_state keyword arguments; an empty or zero value keeps the
-    solver's default, r_max and step must otherwise be positive, and power
-    is refused unless which is single_power."""
+    solver's default."""
 
     which: str = ""
     power: float = 0.0
     r_max: float = 0.0
     step: float = 0.0
+
+    def __post_init__(self):
+        _check_profile("groundstate", self.which, self.power)
+        if self.power != 0.0 and self.which != "single_power":
+            raise ConfigError("groundstate.power: sets the single_power exponent, but which "
+                              f"is {self.which or 'unset'}")
+        for key in ("r_max", "step"):
+            value = getattr(self, key)
+            if value != 0.0 and not value > 0.0:
+                raise ConfigError(f"groundstate.{key}: must be positive, got {value}")
 
 
 def _bool(raw: str) -> bool:
@@ -256,7 +327,8 @@ def _build(parser, section: str) -> dict:
     try:
         return {attr: cls(**values)}
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
+        # a ConfigError already names its section.key
+        raise exc if isinstance(exc, ConfigError) else ConfigError(f"{section}: {exc}") from None
 
 
 def _refuse_unknown_sections(parser, known: tuple) -> None:
@@ -289,86 +361,14 @@ def _format(value) -> str:
 
 # -- parsing ------------------------------------------------------------------
 
-def _check_profile(section: str, which: str, power: float) -> None:
-    """Refuse a ground-state profile the solver would refuse; empty which
-    and zero power mean unset."""
-    if which and which not in _WHICH:
-        raise ConfigError(f"{section}.which: unknown profile {which!r}, expected one of {_WHICH}")
-    if power != 0.0 and not power > 1.0:
-        raise ConfigError(f"{section}.power: single_power exponent must exceed 1, got {power}")
-
-
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse INI text into a validated ExperimentConfig."""
+    """Parse INI text into an ExperimentConfig, which checks its values."""
     parser = _parser(text)
     parts: dict = {}
     for section in _SCHEMA:
         parts.update(_build(parser, section))
     _refuse_unknown_sections(parser, tuple(_SCHEMA))
-    cfg = ExperimentConfig(**parts)
-
-    try:
-        cfg.grid()
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
-    edge = cfg.stepper.edge_cells
-    if 2 * edge >= cfg.n_per_axis:
-        # the edge band would hold every site, so no data could pass
-        raise ConfigError(
-            f"stepper.edge_cells: {edge} sites at each end cover all "
-            f"{cfg.n_per_axis} sites of an axis"
-        )
-
-    init = cfg.initial
-    if init.kind not in DATA_KINDS:
-        raise ConfigError(
-            f"initial_data.kind: unknown kind {init.kind!r}, expected one of {DATA_KINDS}"
-        )
-    for key in ("width", "rate", "exponent"):
-        if getattr(init, key) <= 0:
-            raise ConfigError(f"initial_data.{key}: must be positive, got {getattr(init, key)}")
-    _check_profile("initial_data", init.which, init.power)
-    if not 0.0 < init.theta < 1.0:
-        raise ConfigError(f"initial_data.theta: must lie in (0, 1), got {init.theta}")
-    if not init.k_width > 0:
-        raise ConfigError(f"initial_data.k_width: must be positive, got {init.k_width}")
-    if init.seed < 0:
-        # numpy's generators refuse it, without naming the key
-        raise ConfigError(f"initial_data.seed: must be nonnegative, got {init.seed}")
-    if init.kind == "file":
-        if not init.path:
-            raise ConfigError("initial_data.path: required for kind 'file'")
-        if not Path(init.path).is_file():
-            raise ConfigError(f"initial_data.path: no such file {init.path!r}")
-    if init.mass_target < 0 or init.critical_mass_fraction < 0:
-        raise ConfigError("initial_data: mass targets must be nonnegative")
-    if init.mass_target > 0 and init.critical_mass_fraction > 0:
-        raise ConfigError(
-            "initial_data: give mass_target or critical_mass_fraction, not both"
-        )
-    if init.kind == "large_scale" and cfg.symmetry is None:
-        raise ConfigError("symmetry: section required for initial_data kind 'large_scale'")
-    for key in ("x0", "xi"):
-        n = 0 if cfg.symmetry is None else len(getattr(cfg.symmetry, key))
-        if n not in (0, cfg.model.d):
-            raise ConfigError(f"symmetry.{key}: {n} components on a {cfg.model.d}-D grid")
-
-    if cfg.virial_radius < 0:
-        raise ConfigError(f"outputs.virial_radius: must be nonnegative, got {cfg.virial_radius}")
-    if cfg.virial_radius > 0 and cfg.model.equation != "E1":
-        raise ConfigError(
-            "outputs.virial_radius: localized virial tracking needs equation E1"
-        )
-    if cfg.whole_space_virial and cfg.model.equation != "E2":
-        raise ConfigError(
-            "outputs.whole_space_virial: whole-space identity holds for E2 only"
-        )
-    if cfg.virial_radius > 0 and 2.0 * cfg.virial_radius > cfg.half_width:
-        raise ConfigError(
-            f"outputs.virial_radius: weight support 2R = {2 * cfg.virial_radius} "
-            f"exceeds half_width {cfg.half_width}"
-        )
-    return cfg
+    return ExperimentConfig(**parts)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -384,23 +384,12 @@ def parse_model(text: str):
     """
     parser = _parser(text)
     model = _build(parser, "model")["model"]
-    kwargs: dict = {}
+    values = {}
     if parser.has_section("groundstate"):
-        overrides = _read(parser, "groundstate", _keys(_SolverOverrides))
-        which, power = overrides.get("which", ""), overrides.get("power", 0.0)
-        _check_profile("groundstate", which, power)
-        if power != 0.0 and which != "single_power":
-            raise ConfigError(
-                f"groundstate.power: sets the single_power exponent, but which is "
-                f"{which or 'unset'}"
-            )
-        for key in ("r_max", "step"):
-            value = overrides.get(key, 0.0)
-            if value != 0.0 and not value > 0.0:
-                raise ConfigError(f"groundstate.{key}: must be positive, got {value}")
-        kwargs = {name: value for name, value in overrides.items() if value}
+        values = _read(parser, "groundstate", _keys(_SolverOverrides))
+    overrides = asdict(_SolverOverrides(**values))
     _refuse_unknown_sections(parser, (*_SCHEMA, "groundstate"))
-    return model, kwargs
+    return model, {name: value for name, value in overrides.items() if value}
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -475,11 +464,9 @@ def build_initial_field(cfg: ExperimentConfig):
                 f"initial_data.path: field grid {u0.grid} does not match config grid {grid}"
             )
         notes["path"] = init.path
-    elif init.kind == "random_smooth":
+    else:  # random_smooth
         u0 = random_smooth_field(grid, init.seed, k_width=init.k_width, amplitude=init.amplitude)
         notes["seed"] = init.seed
-    else:
-        raise ConfigError(f"initial_data.kind: unknown kind {init.kind!r}")
 
     target = 0.0
     if init.critical_mass_fraction > 0:
@@ -647,14 +634,27 @@ def plan_stacks(cfgs) -> list:
     return stacks
 
 
-def _prepare(cfg: ExperimentConfig, out_dir) -> _Run:
+def _place(claims) -> list:
+    """Each (owner, output path) claim's path, or the ConfigError refusing
+    it: an empty path, or one that resolves to the path of an earlier
+    claim.  Every job's output is placed here before any job starts."""
+    placed, owners = [], {}
+    for owner, where in claims:
+        key = where and Path(where).resolve()
+        if not where:
+            placed.append(ConfigError(f"{owner}: outputs.directory: no output directory given"))
+        elif key in owners:
+            placed.append(ConfigError(f"{owners[key]} and {owner} both write to {where}"))
+        else:
+            owners[key] = owner
+            placed.append(Path(where))
+    return placed
+
+
+def _prepare(cfg: ExperimentConfig, out: Path) -> _Run:
     """Clear the run directory, build and classify the initial data, and
     check evolve's preconditions on it, so that a job failing them fails
     alone and not its stack."""
-    where = out_dir or cfg.directory
-    if not where:
-        raise ConfigError("outputs.directory: no output directory given")
-    out = Path(where)
     out.mkdir(parents=True, exist_ok=True)
     # a rerun must leave nothing of an earlier run: not its summary for
     # report to read if this run fails, nor a file this run does not write
@@ -754,6 +754,8 @@ def run_experiments(jobs) -> list:
     """Execute (config, out_dir or None) jobs; returns, per job in order,
     its run directory or the exception that stopped it.
 
+    A job writes to out_dir, else to its outputs.directory; _place
+    refuses one with neither, or whose directory an earlier job claims.
     The jobs of one plan_stacks stack march together through
     evolve_stack: each is prepared (its directory cleared, its initial
     data built and classified, evolve's preconditions checked), the ones
@@ -765,10 +767,11 @@ def run_experiments(jobs) -> list:
     stack shares, with mates of other steppers too;
     propagator.stack_flights gives the flights that march started with.
     """
-    results: list = [None] * len(jobs)
+    results = _place((f"job {i}", out or cfg.directory) for i, (cfg, out) in enumerate(jobs))
+    placed = [(cfg, out) for (cfg, _), out in zip(jobs, results)]
     for stack in plan_stacks([cfg for cfg, _ in jobs]):
         # one stack's fields and logs at a time
-        _run_stack(jobs, stack, results)
+        _run_stack(placed, [i for i in stack if isinstance(results[i], Path)], results)
     return results
 
 

@@ -200,8 +200,6 @@ def virial_derivatives(f: ComplexField, mp: ModelParams, w: VirialWeight) -> Vir
     if f.grid != w.grid:
         raise ValueError("field and weight live on different grids")
     _check_dimension(f.grid, mp)
-    if mp.equation != "E1":
-        raise ValueError("localized V'' tables are for E1; use whole_space_virial_e2")
     x = f.values[np.newaxis]
     a = np.abs(x)
     _, *rows = _virial_rows(mp, w, x, np.fft.fftn(f.values)[np.newaxis], a, a**2)
@@ -219,7 +217,10 @@ def _virial_rows(mp: ModelParams, w: VirialWeight, x, spectrum, modulus, density
     per-field np.fft.fftn, |u| and |u|^2, which it leaves as they are.
     Each integral is a per-field reduction over the grid axes, the
     exterior one over the C-order gather of the exterior mask, so each
-    row is bitwise its field's lone value."""
+    row is bitwise its field's lone value.  A run's first record is at
+    step 0, so an E2 model is refused before any step."""
+    if mp.equation != "E1":
+        raise ValueError("localized V'' tables are for E1; use whole_space_virial_e2")
     d, p = mp.d, mp.p
     dv = w.grid.cell_volume
 

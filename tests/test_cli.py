@@ -445,6 +445,32 @@ def test_evolve_refuses_configs_sharing_outputs_directory(tmp_path, capsys):
     assert not (tmp_path / "shared").exists()
 
 
+@pytest.mark.parametrize("command, second, causes", [
+    # two configs whose stems name one output file
+    ("groundstate", ("b/m.ini", MODEL.replace("p = 7.0", "p = 9.0")), ["{a}", "{b}"]),
+    ("classify", ("b/m.ini", QUICK.replace("amplitude = 0.8", "amplitude = 3.0")),
+     ["{a}", "{b}"]),
+    # an invalid config after a valid one
+    ("groundstate", ("b/n.ini", MODEL.replace("p = 7.0", "p = 5.0")), ["model: p must exceed"]),
+    ("classify", ("b/n.ini", QUICK.replace("p = 7.0", "p = 5.0")), ["model: p must exceed"]),
+], ids=["groundstate_stem", "classify_stem", "groundstate_invalid", "classify_invalid"])
+def test_commands_refuse_every_config_before_any_work(tmp_path, capsys, command, second,
+                                                      causes):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = MODEL if command == "groundstate" else QUICK.replace("amplitude = 0.8",
+                                                                 "amplitude = 0.3")
+    paths = [_write(tmp_path, "a/m.ini", first), _write(tmp_path, *second)]
+    out = tmp_path / "out"
+    argv = [command, "--config", paths[0], "--config", paths[1], "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.out == ""
+    for cause in causes:
+        assert cause.format(a=paths[0], b=paths[1]) in captured.err
+    assert not out.exists()
+
+
 SCIPY_BLOCKED = """
 import sys
 

@@ -1,7 +1,9 @@
 """Config parsing, initial-data construction, run artifacts, reporting."""
 
+import configparser
 import csv
 import json
+import math
 import random
 from dataclasses import asdict, replace
 
@@ -24,6 +26,7 @@ from nlslab.experiment import (
     serialize_config,
 )
 from nlslab import experiment, groundstate
+from nlslab.cli import main
 from nlslab.fieldio import load_field, save_field
 from nlslab.functionals import ModelParams, action_K_H, mass
 from nlslab.groundstate import solve_ground_state
@@ -92,8 +95,38 @@ def _with(text=BASE, **sections):
 ])
 def test_errors_name_the_offending_key(mutation, pattern):
     old, new = mutation
+    text = BASE.replace(old, new)
     with pytest.raises(ConfigError, match=pattern):
-        parse_config(BASE.replace(old, new))
+        parse_config(text)
+    if "cannot parse" in pattern or "missing" in pattern:
+        return  # no value reaches a dataclass
+    # the same values set on a parsed config in Python meet the same rules;
+    # ModelParams and StepperConfig refuse theirs with a ValueError that
+    # parsing prefixes with the section
+    section, _, message = pattern.partition(": ")
+    expected, pattern = (ConfigError, pattern) if "." in section else (ValueError, message)
+    with pytest.raises(expected, match=pattern):
+        _replaced(parse_config(BASE), text)
+
+
+def _replaced(cfg: ExperimentConfig, text: str) -> ExperimentConfig:
+    """cfg with each value that text sets, and BASE does not, set through
+    dataclasses.replace, section by section."""
+    base, parser = configparser.ConfigParser(), configparser.ConfigParser()
+    base.read_string(BASE)
+    parser.read_string(text)
+    top = {}
+    for section in parser.sections():
+        attr, _, keys = _SCHEMA[section]
+        values = {f.name: experiment._PARSE[f.type](parser[section][key])
+                  for key, f in keys
+                  if key in parser[section]
+                  and parser[section][key] != base.get(section, key, fallback=None)}
+        if attr is None:
+            top.update(values)
+        else:
+            top[attr] = replace(getattr(cfg, attr), **values)
+    return replace(cfg, **top)
 
 
 @pytest.mark.parametrize("text, pattern", [
@@ -125,6 +158,9 @@ def test_virial_radius_is_tied_to_the_competing_sign_equation():
                  outputs="virial_radius = 4.0")
     with pytest.raises(ConfigError, match="needs equation E1"):
         parse_config(text)
+    e2 = parse_config(BASE.replace("equation = E1", "equation = E2"))
+    with pytest.raises(ConfigError, match=r"outputs\.virial_radius: .*needs equation E1"):
+        replace(e2, virial_radius=4.0)
 
 
 def test_whole_space_virial_is_tied_to_the_single_sign_equation():
@@ -135,6 +171,8 @@ def test_whole_space_virial_is_tied_to_the_single_sign_equation():
 def test_weight_support_must_fit_in_the_box():
     with pytest.raises(ConfigError, match="exceeds half_width"):
         parse_config(_with(outputs="virial_radius = 9.0"))
+    with pytest.raises(ConfigError, match=r"outputs\.virial_radius: .*exceeds half_width 15"):
+        replace(parse_config(BASE), virial_radius=10.0)
 
 
 def test_conflicting_mass_targets_are_refused():
@@ -254,6 +292,94 @@ def test_serialize_round_trips_drawn_configs(tmp_path):
     assert {("kind", kind) for kind in DATA_KINDS} <= seen
     assert {(flag, value) for flag in flags for value in (True, False)} <= seen
     assert {("directory", ""), ("which", ""), ("x0", 0), ("xi", 0), ("x0", 2)} <= seen
+
+
+def _fit(cfg: ExperimentConfig, data_file) -> ExperimentConfig:
+    """A drawn cfg on a box that holds its initial data and a lattice that
+    holds its spectrum, marching at most 200 steps; a file datum, a unit
+    Gaussian, is written onto that box."""
+    init, sym, omega = cfg.initial, cfg.symmetry, cfg.model.omega
+    # about where the datum falls below 1e-16 of its peak, and the
+    # wavenumber where its spectrum does
+    extent, top = {
+        "gaussian": (6.0 * init.width, 12.0 / init.width),
+        "large_scale": (6.0 * init.width, 12.0 / init.width),
+        "sech": (37.0 / (init.rate * init.exponent), 24.0 * init.rate),
+        "scaled_ground_state": (37.0 / math.sqrt(omega), 24.0 * math.sqrt(omega)),
+        "random_smooth": (20.0 / init.k_width, 9.0 * init.k_width),
+        "file": (6.0, 12.0),
+    }[init.kind]
+    if init.kind not in ("random_smooth", "file"):
+        top += abs(init.wavenumber)
+    if sym is not None:
+        # the datum is built on the box, then scaled, moved and boosted
+        moved = sym.h * extent + 2.0 * abs(sym.t0) * top / sym.h
+        extent = max(extent, moved + max(map(abs, sym.x0), default=0.0))
+        top = max(top, top / sym.h + max(map(abs, sym.xi), default=0.0))
+    # the edge band, at most 1/64 of an axis, lies outside the datum
+    half_width = 1.25 * extent / (1.0 - 1.0 / 32.0)
+    # the spectral tail is the top third of each axis's wavenumbers
+    n = 2 ** math.ceil(math.log2(max(3.0 * half_width * top / math.pi, 64.0)))
+    n = min(n, 2048 if cfg.model.d == 1 else 128)
+    stepper = replace(cfg.stepper, t_final=min(cfg.stepper.t_final, 200 * cfg.stepper.dt),
+                      edge_cells=min(cfg.stepper.edge_cells, n // 64))
+    fitted = replace(cfg, n_per_axis=n, half_width=half_width, stepper=stepper,
+                     virial_radius=cfg.virial_radius * half_width / cfg.half_width)
+    if init.kind == "file":
+        save_field(data_file, field_from_function(
+            fitted.grid(), lambda *x: np.exp(-sum(c**2 for c in x)) + 0j))
+    return fitted
+
+
+def _strict(text):
+    """json.loads refusing NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _files(run_dir) -> dict:
+    """Every file of a run directory; a summary parsed, without its timing."""
+    files = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+    if "summary.json" in files:
+        files["summary.json"] = _strict(files["summary.json"])
+        del files["summary.json"]["timing"]
+    return files
+
+
+def test_drawn_configs_run_end_to_end(tmp_path, capsys):
+    data_file = tmp_path / "u0.nlsf"
+    data_file.write_bytes(b"")
+    rng = random.Random(1)
+    stale = b"left by an earlier run"
+    draws, marched = 16, 0
+    for i in range(draws):
+        cfg = _fit(_draw_config(rng, data_file), data_file)
+        path = tmp_path / f"{i}.ini"
+        path.write_text(serialize_config(cfg))
+        out = tmp_path / f"run{i}"
+        out.mkdir()
+        for name in experiment._ARTIFACTS:
+            (out / name).write_bytes(stale)
+        runs = []
+        for _ in range(2):
+            code = main(["evolve", "--config", str(path), "--out", str(out)])
+            runs.append((code, capsys.readouterr().out, _files(out)))
+        # a rerun over the first run writes its bytes again, timing aside
+        assert runs[1] == runs[0], i
+        code, line, files = runs[0]
+        assert stale not in files.values(), i
+        assert line.startswith(f"{out}: ") and line.count("\n") == 1, line
+        cause = line.removeprefix(f"{out}: ").strip()
+        if "summary.json" in files:
+            marched += 1
+            assert cause == files["summary.json"]["outcome"]
+            assert code == (0 if cause == "completed" else 3)
+        else:
+            # stopped before its march, by a named error
+            assert (code, cause.split(": ")[0]) in ((2, "config error"), (3, "error")), line
+            assert len(cause.split(": ")) >= 3, line
+    assert 2 * marched >= draws, marched
 
 
 def test_load_config_reads_a_file(tmp_path):
@@ -610,6 +736,21 @@ def test_failed_rerun_leaves_no_earlier_artifacts(tmp_path):
     with pytest.raises(ValueError, match="edge-decay precondition"):
         run_experiment(wide)
     assert sorted(path.name for path in out.iterdir()) == []
+
+
+def test_a_job_claiming_an_earlier_jobs_directory_is_refused_alone(tmp_path):
+    first = _quick_cfg(tmp_path, extra_outputs="classify = false")
+    second = _quick_cfg(tmp_path, initial="kind = gaussian\namplitude = 0.6",
+                        extra_outputs="classify = false")
+    out, again = tmp_path / "X", tmp_path / "sub" / ".." / "X"
+    # the same directory spelled another way is the same claim
+    ran, refused = experiment.run_experiments([(first, out), (second, again)])
+    assert ran == out
+    assert isinstance(refused, ConfigError)
+    assert str(refused) == f"job 0 and job 1 both write to {again}"
+    assert (out / "config.ini").read_text() == serialize_config(first)
+    with pytest.raises(ConfigError, match="job 0: outputs.directory: no output directory"):
+        run_experiment(replace(first, directory=""))
 
 
 def test_saved_initial_field_reflects_the_symmetry_element(tmp_path):

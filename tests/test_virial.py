@@ -111,6 +111,9 @@ def test_sign_convention_gates():
     w = VirialWeight(g, 8.0)
     with pytest.raises(ValueError, match="E1"):
         virial_derivatives(f, MP2, w)
+    # the stacked record refuses an E2 model too, at its first record
+    with pytest.raises(ValueError, match="E1"):
+        evolve(f, MP2, StepperConfig(dt=1e-3, t_final=0.01), virial_weight=w)
     with pytest.raises(ValueError, match="E1"):
         whole_space_virial_e2(f, MP1)
 
