@@ -27,7 +27,6 @@ from .groundstate import (
     solve_ground_state,
     ground_state_on_grid,
     ground_state_field,
-    threshold,
     pohozaev_check,
 )
 from .virial import VirialWeight, VirialDerivatives, virial_value, virial_derivatives

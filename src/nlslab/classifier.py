@@ -6,7 +6,10 @@ scaling derivative K(u0).  For the defocusing-saturated equation (E2) the
 decision compares the mass of u0 with the mass of the critical-equation
 ground state.  A label is only issued when the deciding margin clears
 three times its estimated numerical uncertainty; otherwise the verdict
-abstains with ``indeterminate`` and makes no prediction.
+abstains with ``indeterminate`` and makes no prediction.  Which ground
+state sets a model's threshold is decided here alone (_threshold_profile),
+and a datum is judged in one place (_judge): trap_bounds reads the margins
+of the verdict and the snapshot that verdict was read from.
 
 Verdicts carry all margins, the bound scale for the H1 trapping estimate,
 a note on the unverified localization hypotheses behind the blow-up
@@ -26,7 +29,7 @@ import numpy as np
 
 from .spectral import ComplexField, _scratch, _spectrum, _tail_fractions
 from .functionals import (
-    ModelParams, _action, _action_values, _energy, _scaling_derivative, _snapshots, snapshot,
+    ModelParams, _action, _action_values, _energy, _scaling_derivative, _snapshots,
 )
 from .groundstate import GroundStateSolution
 
@@ -95,29 +98,25 @@ def ground_state_digest(gs: GroundStateSolution) -> str:
     return gs._digest
 
 
+def _threshold_profile(mp: ModelParams) -> str:
+    """The ground state that sets the model's thresholds: the double
+    profile for E1, the mass-critical one for E2."""
+    return "double" if mp.equation == "E1" else "mass_critical"
+
+
 def _check_compatible(mp: ModelParams, gs: GroundStateSolution):
-    if mp.equation == "E1":
-        if gs.which != "double":
-            raise ValueError(
-                "E1 classification needs the two-term ground state, "
-                f"got which={gs.which!r}"
-            )
-        if gs.params.d != mp.d or gs.params.p != mp.p or gs.omega != mp.omega:
-            raise ValueError(
-                "ground state solved for "
-                f"(d={gs.params.d}, p={gs.params.p}, omega={gs.omega}) "
-                f"but data uses (d={mp.d}, p={mp.p}, omega={mp.omega})"
-            )
-    else:
-        if gs.which != "mass_critical":
-            raise ValueError(
-                "E2 classification needs the critical-equation ground state, "
-                f"got which={gs.which!r}"
-            )
-        if gs.params.d != mp.d:
-            raise ValueError(
-                f"ground state dimension {gs.params.d} != data dimension {mp.d}"
-            )
+    which = _threshold_profile(mp)
+    if gs.which != which:
+        raise ValueError(
+            f"{mp.equation} classification needs the {which!r} ground state, "
+            f"got which={gs.which!r}"
+        )
+    # E2's mass threshold depends on d alone
+    keys = ("d", "p", "omega") if mp.equation == "E1" else ("d",)
+    solved = dict(zip(keys, (gs.params.d, gs.params.p, gs.omega)))
+    data = {key: getattr(mp, key) for key in keys}
+    if solved != data:
+        raise ValueError(f"ground state solved for {solved} but data uses {data}")
 
 
 def _blowup_hypotheses_note(mp: ModelParams) -> str:
@@ -150,6 +149,11 @@ def classify(
     within GATE_FACTOR of their uncertainty yield ``indeterminate`` and
     prediction ``no_prediction``.
     """
+    return _judge(u0, mp, gs)[0]
+
+
+def _judge(u0: ComplexField, mp: ModelParams, gs: GroundStateSolution) -> tuple:
+    """(classify's verdict, the snapshot of u0 it was read from)."""
     _check_compatible(mp, gs)
 
     x = u0.values[np.newaxis]
@@ -160,11 +164,12 @@ def classify(
     # nonlinear integrands by a small factor (about 2 on coarsely sampled
     # solitons), so pad it.
     rel = _QUAD_EPS + 10.0 * float(_tail_fractions(spectrum, u0.grid, scratch)[0])
-    digest = ground_state_digest(gs)
     snap = _snapshots(u0.grid, mp, [0.0], x, spectrum, scratch)[0][0]
 
     mass_unc = rel * snap.mass + _QUAD_EPS * gs.mass
     mass_margin = Margin(snap.mass - gs.mass, mass_unc)
+    # E2 judges the mass alone and leaves the E1 fields None
+    action_margin = k_margin = h1_bound = hypotheses = None
 
     if mp.equation == "E2":
         if not mass_margin.resolved:
@@ -173,57 +178,36 @@ def classify(
             label, prediction = "below_mass_threshold", "global_scattering"
         else:
             label, prediction = "above_mass_threshold", "no_prediction"
-        return Verdict(
-            equation="E2",
-            set_label=label,
-            prediction=prediction,
-            action_margin=None,
-            k_value=None,
-            mass_margin=mass_margin,
-            h1_bound=None,
-            hypotheses=None,
-            ground_state_digest=digest,
-        )
-
-    acts = _action_values(mp, snap)
-
-    # Sum of absolute contributions: the cancellation-free scale each
-    # functional is assembled at.
-    s_terms = _action(mp, _energy(mp, snap.grad_l2_sq, snap.lp1, snap.lmc, (1.0, 1.0)),
-                      snap.mass)
-    k_terms = _scaling_derivative(mp, snap.grad_l2_sq, snap.lp1, snap.lmc, (1.0, 1.0))
-    # The threshold's own error: quadrature floor plus the measured
-    # distance of the solved profile from exact criticality.
-    m_omega_unc = _QUAD_EPS * gs.m_omega + abs(gs.K_value)
-
-    action_margin = Margin(acts.s_omega - gs.m_omega, rel * s_terms + m_omega_unc)
-    k_margin = Margin(acts.k_value, rel * k_terms)
-
-    if not action_margin.resolved:
-        label, prediction = "indeterminate", "no_prediction"
-    elif action_margin.value >= 0.0:
-        label, prediction = "above_threshold", "no_prediction"
-    elif not k_margin.resolved:
-        label, prediction = "indeterminate", "no_prediction"
-    elif k_margin.value >= 0.0:
-        label, prediction = "A_plus", "global_scattering"
     else:
-        label, prediction = "A_minus", "finite_time_blowup"
+        acts = _action_values(mp, snap)
+        # Sum of absolute contributions: the cancellation-free scale each
+        # functional is assembled at.
+        s_terms = _action(mp, _energy(mp, snap.grad_l2_sq, snap.lp1, snap.lmc, (1.0, 1.0)),
+                          snap.mass)
+        k_terms = _scaling_derivative(mp, snap.grad_l2_sq, snap.lp1, snap.lmc, (1.0, 1.0))
+        # The threshold's own error: quadrature floor plus the measured
+        # distance of the solved profile from exact criticality.
+        m_omega_unc = _QUAD_EPS * gs.m_omega + abs(gs.K_value)
 
-    h1_bound = gs.m_omega + gs.m_omega / mp.omega if label == "A_plus" else None
-    note = _blowup_hypotheses_note(mp) if label == "A_minus" else None
+        action_margin = Margin(acts.s_omega - gs.m_omega, rel * s_terms + m_omega_unc)
+        k_margin = Margin(acts.k_value, rel * k_terms)
 
-    return Verdict(
-        equation="E1",
-        set_label=label,
-        prediction=prediction,
-        action_margin=action_margin,
-        k_value=k_margin,
-        mass_margin=mass_margin,
-        h1_bound=h1_bound,
-        hypotheses=note,
-        ground_state_digest=digest,
-    )
+        if not action_margin.resolved:
+            label, prediction = "indeterminate", "no_prediction"
+        elif action_margin.value >= 0.0:
+            label, prediction = "above_threshold", "no_prediction"
+        elif not k_margin.resolved:
+            label, prediction = "indeterminate", "no_prediction"
+        elif k_margin.value >= 0.0:
+            label, prediction = "A_plus", "global_scattering"
+        else:
+            label, prediction = "A_minus", "finite_time_blowup"
+        h1_bound = gs.m_omega + gs.m_omega / mp.omega if label == "A_plus" else None
+        hypotheses = _blowup_hypotheses_note(mp) if label == "A_minus" else None
+
+    verdict = Verdict(mp.equation, label, prediction, action_margin, k_margin, mass_margin,
+                      h1_bound, hypotheses, ground_state_digest(gs))
+    return verdict, snap
 
 
 # -- trapping estimates -------------------------------------------------------
@@ -259,30 +243,30 @@ def trap_bounds(
     """Evaluate the trapping bounds for data classified A_plus or A_minus."""
     if mp.equation != "E1":
         raise ValueError("trapping bounds are specific to the competing-sign equation")
-    verdict = classify(u0, mp, gs)
+    verdict, snap = _judge(u0, mp, gs)
     if verdict.set_label not in ("A_plus", "A_minus"):
         raise ValueError(
             f"trap_bounds needs labeled data, classification returned "
             f"{verdict.set_label!r}"
         )
 
-    snap = snapshot(u0, mp)
-    acts = _action_values(mp, snap)
-    gap = gs.m_omega - acts.s_omega
+    k_value = verdict.k_value.value
+    # m_omega - S_omega, exactly: IEEE b - a is -(a - b)
+    gap = -verdict.action_margin.value
 
     if verdict.set_label == "A_minus":
         upper = -gap
         return TrapReport(
             set_label="A_minus",
-            holds=bool(acts.k_value < upper),
-            k_value=acts.k_value,
+            holds=bool(k_value < upper),
+            k_value=k_value,
             action_gap=gap,
             k_upper_bound=upper,
-            slack=upper - acts.k_value,
+            slack=upper - k_value,
         )
 
     h1_sq = snap.grad_l2_sq + snap.mass
-    scale = gs.m_omega + gs.m_omega / mp.omega
+    scale = verdict.h1_bound
     # K with its p-term dropped, ||grad u||^2 + d/(d+2) |u|_mc^mc
     dp = mp.d * (mp.p - 1.0)
     quad_floor = (dp - 4.0) / dp * _scaling_derivative(mp, snap.grad_l2_sq, 0.0, snap.lmc)
@@ -290,18 +274,18 @@ def trap_bounds(
     # positive constant on the second; K >= quadratic branch certifies
     # it outright, otherwise any positive K certifies it with the
     # implied constant K / (m_omega - S_omega).
-    if acts.k_value >= quad_floor:
+    if k_value >= quad_floor:
         holds, delta = True, None
     else:
-        holds = acts.k_value > 0.0 and gap > 0.0
-        delta = acts.k_value / gap if gap > 0.0 else None
+        holds = k_value > 0.0 and gap > 0.0
+        delta = k_value / gap if gap > 0.0 else None
     return TrapReport(
         set_label="A_plus",
         holds=bool(holds),
         h1_norm_sq=h1_sq,
         h1_scale=scale,
         h1_ratio=h1_sq / scale,
-        k_value=acts.k_value,
+        k_value=k_value,
         k_quadratic_floor=quad_floor,
         action_gap=gap,
         implied_delta=delta,

@@ -33,7 +33,6 @@ from .experiment import (
     _initial_state,
     _place,
     _run_stack,
-    _threshold_profile,
     _threshold_verdict,
     _write_groundstate,
     parse_config,
@@ -41,7 +40,7 @@ from .experiment import (
     plan_stacks,
     emit_report,
 )
-from .classifier import ground_state_digest, verdict_to_json
+from .classifier import _threshold_profile, ground_state_digest, verdict_to_json
 from .groundstate import solve_ground_state
 
 

@@ -50,7 +50,7 @@ from .functionals import (
     snapshot_csv_row,
 )
 from .groundstate import _WHICH, ground_state_field, solve_cost, solve_ground_state
-from .classifier import classify
+from .classifier import _threshold_profile, classify
 from .propagator import (
     StepperConfig,
     _check_initial_data,
@@ -411,12 +411,6 @@ def _sech(z: np.ndarray) -> np.ndarray:
     return 2.0 * np.exp(-a) / (1.0 + np.exp(-2.0 * a))
 
 
-def _threshold_profile(model: ModelParams) -> str:
-    """The ground state that sets the model's thresholds: the double
-    profile for E1, the mass-critical one for E2."""
-    return "double" if model.equation == "E1" else "mass_critical"
-
-
 def _critical_mass(model: ModelParams) -> float:
     return solve_ground_state(model, which="mass_critical").mass
 
@@ -534,7 +528,9 @@ def _drifts(log) -> dict:
     }
 
 
-def _virial_summary(cfg: ExperimentConfig, log, critical_mass: float | None) -> dict | None:
+def _virial_summary(cfg: ExperimentConfig, log, whole, critical_mass: float | None) -> dict | None:
+    """The summary's virial block; whole is the whole-space V'' of each
+    record, or None."""
     if cfg.virial_radius > 0:
         # each row's remainder is V'' - 8K with K the snapshot's, so the two
         # keys name one series
@@ -545,27 +541,25 @@ def _virial_summary(cfg: ExperimentConfig, log, critical_mass: float | None) -> 
             "max_identity_residual": worst,
             "max_abs_remainder": worst,
         }
-    if not cfg.whole_space_virial:
+    if whole is None:
         return None
-    # whole-space second derivative, read off each record's snapshot,
-    # against the sharp interpolation bound
-    series = [_whole_space_e2(cfg.model, snap) for snap in log.snapshots]
-    out = {"mode": "whole_space", "min_v_double_prime": min(series)}
+    # whole-space second derivative against the sharp interpolation bound
+    out = {"mode": "whole_space", "min_v_double_prime": min(whole)}
     if critical_mass is not None:
         d = cfg.model.d
         margin = min(
             v2 - 8.0 * (1.0 - (snap.mass / critical_mass) ** (2.0 / d)) * snap.grad_l2_sq
-            for v2, snap in zip(series, log.snapshots)
+            for v2, snap in zip(whole, log.snapshots)
         )
         out["min_bound_margin"] = margin
     return out
 
 
-def _write_trajectory(path: Path, cfg: ExperimentConfig, log):
+def _write_trajectory(path: Path, cfg: ExperimentConfig, log, whole):
     header = snapshot_csv_header(cfg.model.d) + ",tail_fraction,edge_fraction,scatter_accum"
     if cfg.virial_radius > 0:
         header += ",V,V_prime,V_double_prime,remainder,exterior"
-    elif cfg.whole_space_virial:
+    elif whole is not None:
         header += ",V_double_prime"
     with path.open("w") as fh:
         fh.write(header + "\n")
@@ -581,8 +575,8 @@ def _write_trajectory(path: Path, cfg: ExperimentConfig, log):
                     f",{vr.value!r},{vr.v_prime!r},{vr.v_double_prime!r}"
                     f",{vr.remainder!r},{vr.exterior_integral!r}"
                 )
-            elif cfg.whole_space_virial:
-                row += f",{_whole_space_e2(cfg.model, snap)!r}"
+            elif whole is not None:
+                row += f",{whole[j]!r}"
             fh.write(row + "\n")
 
 
@@ -688,6 +682,10 @@ def _finish(run: _Run, log, flights: int) -> Path:
     size its stack started with."""
     cfg, out, u0, gs = run.cfg, run.out, run.u0, run.gs
     critical_mass = gs.mass if gs is not None and cfg.model.equation == "E2" else None
+    # the whole-space V'' of each record, read off its snapshot once for
+    # the trajectory and the summary
+    whole = ([_whole_space_e2(cfg.model, snap) for snap in log.snapshots]
+             if cfg.whole_space_virial else None)
 
     # For the model's standing wave the modulus should sit still; track
     # the worst relative L2 deviation over stored fields.
@@ -706,7 +704,7 @@ def _finish(run: _Run, log, flights: int) -> Path:
     save_field(out / "u0.nlsf", u0)
     if log.final_state is not None:
         save_field(out / "final.nlsf", log.final_state)
-    _write_trajectory(out / "trajectory.csv", cfg, log)
+    _write_trajectory(out / "trajectory.csv", cfg, log, whole)
     if gs is not None:
         _write_groundstate(out / "groundstate.csv", gs)
     (out / "config.ini").write_text(serialize_config(cfg))
@@ -727,7 +725,7 @@ def _finish(run: _Run, log, flights: int) -> Path:
         "abort_time": log.abort_time,
         "abort_detail": log.abort_detail,
         "drifts": _drifts(log),
-        "virial": _virial_summary(cfg, log, critical_mass),
+        "virial": _virial_summary(cfg, log, whole, critical_mass),
         "scattering_proxy": (
             asdict(scattering_proxy(log)) if log.outcome == "completed" else None
         ),

@@ -40,7 +40,6 @@ __all__ = [
     "energy",
     "momentum",
     "gradient_l2_sq",
-    "power_integrals",
     "action_K_H",
     "gn_quotient",
     "snapshot",
@@ -146,13 +145,6 @@ def mass(f: ComplexField) -> float:
 
 def gradient_l2_sq(f: ComplexField) -> float:
     return _lone_spectral_integrals(f)[0]
-
-
-def power_integrals(f: ComplexField, mp: ModelParams) -> tuple:
-    """(lp1, lmc) = (int |u|^{p+1}, int |u|^{2(d+2)/d})."""
-    _check_dimension(f.grid, mp)
-    a, dv = np.abs(f.values), f.grid.cell_volume
-    return float(np.sum(a ** (mp.p + 1.0)) * dv), float(np.sum(a**mp.mc_power) * dv)
 
 
 def momentum(f: ComplexField) -> np.ndarray:

@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -101,12 +100,10 @@ __all__ = [
     "GroundStateSolution",
     "BracketError",
     "ConvergenceError",
-    "Threshold",
     "PohozaevReport",
     "solve_ground_state",
     "ground_state_on_grid",
     "ground_state_field",
-    "threshold",
     "pohozaev_check",
 ]
 
@@ -632,16 +629,7 @@ def _validate(gs: GroundStateSolution):
         raise ConvergenceError(f"action threshold is not positive: {gs.m_omega}")
 
 
-# -- thresholds and identities ------------------------------------------------
-
-Threshold = namedtuple("Threshold", ["m_omega", "q_mass"])
-
-
-def threshold(gs: GroundStateSolution) -> Threshold:
-    """(action threshold, mass threshold).  m_omega is None unless the
-    double-nonlinearity profile was solved; q_mass = ||Q||_L2^2 always."""
-    return Threshold(gs.m_omega, gs.mass)
-
+# -- identities ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PohozaevReport:

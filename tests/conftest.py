@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from nlslab.functionals import ModelParams, gradient_l2_sq, power_integrals
+from nlslab.functionals import ModelParams, gradient_l2_sq, snapshot
 from nlslab.groundstate import ground_state_field, solve_ground_state
 from nlslab.spectral import ComplexField, GridSpec, random_smooth_field
 
@@ -50,7 +50,8 @@ def nonpositive_k_member(f: ComplexField, mp: ModelParams, push: float = 1.0 + 1
     first crossing can be bracketed and solved without further FFTs.
     """
     g2 = gradient_l2_sq(f)
-    lp1, lmc = power_integrals(f, mp)
+    s = snapshot(f, mp)
+    lp1, lmc = s.lp1, s.lmc
     d, p = mp.d, mp.p
     a = d * (p - 1.0) / (2.0 * (p + 1.0))
     b = d / (d + 2.0)

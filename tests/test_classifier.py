@@ -3,12 +3,13 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from nlslab import groundstate
+from nlslab import classifier, functionals, groundstate
 from nlslab.classifier import (
     GATE_FACTOR,
     Margin,
@@ -18,7 +19,7 @@ from nlslab.classifier import (
     trap_bounds,
     verdict_to_json,
 )
-from nlslab.functionals import ModelParams, mass
+from nlslab.functionals import ModelParams, mass, snapshot
 from nlslab.groundstate import ground_state_field, solve_ground_state
 from nlslab.propagator import StepperConfig, evolve
 from nlslab.spectral import ComplexField, GridSpec, field_from_function
@@ -146,15 +147,19 @@ def test_critical_mass_is_gated_indeterminate(quintic_gs):
 
 # -- compatibility gates ------------------------------------------------------
 
-def test_equation_profile_pairing_is_enforced(double_gs, quintic_gs):
+def test_equation_profile_pairing_is_enforced(double_gs, quintic_gs, townes_gs):
     u = _scaled(double_gs, 0.5)
-    with pytest.raises(ValueError):
-        classify(u, MP1, quintic_gs)
-    with pytest.raises(ValueError):
-        classify(u, MP2, double_gs)
     other = ModelParams(d=1, p=7.0, omega=2.0, equation="E1")
-    with pytest.raises(ValueError):
-        classify(u, other, double_gs)
+    for mp, gs, match in (
+        # the refusal names the profile the equation needs
+        (MP1, quintic_gs, "needs the 'double' ground state"),
+        (MP2, double_gs, "needs the 'mass_critical' ground state"),
+        (other, double_gs, "data uses {'d': 1, 'p': 7.0, 'omega': 2.0}"),
+        # an E2 model off its mass-critical profile's dimension
+        (MP2, townes_gs, "solved for {'d': 2} but data uses {'d': 1}"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            classify(u, mp, gs)
 
 
 def test_under_resolved_data_widens_the_gate(double_gs):
@@ -181,6 +186,40 @@ def test_blowup_member_satisfies_the_strict_upper_bound(double_gs):
     assert rep.holds
     assert rep.k_value < rep.k_upper_bound < 0
     assert rep.slack > 0
+
+
+@pytest.mark.parametrize("c", [0.5, 1.2])
+def test_trap_bounds_reads_the_one_snapshot_its_verdict_took(double_gs, monkeypatch, c):
+    u = _scaled(double_gs, c)
+    snapshots, calls = functionals._snapshots, []
+
+    def counted(*args):
+        calls.append(args)
+        return snapshots(*args)
+
+    monkeypatch.setattr(functionals, "_snapshots", counted)
+    monkeypatch.setattr(classifier, "_snapshots", counted)
+    rep = trap_bounds(u, MP1, double_gs)
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    # every figure is the one a fresh snapshot and the solution give
+    s, m_omega = snapshot(u, MP1), double_gs.m_omega
+    gap = m_omega - s.action
+    assert rep.k_value == s.scaling_derivative
+    assert rep.action_gap == gap
+    if rep.set_label == "A_minus":
+        assert rep.k_upper_bound == -gap
+        assert rep.slack == -gap - s.scaling_derivative
+        return
+    assert rep.set_label == "A_plus"
+    scale = m_omega + m_omega / MP1.omega
+    assert rep.h1_norm_sq == s.grad_l2_sq + s.mass
+    assert rep.h1_scale == scale
+    assert rep.h1_ratio == (s.grad_l2_sq + s.mass) / scale
+    dp = MP1.d * (MP1.p - 1.0)
+    assert rep.k_quadratic_floor == (dp - 4.0) / dp * functionals._scaling_derivative(
+        MP1, s.grad_l2_sq, 0.0, s.lmc)
 
 
 def test_trap_bounds_refuse_unlabeled_or_wrong_sign_input(double_gs, quintic_gs):

@@ -18,7 +18,6 @@ from nlslab.functionals import (
     gradient_l2_sq,
     mass,
     momentum,
-    power_integrals,
     snapshot,
     snapshot_csv_header,
     snapshot_csv_row,
@@ -83,7 +82,8 @@ def test_mass_and_gradient_of_gaussian():
 def test_power_integrals_of_gaussian():
     a = 0.8
     f = _gaussian(amplitude=a)
-    lp1, lmc = power_integrals(f, MP1)
+    s = snapshot(f, MP1)
+    lp1, lmc = s.lp1, s.lmc
     assert lp1 == pytest.approx(a**8 * math.sqrt(math.pi / 8.0), rel=1e-12)
     assert lmc == pytest.approx(a**6 * math.sqrt(math.pi / 6.0), rel=1e-12)
 
@@ -132,7 +132,8 @@ def test_action_parts_and_identity():
     assert not av.advisory
     assert av.h_omega == pytest.approx(av.s_omega - 0.5 * av.k_value, rel=1e-12)
     m, g2 = mass(f), gradient_l2_sq(f)
-    lp1, lmc = power_integrals(f, MP1)
+    s = snapshot(f, MP1)
+    lp1, lmc = s.lp1, s.lmc
     assert av.s_omega == pytest.approx(
         0.5 * g2 - lp1 / 8.0 + lmc / 6.0 + 0.5 * m, rel=1e-12
     )
@@ -221,7 +222,6 @@ ENTRY_POINTS = {
     "snapshot": lambda u, mp, gs: snapshot(u, mp),
     "energy": lambda u, mp, gs: energy(u, mp),
     "action_K_H": lambda u, mp, gs: action_K_H(u, mp),
-    "power_integrals": lambda u, mp, gs: power_integrals(u, mp),
     "classify": lambda u, mp, gs: classify(u, mp, gs),
     "trap_bounds": lambda u, mp, gs: trap_bounds(u, mp, gs),
     "strang_step": lambda u, mp, gs: strang_step(u, mp, 1e-3),

@@ -26,7 +26,6 @@ from nlslab.groundstate import (
     ground_state_on_grid,
     pohozaev_check,
     solve_ground_state,
-    threshold,
 )
 from nlslab.spectral import GridSpec
 
@@ -109,13 +108,6 @@ def test_double_integrals_match_quadrature(double_gs):
 def test_one_dimensional_identity_grad_equals_threshold(double_gs):
     # integrate the first integral over the line and combine with K = 0
     assert double_gs.grad_l2_sq == pytest.approx(double_gs.m_omega, rel=1e-8)
-
-
-def test_threshold_tuple_reports_both_numbers(double_gs, quintic_gs):
-    th = threshold(double_gs)
-    assert th.m_omega == double_gs.m_omega
-    assert th.q_mass == double_gs.mass
-    assert threshold(quintic_gs).m_omega is None
 
 
 @pytest.mark.parametrize("p", [6.0, 7.0, 9.0])

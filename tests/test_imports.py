@@ -1,7 +1,9 @@
 """Tooling: no module of the package, and no test file, imports a name it
-never uses."""
+never uses, and no package module exports a name it does not define."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,21 @@ def test_an_unused_import_is_caught():
         "    return read(x), os.sep\n"
     )
     assert _unused_imports(tree) == ["dumps (line 3)"]
+
+
+def _stale_exports(module) -> list:
+    """The names in module's __all__ that module does not define; such a
+    name breaks only `from module import *`."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("module", sorted(m for m in MODULES if not m.startswith("tests/")))
+def test_every_exported_name_exists(module):
+    assert _stale_exports(importlib.import_module(f"nlslab.{module}")) == []
+
+
+def test_a_stale_export_is_caught():
+    module = types.ModuleType("exports")
+    module.pi = 3.14
+    module.__all__ = ["pi", "tau"]
+    assert _stale_exports(module) == ["tau"]

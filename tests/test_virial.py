@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nlslab.functionals import ModelParams, action_K_H, gradient_l2_sq, power_integrals
+from nlslab.functionals import ModelParams, action_K_H, gradient_l2_sq, snapshot
 from nlslab.propagator import StepperConfig, evolve, strang_step
 from nlslab.spectral import GridSpec, _transform, field_from_function
 from nlslab.virial import (
@@ -208,7 +208,8 @@ def test_whole_space_identity_matches_time_differencing():
 def test_whole_space_formula_combines_the_power_integrals():
     g = GridSpec(d=1, n_per_axis=512, half_width=20.0)
     f = field_from_function(g, lambda x: 0.9 * np.exp(-(x**2)))
-    lp1, lmc = power_integrals(f, MP2)
+    s = snapshot(f, MP2)
+    lp1, lmc = s.lp1, s.lmc
     expect = 8.0 * (gradient_l2_sq(f) + 0.375 * lp1 - lmc / 3.0)
     assert whole_space_virial_e2(f, MP2) == pytest.approx(expect, rel=1e-12)
 
