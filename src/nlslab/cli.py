@@ -6,7 +6,8 @@ classify (label initial data and print the verdict JSON), evolve (run
 one or more experiment configs, optionally in a process pool), report
 (aggregate run directories), selftest (quick internal consistency
 checks, among them that the installed numpy marches and records a
-stack's flights bitwise as it marches and records each alone).
+stack's flights bitwise as it marches and records each alone, and that
+the four-step transform of a long 1-D line tracks the plain one).
 
 Exit codes: 0 on success, 2 on config or validation failure, 3 when a
 run aborted at runtime or a selftest check failed.  groundstate,
@@ -265,16 +266,36 @@ def _cmd_selftest(args) -> int:
     # final state
     series = ("times", "snapshots", "tail_fractions", "edge_fractions", "scatter_series",
               "virial_rows")
-    differ = flights = 0
-    for fields, mp, steppers, w in marches:
-        stacked = evolve_stack(fields, mp, steppers, virial_weight=w)
-        for s, u, c in zip(stacked, fields, steppers):
-            alone = evolve(u, mp, c, virial_weight=w)
-            flights += 1
-            differ += (
-                any(repr(getattr(s, name)) != repr(getattr(alone, name)) for name in series)
-                or s.final_state.values.tobytes() != alone.final_state.values.tobytes())
+
+    def differing(marches):
+        differ = flights = 0
+        for fields, mp, steppers, w in marches:
+            stacked = evolve_stack(fields, mp, steppers, virial_weight=w)
+            for s, u, c in zip(stacked, fields, steppers):
+                alone = evolve(u, mp, c, virial_weight=w)
+                flights += 1
+                differ += (
+                    any(repr(getattr(s, name)) != repr(getattr(alone, name)) for name in series)
+                    or s.final_state.values.tobytes() != alone.final_state.values.tobytes())
+        return differ, flights
+
+    differ, flights = differing(marches)
     checks.append(("stack_bitwise", differ == 0, f"{differ} of {flights} flights differ"))
+
+    # a 1-D line of 8192 points takes the four-step transform: its free
+    # flow against the plain numpy composition, and a two-flight stack of
+    # such lines, whose column transforms run along axis -2, against each
+    # flight alone
+    g_split = make_grid(1, 8192, 300.0)
+    u0s_split = [field_from_function(g_split, lambda x, a=a: a * np.exp(-(x**2) + 2j * x))
+                 for a in (0.6, 0.9)]
+    v = u0s_split[0].values
+    plain = np.fft.ifft(np.multiply(np.exp(-0.3j * g_split.k_squared), np.fft.fft(v)))
+    err = float(np.max(np.abs(free_evolve(u0s_split[0], 0.3).values - plain)) / np.max(np.abs(v)))
+    cfgs_split = [StepperConfig(dt=dt, t_final=0.02, snapshot_every=10) for dt in (1e-3, 5e-4)]
+    differ, flights = differing([(u0s_split, mp5, cfgs_split, None)])
+    checks.append(("split_transform", err < 1e-13 and differ == 0,
+                   f"{err:.3e}; {differ} of {flights} flights differ"))
 
     bump = field_from_function(g, lambda x: np.exp(-(x**2)) * (1.0 + 0.5j))
     elem = SymmetryElement(theta=0.7, h=1.3, t0=0.2, x0=(1.5,), xi=(0.9,))

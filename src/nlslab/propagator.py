@@ -28,20 +28,24 @@ The kernel makes no per-step temporaries: the rotation's buffers (the
 complex phase, whose storage is scratch until the phase is built, |u|^2,
 the angle theta and a mask) are the stack's, allocated once (see the
 storage plan below), and every numpy op writes through out=.  The only
-per-step allocation is the bytes copy of the mask row in which the
-window below is found.  The angle is computed with the same operations in
-the same order as the plain theta = sum mu |u|^(2e); theta *= -tau,
-except that a multiply by mu = 1 is skipped and one by mu = -1 becomes a
-negation or a subtraction, which IEEE arithmetic makes exact.  The phase
-cos(theta) + i sin(theta) takes cos and sin only over the flat index
-window spanning every point with |theta| >= 2^-27 or NaN, found as the
-first and last False of the mask |theta| < 2^-27; outside it the phase
-is 1 + i theta.  That is exact, not an approximation: for |theta| < 2^-27,
+per-step allocations are the bytes copies of one grid line of the mask
+in which the window below is found: n bytes in 1-D, n and n + 8 in 2-D.
+The angle is computed with the same operations in the same order as the
+plain theta = sum mu |u|^(2e), its terms in _nonlinear_terms' order (a
+positive one first); theta *= -tau, except that a multiply by mu = 1 is
+skipped and one by mu = -1 becomes a negation or a subtraction, which
+IEEE arithmetic makes exact.  The phase cos(theta) + i sin(theta) takes
+cos and sin only over the box spanning every point with |theta| >=
+2^-27 or NaN: on each grid axis, from the first to the last line of the
+mask |theta| < 2^-27 that is not all True.  Outside the box the phase is
+1 + i theta.  That is exact, not an approximation: for |theta| < 2^-27,
 theta^2/2 < 2^-55, so 1 and theta are the correctly rounded cos and sin,
 and numpy returns them (tests/test_propagator.py checks this premise, and
-that a slice computes what the whole array computes).  A focused or
-dispersed field is tiny over most of the box, so in 1-D the window is
-a few percent of the grid or less.
+that a slice or a box computes what the whole array computes).  A
+focused or dispersed field is tiny over most of the box, so in 1-D the
+window is a few percent of the grid or less; on the 2-D 256^2 townes_2d
+flight the box covers 9.5 % of the grid at t = 0 and 12.1 % at its end,
+where a flat window of whole rows covered 30.5 % and 34.4 %.
 
 The free flow is spectral._apply_symbol, the one free-flow and
 multiplier product, on the stack's storage: the FFT pair in place
@@ -49,10 +53,17 @@ through spectral._transform on the grid's view of it,
 one axis at a time through numpy.fft's out= (numpy 2.0 or later), last
 axis first as fftn and ifftn do, so it is their arithmetic bit for bit,
 with the symbol as the left operand of the product.  The step is
-therefore bitwise the plain full-array composition, and with both
-couplings zero it is bitwise spectral.free_evolve on every grid; a
-record's forward transform, the scattering integrand's inverse and the
-proxy's pullbacks take the same per-axis path.
+therefore bitwise the plain full-array composition, except on a 1-D
+line of 8192 points or more (spectral._split).  Such a line, read as an
+(n2, n1) matrix, takes the four-step FFT, which numpy runs faster than
+one long line's, and leaves its spectrum in transposed order, the order
+its cached symbol is stored in (spectral._storage_order); it agrees with
+the plain composition to rounding.  Either way, with both couplings zero
+a step is bitwise spectral.free_evolve on every grid, since
+free_evolve, apply_multiplier, spectral_translate and the proxy's
+pullbacks lay their symbols out the same way.  A record's forward
+transform, the scattering integrand's inverse and spectral.transform
+take the plain per-axis path and keep the natural-order spectrum.
 
 evolve_stack() marches B flights that share a grid, a model and a record
 cadence as one array of shape (B, *grid); evolve() is a stack of one,
@@ -64,9 +75,11 @@ runs two or more lines through its multi-line SIMD path.  The FFTs run
 over the trailing grid axes only and every other operation is
 elementwise; numpy transforms each line of a stack to the bits it gives
 the line alone (tests/test_propagator.py checks this), so every flight
-stays bitwise its lone march.  The cos/sin window is the flat window of
-the union of the flights' masks; where it is wider than a flight's own,
-cos and sin return that flight's 1 and theta, so no bit moves.  The
+stays bitwise its lone march; a stack of split lines, (B, n2, n1), gives
+each flight's columns, along axis -2, their lone bits too.  The cos/sin
+box is the box of the union of the flights' masks (a lone flight's own
+mask, with no reduction); where it is wider than a flight's own, cos and
+sin return that flight's 1 and theta, so no bit moves.  The
 exception is a NaN's sign, which numpy's multi-line FFT may flip: an
 overflowed state is stored with each NaN float64 as numpy's one quiet
 NaN, np.nan, so a flight's abort state too is bitwise the same stacked
@@ -138,8 +151,9 @@ by c + 0i as (re + im*0) * (1/c), (im - re*0) * (1/c), so the two differ
 at most in the sign of a zero, which the |.| the value feeds drops.  So
 no segment or record allocates a float or complex array of the grid's
 size, the localized virial rows' arrays aside; what else is allocated is
-the mask row's bytes copy above, one byte per point, and numpy's ufunc
-buffers for a strided operand (np.getbufsize() elements at most).
+the bytes copies of a mask line above, one byte per point of a line,
+and numpy's ufunc buffers for a strided operand (np.getbufsize()
+elements at most).
 Freed and allocated afresh, those buffers cost glibc's trim and a page
 fault per page at every segment and record: a 2-D 256^2 run
 (perfbench's townes_2d) took about 33 000 minor faults per call, and
@@ -153,7 +167,9 @@ the gain is not reliable, since the FFT pair of a multi-line stack of
 large lines can cost more per flight than a lone line's, and 2-D stacks
 of 128^2 fields gain nothing (BENCH_13.json, stack_cap).  So a field
 over 128 KiB marches alone, as a stack of one, as strang_step() steps
-its field (timed in BENCH_15.json, stack_of_one_step).
+its field (timed in BENCH_15.json, stack_of_one_step).  A 1-D field of
+8192 points is at the cap, so every line that takes the split transform
+marches alone, unless evolve_stack() is handed several.
 
 evolve() marches to t_final, records functional snapshots at a fixed step
 cadence, and aborts the moment the recorded diagnostics say the grid has
@@ -209,6 +225,7 @@ from .spectral import (
     _row_sums,
     _scratch,
     _spectrum,
+    _storage_order,
     _tail_fractions,
     _transform,
     derivative_weight_multiplier,
@@ -348,12 +365,13 @@ def _lay_out(fields, grid: GridSpec) -> np.ndarray:
 @lru_cache(maxsize=2)
 def _kinetic_phase(grid: GridSpec, dt: float) -> np.ndarray:
     """The free-flow symbol of one step, laid out as one row of a stack's
-    storage with pads 0, kept for the flight or the strang_step loop that
-    reuses it.  Two entries cover a loop that steps forwards and back;
-    each is a grid-sized array, so a multi-config run keeps no more than
-    two."""
+    storage with pads 0, in storage order (spectral._storage_order: a
+    split line's is in transposed spectrum order), kept for the flight or
+    the strang_step loop that reuses it.  Two entries cover a loop that
+    steps forwards and back; each is a grid-sized array, so a multi-config
+    run keeps no more than two."""
     ph = np.zeros(_storage_shape(grid, 1)[1:], dtype=np.complex128)
-    _free_flow_symbol(grid, dt, out=_grid_view(ph, grid.d))
+    _storage_order(_free_flow_symbol(grid, dt), out=_grid_view(ph, grid.d))
     ph.setflags(write=False)
     return ph
 
@@ -378,10 +396,13 @@ def _abs2_power(a2: np.ndarray, e: float, out: np.ndarray | None = None) -> np.n
 
 
 def _nonlinear_terms(mp: ModelParams, couplings: tuple | None = None) -> tuple:
-    """((mu, e), ...) with the phase rate sum mu |u|^(2e); zero couplings dropped."""
+    """((mu, e), ...) with the phase rate sum mu |u|^(2e); zero couplings
+    dropped, and a positive term first, so that _rotate forms E2's angle
+    |u|^(p-1) - |u|^(4/d) with no negation pass: IEEE r - a is r + (-a),
+    which is (-a) + r, the same float."""
     mu_c, mu_p = mp.couplings if couplings is None else couplings
     terms = ((float(mu_c), 2.0 / mp.d), (float(mu_p), (mp.p - 1.0) / 2.0))
-    return tuple((mu, e) for mu, e in terms if mu != 0.0)
+    return tuple(sorted(((mu, e) for mu, e in terms if mu != 0.0), key=lambda t: t[0] < 0))
 
 
 # below this |theta|, theta^2/2 < 2^-55 and the correctly rounded cos and
@@ -399,8 +420,9 @@ class _Workspace(NamedTuple):
     scratch: np.ndarray     # the storage's first half, shaped as a2
     theta: np.ndarray
     small: np.ndarray       # |theta| < _TINY_PHASE
-    rows: tuple             # theta, phase.real, phase.imag, small as (flights, row points)
-    union: np.ndarray       # small in every flight, per row point
+    parts: tuple            # phase.real, phase.imag
+    union: np.ndarray       # small in every flight, of one row's shape
+    lines: tuple            # in 2-D, union over the other axis, per grid axis
 
 
 class _Buffers:
@@ -417,7 +439,8 @@ class _Buffers:
         self.phase = np.empty(size, dtype=np.complex128)
         self.floats = np.empty(2 * size)
         self.small = np.empty(size, dtype=bool)
-        self.union = np.empty(size // shape[0], dtype=bool)
+        self.union = np.empty(shape[1:], dtype=bool)
+        self.lines = tuple(np.empty(k, dtype=bool) for k in shape[1:]) if grid.d == 2 else ()
         self.spare = np.empty(shape[0] * grid.size)
         self.row = shape[1:]
         self._views = {}
@@ -430,14 +453,12 @@ class _Buffers:
             size = math.prod(shape)
             phase = self.phase[:size].reshape(shape)
             a2, theta = self.floats[:2 * size].reshape((2, *shape))
-            small = self.small[:size].reshape(shape)
-            flat = phase.reshape(flights, -1)
             squares = phase.view(np.float64)
             self._views[key] = _Workspace(
                 phase, (squares[..., 0::2], squares[..., 1::2]), a2,
-                squares.reshape(-1)[:size].reshape(shape), theta, small,
-                (theta.reshape(flights, -1), flat.real, flat.imag, small.reshape(flights, -1)),
-                self.union,
+                squares.reshape(-1)[:size].reshape(shape), theta,
+                self.small[:size].reshape(shape), (phase.real, phase.imag), self.union,
+                self.lines,
             )
         return self._views[key]
 
@@ -452,12 +473,12 @@ class _Buffers:
 
 def _rotate(values, rate, terms, ws):
     """P(tau) in place for rate = -tau: u <- u exp(i rate sum mu |u|^(2e)),
-    through the buffers ws of _workspace.  rate is a float, or a column of
-    one per flight of a stack, (flights, 1, ..., 1).  cos and sin run only
-    over the flat index window of grid points holding every theta, in any
-    flight, that is NaN or at least _TINY_PHASE in size; outside it the
-    phase is 1 + i theta, the values they return there (see the module
-    docstring)."""
+    through the buffers ws of _Buffers.workspace.  rate is a float, or a
+    column of one per flight of a stack, (flights, 1, ..., 1).  cos and
+    sin run only over the box spanned, on each grid axis, by the grid
+    points holding a theta, in any flight, that is NaN or at least
+    _TINY_PHASE in size; outside it the phase is 1 + i theta, the values
+    they return there (see the module docstring)."""
     # |u|^2 = re*re + im*im: the interleaved pairs are squared in one
     # contiguous pass into the phase's storage, then added; the storage's
     # first half then takes the second power term and |theta|
@@ -481,19 +502,27 @@ def _rotate(values, rate, terms, ws):
     np.multiply(acc, rate, out=theta)
 
     np.abs(theta, out=scratch)
-    np.less(scratch, _TINY_PHASE, out=ws.small)
-    th, re, im, small = ws.rows
-    small = np.logical_and.reduce(small, axis=0, out=ws.union)
-    n = small.size
-    # the first and last grid point outside the mask; an all-True mask
-    # gives the empty window [0, 0)
-    lo = int(small.argmin())
-    hi = small.tobytes().rfind(b"\x00") + 1
-    np.cos(th[..., lo:hi], out=re[..., lo:hi])
-    np.sin(th[..., lo:hi], out=im[..., lo:hi])
-    for part in (slice(0, lo), slice(hi, n)):
-        re[..., part] = 1.0
-        im[..., part] = th[..., part]
+    small = np.less(scratch, _TINY_PHASE, out=ws.small)
+    small = small[0] if len(small) == 1 else np.logical_and.reduce(small, axis=0, out=ws.union)
+    # per grid axis, a line marking where the union is small across the
+    # other axis (in 1-D, the union itself)
+    lines = [small] if small.ndim == 1 else [
+        np.logical_and.reduce(small, axis=1, out=ws.lines[0]),
+        np.logical_and.reduce(small, axis=0, out=ws.lines[1])]
+    re, im = ws.parts
+    box = (slice(None),)
+    for line in lines:
+        # the first and last point outside the line's mask; an all-True
+        # mask gives the empty window [0, 0)
+        lo = int(line.argmin())
+        hi = line.tobytes().rfind(b"\x00") + 1
+        for part in (slice(0, lo), slice(hi, None)):
+            at = box + (part,)
+            re[at] = 1.0
+            im[at] = theta[at]
+        box += (slice(lo, hi),)
+    np.cos(theta[box], out=re[box])
+    np.sin(theta[box], out=im[box])
     np.multiply(values, ws.phase, out=values)
 
 
@@ -962,5 +991,7 @@ def scattering_proxy(log: TrajectoryLog) -> ScatterReport:
 
 def _pull_back(f: ComplexField, t: float, out: np.ndarray, sym: np.ndarray) -> np.ndarray:
     """free_evolve(f, -t).values, bitwise, into out; the symbol is formed
-    in sym, as free_flow_multiplier forms it."""
-    return _apply_symbol(f.values, _free_flow_symbol(f.grid, -t, out=sym), out)
+    in out, as free_flow_multiplier forms it, and laid out in storage order
+    in sym (spectral._storage_order)."""
+    return _apply_symbol(f.values, _storage_order(_free_flow_symbol(f.grid, -t, out=out),
+                                                  out=sym), out)

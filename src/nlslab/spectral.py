@@ -16,7 +16,7 @@ fields stay real under differentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -322,26 +322,104 @@ def _grid_view(storage: np.ndarray, rank=None) -> np.ndarray:
     return storage[..., :storage.shape[-2]] if rank == 2 else storage
 
 
+# a 1-D line of at least this many points takes the four-step transform
+# (see _split)
+_SPLIT_POINTS = 8192
+
+
+def _split(shape, rank=None):
+    """(n2, n1) when the fields of this shape, over its last rank axes
+    (every axis when None), are 1-D lines of n = n1 n2 points that
+    _apply_symbol transforms as (n2, n1) matrices, by the four-step FFT
+    (Bailey, "FFTs in external or hierarchical memory", J. Supercomputing
+    4, 1990); None for every other field, which keeps the plain transforms.
+
+    A line splits from _SPLIT_POINTS points, with n1 = 2^floor(log2(n)/2),
+    when n1 and n2 = n / n1 are whole and at least 32 each (a power of two
+    from 8192 up gives 64 and more).  That is the measured crossover (one
+    line's free flow, fft, symbol, ifft, split against plain; 30
+    interleaved process-time pairs each, 2-core Xeon, numpy 2.4.6): the
+    split took x0.973 of the plain time at n = 4096 (faster in 25 of 30
+    pairs), x0.829 at 8192 (29 of 30) and x0.514 at 16384 (30 of 30).
+    numpy's pocketfft transforms a batch of short lines far faster per
+    point than one long line.  On the stacks a threshold sweep marches,
+    (4, 1024) and (2, 2048), the split took x1.59 and x1.52 (0 of 30
+    faster), and those lines are short.
+    """
+    if (len(shape) if rank is None else rank) != 1 or shape[-1] < _SPLIT_POINTS:
+        return None
+    n = shape[-1]
+    n1 = 1 << (n.bit_length() - 1) // 2
+    n2 = n // n1
+    return (n2, n1) if n1 * n2 == n and min(n1, n2) >= 32 else None
+
+
+@lru_cache(maxsize=4)
+def _twiddles(n2: int, n1: int) -> tuple:
+    """The twiddle factors exp(-2 pi i b c / n) at [c, b] of an (n2, n1)
+    split (_split), n = n1 n2, and their conjugates, read-only, kept per
+    split."""
+    angle = np.arange(n2).reshape(-1, 1) * np.arange(n1) * (-2.0 * np.pi / (n1 * n2))
+    tw = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=tw.real)
+    np.sin(angle, out=tw.imag)
+    conj = np.conj(tw)
+    tw.flags.writeable = conj.flags.writeable = False
+    return tw, conj
+
+
+def _storage_order(symbol: np.ndarray, rank=None, out: np.ndarray | None = None) -> np.ndarray:
+    """A symbol in natural FFT order over the fields of its shape (last rank
+    axes, every axis when None) in the order _apply_symbol takes it: for
+    split lines (_split) the transposed order the four-step transform
+    leaves a spectrum in, mode c + n2 d at [c, d] of each line's (n2, n1)
+    matrix; every other symbol's order is its natural one.  Into out when
+    given (symbol's shape, C-contiguous); else symbol itself, or a new
+    array for split lines."""
+    split = _split(symbol.shape, rank)
+    if split is None:
+        if out is None:
+            return symbol
+        out[...] = symbol
+        return out
+    out = np.empty(symbol.shape, dtype=np.complex128) if out is None else out
+    lead = symbol.shape[:-1]
+    out.reshape(lead + split)[...] = np.swapaxes(symbol.reshape(lead + split[::-1]), -1, -2)
+    return out
+
+
 def _apply_symbol(values: np.ndarray, symbol: np.ndarray, out: np.ndarray | None = None,
                   rank=None):
-    """np.fft.ifftn(np.multiply(symbol, np.fft.fftn(values))), bitwise,
-    into out (a new array when None; it may be values, not symbol).  The
-    transforms run over the last rank axes, as in _transform: a stack of
-    fields, (flights, *grid), takes each row's symbol from a (flights,
-    *grid) symbol.
+    """np.fft.ifftn(np.multiply(symbol, np.fft.fftn(values))), into out (a
+    new array when None; it may be values, not symbol).  The transforms run
+    over the last rank axes, as in _transform: a stack of fields, (flights,
+    *grid), takes each row's symbol from a (flights, *grid) symbol.
 
     values, symbol and out are storage of one layout: 2-D rows may carry
     pad elements past the grid (_grid_view), and the transforms run on
     the grid's view of them while the product runs over the whole
     storage, so the pads of values and out must hold 0 and those of
-    symbol be finite; the pads of out then hold 0 on return.
+    symbol be finite; the pads of out then hold 0 on return.  The symbol
+    is in storage order (_storage_order): for split 1-D lines (_split),
+    the transposed spectrum order, which the four-step transform reaches
+    and leaves with no reordering pass; values and out hold every line in
+    its natural order.
 
     This is the one free-flow and multiplier product: the stepping kernel,
     free_evolve, apply_multiplier, the proxy's pullbacks and
-    spectral_translate all call it.  numpy's complex product is not
-    bitwise commutative, so the symbol is always the left operand.
+    spectral_translate all call it.  On every field that does not split it
+    is the expression above bitwise; numpy's complex product is not
+    bitwise commutative, so the symbol is always the left operand.  On a
+    split line it agrees to rounding.
     """
     spec = np.zeros_like(values) if out is None else out
+    split = _split(values.shape, rank)
+    if split is not None:
+        # the product in the symbol's transposed order
+        m = _split_fft(values, spec, split)
+        np.multiply(symbol.reshape(symbol.shape[:-1] + split), m, out=m)
+        _split_ifft(m)
+        return spec
     view = _grid_view(spec, rank)
     _transform(np.fft.fft, _grid_view(values, rank), view, rank)
     np.multiply(symbol, spec, out=spec)
@@ -349,10 +427,34 @@ def _apply_symbol(values: np.ndarray, symbol: np.ndarray, out: np.ndarray | None
     return spec
 
 
+def _split_fft(values, out, split):
+    """np.fft.fft of each split line of values, into out (C-contiguous; it
+    may be values), returned as its (..., n2, n1) view, in transposed
+    order.  The line, read as the (n2, n1) matrix A[a, b] = u[a n1 + b],
+    takes the column transforms, the twiddles and the row transforms,
+    which leave mode k = c + n2 d at [c, d].  Each flight of a stack,
+    (flights, n2, n1), takes its columns' and rows' bits alone
+    (tests/test_propagator.py checks this premise)."""
+    shape = values.shape[:-1] + split
+    m = out.reshape(shape)
+    np.fft.fft(values.reshape(shape), axis=-2, out=m)
+    np.multiply(m, _twiddles(*split)[0], out=m)
+    return np.fft.fft(m, axis=-1, out=m)
+
+
+def _split_ifft(m):
+    """The inverse of _split_fft in place on its (..., n2, n1) view m: the
+    row inverses, the conjugate twiddles and the column inverses bring
+    each line back to natural order."""
+    np.fft.ifft(m, axis=-1, out=m)
+    np.multiply(m, _twiddles(*m.shape[-2:])[1], out=m)
+    return np.fft.ifft(m, axis=-2, out=m)
+
+
 def apply_multiplier(f: ComplexField, m: FourierMultiplier) -> ComplexField:
     if f.grid != m.grid:
         raise ValueError("field and multiplier live on different grids")
-    return ComplexField(f.grid, _apply_symbol(f.values, m.symbol))
+    return ComplexField(f.grid, _apply_symbol(f.values, _storage_order(m.symbol)))
 
 
 def free_evolve(f: ComplexField, t: float) -> ComplexField:

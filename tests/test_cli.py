@@ -73,7 +73,8 @@ def _write(tmp_path, name, text):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count(": ok") == 7
+    assert out.count(": ok") == 8
+    assert "selftest split_transform: ok" in out
     assert "FAIL" not in out
 
 

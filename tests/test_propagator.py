@@ -75,7 +75,9 @@ def test_edge_heavy_data_is_refused_up_front():
     # 128^2 and 256^2 fields are 256 KiB and 1 MiB
     GridSpec(d=2, n_per_axis=128, half_width=16.0),
     GridSpec(d=2, n_per_axis=256, half_width=16.0),
-], ids=["1d_512", "2d_128", "2d_256"])
+    # a line that takes the four-step transform (spectral._split)
+    GridSpec(d=1, n_per_axis=8192, half_width=700.0),
+], ids=["1d_512", "2d_128", "2d_256", "1d_8192"])
 def test_zero_couplings_single_step_is_exactly_the_free_propagator(grid):
     k0 = 12 * math.pi / grid.half_width
     u = field_from_function(
@@ -514,18 +516,48 @@ def test_tiny_phases_have_exact_cos_and_sin():
             assert np.array_equal(part[lo:hi].view(np.float64),
                                   whole[lo:hi].view(np.float64))
 
+    # in 2-D the window is a box of a stack's padded rows: (flights, n, n + 8)
+    grid = np.where(rng.random((3, 16, 24)) < 0.5, rng.normal(0.0, 3.0, (3, 16, 24)),
+                    rng.choice(x, (3, 16, 24)))
+    whole = np.empty(grid.shape, dtype=np.complex128)
+    np.cos(grid, out=whole.real)
+    np.sin(grid, out=whole.imag)
+    for rows, cols in ((slice(0, 16), slice(0, 24)), (slice(3, 11), slice(5, 13)),
+                       (slice(1, 2), slice(7, 22)), (slice(4, 16), slice(0, 1))):
+        box = (slice(None), rows, cols)
+        part = np.empty(grid.shape, dtype=np.complex128)
+        np.cos(grid[box], out=part.real[box])
+        np.sin(grid[box], out=part.imag[box])
+        assert np.array_equal(part[box].view(np.float64), whole[box].view(np.float64))
 
-@pytest.mark.parametrize("n", [512, 4096, 8192])
+
+@pytest.mark.parametrize("n", [512, 4096, 8192, 16384])
 def test_fft_of_a_stack_is_each_rows_own_fft_bitwise(n):
     # the premise of stacked marches: numpy transforms every line of a
-    # stack, in its multi-line path, to the bits it gives the line alone
+    # stack, in its multi-line path, to the bits it gives the line alone;
+    # and a stack of split lines, (flights, n2, n1), gives each flight's
+    # columns, along axis -2, the bits they get alone
     rng = np.random.default_rng(n)
     stack = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    split = spectral._split((n,)) or (n // 64, 64)
+    matrices = stack.reshape((3,) + split)
     for fn in (np.fft.fft, np.fft.ifft):
         whole = fn(stack, axis=-1, out=stack.copy())
         for row, line in zip(whole, stack):
             alone = fn(line.copy(), out=np.empty_like(line))
             assert np.array_equal(row.view(np.float64), alone.view(np.float64))
+        columns = fn(matrices, axis=-2, out=matrices.copy())
+        for flight, matrix in zip(columns, matrices):
+            alone = fn(matrix.copy(), axis=-2, out=np.empty_like(matrix))
+            assert np.array_equal(flight.view(np.float64), alone.view(np.float64))
+
+    # the free flow of a stack is each flight's own, split or not
+    grid = GridSpec(d=1, n_per_axis=n, half_width=n / 10.0)
+    kin = np.stack([propagator._kinetic_phase(grid, h) for h in (1e-3, 2e-3, 5e-4)])
+    flowed = spectral._apply_symbol(stack, kin, rank=1)
+    for row, line, sym in zip(flowed, stack, kin):
+        alone = spectral._apply_symbol(line, sym)
+        assert np.array_equal(row.view(np.float64), alone.view(np.float64))
 
 
 @pytest.mark.parametrize("shape", [(4, 1024), (2, 2048), (1, 8192), (1, 256, 256),

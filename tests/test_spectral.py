@@ -282,3 +282,69 @@ def test_lp_norm_into_a_buffer_is_lp_norm(q):
     f = random_smooth_field(GRIDS[1], seed=3)
     out = np.empty(f.grid.shape)
     assert spectral._lp_norm(f.values, q, f.grid.cell_volume, out=out) == lp_norm(f, q)
+
+
+# -- the four-step transform of long 1-D lines ---------------------------------
+
+SPLIT_GRIDS = [GridSpec(d=1, n_per_axis=8192, half_width=700.0),
+               GridSpec(d=1, n_per_axis=16384, half_width=700.0)]
+
+
+def _tilted_packet(grid):
+    return field_from_function(
+        grid, lambda x: np.exp(-((x / 5.0) ** 2)) * (1.0 + 0.3j * np.tanh(x / 2.0))
+        * np.exp(2j * x))
+
+
+def test_only_long_1d_lines_split():
+    assert spectral._split((4096,)) is None
+    assert spectral._split((8192,)) == (128, 64)
+    assert spectral._split((16384,)) == (128, 128)
+    assert spectral._split((3, 8192), rank=1) == (128, 64)
+    # 2-D grids and short lines keep the plain transforms
+    assert spectral._split((8192, 8192)) is None
+    assert spectral._split((4, 1024), rank=1) is None
+    # a length with no factor pair of at least 32 each
+    assert spectral._split((8193,)) is None
+
+
+@pytest.mark.parametrize("grid", SPLIT_GRIDS, ids=["8192", "16384"])
+def test_split_forward_transform_read_in_natural_order_is_the_fft(grid):
+    # pins the twiddles: the forward half alone, mode c + n2 d at [c, d]
+    v = _tilted_packet(grid).values
+    split = spectral._split(v.shape)
+    m = spectral._split_fft(v, np.empty_like(v), split)
+    natural = np.swapaxes(m, -1, -2).reshape(-1)
+    want = np.fft.fft(v)
+    assert np.max(np.abs(natural - want)) < 1e-14 * np.max(np.abs(want))
+    # and the inverse half brings the spectrum, in that order, back
+    back = spectral._storage_order(want).reshape(split)
+    spectral._split_ifft(back)
+    assert np.max(np.abs(back.reshape(-1) - v)) < 1e-14 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("grid", SPLIT_GRIDS, ids=["8192", "16384"])
+def test_split_free_flow_tracks_the_plain_composition(grid):
+    u = _tilted_packet(grid)
+    v = u.values
+    scale = np.max(np.abs(v))
+    t = 1e-3
+    symbol = np.exp(-1j * t * grid.k_squared)
+    want = np.fft.ifft(np.multiply(symbol, np.fft.fft(v)))
+    assert np.max(np.abs(free_evolve(u, t).values - want)) < 1e-13 * scale
+    # a symbol of another kind through apply_multiplier
+    grad = gradient_multiplier(grid, 0)
+    got = spectral.apply_multiplier(u, grad).values
+    assert np.max(np.abs(got - np.fft.ifft(grad.symbol * np.fft.fft(v)))) < 1e-13 * np.max(
+        np.abs(got))
+
+    stored = spectral._storage_order(symbol)
+    split, plain = v.copy(), v.copy()
+    for _ in range(1000):
+        spectral._apply_symbol(split, stored, split)
+        plain = np.fft.ifft(np.multiply(symbol, np.fft.fft(plain)))
+    assert np.max(np.abs(split - plain)) < 1e-13 * scale
+    # each path's rounding, against the flow over the whole time at once:
+    # the split one gathers no more of it than the plain one
+    once = np.fft.ifft(np.exp(-1j * 1000 * t * grid.k_squared) * np.fft.fft(v))
+    assert np.max(np.abs(split - once)) < 1.5 * np.max(np.abs(plain - once))
