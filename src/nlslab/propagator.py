@@ -29,7 +29,8 @@ complex phase, whose storage is scratch until the phase is built, |u|^2,
 the angle theta and a mask) are the stack's, allocated once (see the
 storage plan below), and every numpy op writes through out=.  The only
 per-step allocations are the bytes copies of one grid line of the mask
-in which the window below is found: n bytes in 1-D, n and n + 8 in 2-D.
+in which the window below is found: n bytes in 1-D (n2 (n1 + 2) for a
+split line's padded matrix, read as one line), n and n + 8 in 2-D.
 The angle is computed with the same operations in the same order as the
 plain theta = sum mu |u|^(2e), its terms in _nonlinear_terms' order (a
 positive one first); theta *= -tau, except that a multiply by mu = 1 is
@@ -54,9 +55,10 @@ one axis at a time through numpy.fft's out= (numpy 2.0 or later), last
 axis first as fftn and ifftn do, so it is their arithmetic bit for bit,
 with the symbol as the left operand of the product.  The step is
 therefore bitwise the plain full-array composition, except on a 1-D
-line of 8192 points or more (spectral._split).  Such a line, read as an
-(n2, n1) matrix, takes the four-step FFT, which numpy runs faster than
-one long line's, and leaves its spectrum in transposed order, the order
+line of 8192 points or more (spectral._split).  Such a line, held as an
+(n2, n1) matrix (see the storage plan), takes the four-step FFT, which
+numpy runs faster than one long line's, and leaves its spectrum in
+transposed order, the order
 its cached symbol is stored in (spectral._storage_order); it agrees with
 the plain composition to rounding.  Either way, with both couplings zero
 a step is bitwise spectral.free_evolve on every grid, since
@@ -75,11 +77,11 @@ runs two or more lines through its multi-line SIMD path.  The FFTs run
 over the trailing grid axes only and every other operation is
 elementwise; numpy transforms each line of a stack to the bits it gives
 the line alone (tests/test_propagator.py checks this), so every flight
-stays bitwise its lone march; a stack of split lines, (B, n2, n1), gives
-each flight's columns, along axis -2, their lone bits too.  The cos/sin
-box is the box of the union of the flights' masks (a lone flight's own
-mask, with no reduction); where it is wider than a flight's own, cos and
-sin return that flight's 1 and theta, so no bit moves.  The
+stays bitwise its lone march; a stack of split lines, (B, n2, n1 + 2),
+gives each flight's columns, along axis -2, their lone bits too.  The
+cos/sin box is the box of the union of the flights' masks (a lone
+flight's own mask, with no reduction); where it is wider than a flight's
+own, cos and sin return that flight's 1 and theta, so no bit moves.  The
 exception is a NaN's sign, which numpy's multi-line FFT may flip: an
 overflowed state is stored with each NaN float64 as numpy's one quiet
 NaN, np.nan, so a flight's abort state too is bitwise the same stacked
@@ -113,7 +115,9 @@ abort decision loop over the flights.  The localized virial rows are
 such reductions too (virial._virial_rows).  snapshot(),
 spectral_tail_fraction(), edge_mass_fraction(), virial_value() and
 virial_derivatives() are the same code on a stack of one.  A record
-builds a ComplexField only for a checkpoint or the final state.  The
+builds a ComplexField only for a checkpoint or the final state.  Those
+and the record read a split line as a contiguous copy of its natural
+order, since the row sums take their bits from contiguous rows.  The
 march records only what needs the field: the whole-space E2 virial
 V'' = 8K is a function of each snapshot alone, so it is read off
 log.snapshots when the run's files are written (virial._whole_space_e2),
@@ -136,7 +140,25 @@ rotation and the free flow's product, run over the whole contiguous
 storage.  No bit moves, on two premises that tests/test_propagator.py
 checks: the pads hold 0 and stay 0 (|u|^2 is 0 there, so theta is 0 and
 the phase 1 + 0i, and the symbol's pads are 0, so each product leaves
-0), and no transform or sum reads a pad.  1-D rows are not padded.
+0), and no transform or sum reads a pad.
+
+A 1-D line that splits (spectral._split) is held as its (n2, n1) matrix,
+each of its n2 rows padded by spectral._SPLIT_PAD = 2 elements, as are
+the symbol and the twiddles (spectral._twiddles), for the same reason:
+a column transform of the unpadded (128, 64) matrix of an 8192-point
+line reads one element from each 1024-byte row, so its loads fall into
+a few L1 sets.  One forward column pass (best of 25, 2-core Xeon)
+measured 66-67 us unpadded and 59-60 us with 2 pad elements (56-59 at
+4, 59 at 8, 63-64 at 16); the row pass was level at 54 us.  A whole
+step at pad 2 took x0.93-x0.95 of the unpadded time, and x0.950 of pad
+8's, whose elementwise ops run over 12.5 % more elements (see
+spectral._SPLIT_PAD).  The transforms run on the [..., :n1] view; the
+rotation reads each flight's storage as one flat line, so its 1-D
+window logic holds, and the products run over whole rows, so the same
+two premises keep every bit: the padded march is bitwise the unpadded
+one.  The kernel takes the layout from the grid, through the
+workspace, never from the storage's shape: a padded 65536-point line's
+storage would have the shape of a 256^2 one.
 
 One set of buffers, _Buffers, allocated for the stack's first and
 largest shape, serves every segment and every record; once flights
@@ -148,12 +170,15 @@ products and powers (spectral._Scratch), each written through out= and
 C-contiguous, as the row sums need.  The unitary spectrum, spectrum /
 sqrt(N), is formed as the float64 view times 1 / sqrt(N): numpy divides
 by c + 0i as (re + im*0) * (1/c), (im - re*0) * (1/c), so the two differ
-at most in the sign of a zero, which the |.| the value feeds drops.  So
-no segment or record allocates a float or complex array of the grid's
-size, the localized virial rows' arrays aside; what else is allocated is
-the bytes copies of a mask line above, one byte per point of a line,
-and numpy's ufunc buffers for a strided operand (np.getbufsize()
-elements at most).
+at most in the sign of a zero, which the |.| the value feeds drops.  The
+localized virial rows take two complex arrays and a float one more,
+held from the first record on (_Buffers.virial), and the record's float
+array; a split line's natural copy goes into the second complex one.
+So no segment or record allocates a float or complex array of the
+grid's size, but for that copy in a run without virial rows; what else
+is allocated is the bytes copies of a mask line above, one byte per
+point of a line, and numpy's ufunc buffers for a strided or cast
+operand (np.getbufsize() elements at most).
 Freed and allocated afresh, those buffers cost glibc's trim and a page
 fault per page at every segment and record: a 2-D 256^2 run
 (perfbench's townes_2d) took about 33 000 minor faults per call, and
@@ -216,15 +241,16 @@ from .functionals import ModelParams, _check_dimension, _snapshots
 from .spectral import (
     ComplexField,
     GridSpec,
+    _SPLIT_PAD,
     _Scratch,
     _apply_symbol,
     _edge_fractions,
     _free_flow_symbol,
-    _grid_view,
     _lp_norm,
     _row_sums,
     _scratch,
     _spectrum,
+    _split,
     _storage_order,
     _tail_fractions,
     _transform,
@@ -346,19 +372,47 @@ class TrajectoryLog:
 _PAD = 8
 
 
+def _matrix(grid: GridSpec) -> tuple:
+    """The shape in which a stack's storage holds each field of grid,
+    before any row pad: the grid's own, except that a split 1-D line
+    (spectral._split) is held as its (n2, n1) matrix."""
+    return _split(grid.shape) or grid.shape
+
+
 def _storage_shape(grid: GridSpec, flights: int) -> tuple:
     """The shape of the storage of a stack of flights fields on grid:
-    (flights, *grid), each 2-D row padded by _PAD elements."""
-    shape = (flights, *grid.shape)
-    return shape if grid.d == 1 else shape[:-1] + (shape[-1] + _PAD,)
+    (flights, *_matrix(grid)), each row of a 2-D field padded by _PAD
+    elements and each row of a split line's matrix by
+    spectral._SPLIT_PAD."""
+    *rows, width = _matrix(grid)
+    pad = 0 if not rows else _PAD if grid.d == 2 else _SPLIT_PAD
+    return (flights, *rows, width + pad)
+
+
+def _matrices(storage: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The fields held in storage as _matrix(grid) arrays, a view that
+    stops short of the row pads."""
+    return storage[..., :_matrix(grid)[-1]]
+
+
+def _fields(storage: np.ndarray, grid: GridSpec, out=None) -> np.ndarray:
+    """The fields held in storage in the grid's shape: a view of it, or
+    for split lines a C-contiguous copy in natural order, into out when
+    given (C-contiguous, of that shape)."""
+    lead = storage.shape[:storage.ndim - len(_matrix(grid))]
+    matrices = _matrices(storage, grid)
+    if out is None or _split(grid.shape) is None:
+        return matrices.reshape(lead + grid.shape)
+    out.reshape(matrices.shape)[...] = matrices
+    return out
 
 
 def _lay_out(fields, grid: GridSpec) -> np.ndarray:
     """A stack's storage holding the given arrays, each of the grid's
     shape, as its rows, with every pad 0."""
     storage = np.zeros(_storage_shape(grid, len(fields)), dtype=np.complex128)
-    for row, f in zip(_grid_view(storage, grid.d), fields):
-        row[...] = f
+    for row, f in zip(_matrices(storage, grid), fields):
+        row[...] = f.reshape(row.shape)
     return storage
 
 
@@ -371,7 +425,7 @@ def _kinetic_phase(grid: GridSpec, dt: float) -> np.ndarray:
     steps forwards and back; each is a grid-sized array, so a multi-config
     run keeps no more than two."""
     ph = np.zeros(_storage_shape(grid, 1)[1:], dtype=np.complex128)
-    _storage_order(_free_flow_symbol(grid, dt), out=_grid_view(ph, grid.d))
+    _storage_order(_free_flow_symbol(grid, dt), out=_matrices(ph, grid))
     ph.setflags(write=False)
     return ph
 
@@ -411,8 +465,10 @@ _TINY_PHASE = 2.0**-27
 
 
 class _Workspace(NamedTuple):
-    """The rotation's buffers for a stack of storage of one shape,
-    (flights, *row), with the views it reads them through."""
+    """The rotation's buffers for a stack of storage of one shape, with
+    the views it reads them through, and the storage's layout.  The
+    rotation reads the storage as (flights, *row): in 2-D its own shape,
+    in 1-D one flat line per flight, a split line's padded matrix too."""
 
     phase: np.ndarray       # complex phase; its float64 storage is scratch until built
     squares: tuple          # that storage's (re*re, im*im) halves of each pair
@@ -423,6 +479,8 @@ class _Workspace(NamedTuple):
     parts: tuple            # phase.real, phase.imag
     union: np.ndarray       # small in every flight, of one row's shape
     lines: tuple            # in 2-D, union over the other axis, per grid axis
+    rank: int               # the grid's dimension
+    split: tuple | None     # spectral._split of a 1-D grid: fields held as padded matrices
 
 
 class _Buffers:
@@ -436,13 +494,17 @@ class _Buffers:
     def __init__(self, shape, grid: GridSpec):
         size = math.prod(shape)
         self.grid = grid
+        # the layout is the grid's, never read off the shape: a padded
+        # 65536-point line's storage has the shape of a 256^2 one
+        self.split = _split(grid.shape)
+        self.row = shape[1:] if grid.d == 2 else (size // shape[0],)
         self.phase = np.empty(size, dtype=np.complex128)
         self.floats = np.empty(2 * size)
         self.small = np.empty(size, dtype=bool)
-        self.union = np.empty(shape[1:], dtype=bool)
-        self.lines = tuple(np.empty(k, dtype=bool) for k in shape[1:]) if grid.d == 2 else ()
+        self.union = np.empty(self.row, dtype=bool)
+        self.lines = tuple(np.empty(k, dtype=bool) for k in self.row) if grid.d == 2 else ()
         self.spare = np.empty(shape[0] * grid.size)
-        self.row = shape[1:]
+        self._virial = None
         self._views = {}
 
     def workspace(self, flights: int) -> _Workspace:
@@ -458,7 +520,7 @@ class _Buffers:
                 phase, (squares[..., 0::2], squares[..., 1::2]), a2,
                 squares.reshape(-1)[:size].reshape(shape), theta,
                 self.small[:size].reshape(shape), (phase.real, phase.imag), self.union,
-                self.lines,
+                self.lines, self.grid.d, self.split,
             )
         return self._views[key]
 
@@ -468,6 +530,23 @@ class _Buffers:
         if key not in self._views:
             self._views[key] = _scratch((flights, *self.grid.shape), self.phase, self.floats,
                                         self.spare)
+        return self._views[key]
+
+    def virial(self, flights: int) -> tuple:
+        """The localized virial rows' buffers for flights fields, two
+        complex arrays and a float one (virial._virial_rows, which takes
+        the record's spare array as its second float), allocated at the
+        first call, for the stack's first and largest shape."""
+        key = ("virial", flights)
+        if key not in self._views:
+            if self._virial is None:
+                self._virial = (np.empty((2, len(self.spare)), dtype=np.complex128),
+                                np.empty(len(self.spare)))
+            shape = (flights, *self.grid.shape)
+            size = math.prod(shape)
+            pair, floats = self._virial
+            self._views[key] = (pair[0, :size].reshape(shape), pair[1, :size].reshape(shape),
+                                floats[:size].reshape(shape))
         return self._views[key]
 
 
@@ -527,30 +606,33 @@ def _rotate(values, rate, terms, ws):
 
 
 def _advance(values, n, dt, terms, kin, ws):
-    """n Strang steps, in place, of a stack's storage, (flights, *row),
+    """n Strang steps, in place, of a stack's storage (_storage_shape),
     every pad 0; dt is a float or a column (flights, 1, ..., 1) of each
     flight's step, kin, of the storage's shape, each flight's free-flow
-    symbol with pads 0, and ws the rotation's workspace for that shape
-    (_Buffers.workspace).  Every op is elementwise per flight, so each
-    takes its steps bitwise as it would alone, and the pads stay 0.
+    symbol with pads 0, and ws the workspace for that storage
+    (_Buffers.workspace), which gives its layout.  Every op is elementwise
+    per flight, so each takes its steps bitwise as it would alone, and the
+    pads stay 0.
 
     Adjacent half-steps merge, P(dt/2) P(dt/2) = P(dt), because P leaves
     |u| unchanged; the closing half-step is applied once, after the last
     free flight, so the state is a whole number of steps on return.
     """
-    rank = values.ndim - 1
+    flow = (values, kin, values, ws.rank, ws.split)
     if not terms:
         for _ in range(n):
-            _apply_symbol(values, kin, values, rank)
+            _apply_symbol(*flow)
         return
+    # the rotation's view of the storage, (flights, *row)
+    line = values.reshape(ws.a2.shape)
     # -(dt/2) and -dt, exact
     half, whole = -0.5 * dt, -dt
-    _rotate(values, half, terms, ws)
+    _rotate(line, half, terms, ws)
     for _ in range(n - 1):
-        _apply_symbol(values, kin, values, rank)
-        _rotate(values, whole, terms, ws)
-    _apply_symbol(values, kin, values, rank)
-    _rotate(values, half, terms, ws)
+        _apply_symbol(*flow)
+        _rotate(line, whole, terms, ws)
+    _apply_symbol(*flow)
+    _rotate(line, half, terms, ws)
 
 
 def strang_step(
@@ -573,7 +655,7 @@ def strang_step(
     _advance(v, 1, dt, _nonlinear_terms(mp, couplings), _kinetic_phase(u.grid, dt)[np.newaxis],
              _Buffers(v.shape, u.grid).workspace(1))
     finite = bool(np.all(np.isfinite(v)))
-    return ComplexField(u.grid, _grid_view(v[0]), allow_nonfinite=not finite)
+    return ComplexField(u.grid, _fields(v[0], u.grid), allow_nonfinite=not finite)
 
 
 # -- full trajectories --------------------------------------------------------
@@ -756,15 +838,20 @@ def evolve_stack(
         # FFT and one |u| for the stack, shared by every diagnostic, each a
         # per-flight reduction, all in the stack's buffers; returns each
         # flight's scattering integrand
-        u = _grid_view(x, grid.d)
+        # the fields in the grid's shape: a split line's is a contiguous
+        # copy, as the row sums take their bits from contiguous rows; with
+        # localized virial rows, into their second complex array, which
+        # they read it from last (virial._virial_rows)
+        work = None if virial_weight is None else buffers.virial(len(flights))
+        u = _fields(x, grid, None if work is None else work[1])
         scratch = buffers.scratch(len(flights))
         spec = _spectrum(u, scratch)
         ts = [step * logs[i].dt_used for i in flights]
         snaps, a, dens, totals = _snapshots(grid, mp, ts, u, spec, scratch)
         edges = _edge_fractions(dens, totals, grid, [logs[i].config.edge_cells for i in flights],
                                 scratch.spare)
-        virial = () if virial_weight is None else zip(
-            *(v.tolist() for v in _virial_rows(mp, virial_weight, u, spec, a, dens)))
+        virial = () if work is None else zip(*(v.tolist() for v in _virial_rows(
+            mp, virial_weight, u, spec, a, dens, (*work, scratch.spare))))
         # |u| and |u|^2 are read: the tail fractions take their storage
         tails = _tail_fractions(spec, grid, scratch)
         for i, t, snap, tail, edge in zip(flights, ts, snaps, tails.tolist(), edges.tolist()):
@@ -796,7 +883,8 @@ def evolve_stack(
         ws = buffers.workspace(len(live))
         _advance(values, target - step, dt, terms, kin, ws)
         step = target
-        finite = np.isfinite(values, out=ws.small).reshape(len(live), -1).all(axis=1)
+        finite = np.isfinite(values.reshape(ws.small.shape), out=ws.small).reshape(
+            len(live), -1).all(axis=1)
         # the finite flights that record at this step, all of them together
         recording = [row for row, i in enumerate(live)
                      if finite[row] and (step % every == 0 or step == logs[i].n_steps)]
@@ -856,10 +944,9 @@ def evolve_stack(
         if len(stopped) == len(live):
             # the stack is done: its buffers go before the final copies
             buffers = ws = None
-        fields = _grid_view(values, grid.d)
         for row in kept + stopped:
             log = logs[live[row]]
-            f = ComplexField(grid, fields[row], allow_nonfinite=not finite[row])
+            f = ComplexField(grid, _fields(values[row], grid), allow_nonfinite=not finite[row])
             if finite[row]:
                 log.checkpoints.append((step * log.dt_used, f))
             if row in stopped:

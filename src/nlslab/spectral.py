@@ -326,6 +326,18 @@ def _grid_view(storage: np.ndarray, rank=None) -> np.ndarray:
 # (see _split)
 _SPLIT_POINTS = 8192
 
+# a stack's storage pads each row of a split line's (n2, n1) matrix by
+# this many elements, as it pads 2-D rows by propagator._PAD (see
+# propagator's module docstring).  Measured on the demo's n = 8192 E1
+# p = 7 step, rotation and free flow (100 interleaved process-time rounds
+# of 20 steps, 2-core Xeon, numpy 2.4.6): against unpadded rows, pad 1
+# took x0.957 and x0.931 of the time, pad 2 x0.953 and x0.926, pad 4
+# x0.973 and x0.956, pad 8 x0.979 and x0.965; pad 2 against pad 8 x0.950
+# (faster in 86 of 100), pad 1 against 2 x0.998 (52 of 100), pad 4
+# against 2 x1.018 (28 of 100).  The column transforms gain alike from 1
+# to 8; past them, the elementwise ops over the pads cost more.
+_SPLIT_PAD = 2
+
 
 def _split(shape, rank=None):
     """(n2, n1) when the fields of this shape, over its last rank axes
@@ -333,6 +345,8 @@ def _split(shape, rank=None):
     _apply_symbol transforms as (n2, n1) matrices, by the four-step FFT
     (Bailey, "FFTs in external or hierarchical memory", J. Supercomputing
     4, 1990); None for every other field, which keeps the plain transforms.
+    The shape is the natural one, though a stack's storage holds such a
+    line as its matrix with padded rows (propagator._storage_shape).
 
     A line splits from _SPLIT_POINTS points, with n1 = 2^floor(log2(n)/2),
     when n1 and n2 = n / n1 are whole and at least 32 each (a power of two
@@ -358,11 +372,13 @@ def _split(shape, rank=None):
 def _twiddles(n2: int, n1: int) -> tuple:
     """The twiddle factors exp(-2 pi i b c / n) at [c, b] of an (n2, n1)
     split (_split), n = n1 n2, and their conjugates, read-only, kept per
-    split."""
+    split; each row is padded by _SPLIT_PAD zeros, as a stack's storage
+    pads it, and a matrix of narrower rows, a natural line's, reads the
+    [:, :width] view."""
     angle = np.arange(n2).reshape(-1, 1) * np.arange(n1) * (-2.0 * np.pi / (n1 * n2))
-    tw = np.empty(angle.shape, dtype=np.complex128)
-    np.cos(angle, out=tw.real)
-    np.sin(angle, out=tw.imag)
+    tw = np.zeros((n2, n1 + _SPLIT_PAD), dtype=np.complex128)
+    np.cos(angle, out=tw.real[:, :n1])
+    np.sin(angle, out=tw.imag[:, :n1])
     conj = np.conj(tw)
     tw.flags.writeable = conj.flags.writeable = False
     return tw, conj
@@ -374,8 +390,9 @@ def _storage_order(symbol: np.ndarray, rank=None, out: np.ndarray | None = None)
     split lines (_split) the transposed order the four-step transform
     leaves a spectrum in, mode c + n2 d at [c, d] of each line's (n2, n1)
     matrix; every other symbol's order is its natural one.  Into out when
-    given (symbol's shape, C-contiguous); else symbol itself, or a new
-    array for split lines."""
+    given (symbol's shape, C-contiguous, or a split line's (..., n2, n1)
+    matrices, padded storage's view included); else symbol itself, or a
+    new array for split lines."""
     split = _split(symbol.shape, rank)
     if split is None:
         if out is None:
@@ -389,7 +406,7 @@ def _storage_order(symbol: np.ndarray, rank=None, out: np.ndarray | None = None)
 
 
 def _apply_symbol(values: np.ndarray, symbol: np.ndarray, out: np.ndarray | None = None,
-                  rank=None):
+                  rank=None, split=None):
     """np.fft.ifftn(np.multiply(symbol, np.fft.fftn(values))), into out (a
     new array when None; it may be values, not symbol).  The transforms run
     over the last rank axes, as in _transform: a stack of fields, (flights,
@@ -402,23 +419,31 @@ def _apply_symbol(values: np.ndarray, symbol: np.ndarray, out: np.ndarray | None
     symbol be finite; the pads of out then hold 0 on return.  The symbol
     is in storage order (_storage_order): for split 1-D lines (_split),
     the transposed spectrum order, which the four-step transform reaches
-    and leaves with no reordering pass; values and out hold every line in
-    its natural order.
+    and leaves with no reordering pass.
+
+    Given split, (n2, n1), the storage holds each split line as its
+    matrix with padded rows, (..., n2, n1 + pad), the symbol's pads 0 as
+    well; without it, natural-order lines, (..., n), which _split finds
+    from the shape, are read as the matrices of pad 0.  Both take the one
+    four-step routine, _split_fft and _split_ifft.
 
     This is the one free-flow and multiplier product: the stepping kernel,
     free_evolve, apply_multiplier, the proxy's pullbacks and
     spectral_translate all call it.  On every field that does not split it
     is the expression above bitwise; numpy's complex product is not
     bitwise commutative, so the symbol is always the left operand.  On a
-    split line it agrees to rounding.
+    split line it agrees to rounding, padded or not, to the same bits.
     """
-    spec = np.zeros_like(values) if out is None else out
-    split = _split(values.shape, rank)
+    spec = m = np.zeros_like(values) if out is None else out
+    if split is None and (split := _split(values.shape, rank)) is not None:
+        # natural-order lines: the matrices of pad 0
+        shape = values.shape[:-1] + split
+        values, symbol, m = values.reshape(shape), symbol.reshape(shape), spec.reshape(shape)
     if split is not None:
         # the product in the symbol's transposed order
-        m = _split_fft(values, spec, split)
-        np.multiply(symbol.reshape(symbol.shape[:-1] + split), m, out=m)
-        _split_ifft(m)
+        _split_fft(values, m, split[1])
+        np.multiply(symbol, m, out=m)
+        _split_ifft(m, split[1])
         return spec
     view = _grid_view(spec, rank)
     _transform(np.fft.fft, _grid_view(values, rank), view, rank)
@@ -427,28 +452,31 @@ def _apply_symbol(values: np.ndarray, symbol: np.ndarray, out: np.ndarray | None
     return spec
 
 
-def _split_fft(values, out, split):
-    """np.fft.fft of each split line of values, into out (C-contiguous; it
-    may be values), returned as its (..., n2, n1) view, in transposed
-    order.  The line, read as the (n2, n1) matrix A[a, b] = u[a n1 + b],
-    takes the column transforms, the twiddles and the row transforms,
-    which leave mode k = c + n2 d at [c, d].  Each flight of a stack,
-    (flights, n2, n1), takes its columns' and rows' bits alone
-    (tests/test_propagator.py checks this premise)."""
-    shape = values.shape[:-1] + split
-    m = out.reshape(shape)
-    np.fft.fft(values.reshape(shape), axis=-2, out=m)
-    np.multiply(m, _twiddles(*split)[0], out=m)
-    return np.fft.fft(m, axis=-1, out=m)
+def _split_fft(values, out, n1):
+    """np.fft.fft of each split line of values, into out (it may be
+    values), in transposed order; both hold lines as (..., n2, width)
+    matrices, A[a, b] = u[a n1 + b], rows padded past n1 with 0.  The
+    column transforms, the twiddles and the row transforms leave mode
+    k = c + n2 d at [c, d].  The transforms run on the [..., :n1] view, the
+    twiddle product over whole rows, so the pads stay 0.  Each flight of a
+    stack takes its columns' and rows' bits alone, whatever the width
+    (tests/test_propagator.py checks this premise).  Returns out."""
+    cols = out[..., :n1]
+    np.fft.fft(values[..., :n1], axis=-2, out=cols)
+    np.multiply(out, _twiddles(out.shape[-2], n1)[0][:, :out.shape[-1]], out=out)
+    np.fft.fft(cols, axis=-1, out=cols)
+    return out
 
 
-def _split_ifft(m):
-    """The inverse of _split_fft in place on its (..., n2, n1) view m: the
-    row inverses, the conjugate twiddles and the column inverses bring
-    each line back to natural order."""
-    np.fft.ifft(m, axis=-1, out=m)
-    np.multiply(m, _twiddles(*m.shape[-2:])[1], out=m)
-    return np.fft.ifft(m, axis=-2, out=m)
+def _split_ifft(m, n1):
+    """The inverse of _split_fft in place on its (..., n2, width) matrices
+    m: the row inverses, the conjugate twiddles and the column inverses
+    bring each line back to natural order."""
+    cols = m[..., :n1]
+    np.fft.ifft(cols, axis=-1, out=cols)
+    np.multiply(m, _twiddles(m.shape[-2], n1)[1][:, :m.shape[-1]], out=m)
+    np.fft.ifft(cols, axis=-2, out=cols)
+    return m
 
 
 def apply_multiplier(f: ComplexField, m: FourierMultiplier) -> ComplexField:

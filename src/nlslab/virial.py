@@ -206,47 +206,77 @@ def virial_derivatives(f: ComplexField, mp: ModelParams, w: VirialWeight) -> Vir
     return VirialDerivatives(*(float(v[0]) for v in rows))
 
 
-def _variances(w: VirialWeight, density) -> np.ndarray:
-    """V of every field of a stack, (flights, *grid), from its |u|^2."""
-    return _row_sums(w.value * density) * w.grid.cell_volume
+def _variances(w: VirialWeight, density, out=None) -> np.ndarray:
+    """V of every field of a stack, (flights, *grid), from its |u|^2; the
+    product goes into out (a new array when None)."""
+    return _row_sums(np.multiply(w.value, density, out=out)) * w.grid.cell_volume
 
 
-def _virial_rows(mp: ModelParams, w: VirialWeight, x, spectrum, modulus, density) -> tuple:
+def _virial_rows(mp: ModelParams, w: VirialWeight, x, spectrum, modulus, density,
+                 work=None) -> tuple:
     """V, V', V'' and the exterior integral of every field of a stack x,
     (flights, *grid), as arrays of one value per field, from the stack's
     per-field np.fft.fftn, |u| and |u|^2, which it leaves as they are.
     Each integral is a per-field reduction over the grid axes, the
     exterior one over the C-order gather of the exterior mask, so each
     row is bitwise its field's lone value.  A run's first record is at
-    step 0, so an E2 model is refused before any step."""
+    step 0, so an E2 model is refused before any step.
+
+    The fields the integrals read are formed through out= in work: two
+    complex arrays and two float arrays of x's shape, C-contiguous and
+    apart from the other arguments (new ones when None), which a run
+    holds for its whole march (propagator._Buffers.virial); in 1-D x may
+    be the second complex array, which x's one read precedes.  Every
+    value is the plain expression's, operand for operand: the gradients
+    (1j k) * spectrum, sums that start from 0 as sum() does, |.|^2 as
+    np.abs(.) ** 2, the powers of |u| as modulus ** e."""
     if mp.equation != "E1":
         raise ValueError("localized V'' tables are for E1; use whole_space_virial_e2")
     d, p = mp.d, mp.p
     dv = w.grid.cell_volume
+    if work is None:
+        work = (np.empty_like(x), np.empty_like(x), np.empty(x.shape), np.empty(x.shape))
+    first, second, grad_sq, tmp = work
 
     # the odd symbol i*k broadcast per axis: spectral.gradient_multiplier's
-    # values, without a full-grid symbol array per axis
-    grads = [_transform(np.fft.ifft, du, du, d)
-             for du in ((1j * k) * spectrum for k in w.grid.k_odd)]
-    radial = sum(xh * du for xh, du in zip(w.unit_radial, grads))
-    grad_sq_dens = sum(np.abs(du) ** 2 for du in grads)
-    del grads  # a record holds its spectrum through this call: keep the peak flat
-    rad_sq_dens = np.abs(radial) ** 2
+    # values, without a full-grid symbol array per axis; the gradients go
+    # into the complex pair
+    grads = (first, second)[:d]
+    for du, k in zip(grads, w.grid.k_odd):
+        np.multiply(np.multiply(1j, k, out=du), spectrum, out=du)
+        _transform(np.fft.ifft, du, du, d)
+    np.add(0, np.square(np.abs(first, out=grad_sq), out=grad_sq), out=grad_sq)
+    for du in grads[1:]:
+        np.add(grad_sq, np.square(np.abs(du, out=tmp), out=tmp), out=grad_sq)
+    # the radial derivative in place of the gradients, summed into the first
+    for xh, du in zip(w.unit_radial, grads):
+        np.multiply(xh, du, out=du)
+    radial = np.add(0, first, out=first)
+    for du in grads[1:]:
+        np.add(radial, du, out=radial)
 
-    v_prime = 2.0 * w.R * (_row_sums(w.phi1 * np.imag(radial * np.conj(x))) * dv)
+    # the second complex array takes radial * conj(x), then its storage
+    # two floats: |radial|^2 and a term of the sums
+    prod = np.multiply(radial, np.conjugate(x, out=second), out=second)
+    v_prime = 2.0 * w.R * (_row_sums(np.multiply(w.phi1, prod.imag, out=tmp)) * dv)
+    rad_sq, term = second.view(np.float64).reshape((2,) + x.shape)
+    np.square(np.abs(radial, out=rad_sq), out=rad_sq)
+    # radial is read: its storage takes the two powers of |u|
+    pot_mc, pot_p = first.view(np.float64).reshape((2,) + x.shape)
+    np.power(modulus, mp.mc_power, out=pot_mc)
+    np.power(modulus, p + 1.0, out=pot_p)
 
-    pot_mc = modulus**mp.mc_power
-    pot_p = modulus ** (p + 1.0)
+    hess = np.multiply(w.phi1_over_s, np.subtract(grad_sq, rad_sq, out=term), out=term)
+    hess = 4.0 * (_row_sums(np.add(np.multiply(w.phi2, rad_sq, out=tmp), hess, out=tmp)) * dv)
+    bilap = -(_row_sums(np.multiply(w.bilaplacian, density, out=tmp)) * dv)
+    term_mc = 4.0 / (d + 2.0) * (_row_sums(np.multiply(w.laplacian, pot_mc, out=tmp)) * dv)
+    term_p = -2.0 * (p - 1.0) / (p + 1.0) * (
+        _row_sums(np.multiply(w.laplacian, pot_p, out=tmp)) * dv)
 
-    hess = 4.0 * (_row_sums(w.phi2 * rad_sq_dens
-                            + w.phi1_over_s * (grad_sq_dens - rad_sq_dens)) * dv)
-    bilap = -(_row_sums(w.bilaplacian * density) * dv)
-    term_mc = 4.0 / (d + 2.0) * (_row_sums(w.laplacian * pot_mc) * dv)
-    term_p = -2.0 * (p - 1.0) / (p + 1.0) * (_row_sums(w.laplacian * pot_p) * dv)
-
-    exterior = _masked_row_sums(grad_sq_dens + density / w.R**2 + pot_mc + pot_p,
-                                w.exterior_positions) * dv
-    return _variances(w, density), v_prime, hess + bilap + term_mc + term_p, exterior
+    bound = np.add(grad_sq, np.divide(density, w.R**2, out=term), out=term)
+    bound = np.add(np.add(bound, pot_mc, out=bound), pot_p, out=bound)
+    exterior = _masked_row_sums(bound, w.exterior_positions, rad_sq) * dv
+    return _variances(w, density, tmp), v_prime, hess + bilap + term_mc + term_p, exterior
 
 
 def whole_space_virial_e2(f: ComplexField, mp: ModelParams) -> float:

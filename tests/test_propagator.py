@@ -25,7 +25,7 @@ from nlslab.spectral import (
     free_evolve,
     lp_norm,
 )
-from nlslab.virial import VirialWeight
+from nlslab.virial import VirialWeight, virial_derivatives, virial_value
 
 MP1 = ModelParams(d=1, p=7.0, omega=1.0, equation="E1")
 MP2 = ModelParams(d=1, p=7.0, omega=1.0, equation="E2")
@@ -396,9 +396,10 @@ def test_fused_marching_matches_a_loop_of_single_steps(mp, grid, amplitude):
     assert _rel(log.final_state.values, states[40].values) < 1e-12
 
 
-def _reference_strang(values, n, dt, terms, kin):
+def _reference_strang(values, n, dt, terms, kin, flow=None):
     """n fused Strang steps as plain array arithmetic: full-array cos and
-    sin, fftn/ifftn, and every multiply by a coupling spelled out."""
+    sin, fftn/ifftn (or flow(v), in place, for the free flow), and every
+    multiply by a coupling spelled out."""
     def power(a2, e):
         if e == 1.0:
             return a2
@@ -427,6 +428,8 @@ def _reference_strang(values, n, dt, terms, kin):
         # temporary and forms the product with the operands swapped, which
         # is not bitwise the same for complex numbers
         v[...] = np.fft.ifftn(np.multiply(kin, np.fft.fftn(v)))
+
+    free = flow or free
 
     if not terms:
         for _ in range(n):
@@ -539,8 +542,13 @@ def test_fft_of_a_stack_is_each_rows_own_fft_bitwise(n):
     # columns, along axis -2, the bits they get alone
     rng = np.random.default_rng(n)
     stack = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-    split = spectral._split((n,)) or (n // 64, 64)
-    matrices = stack.reshape((3,) + split)
+    split = spectral._split((n,))
+    n2, n1 = split or (n // 64, 64)
+    matrices = stack.reshape(3, n2, n1)
+    # the same matrices with every row padded, as a stack's storage holds
+    # split lines: (3, n2, n1 + pad), pads 0
+    padded = np.zeros((3, n2, n1 + spectral._SPLIT_PAD), dtype=complex)
+    padded[..., :n1] = matrices
     for fn in (np.fft.fft, np.fft.ifft):
         whole = fn(stack, axis=-1, out=stack.copy())
         for row, line in zip(whole, stack):
@@ -550,12 +558,31 @@ def test_fft_of_a_stack_is_each_rows_own_fft_bitwise(n):
         for flight, matrix in zip(columns, matrices):
             alone = fn(matrix.copy(), axis=-2, out=np.empty_like(matrix))
             assert np.array_equal(flight.view(np.float64), alone.view(np.float64))
+        if split:
+            # the padded rows' [..., :n1] view, into new storage and in
+            # place, gives each column, and each row, the unpadded bits
+            # and leaves the pads 0
+            for axis, want in ((-2, columns), (-1, fn(matrices, axis=-1, out=matrices.copy()))):
+                into, inplace = np.zeros_like(padded), padded.copy()
+                fn(padded[..., :n1], axis=axis, out=into[..., :n1])
+                fn(inplace[..., :n1], axis=axis, out=inplace[..., :n1])
+                for got in (into, inplace):
+                    assert np.array_equal(got[..., :n1].view(np.float64), want.view(np.float64))
+                    assert not got[..., n1:].any()
 
-    # the free flow of a stack is each flight's own, split or not
+    # the free flow of a stack is each flight's own, split or not: the
+    # stack in its storage, a split line's as padded matrices, against
+    # each natural line alone, the matrices of pad 0
     grid = GridSpec(d=1, n_per_axis=n, half_width=n / 10.0)
-    kin = np.stack([propagator._kinetic_phase(grid, h) for h in (1e-3, 2e-3, 5e-4)])
-    flowed = spectral._apply_symbol(stack, kin, rank=1)
-    for row, line, sym in zip(flowed, stack, kin):
+    steps = (1e-3, 2e-3, 5e-4)
+    storage = propagator._lay_out(stack, grid)
+    assert storage.shape == ((3, n2, n1 + spectral._SPLIT_PAD) if split else (3, n))
+    kin = np.stack([propagator._kinetic_phase(grid, h) for h in steps])
+    flowed = spectral._apply_symbol(storage, kin, rank=1, split=split)
+    if split:
+        assert not flowed[..., n1:].any()
+    for row, line, h in zip(propagator._fields(flowed, grid), stack, steps):
+        sym = spectral._storage_order(propagator._free_flow_symbol(grid, h))
         alone = spectral._apply_symbol(line, sym)
         assert np.array_equal(row.view(np.float64), alone.view(np.float64))
 
@@ -671,6 +698,105 @@ def test_a_2d_stack_in_padded_rows_is_the_plain_contiguous_march(monkeypatch, n,
         assert log.final_state is log.checkpoints[-1][1]
 
 
+def test_a_split_line_stack_in_padded_rows_is_the_plain_unpadded_march(monkeypatch):
+    grid = GridSpec(d=1, n_per_axis=8192, half_width=300.0)
+    n2, n1 = spectral._split(grid.shape)
+    u0s = [_bump(grid, a, center) for a, center in ((1.0, -1.0), (0.8, 1.5))]
+    # two step sizes; the second flight runs on alone after the first stops
+    steps = (1e-3, 5e-4)
+    cfgs = [StepperConfig(dt=h, t_final=k * h, snapshot_every=5, checkpoint_every=5, **OPEN)
+            for h, k in zip(steps, (10, 20))]
+
+    def march(pad):
+        # the split line's caches are laid out for the pad in force
+        monkeypatch.setattr(spectral, "_SPLIT_PAD", pad)
+        monkeypatch.setattr(propagator, "_SPLIT_PAD", pad)
+        spectral._twiddles.cache_clear()
+        propagator._kinetic_phase.cache_clear()
+        return propagator.evolve_stack(u0s, MP1, cfgs)
+
+    pad = spectral._SPLIT_PAD
+    assert pad > 0
+    plain = march(0)
+    marched = []
+    advance = propagator._advance
+
+    def checking(values, *args):
+        # every segment marches (flights, n2, n1 + pad) storage, and its
+        # pads hold 0 throughout
+        assert values.shape[1:] == (n2, n1 + pad)
+        assert not values[..., n1:].any()
+        advance(values, *args)
+        assert not values[..., n1:].any()
+        marched.append(len(values))
+
+    # and no transform reads a pad: the kernel's run on rows of n1 and
+    # columns of n2, a record's on natural lines
+    shapes = set()
+
+    def watching(fn):
+        def wrapper(a, *args, **kwargs):
+            shapes.add(a.shape[-2:])
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(propagator, "_advance", checking)
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, watching(getattr(np.fft, name)))
+    logs = march(pad)
+    # the twiddles' pads and the symbol's are 0
+    for table in spectral._twiddles(n2, n1) + tuple(
+            propagator._kinetic_phase(grid, h) for h in steps):
+        assert table.shape == (n2, n1 + pad) and not table[:, n1:].any()
+    monkeypatch.undo()
+    assert shapes == {(n2, n1), (len(u0s), grid.n_per_axis), (1, grid.n_per_axis)}
+    spectral._twiddles.cache_clear()
+    propagator._kinetic_phase.cache_clear()
+    assert marched == [2, 2] + [1] * (len(marched) - 2) and len(marched) > 2
+
+    series = ("times", "snapshots", "tail_fractions", "edge_fractions", "scatter_series")
+    terms = propagator._nonlinear_terms(MP1)
+    for u0, h, log, alone in zip(u0s, steps, logs, plain):
+        assert log.outcome == alone.outcome == "completed"
+        assert [repr(getattr(log, name)) for name in series] == [
+            repr(getattr(alone, name)) for name in series]
+        # the unpadded march step by step: the natural line's rotation and
+        # its free flow, the four-step transform on the matrices of pad 0
+        kin = spectral._storage_order(propagator._free_flow_symbol(grid, h))
+        ref, states = u0.values.copy(), {0: u0.values}
+        for step in range(5, log.n_steps + 1, 5):
+            _reference_strang(ref, 5, h, terms, None,
+                              flow=lambda v: spectral._apply_symbol(v, kin, v))
+            states[step] = ref.copy()
+        for got in (log, alone):
+            assert [round(t / h) for t, _ in got.checkpoints] == sorted(states)
+            for t, f in got.checkpoints:
+                assert np.array_equal(f.values.view(np.float64),
+                                      states[round(t / h)].view(np.float64))
+            assert got.final_state is got.checkpoints[-1][1]
+
+
+def _record_step_peaks(monkeypatch, u0s, mp, cfg, **rows):
+    """The stack's logs, and tracemalloc's peak over each step between two
+    segments of a march whose kernel is a no-op: the finiteness check and
+    one record step."""
+    peaks, start = [], []
+
+    def no_step(*args):
+        if start:
+            peaks.append(tracemalloc.get_traced_memory()[1] - start[-1])
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+
+    monkeypatch.setattr(propagator, "_advance", no_step)
+    tracemalloc.start()
+    try:
+        logs = propagator.evolve_stack(u0s, mp, [cfg] * len(u0s), **rows)
+    finally:
+        tracemalloc.stop()
+    return logs, peaks
+
+
 def test_a_record_step_of_a_2d_stack_allocates_no_grid_sized_array(monkeypatch):
     # the record writes into the stack's buffers; what it may still
     # allocate is small objects and numpy's ufunc buffers for a strided
@@ -681,24 +807,36 @@ def test_a_record_step_of_a_2d_stack_allocates_no_grid_sized_array(monkeypatch):
     cfg = StepperConfig(dt=1e-3, t_final=0.01, snapshot_every=1, **OPEN)
     grid_sized = len(u0s) * grid.size * 8
     assert 16 * np.getbufsize() < grid_sized
-    peaks, start = [], []
-
-    def no_step(*args):
-        # between two segments: the finiteness check and one record step
-        if start:
-            peaks.append(tracemalloc.get_traced_memory()[1] - start[-1])
-        tracemalloc.reset_peak()
-        start.append(tracemalloc.get_traced_memory()[0])
-
-    monkeypatch.setattr(propagator, "_advance", no_step)
-    tracemalloc.start()
-    try:
-        logs = propagator.evolve_stack(u0s, MP2D, [cfg] * 2)
-    finally:
-        tracemalloc.stop()
+    logs, peaks = _record_step_peaks(monkeypatch, u0s, MP2D, cfg)
     assert [len(log.snapshots) for log in logs] == [11, 11]
     assert len(peaks) == 9
     assert max(peaks) < grid_sized
+
+
+@pytest.mark.parametrize("n, flights", [(4096, 8), (8192, 3)], ids=["4096", "8192_split"])
+def test_localized_virial_rows_take_the_stacks_held_buffers(monkeypatch, n, flights):
+    # the virial rows form their fields in buffers the stack holds from
+    # its first record on (_Buffers.virial), and a split line's natural
+    # copy goes into one of them; a record step allocates no array of the
+    # stack's fields, numpy's buffers for a cast operand (np.getbufsize()
+    # complex elements) aside
+    grid = GridSpec(d=1, n_per_axis=n, half_width=40.0)
+    u0s = [_bump(grid, 0.5 + 0.1 * (row % 4), row - 4) for row in range(flights)]
+    cfg = StepperConfig(dt=1e-3, t_final=0.01, snapshot_every=1, **OPEN)
+    grid_sized = len(u0s) * grid.size * 8
+    assert 16 * np.getbufsize() < grid_sized
+    weight = VirialWeight(grid, 4.0)
+    logs, peaks = _record_step_peaks(monkeypatch, u0s, MP1, cfg, virial_weight=weight)
+    assert [len(log.virial_rows) for log in logs] == [11] * len(u0s)
+    assert len(peaks) == 9
+    assert max(peaks) < grid_sized
+    # each row is its field's lone one
+    for u0, log in zip(u0s[:2], logs):
+        rows = log.virial_rows[0]
+        alone = virial_derivatives(u0, MP1, weight)
+        assert (rows.value, rows.v_prime, rows.v_double_prime, rows.exterior_integral) == (
+            virial_value(u0, weight), alone.v_prime, alone.v_double_prime,
+            alone.exterior_integral)
 
 
 @pytest.mark.parametrize("bounded", [False, True])

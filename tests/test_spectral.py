@@ -313,13 +313,14 @@ def test_split_forward_transform_read_in_natural_order_is_the_fft(grid):
     # pins the twiddles: the forward half alone, mode c + n2 d at [c, d]
     v = _tilted_packet(grid).values
     split = spectral._split(v.shape)
-    m = spectral._split_fft(v, np.empty_like(v), split)
+    # the natural line read as its (n2, n1) matrix, the layout of pad 0
+    m = spectral._split_fft(v.reshape(split), np.empty(split, dtype=complex), split[1])
     natural = np.swapaxes(m, -1, -2).reshape(-1)
     want = np.fft.fft(v)
     assert np.max(np.abs(natural - want)) < 1e-14 * np.max(np.abs(want))
     # and the inverse half brings the spectrum, in that order, back
     back = spectral._storage_order(want).reshape(split)
-    spectral._split_ifft(back)
+    spectral._split_ifft(back, split[1])
     assert np.max(np.abs(back.reshape(-1) - v)) < 1e-14 * np.max(np.abs(v))
 
 
