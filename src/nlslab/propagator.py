@@ -55,11 +55,10 @@ one axis at a time through numpy.fft's out= (numpy 2.0 or later), last
 axis first as fftn and ifftn do, so it is their arithmetic bit for bit,
 with the symbol as the left operand of the product.  The step is
 therefore bitwise the plain full-array composition, except on a 1-D
-line of 8192 points or more (spectral._split).  Such a line, held as an
-(n2, n1) matrix (see the storage plan), takes the four-step FFT, which
-numpy runs faster than one long line's, and leaves its spectrum in
-transposed order, the order
-its cached symbol is stored in (spectral._storage_order); it agrees with
+line that splits (spectral._layout).  Such a line, held as an (n2, n1)
+matrix, takes the four-step FFT, which numpy runs faster than one long
+line's, and leaves its spectrum in transposed order, the order its
+cached symbol is stored in (spectral._storage_order); it agrees with
 the plain composition to rounding.  Either way, with both couplings zero
 a step is bitwise spectral.free_evolve on every grid, since
 free_evolve, apply_multiplier, spectral_translate and the proxy's
@@ -124,44 +123,27 @@ log.snapshots when the run's files are written (virial._whole_space_e2),
 never during the march.
 
 The storage plan.  evolve_stack() lays out each stack once.  Its fields
-are the rows of one complex array, (flights, *row) (_lay_out); in 2-D a
-row is the n x n grid with each of its n lines padded by _PAD = 8
-elements, and the cached free-flow symbol (_kinetic_phase) and the
-rotation's workspace take the same layout.  Why a pad: a 256-point
-complex line is 4096 bytes, so unpadded every load of a column
-transform, one element per line, falls in one L1 cache set; 8 elements
-(128 bytes, two cache lines) give each line its own set, keep each line
-as 64-byte aligned as the array is, and cost 3 % of a 256^2 row.  The
-axis -2 FFT of a 256^2 field measured 563 us plain and 425 us padded,
-and a 256^2 step took 12 % less time (7 % less at 128^2, 18 % at 512^2,
-level at 64^2; 2-D E2 p = 4, one field).  The FFTs run on the grid's
-view, storage[..., :n] (spectral._grid_view); the elementwise ops, the
-rotation and the free flow's product, run over the whole contiguous
-storage.  No bit moves, on two premises that tests/test_propagator.py
-checks: the pads hold 0 and stay 0 (|u|^2 is 0 there, so theta is 0 and
-the phase 1 + 0i, and the symbol's pads are 0, so each product leaves
-0), and no transform or sum reads a pad.
-
-A 1-D line that splits (spectral._split) is held as its (n2, n1) matrix,
-each of its n2 rows padded by spectral._SPLIT_PAD = 2 elements, as are
-the symbol and the twiddles (spectral._twiddles), for the same reason:
-a column transform of the unpadded (128, 64) matrix of an 8192-point
-line reads one element from each 1024-byte row, so its loads fall into
-a few L1 sets.  One forward column pass (best of 25, 2-core Xeon)
-measured 66-67 us unpadded and 59-60 us with 2 pad elements (56-59 at
-4, 59 at 8, 63-64 at 16); the row pass was level at 54 us.  A whole
-step at pad 2 took x0.93-x0.95 of the unpadded time, and x0.950 of pad
-8's, whose elementwise ops run over 12.5 % more elements (see
-spectral._SPLIT_PAD).  The transforms run on the [..., :n1] view; the
-rotation reads each flight's storage as one flat line, so its 1-D
-window logic holds, and the products run over whole rows, so the same
-two premises keep every bit: the padded march is bitwise the unpadded
-one.  The kernel takes the layout from the grid, through the
-workspace, never from the storage's shape: a padded 65536-point line's
-storage would have the shape of a 256^2 one.
+are the rows of one complex array, (flights, *row) (spectral._lay_out),
+in the one layout spectral._layout decides from the grid: 2-D rows and
+the rows of a split line's (n2, n1) matrix run a few pad elements past
+the grid, so the column transforms do not load every element from a
+few L1 cache sets (the pads and their measurements sit beside
+spectral._PAD and spectral._SPLIT_PAD).  The cached free-flow symbol
+(_kinetic_phase), the twiddles (spectral._twiddles) and the rotation's
+workspace take the same layout.  The FFTs run on the grid's view,
+storage[..., :width]; the elementwise ops, the rotation and the free
+flow's product, run over the whole contiguous storage, and the rotation
+reads each 1-D flight's storage, a split line's matrix too, as one flat
+line, so its 1-D window logic holds.  No bit moves, on two premises
+that tests/test_propagator.py checks: the pads hold 0 and stay 0 (|u|^2
+is 0 there, so theta is 0 and the phase 1 + 0i, and the symbol's pads
+are 0, so each product leaves 0), and no transform or sum reads a pad.
+So the padded march is bitwise the unpadded one.  The kernel takes the
+layout from the grid, through the workspace, never from the storage's
+shape.
 
 One set of buffers, _Buffers, allocated for the stack's first and
-largest shape, serves every segment and every record; once flights
+largest number of flights, serves every segment and every record; once flights
 leave, the kernel and the record take views of its leading elements.  A
 record borrows the workspace, adding one float array: the phase holds
 the spectrum, the float pair a2 and theta holds |u| and |u|^2 or, read
@@ -241,16 +223,17 @@ from .functionals import ModelParams, _check_dimension, _snapshots
 from .spectral import (
     ComplexField,
     GridSpec,
-    _SPLIT_PAD,
     _Scratch,
     _apply_symbol,
     _edge_fractions,
+    _fields,
     _free_flow_symbol,
+    _lay_out,
+    _layout,
     _lp_norm,
     _row_sums,
     _scratch,
     _spectrum,
-    _split,
     _storage_order,
     _tail_fractions,
     _transform,
@@ -368,64 +351,15 @@ class TrajectoryLog:
 
 # -- the stepping kernel ------------------------------------------------------
 
-# 2-D rows are padded by this many elements (see the module docstring)
-_PAD = 8
-
-
-def _matrix(grid: GridSpec) -> tuple:
-    """The shape in which a stack's storage holds each field of grid,
-    before any row pad: the grid's own, except that a split 1-D line
-    (spectral._split) is held as its (n2, n1) matrix."""
-    return _split(grid.shape) or grid.shape
-
-
-def _storage_shape(grid: GridSpec, flights: int) -> tuple:
-    """The shape of the storage of a stack of flights fields on grid:
-    (flights, *_matrix(grid)), each row of a 2-D field padded by _PAD
-    elements and each row of a split line's matrix by
-    spectral._SPLIT_PAD."""
-    *rows, width = _matrix(grid)
-    pad = 0 if not rows else _PAD if grid.d == 2 else _SPLIT_PAD
-    return (flights, *rows, width + pad)
-
-
-def _matrices(storage: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The fields held in storage as _matrix(grid) arrays, a view that
-    stops short of the row pads."""
-    return storage[..., :_matrix(grid)[-1]]
-
-
-def _fields(storage: np.ndarray, grid: GridSpec, out=None) -> np.ndarray:
-    """The fields held in storage in the grid's shape: a view of it, or
-    for split lines a C-contiguous copy in natural order, into out when
-    given (C-contiguous, of that shape)."""
-    lead = storage.shape[:storage.ndim - len(_matrix(grid))]
-    matrices = _matrices(storage, grid)
-    if out is None or _split(grid.shape) is None:
-        return matrices.reshape(lead + grid.shape)
-    out.reshape(matrices.shape)[...] = matrices
-    return out
-
-
-def _lay_out(fields, grid: GridSpec) -> np.ndarray:
-    """A stack's storage holding the given arrays, each of the grid's
-    shape, as its rows, with every pad 0."""
-    storage = np.zeros(_storage_shape(grid, len(fields)), dtype=np.complex128)
-    for row, f in zip(_matrices(storage, grid), fields):
-        row[...] = f.reshape(row.shape)
-    return storage
-
-
 @lru_cache(maxsize=2)
 def _kinetic_phase(grid: GridSpec, dt: float) -> np.ndarray:
     """The free-flow symbol of one step, laid out as one row of a stack's
-    storage with pads 0, in storage order (spectral._storage_order: a
-    split line's is in transposed spectrum order), kept for the flight or
-    the strang_step loop that reuses it.  Two entries cover a loop that
-    steps forwards and back; each is a grid-sized array, so a multi-config
-    run keeps no more than two."""
-    ph = np.zeros(_storage_shape(grid, 1)[1:], dtype=np.complex128)
-    _storage_order(_free_flow_symbol(grid, dt), out=_matrices(ph, grid))
+    storage (spectral._lay_out) with pads 0, in storage order
+    (spectral._storage_order: a split line's is in transposed spectrum
+    order), kept for the flight or the strang_step loop that reuses it.
+    Two entries cover a loop that steps forwards and back; each is a
+    grid-sized array, so a multi-config run keeps no more than two."""
+    ph = _lay_out([_storage_order(_free_flow_symbol(grid, dt), grid)], grid)[0]
     ph.setflags(write=False)
     return ph
 
@@ -465,10 +399,10 @@ _TINY_PHASE = 2.0**-27
 
 
 class _Workspace(NamedTuple):
-    """The rotation's buffers for a stack of storage of one shape, with
-    the views it reads them through, and the storage's layout.  The
-    rotation reads the storage as (flights, *row): in 2-D its own shape,
-    in 1-D one flat line per flight, a split line's padded matrix too."""
+    """The rotation's buffers for a stack's storage, with the views it
+    reads them through, and the storage's layout.  The rotation reads the
+    storage as (flights, *row): in 2-D its own shape, in 1-D one flat line
+    per flight, a split line's padded matrix too."""
 
     phase: np.ndarray       # complex phase; its float64 storage is scratch until built
     squares: tuple          # that storage's (re*re, im*im) halves of each pair
@@ -479,31 +413,28 @@ class _Workspace(NamedTuple):
     parts: tuple            # phase.real, phase.imag
     union: np.ndarray       # small in every flight, of one row's shape
     lines: tuple            # in 2-D, union over the other axis, per grid axis
-    rank: int               # the grid's dimension
-    split: tuple | None     # spectral._split of a 1-D grid: fields held as padded matrices
+    layout: tuple           # the storage's, spectral._layout(grid)
 
 
 class _Buffers:
     """One stack's buffers, allocated once for its first and largest
-    shape, (flights, *row): the kernel's workspace and a record's
-    _Scratch are views of their leading elements for the flights at
-    hand.  A record borrows the workspace's complex phase for its
-    spectrum and its float pair, a2 and theta, for its block, and adds
-    one float array."""
+    number of flights, in the grid's storage layout (spectral._layout):
+    the kernel's workspace and a record's _Scratch are views of their
+    leading elements for the flights at hand.  A record borrows the
+    workspace's complex phase for its spectrum and its float pair, a2
+    and theta, for its block, and adds one float array."""
 
-    def __init__(self, shape, grid: GridSpec):
-        size = math.prod(shape)
+    def __init__(self, flights: int, grid: GridSpec):
         self.grid = grid
-        # the layout is the grid's, never read off the shape: a padded
-        # 65536-point line's storage has the shape of a 256^2 one
-        self.split = _split(grid.shape)
-        self.row = shape[1:] if grid.d == 2 else (size // shape[0],)
+        self.layout = _layout(grid)
+        self.row = self.layout.row if grid.d == 2 else (math.prod(self.layout.row),)
+        size = flights * math.prod(self.row)
         self.phase = np.empty(size, dtype=np.complex128)
         self.floats = np.empty(2 * size)
         self.small = np.empty(size, dtype=bool)
         self.union = np.empty(self.row, dtype=bool)
         self.lines = tuple(np.empty(k, dtype=bool) for k in self.row) if grid.d == 2 else ()
-        self.spare = np.empty(shape[0] * grid.size)
+        self.spare = np.empty(flights * grid.size)
         self._virial = None
         self._views = {}
 
@@ -520,7 +451,7 @@ class _Buffers:
                 phase, (squares[..., 0::2], squares[..., 1::2]), a2,
                 squares.reshape(-1)[:size].reshape(shape), theta,
                 self.small[:size].reshape(shape), (phase.real, phase.imag), self.union,
-                self.lines, self.grid.d, self.split,
+                self.lines, self.layout,
             )
         return self._views[key]
 
@@ -606,7 +537,7 @@ def _rotate(values, rate, terms, ws):
 
 
 def _advance(values, n, dt, terms, kin, ws):
-    """n Strang steps, in place, of a stack's storage (_storage_shape),
+    """n Strang steps, in place, of a stack's storage (spectral._lay_out),
     every pad 0; dt is a float or a column (flights, 1, ..., 1) of each
     flight's step, kin, of the storage's shape, each flight's free-flow
     symbol with pads 0, and ws the workspace for that storage
@@ -618,7 +549,7 @@ def _advance(values, n, dt, terms, kin, ws):
     |u| unchanged; the closing half-step is applied once, after the last
     free flight, so the state is a whole number of steps on return.
     """
-    flow = (values, kin, values, ws.rank, ws.split)
+    flow = (values, kin, ws.layout, values)
     if not terms:
         for _ in range(n):
             _apply_symbol(*flow)
@@ -653,7 +584,7 @@ def strang_step(
     # a stack of one
     v = _lay_out([u.values], u.grid)
     _advance(v, 1, dt, _nonlinear_terms(mp, couplings), _kinetic_phase(u.grid, dt)[np.newaxis],
-             _Buffers(v.shape, u.grid).workspace(1))
+             _Buffers(1, u.grid).workspace(1))
     finite = bool(np.all(np.isfinite(v)))
     return ComplexField(u.grid, _fields(v[0], u.grid), allow_nonfinite=not finite)
 
@@ -831,7 +762,7 @@ def evolve_stack(
     wsym = derivative_weight_multiplier(grid, mp.s_p).symbol
     mcp = mp.mc_power
     values = _lay_out([u0.values for u0 in u0s], grid)
-    buffers = _Buffers(values.shape, grid)
+    buffers = _Buffers(len(u0s), grid)
 
     def record(x, flights, step):
         # every flight of the stack storage x records at once: one forward
@@ -1080,5 +1011,5 @@ def _pull_back(f: ComplexField, t: float, out: np.ndarray, sym: np.ndarray) -> n
     """free_evolve(f, -t).values, bitwise, into out; the symbol is formed
     in out, as free_flow_multiplier forms it, and laid out in storage order
     in sym (spectral._storage_order)."""
-    return _apply_symbol(f.values, _storage_order(_free_flow_symbol(f.grid, -t, out=out),
-                                                  out=sym), out)
+    symbol = _storage_order(_free_flow_symbol(f.grid, -t, out=out), f.grid, out=sym)
+    return _apply_symbol(f.values, symbol, _layout(f.grid, padded=False), out)

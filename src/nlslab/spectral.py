@@ -314,64 +314,121 @@ def transform(f: ComplexField, direction: str = "forward") -> ComplexField:
     return ComplexField(f.grid, out, allow_nonfinite=f.allow_nonfinite)
 
 
-def _grid_view(storage: np.ndarray, rank=None) -> np.ndarray:
-    """The fields held in storage whose last rank axes (every axis when
-    None) span a square grid: in 2-D the last axis may run past the grid
-    into pad elements, and the view stops at the grid's n."""
-    rank = storage.ndim if rank is None else rank
-    return storage[..., :storage.shape[-2]] if rank == 2 else storage
+# -- the storage layout ---------------------------------------------------------
 
+# a stack's storage pads each 2-D row by this many elements.  A 256-point
+# complex line is 4096 bytes, so unpadded every load of a column
+# transform, one element per line, falls in one L1 cache set; 8 elements
+# (128 bytes, two cache lines) give each line its own set, keep each line
+# as 64-byte aligned as the array is, and cost 3 % of a 256^2 row.  The
+# axis -2 FFT of a 256^2 field measured 563 us plain and 425 us padded,
+# and a 256^2 step took 12 % less time (7 % less at 128^2, 18 % at 512^2,
+# level at 64^2; 2-D E2 p = 4, one field).
+_PAD = 8
 
-# a 1-D line of at least this many points takes the four-step transform
-# (see _split)
+# a 1-D line of at least this many points takes the four-step transform.
+# That is the measured crossover (one line's free flow, fft, symbol,
+# ifft, split against plain; 30 interleaved process-time pairs each,
+# 2-core Xeon, numpy 2.4.6): the split took x0.973 of the plain time at
+# n = 4096 (faster in 25 of 30 pairs), x0.829 at 8192 (29 of 30) and
+# x0.514 at 16384 (30 of 30).  numpy's pocketfft transforms a batch of
+# short lines far faster per point than one long line.  On the stacks a
+# threshold sweep marches, (4, 1024) and (2, 2048), the split took x1.59
+# and x1.52 (0 of 30 faster), and those lines are short.
 _SPLIT_POINTS = 8192
 
 # a stack's storage pads each row of a split line's (n2, n1) matrix by
-# this many elements, as it pads 2-D rows by propagator._PAD (see
-# propagator's module docstring).  Measured on the demo's n = 8192 E1
-# p = 7 step, rotation and free flow (100 interleaved process-time rounds
-# of 20 steps, 2-core Xeon, numpy 2.4.6): against unpadded rows, pad 1
-# took x0.957 and x0.931 of the time, pad 2 x0.953 and x0.926, pad 4
-# x0.973 and x0.956, pad 8 x0.979 and x0.965; pad 2 against pad 8 x0.950
-# (faster in 86 of 100), pad 1 against 2 x0.998 (52 of 100), pad 4
-# against 2 x1.018 (28 of 100).  The column transforms gain alike from 1
-# to 8; past them, the elementwise ops over the pads cost more.
+# this many elements, for the same reason as _PAD: a column transform of
+# the unpadded (128, 64) matrix of an 8192-point line reads one element
+# from each 1024-byte row, so its loads fall into a few L1 sets.  One
+# forward column pass (best of 25, 2-core Xeon) measured 66-67 us
+# unpadded and 59-60 us with 2 pad elements (56-59 at 4, 59 at 8, 63-64
+# at 16); the row pass was level at 54 us.  Measured on the demo's
+# n = 8192 E1 p = 7 step, rotation and free flow (100 interleaved
+# process-time rounds of 20 steps, 2-core Xeon, numpy 2.4.6): against
+# unpadded rows, pad 1 took x0.957 and x0.931 of the time, pad 2 x0.953
+# and x0.926, pad 4 x0.973 and x0.956, pad 8 x0.979 and x0.965; pad 2
+# against pad 8 x0.950 (faster in 86 of 100), pad 1 against 2 x0.998 (52
+# of 100), pad 4 against 2 x1.018 (28 of 100).  The column transforms
+# gain alike from 1 to 8; past them, the elementwise ops over the pads
+# cost more.
 _SPLIT_PAD = 2
 
 
-def _split(shape, rank=None):
-    """(n2, n1) when the fields of this shape, over its last rank axes
-    (every axis when None), are 1-D lines of n = n1 n2 points that
-    _apply_symbol transforms as (n2, n1) matrices, by the four-step FFT
-    (Bailey, "FFTs in external or hierarchical memory", J. Supercomputing
-    4, 1990); None for every other field, which keeps the plain transforms.
-    The shape is the natural one, though a stack's storage holds such a
-    line as its matrix with padded rows (propagator._storage_shape).
+class _Layout(NamedTuple):
+    """How an array holds a grid's fields (_layout): each field as an
+    array of shape row, the leading axes of a stack indexing its fields."""
 
-    A line splits from _SPLIT_POINTS points, with n1 = 2^floor(log2(n)/2),
-    when n1 and n2 = n / n1 are whole and at least 32 each (a power of two
-    from 8192 up gives 64 and more).  That is the measured crossover (one
-    line's free flow, fft, symbol, ifft, split against plain; 30
-    interleaved process-time pairs each, 2-core Xeon, numpy 2.4.6): the
-    split took x0.973 of the plain time at n = 4096 (faster in 25 of 30
-    pairs), x0.829 at 8192 (29 of 30) and x0.514 at 16384 (30 of 30).
-    numpy's pocketfft transforms a batch of short lines far faster per
-    point than one long line.  On the stacks a threshold sweep marches,
-    (4, 1024) and (2, 2048), the split took x1.59 and x1.52 (0 of 30
-    faster), and those lines are short.
+    rank: int               # the grid's dimension, the axes the plain transforms run over
+    row: tuple              # one field, pads included
+    width: int              # the grid's extent of row's last axis; pad elements follow it
+    pad: int                # row[-1] - width
+    split: tuple | None     # (n2, n1) of a line the four-step transform takes, else None
+
+
+@lru_cache(maxsize=32)
+def _layout(grid: GridSpec, padded: bool = True) -> _Layout:
+    """How an array holds the fields of grid, decided here and nowhere
+    else: padded, the storage of a stack, (flights, *row), which _lay_out
+    fills and the stepping kernel marches; unpadded (padded=False), an
+    array in the grid's shape, which apply_multiplier, spectral_translate
+    and the proxy's pullbacks hand to _apply_symbol.
+
+    A 2-D field is its n x n grid, each of its n rows padded in storage by
+    _PAD = 8 elements.  A 1-D line of fewer than _SPLIT_POINTS = 8192
+    points is itself.  A longer one splits: _apply_symbol transforms it as
+    its (n2, n1) matrix, A[a, b] = u[a n1 + b], n1 = 2^floor(log2(n)/2)
+    and n2 = n / n1, by the four-step FFT (Bailey, "FFTs in external or
+    hierarchical memory", J. Supercomputing 4, 1990), in the transposed
+    spectrum order its symbol is stored in (_storage_order).  Storage
+    holds the matrix with each of its n2 rows padded by _SPLIT_PAD = 2
+    elements; an array in the grid's shape is read as the matrix of pad
+    0.  The figures behind each constant sit beside it.
+
+    The transforms read the grid's view of the storage, [..., :width];
+    the elementwise ops run over the whole of it.  No bit moves for a pad
+    as long as the pads of the fields hold 0 and those of a symbol are
+    finite (_apply_symbol).  The layout is the grid's, never read off an
+    array's shape: a padded 65536-point line's storage has the shape of a
+    256^2 field's.
     """
-    if (len(shape) if rank is None else rank) != 1 or shape[-1] < _SPLIT_POINTS:
-        return None
-    n = shape[-1]
-    n1 = 1 << (n.bit_length() - 1) // 2
-    n2 = n // n1
-    return (n2, n1) if n1 * n2 == n and min(n1, n2) >= 32 else None
+    n = grid.n_per_axis
+    if grid.d == 1 and n < _SPLIT_POINTS:
+        return _Layout(1, (n,), n, 0, None)
+    # rows of width points: the grid's in 2-D, a split line's n1 in 1-D
+    width = n if grid.d == 2 else 1 << (n.bit_length() - 1) // 2
+    pad = 0 if not padded else _PAD if grid.d == 2 else _SPLIT_PAD
+    split = None if grid.d == 2 else (n // width, width)
+    return _Layout(grid.d, (grid.size // width, width + pad), width, pad, split)
+
+
+def _lay_out(fields, grid: GridSpec) -> np.ndarray:
+    """A stack's storage holding the given arrays, each of the grid's
+    shape, as its rows, with every pad 0."""
+    layout = _layout(grid)
+    storage = np.zeros((len(fields), *layout.row), dtype=np.complex128)
+    for row, f in zip(storage[..., :layout.width], fields):
+        row[...] = f.reshape(row.shape)
+    return storage
+
+
+def _fields(storage: np.ndarray, grid: GridSpec, out=None) -> np.ndarray:
+    """The fields held in a stack's storage, or in one row of it, in the
+    grid's shape: a view of it, or for split lines a C-contiguous copy in
+    natural order, into out when given (C-contiguous, of that shape)."""
+    layout = _layout(grid)
+    matrices = storage[..., :layout.width]
+    lead = storage.shape[:storage.ndim - len(layout.row)]
+    if out is None or layout.split is None:
+        return matrices.reshape(lead + grid.shape)
+    out.reshape(matrices.shape)[...] = matrices
+    return out
 
 
 @lru_cache(maxsize=4)
 def _twiddles(n2: int, n1: int) -> tuple:
     """The twiddle factors exp(-2 pi i b c / n) at [c, b] of an (n2, n1)
-    split (_split), n = n1 n2, and their conjugates, read-only, kept per
+    split (_layout), n = n1 n2, and their conjugates, read-only, kept per
     split; each row is padded by _SPLIT_PAD zeros, as a stack's storage
     pads it, and a matrix of narrower rows, a natural line's, reads the
     [:, :width] view."""
@@ -384,48 +441,40 @@ def _twiddles(n2: int, n1: int) -> tuple:
     return tw, conj
 
 
-def _storage_order(symbol: np.ndarray, rank=None, out: np.ndarray | None = None) -> np.ndarray:
-    """A symbol in natural FFT order over the fields of its shape (last rank
-    axes, every axis when None) in the order _apply_symbol takes it: for
-    split lines (_split) the transposed order the four-step transform
-    leaves a spectrum in, mode c + n2 d at [c, d] of each line's (n2, n1)
-    matrix; every other symbol's order is its natural one.  Into out when
-    given (symbol's shape, C-contiguous, or a split line's (..., n2, n1)
-    matrices, padded storage's view included); else symbol itself, or a
-    new array for split lines."""
-    split = _split(symbol.shape, rank)
+def _storage_order(symbol: np.ndarray, grid: GridSpec, out=None) -> np.ndarray:
+    """A symbol over grid, in the grid's shape and natural FFT order, in
+    the order _apply_symbol takes it: for a split line (_layout) the
+    transposed order the four-step transform leaves a spectrum in, mode
+    c + n2 d at [c, d] of the line's (n2, n1) matrix; every other symbol's
+    order is its natural one.  Into out when given (the grid's shape,
+    C-contiguous, or a split line's (n2, n1) matrix, padded storage's view
+    included); else symbol itself, or a new array for a split line."""
+    split = _layout(grid).split
     if split is None:
         if out is None:
             return symbol
         out[...] = symbol
         return out
     out = np.empty(symbol.shape, dtype=np.complex128) if out is None else out
-    lead = symbol.shape[:-1]
-    out.reshape(lead + split)[...] = np.swapaxes(symbol.reshape(lead + split[::-1]), -1, -2)
+    out.reshape(split)[...] = symbol.reshape(split[::-1]).T
     return out
 
 
-def _apply_symbol(values: np.ndarray, symbol: np.ndarray, out: np.ndarray | None = None,
-                  rank=None, split=None):
+def _apply_symbol(values: np.ndarray, symbol: np.ndarray, layout: _Layout,
+                  out: np.ndarray | None = None):
     """np.fft.ifftn(np.multiply(symbol, np.fft.fftn(values))), into out (a
-    new array when None; it may be values, not symbol).  The transforms run
-    over the last rank axes, as in _transform: a stack of fields, (flights,
-    *grid), takes each row's symbol from a (flights, *grid) symbol.
+    new array when None; it may be values, not symbol), for values, symbol
+    and out that hold fields in the given layout (_layout): one field, or
+    a stack of them, each row taking its own row of a stacked symbol.
 
-    values, symbol and out are storage of one layout: 2-D rows may carry
-    pad elements past the grid (_grid_view), and the transforms run on
-    the grid's view of them while the product runs over the whole
-    storage, so the pads of values and out must hold 0 and those of
-    symbol be finite; the pads of out then hold 0 on return.  The symbol
-    is in storage order (_storage_order): for split 1-D lines (_split),
-    the transposed spectrum order, which the four-step transform reaches
-    and leaves with no reordering pass.
-
-    Given split, (n2, n1), the storage holds each split line as its
-    matrix with padded rows, (..., n2, n1 + pad), the symbol's pads 0 as
-    well; without it, natural-order lines, (..., n), which _split finds
-    from the shape, are read as the matrices of pad 0.  Both take the one
-    four-step routine, _split_fft and _split_ifft.
+    The transforms run on the grid's view, [..., :width], and the product
+    over the whole array, so the pads of values and out must hold 0 and
+    those of symbol be finite; the pads of out then hold 0 on return.  The
+    symbol is in storage order (_storage_order): for split 1-D lines, the
+    transposed spectrum order, which the one four-step routine,
+    _split_fft and _split_ifft, reaches and leaves with no reordering
+    pass.  The operands of a split line are read as (-1, *row) matrices,
+    so an array in the grid's shape is the matrix of pad 0.
 
     This is the one free-flow and multiplier product: the stepping kernel,
     free_evolve, apply_multiplier, the proxy's pullbacks and
@@ -434,47 +483,46 @@ def _apply_symbol(values: np.ndarray, symbol: np.ndarray, out: np.ndarray | None
     bitwise commutative, so the symbol is always the left operand.  On a
     split line it agrees to rounding, padded or not, to the same bits.
     """
-    spec = m = np.zeros_like(values) if out is None else out
-    if split is None and (split := _split(values.shape, rank)) is not None:
-        # natural-order lines: the matrices of pad 0
-        shape = values.shape[:-1] + split
-        values, symbol, m = values.reshape(shape), symbol.reshape(shape), spec.reshape(shape)
-    if split is not None:
+    spec = np.zeros_like(values) if out is None else out
+    if layout.split is not None:
         # the product in the symbol's transposed order
-        _split_fft(values, m, split[1])
-        np.multiply(symbol, m, out=m)
-        _split_ifft(m, split[1])
+        shape = (-1, *layout.row)
+        m = spec.reshape(shape)
+        _split_fft(values.reshape(shape), m, layout)
+        np.multiply(symbol.reshape(shape), m, out=m)
+        _split_ifft(m, layout)
         return spec
-    view = _grid_view(spec, rank)
-    _transform(np.fft.fft, _grid_view(values, rank), view, rank)
+    w = layout.width
+    src, view = (values[..., :w], spec[..., :w]) if layout.pad else (values, spec)
+    _transform(np.fft.fft, src, view, layout.rank)
     np.multiply(symbol, spec, out=spec)
-    _transform(np.fft.ifft, view, view, rank)
+    _transform(np.fft.ifft, view, view, layout.rank)
     return spec
 
 
-def _split_fft(values, out, n1):
+def _split_fft(values, out, layout):
     """np.fft.fft of each split line of values, into out (it may be
-    values), in transposed order; both hold lines as (..., n2, width)
-    matrices, A[a, b] = u[a n1 + b], rows padded past n1 with 0.  The
-    column transforms, the twiddles and the row transforms leave mode
+    values), in transposed order; both hold lines as (..., n2, width + pad)
+    matrices of the layout, A[a, b] = u[a n1 + b], n1 the width, pads 0.
+    The column transforms, the twiddles and the row transforms leave mode
     k = c + n2 d at [c, d].  The transforms run on the [..., :n1] view, the
     twiddle product over whole rows, so the pads stay 0.  Each flight of a
-    stack takes its columns' and rows' bits alone, whatever the width
+    stack takes its columns' and rows' bits alone, whatever the pad
     (tests/test_propagator.py checks this premise).  Returns out."""
-    cols = out[..., :n1]
-    np.fft.fft(values[..., :n1], axis=-2, out=cols)
-    np.multiply(out, _twiddles(out.shape[-2], n1)[0][:, :out.shape[-1]], out=out)
+    cols = out[..., :layout.width]
+    np.fft.fft(values[..., :layout.width], axis=-2, out=cols)
+    np.multiply(out, _twiddles(*layout.split)[0][:, :layout.row[-1]], out=out)
     np.fft.fft(cols, axis=-1, out=cols)
     return out
 
 
-def _split_ifft(m, n1):
-    """The inverse of _split_fft in place on its (..., n2, width) matrices
-    m: the row inverses, the conjugate twiddles and the column inverses
-    bring each line back to natural order."""
-    cols = m[..., :n1]
+def _split_ifft(m, layout):
+    """The inverse of _split_fft in place on its matrices m: the row
+    inverses, the conjugate twiddles and the column inverses bring each
+    line back to natural order."""
+    cols = m[..., :layout.width]
     np.fft.ifft(cols, axis=-1, out=cols)
-    np.multiply(m, _twiddles(m.shape[-2], n1)[1][:, :m.shape[-1]], out=m)
+    np.multiply(m, _twiddles(*layout.split)[1][:, :layout.row[-1]], out=m)
     np.fft.ifft(cols, axis=-2, out=cols)
     return m
 
@@ -482,7 +530,8 @@ def _split_ifft(m, n1):
 def apply_multiplier(f: ComplexField, m: FourierMultiplier) -> ComplexField:
     if f.grid != m.grid:
         raise ValueError("field and multiplier live on different grids")
-    return ComplexField(f.grid, _apply_symbol(f.values, _storage_order(m.symbol)))
+    return ComplexField(f.grid, _apply_symbol(f.values, _storage_order(m.symbol, f.grid),
+                                              _layout(f.grid, padded=False)))
 
 
 def free_evolve(f: ComplexField, t: float) -> ComplexField:

@@ -24,6 +24,7 @@ from .spectral import (
     ComplexField,
     GridSpec,
     _apply_symbol,
+    _layout,
     _storage_order,
     apply_multiplier,
     edge_mass_fraction,
@@ -184,7 +185,7 @@ def spectral_translate(f: ComplexField, shift) -> ComplexField:
     g = f.grid
     comps = _as_vector(tuple(np.atleast_1d(shift).astype(float)), g.d, "shift")
     sym = np.exp(-1j * sum(k * c for k, c in zip(g.k_coords, comps)))
-    return ComplexField(g, _apply_symbol(f.values, _storage_order(sym)))
+    return ComplexField(g, _apply_symbol(f.values, _storage_order(sym, g), _layout(g, False)))
 
 
 def large_scale_profile(

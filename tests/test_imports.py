@@ -1,8 +1,11 @@
 """Tooling: no module of the package, and no test file, imports a name it
-never uses, and no package module exports a name it does not define."""
+never uses; no package module exports a name it does not define; and no
+package source, test file or README cites a private name, module._name,
+that the package module lacks."""
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -76,3 +79,34 @@ def test_a_stale_export_is_caught():
     module.pi = 3.14
     module.__all__ = ["pi", "tau"]
     assert _stale_exports(module) == ["tau"]
+
+
+# the files whose code, docstrings and comments cite private names, by
+# the names MODULES gives them, with the package's __init__ and README
+CITING = {**MODULES, "__init__": PACKAGE / "__init__.py", "README": TESTS.parent / "README.md"}
+# module._name for a package module
+CITATION = re.compile(r"\b(%s)\.(_[A-Za-z]\w*)" % "|".join(
+    m for m in MODULES if not m.startswith("tests/")))
+
+
+def _stale_citations(text: str) -> list:
+    """The module._name citations in text whose package module has no
+    attribute of that name, each once, sorted."""
+    return sorted({m.group(0) for m in CITATION.finditer(text) if not hasattr(
+        importlib.import_module(f"nlslab.{m.group(1)}"), m.group(2))})
+
+
+@pytest.mark.parametrize("name", sorted(CITING))
+def test_every_cited_private_name_exists(name):
+    assert _stale_citations(CITING[name].read_text()) == []
+
+
+def test_a_stale_citation_is_caught():
+    # the stale names are split across literals, so that this file cites
+    # none itself
+    text = (
+        "# the layout (spectral._layout, not spectral" "._grid_view), as\n"
+        "# propagator._Buffers.virial and tests/test_spectral.py read it;\n"
+        "spectral" "._grid_view(v) + propagator" "._PAD  # spectral.GridSpec is public\n"
+    )
+    assert _stale_citations(text) == ["propagator" "._PAD", "spectral" "._grid_view"]

@@ -75,7 +75,7 @@ def test_edge_heavy_data_is_refused_up_front():
     # 128^2 and 256^2 fields are 256 KiB and 1 MiB
     GridSpec(d=2, n_per_axis=128, half_width=16.0),
     GridSpec(d=2, n_per_axis=256, half_width=16.0),
-    # a line that takes the four-step transform (spectral._split)
+    # a line that takes the four-step transform (spectral._layout)
     GridSpec(d=1, n_per_axis=8192, half_width=700.0),
 ], ids=["1d_512", "2d_128", "2d_256", "1d_8192"])
 def test_zero_couplings_single_step_is_exactly_the_free_propagator(grid):
@@ -479,15 +479,15 @@ def test_kernel_is_the_plain_strang_loop_bitwise(mp, grid, amplitude, couplings,
             "partial": 0 < wide.mean() < 0.9}[window]
 
     ref = u0.values.copy()
-    _reference_strang(ref, n, dt, terms, spectral._grid_view(kin))
+    _reference_strang(ref, n, dt, terms, spectral._fields(kin, grid))
     # the kernel marches a stack's storage: this one of one, 2-D rows padded
-    got = propagator._lay_out([u0.values], grid)
+    got = spectral._lay_out([u0.values], grid)
     propagator._advance(got, n, dt, terms, kin[np.newaxis],
-                        propagator._Buffers(got.shape, grid).workspace(1))
-    assert np.array_equal(spectral._grid_view(got[0]).view(np.float64), ref.view(np.float64))
+                        propagator._Buffers(1, grid).workspace(1))
+    assert np.array_equal(spectral._fields(got[0], grid).view(np.float64), ref.view(np.float64))
 
     one = u0.values.copy()
-    _reference_strang(one, 1, dt, terms, spectral._grid_view(kin))
+    _reference_strang(one, 1, dt, terms, spectral._fields(kin, grid))
     step = strang_step(u0, mp, dt, couplings=couplings)
     assert np.array_equal(step.values.view(np.float64), one.view(np.float64))
 
@@ -542,7 +542,8 @@ def test_fft_of_a_stack_is_each_rows_own_fft_bitwise(n):
     # columns, along axis -2, the bits they get alone
     rng = np.random.default_rng(n)
     stack = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-    split = spectral._split((n,))
+    grid = GridSpec(d=1, n_per_axis=n, half_width=n / 10.0)
+    split = spectral._layout(grid).split
     n2, n1 = split or (n // 64, 64)
     matrices = stack.reshape(3, n2, n1)
     # the same matrices with every row padded, as a stack's storage holds
@@ -573,17 +574,16 @@ def test_fft_of_a_stack_is_each_rows_own_fft_bitwise(n):
     # the free flow of a stack is each flight's own, split or not: the
     # stack in its storage, a split line's as padded matrices, against
     # each natural line alone, the matrices of pad 0
-    grid = GridSpec(d=1, n_per_axis=n, half_width=n / 10.0)
     steps = (1e-3, 2e-3, 5e-4)
-    storage = propagator._lay_out(stack, grid)
+    storage = spectral._lay_out(stack, grid)
     assert storage.shape == ((3, n2, n1 + spectral._SPLIT_PAD) if split else (3, n))
     kin = np.stack([propagator._kinetic_phase(grid, h) for h in steps])
-    flowed = spectral._apply_symbol(storage, kin, rank=1, split=split)
+    flowed = spectral._apply_symbol(storage, kin, spectral._layout(grid))
     if split:
         assert not flowed[..., n1:].any()
-    for row, line, h in zip(propagator._fields(flowed, grid), stack, steps):
-        sym = spectral._storage_order(propagator._free_flow_symbol(grid, h))
-        alone = spectral._apply_symbol(line, sym)
+    for row, line, h in zip(spectral._fields(flowed, grid), stack, steps):
+        sym = spectral._storage_order(propagator._free_flow_symbol(grid, h), grid)
+        alone = spectral._apply_symbol(line, sym, spectral._layout(grid, padded=False))
         assert np.array_equal(row.view(np.float64), alone.view(np.float64))
 
 
@@ -630,18 +630,17 @@ def test_a_stack_marches_each_row_as_it_marches_alone(mp, grid, rows):
     # of steps and a symbol per row either way
     for dts in ([dt] * len(rows), [dt * 0.5**row for row in range(len(rows))]):
         step = np.array(dts).reshape((-1,) + (1,) * grid.d)
-        kin = np.stack([propagator._free_flow_symbol(grid, h) for h in dts])
-        # unpadded storage, against each row alone in padded storage
-        stack = np.stack(fields)
+        kins = [propagator._kinetic_phase(grid, h) for h in dts]
+        # the stack's storage, against each row alone in its own
+        stack = spectral._lay_out(fields, grid)
         with np.errstate(all="ignore"):
-            propagator._advance(stack, n, step, terms, kin,
-                                propagator._Buffers(stack.shape, grid).workspace(len(rows)))
-            for row, f, h in zip(stack, fields, dts):
-                alone = propagator._lay_out([f], grid)
-                propagator._advance(alone, n, h, terms,
-                                    propagator._kinetic_phase(grid, h)[np.newaxis],
-                                    propagator._Buffers(alone.shape, grid).workspace(1))
-                alone = spectral._grid_view(alone[0])
+            propagator._advance(stack, n, step, terms, np.stack(kins),
+                                propagator._Buffers(len(rows), grid).workspace(len(rows)))
+            for row, f, h, kin in zip(spectral._fields(stack, grid), fields, dts, kins):
+                alone = spectral._lay_out([f], grid)
+                propagator._advance(alone, n, h, terms, kin[np.newaxis],
+                                    propagator._Buffers(1, grid).workspace(1))
+                alone = spectral._fields(alone[0], grid)
                 # NaN where the lone march has NaN, every other sample
                 # bitwise; numpy's multi-line FFT may give a NaN the other sign
                 nan = np.isnan(alone.view(np.float64))
@@ -673,7 +672,7 @@ def test_a_2d_stack_in_padded_rows_is_the_plain_contiguous_march(monkeypatch, n,
     def checking(values, *args):
         # every segment marches storage whose rows run _PAD elements past
         # the grid, and those pads hold 0 throughout
-        assert values.shape[1:] == (n, n + propagator._PAD)
+        assert values.shape[1:] == (n, n + spectral._PAD)
         advance(values, *args)
         assert not values[..., n:].any()
         marched.append(len(values))
@@ -700,7 +699,7 @@ def test_a_2d_stack_in_padded_rows_is_the_plain_contiguous_march(monkeypatch, n,
 
 def test_a_split_line_stack_in_padded_rows_is_the_plain_unpadded_march(monkeypatch):
     grid = GridSpec(d=1, n_per_axis=8192, half_width=300.0)
-    n2, n1 = spectral._split(grid.shape)
+    n2, n1 = spectral._layout(grid).split
     u0s = [_bump(grid, a, center) for a, center in ((1.0, -1.0), (0.8, 1.5))]
     # two step sizes; the second flight runs on alone after the first stops
     steps = (1e-3, 5e-4)
@@ -710,9 +709,8 @@ def test_a_split_line_stack_in_padded_rows_is_the_plain_unpadded_march(monkeypat
     def march(pad):
         # the split line's caches are laid out for the pad in force
         monkeypatch.setattr(spectral, "_SPLIT_PAD", pad)
-        monkeypatch.setattr(propagator, "_SPLIT_PAD", pad)
-        spectral._twiddles.cache_clear()
-        propagator._kinetic_phase.cache_clear()
+        for cache in (spectral._layout, spectral._twiddles, propagator._kinetic_phase):
+            cache.cache_clear()
         return propagator.evolve_stack(u0s, MP1, cfgs)
 
     pad = spectral._SPLIT_PAD
@@ -750,8 +748,8 @@ def test_a_split_line_stack_in_padded_rows_is_the_plain_unpadded_march(monkeypat
         assert table.shape == (n2, n1 + pad) and not table[:, n1:].any()
     monkeypatch.undo()
     assert shapes == {(n2, n1), (len(u0s), grid.n_per_axis), (1, grid.n_per_axis)}
-    spectral._twiddles.cache_clear()
-    propagator._kinetic_phase.cache_clear()
+    for cache in (spectral._layout, spectral._twiddles, propagator._kinetic_phase):
+        cache.cache_clear()
     assert marched == [2, 2] + [1] * (len(marched) - 2) and len(marched) > 2
 
     series = ("times", "snapshots", "tail_fractions", "edge_fractions", "scatter_series")
@@ -762,11 +760,12 @@ def test_a_split_line_stack_in_padded_rows_is_the_plain_unpadded_march(monkeypat
             repr(getattr(alone, name)) for name in series]
         # the unpadded march step by step: the natural line's rotation and
         # its free flow, the four-step transform on the matrices of pad 0
-        kin = spectral._storage_order(propagator._free_flow_symbol(grid, h))
+        kin = spectral._storage_order(propagator._free_flow_symbol(grid, h), grid)
+        natural = spectral._layout(grid, padded=False)
         ref, states = u0.values.copy(), {0: u0.values}
         for step in range(5, log.n_steps + 1, 5):
             _reference_strang(ref, 5, h, terms, None,
-                              flow=lambda v: spectral._apply_symbol(v, kin, v))
+                              flow=lambda v: spectral._apply_symbol(v, kin, natural, v))
             states[step] = ref.copy()
         for got in (log, alone):
             assert [round(t / h) for t, _ in got.checkpoints] == sorted(states)

@@ -270,7 +270,7 @@ def test_transforms_and_pullbacks_are_the_fftn_expressions_bitwise(grid):
         sym = np.empty(grid.shape, dtype=np.complex128)
         assert _same_bits(spectral._free_flow_symbol(grid, t, out=sym), symbol)
         out = np.empty_like(v)
-        assert spectral._apply_symbol(v, sym, out) is out
+        assert spectral._apply_symbol(v, sym, spectral._layout(grid, padded=False), out) is out
         assert _same_bits(out, want)
     n = np.sqrt(v.size)
     assert _same_bits(transform(f).values, np.fft.fftn(v) / n)
@@ -297,30 +297,51 @@ def _tilted_packet(grid):
 
 
 def test_only_long_1d_lines_split():
-    assert spectral._split((4096,)) is None
-    assert spectral._split((8192,)) == (128, 64)
-    assert spectral._split((16384,)) == (128, 128)
-    assert spectral._split((3, 8192), rank=1) == (128, 64)
-    # 2-D grids and short lines keep the plain transforms
-    assert spectral._split((8192, 8192)) is None
-    assert spectral._split((4, 1024), rank=1) is None
-    # a length with no factor pair of at least 32 each
-    assert spectral._split((8193,)) is None
+    pad, split_pad = spectral._PAD, spectral._SPLIT_PAD
+    # each grid's (padded, unpadded) layouts: a stack's storage, and an
+    # array in the grid's shape, which reads a split line as its matrix
+    # of pad 0
+    table = {
+        (1, 4096): [(1, (4096,), 4096, 0, None)] * 2,
+        (1, 8192): [(1, (128, 64 + split_pad), 64, split_pad, (128, 64)),
+                    (1, (128, 64), 64, 0, (128, 64))],
+        (1, 16384): [(1, (128, 128 + split_pad), 128, split_pad, (128, 128)),
+                     (1, (128, 128), 128, 0, (128, 128))],
+        (2, 64): [(2, (64, 64 + pad), 64, pad, None), (2, (64, 64), 64, 0, None)],
+        (2, 256): [(2, (256, 256 + pad), 256, pad, None), (2, (256, 256), 256, 0, None)],
+    }
+    for (d, n), want in table.items():
+        grid = GridSpec(d=d, n_per_axis=n, half_width=300.0)
+        layout = spectral._layout(grid)
+        assert [layout, spectral._layout(grid, padded=False)] == want
+
+        # a stack's storage holds each field bitwise, its pads 0, and
+        # gives it back in the grid's shape, as a view or, for a split
+        # line, a copy into a buffer
+        fields = [random_smooth_field(grid, seed).values for seed in (1, 2)]
+        storage = spectral._lay_out(fields, grid)
+        assert storage.shape == (2, *layout.row)
+        assert not storage[..., layout.width:].any()
+        out = np.empty((2, *grid.shape), dtype=complex)
+        for got in (spectral._fields(storage, grid), spectral._fields(storage, grid, out)):
+            assert all(_same_bits(a, b) for a, b in zip(got, fields))
+        assert all(_same_bits(spectral._fields(row, grid), f) for row, f in zip(storage, fields))
 
 
 @pytest.mark.parametrize("grid", SPLIT_GRIDS, ids=["8192", "16384"])
 def test_split_forward_transform_read_in_natural_order_is_the_fft(grid):
     # pins the twiddles: the forward half alone, mode c + n2 d at [c, d]
     v = _tilted_packet(grid).values
-    split = spectral._split(v.shape)
+    layout = spectral._layout(grid, padded=False)
+    split = layout.split
     # the natural line read as its (n2, n1) matrix, the layout of pad 0
-    m = spectral._split_fft(v.reshape(split), np.empty(split, dtype=complex), split[1])
+    m = spectral._split_fft(v.reshape(split), np.empty(split, dtype=complex), layout)
     natural = np.swapaxes(m, -1, -2).reshape(-1)
     want = np.fft.fft(v)
     assert np.max(np.abs(natural - want)) < 1e-14 * np.max(np.abs(want))
     # and the inverse half brings the spectrum, in that order, back
-    back = spectral._storage_order(want).reshape(split)
-    spectral._split_ifft(back, split[1])
+    back = spectral._storage_order(want, grid).reshape(split)
+    spectral._split_ifft(back, layout)
     assert np.max(np.abs(back.reshape(-1) - v)) < 1e-14 * np.max(np.abs(v))
 
 
@@ -339,10 +360,11 @@ def test_split_free_flow_tracks_the_plain_composition(grid):
     assert np.max(np.abs(got - np.fft.ifft(grad.symbol * np.fft.fft(v)))) < 1e-13 * np.max(
         np.abs(got))
 
-    stored = spectral._storage_order(symbol)
+    stored = spectral._storage_order(symbol, grid)
+    layout = spectral._layout(grid, padded=False)
     split, plain = v.copy(), v.copy()
     for _ in range(1000):
-        spectral._apply_symbol(split, stored, split)
+        spectral._apply_symbol(split, stored, layout, split)
         plain = np.fft.ifft(np.multiply(symbol, np.fft.fft(plain)))
     assert np.max(np.abs(split - plain)) < 1e-13 * scale
     # each path's rounding, against the flow over the whole time at once:
