@@ -207,6 +207,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .spectral import (
+        _fft_pass, _lay_out, _layout,
         make_grid,
         field_from_function,
         random_smooth_field,
@@ -285,9 +286,11 @@ def _cmd_selftest(args) -> int:
     # a 1-D line of 8192 points takes the four-step transform: its free
     # flow against the plain numpy composition; a step with no coupling,
     # the kernel on the line's matrix in padded rows, against free_evolve,
-    # the same transform on its natural line; and a two-flight stack of
-    # such lines, whose column transforms run along axis -2, against each
-    # flight alone
+    # the same transform on its natural line; a two-flight stack of such
+    # lines, whose column transforms run along axis -2, against each
+    # flight alone; and the bound FFT passes, numpy's pocketfft gufuncs
+    # called directly, against np.fft.fft and np.fft.ifft on the line, on
+    # its padded matrix and on a padded 2-D field, along each axis
     g_split = make_grid(1, 8192, 300.0)
     u0s_split = [field_from_function(g_split, lambda x, a=a: a * np.exp(-(x**2) + 2j * x))
                  for a in (0.6, 0.9)]
@@ -298,9 +301,15 @@ def _cmd_selftest(args) -> int:
     padded = free.tobytes() == free_evolve(u0s_split[0], 1e-3).values.tobytes()
     cfgs_split = [StepperConfig(dt=dt, t_final=0.02, snapshot_every=10) for dt in (1e-3, 5e-4)]
     differ, flights = differing([(u0s_split, mp5, cfgs_split, None)])
-    checks.append(("split_transform", err < 1e-13 and padded and differ == 0,
+    views = [(v, 0)] + [(_lay_out([f.values], f.grid)[..., :_layout(f.grid).width], axis)
+                        for f in (u0s_split[0], u0s_2d[0]) for axis in (1, 2)]
+    passes = [_fft_pass(a, np.empty_like(a), axis, inverse)().tobytes()
+              != fn(a, axis=axis).tobytes()
+              for a, axis in views for inverse, fn in ((False, np.fft.fft), (True, np.fft.ifft))]
+    checks.append(("split_transform", err < 1e-13 and padded and differ == 0 and not any(passes),
                    f"{err:.3e}; padded step {'bitwise' if padded else 'differs'}; "
-                   f"{differ} of {flights} flights differ"))
+                   f"{differ} of {flights} flights differ; "
+                   f"{sum(passes)} of {len(passes)} gufunc passes differ from numpy.fft"))
 
     bump = field_from_function(g, lambda x: np.exp(-(x**2)) * (1.0 + 0.5j))
     elem = SymmetryElement(theta=0.7, h=1.3, t0=0.2, x0=(1.5,), xi=(0.9,))

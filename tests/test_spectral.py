@@ -335,13 +335,16 @@ def test_split_forward_transform_read_in_natural_order_is_the_fft(grid):
     layout = spectral._layout(grid, padded=False)
     split = layout.split
     # the natural line read as its (n2, n1) matrix, the layout of pad 0
-    m = spectral._split_fft(v.reshape(split), np.empty(split, dtype=complex), layout)
+    m = np.empty(split, dtype=complex)
+    for run in spectral._split_passes(v.reshape(split), m, layout):
+        run()
     natural = np.swapaxes(m, -1, -2).reshape(-1)
     want = np.fft.fft(v)
     assert np.max(np.abs(natural - want)) < 1e-14 * np.max(np.abs(want))
     # and the inverse half brings the spectrum, in that order, back
     back = spectral._storage_order(want, grid).reshape(split)
-    spectral._split_ifft(back, layout)
+    for run in spectral._split_passes(back, back, layout, inverse=True):
+        run()
     assert np.max(np.abs(back.reshape(-1) - v)) < 1e-14 * np.max(np.abs(v))
 
 

@@ -186,7 +186,7 @@ def test_stacked_virial_rows_are_the_per_field_formulas_bitwise(mp, grid, R):
     assert refs[2][3] > 0.0
     # the record's stack: per-row spectra, |u| and |u|^2 of three fields
     x = np.stack([f.values for f in fields])
-    spectrum = _transform(np.fft.fft, x, np.empty_like(x), grid.d)
+    spectrum = _transform(x, np.empty_like(x), grid.d)
     a = np.abs(x)
     rows = _virial_rows(mp, w, x, spectrum, a, a**2)
     assert repr(list(zip(*(v.tolist() for v in rows)))) == repr(refs)
