@@ -29,13 +29,13 @@ The kernel binds each segment's step once (_advance): the free flow
 function over every view, axis, factor, twiddle table and op they need,
 the power terms resolved to ops and a stack's rates spread over its
 storage, so a step is a flat run of ufunc and gufunc calls through out=
-with no per-step argument handling.  On a threshold sweep's small grids
-a step is bound by numpy's per-call overhead, not by arithmetic: a lone
-16-point E1 p = 7 step took about 23 us before and 14 us after binding
-(2-core Xeon, numpy 2.4.6).  The kernel makes no per-step temporaries:
-the rotation's buffers (the complex phase, whose storage is scratch
-until the phase is built, |u|^2, the angle theta, a mask and a stack's
-rates) are the stack's, allocated once (see the storage plan below).
+with no per-step argument handling; on a threshold sweep's small grids
+a step is bound by numpy's per-call overhead, not by arithmetic.  The
+kernel makes no per-step temporaries: the rotation's buffers (the
+complex phase, whose storage is scratch until the phase is built,
+|u|^2, the angle theta, a mask and a stack's rates) are the stack's,
+allocated once, and _rotation alone takes its views of them (see the
+storage plan below).
 The per-step allocations are the bytes copies of one grid line of the
 mask in which the window below is found: n bytes in 1-D (n2 (n1 + 2)
 for a split line's padded matrix, read as one line), n and n + 8 in
@@ -148,7 +148,7 @@ the grid, so the column transforms do not load every element from a
 few L1 cache sets (the pads and their measurements sit beside
 spectral._PAD and spectral._SPLIT_PAD).  The cached free-flow symbol
 (_kinetic_phase), the twiddles (spectral._twiddles) and the rotation's
-workspace take the same layout.  The FFTs run on the grid's view,
+buffers take the same layout.  The FFTs run on the grid's view,
 storage[..., :width]; the elementwise ops, the rotation and the free
 flow's product, run over the whole contiguous storage, and the rotation
 reads each 1-D flight's storage, a split line's matrix too, as one flat
@@ -157,34 +157,36 @@ that tests/test_propagator.py checks: the pads hold 0 and stay 0 (|u|^2
 is 0 there, so theta is 0 and the phase 1 + 0i, and the symbol's pads
 are 0, so each product leaves 0), and no transform or sum reads a pad.
 So the padded march is bitwise the unpadded one.  The kernel takes the
-layout from the grid, through the workspace, never from the storage's
+layout from the grid, through the buffers, never from the storage's
 shape.
 
-One set of buffers, _Buffers, allocated for the stack's first and
-largest number of flights, serves every segment and every record; once flights
-leave, the kernel and the record take views of its leading elements.  A
-record borrows the workspace, adding one float array: the phase holds
-the spectrum, the float pair a2 and theta holds |u| and |u|^2 or, read
-as one complex array, the unitary spectrum, and the added array the
+One set of flat buffers, _Buffers, allocated for the stack's first and
+largest number of flights, serves every segment and every record; each
+binder takes views of their leading elements for the flights at hand
+when it binds: _rotation the rotation's, _advance a stack's rates, the
+record its _Scratch and the virial rows' arrays.  A record borrows the
+rotation's buffers, adding one float array: the phase holds the
+spectrum, the float pair a2 and theta holds |u| and |u|^2 or, read as
+one complex array, the unitary spectrum, and the added array the
 products and powers (spectral._Scratch), each written through out= and
 C-contiguous, as the row sums need.  The unitary spectrum, spectrum /
 sqrt(N), is formed as the float64 view times 1 / sqrt(N): numpy divides
 by c + 0i as (re + im*0) * (1/c), (im - re*0) * (1/c), so the two differ
 at most in the sign of a zero, which the |.| the value feeds drops.  The
-localized virial rows take two complex arrays and a float one more,
-held from the first record on (_Buffers.virial), and the record's float
-array; a split line's natural copy goes into the second complex one.
-So no segment or record allocates a float or complex array of the
+localized virial rows take two complex arrays and a float one more, the
+buffers' virial pair, held for a run with virial rows, and the record's
+float array; a split line's natural copy goes into the second complex
+one.  So no segment or record allocates a float or complex array of the
 grid's size, but for that copy in a run without virial rows; what else
 is allocated is the bytes copies of a mask line above, one byte per
 point of a line, and numpy's ufunc buffers for a strided or cast
-operand (np.getbufsize() elements at most).
-Freed and allocated afresh, those buffers cost glibc's trim and a page
-fault per page at every segment and record: a 2-D 256^2 run
-(perfbench's townes_2d) took about 33 000 minor faults per call, and
-takes about 8 500 with them held.  The buffers are dropped before a
-stopping stack makes its final copies, so a run's peak holds them or the
-copies, never both.
+operand (np.getbufsize() elements at most).  Freed and allocated
+afresh, those buffers would cost glibc's trim and a page fault per page
+at every segment and record: a 2-D 256^2 run (perfbench's townes_2d)
+takes about 8 500 minor faults per call with them held, about 33 000
+without.  The buffers are dropped before a stopping stack makes its
+final copies (_stored, one copy per field), so a run's peak holds them
+or the copies, never both.
 
 A stack holds at most _STACK_BYTES = 128 KiB of fields
 (_stack_capacity).  Every stack measured under that cap gained; past it
@@ -233,7 +235,6 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -241,7 +242,6 @@ from .functionals import ModelParams, _check_dimension, _snapshots
 from .spectral import (
     ComplexField,
     GridSpec,
-    _Scratch,
     _apply_symbol,
     _edge_fractions,
     _fields,
@@ -416,36 +416,19 @@ def _nonlinear_terms(mp: ModelParams, couplings: tuple | None = None) -> tuple:
 _TINY_PHASE = 2.0**-27
 
 
-class _Workspace(NamedTuple):
-    """The rotation's buffers for a stack's storage, with the views it
-    reads them through, and the storage's layout; _rotation binds them.
+class _Buffers:
+    """One stack's flat buffers, allocated once for its first and largest
+    number of flights, in the grid's storage layout (spectral._layout):
+    the kernel's rotation and rates and a record's _Scratch take views of
+    their leading elements for the flights at hand, each where it binds.
     The rotation reads the storage as (flights, *row): in 2-D its own
     shape, in 1-D one flat line per flight, a split line's padded matrix
-    too."""
+    too.  A record borrows the complex phase for its spectrum and the
+    float pair for its block, and adds spare; with virial rows, it takes
+    the virial pair, two complex arrays and a float one
+    (virial._virial_rows, which takes spare as its second float)."""
 
-    phase: np.ndarray       # complex phase; its float64 storage is scratch until built
-    squares: tuple          # that storage's (re*re, im*im) halves of each pair
-    a2: np.ndarray          # |u|^2
-    scratch: np.ndarray     # the storage's first half, shaped as a2
-    theta: np.ndarray
-    small: np.ndarray       # |theta| < _TINY_PHASE
-    parts: tuple            # phase.real, phase.imag
-    union: np.ndarray       # small in every flight, of one row's shape
-    lines: tuple            # in 2-D, union over the other axis, per grid axis
-    layout: tuple           # the storage's, spectral._layout(grid)
-    rates: np.ndarray | None  # a stack's -dt/2, -dt: (2, flights, *row); None for one
-
-
-class _Buffers:
-    """One stack's buffers, allocated once for its first and largest
-    number of flights, in the grid's storage layout (spectral._layout):
-    the kernel's workspace and a record's _Scratch are views of their
-    leading elements for the flights at hand.  A record borrows the
-    workspace's complex phase for its spectrum and its float pair, a2
-    and theta, for its block, and adds one float array."""
-
-    def __init__(self, flights: int, grid: GridSpec):
-        self.grid = grid
+    def __init__(self, flights: int, grid: GridSpec, virial: bool = False):
         self.layout = _layout(grid)
         self.row = self.layout.row if grid.d == 2 else (math.prod(self.layout.row),)
         size = flights * math.prod(self.row)
@@ -456,70 +439,36 @@ class _Buffers:
         self.lines = tuple(np.empty(k, dtype=bool) for k in self.row) if grid.d == 2 else ()
         self.spare = np.empty(flights * grid.size)
         self.rates = np.empty(2 * size) if flights > 1 else None
-        self._virial = None
-        self._views = {}
-
-    def workspace(self, flights: int) -> _Workspace:
-        """The kernel's workspace for the storage of flights fields."""
-        key = ("kernel", flights)
-        if key not in self._views:
-            shape = (flights, *self.row)
-            size = math.prod(shape)
-            phase = self.phase[:size].reshape(shape)
-            a2, theta = self.floats[:2 * size].reshape((2, *shape))
-            squares = phase.view(np.float64)
-            self._views[key] = _Workspace(
-                phase, (squares[..., 0::2], squares[..., 1::2]), a2,
-                squares.reshape(-1)[:size].reshape(shape), theta,
-                self.small[:size].reshape(shape), (phase.real, phase.imag), self.union,
-                self.lines, self.layout,
-                None if flights == 1 else self.rates[:2 * size].reshape((2, *shape)),
-            )
-        return self._views[key]
-
-    def scratch(self, flights: int) -> _Scratch:
-        """A record's buffers for flights fields."""
-        key = ("record", flights)
-        if key not in self._views:
-            self._views[key] = _scratch((flights, *self.grid.shape), self.phase, self.floats,
-                                        self.spare)
-        return self._views[key]
-
-    def virial(self, flights: int) -> tuple:
-        """The localized virial rows' buffers for flights fields, two
-        complex arrays and a float one (virial._virial_rows, which takes
-        the record's spare array as its second float), allocated at the
-        first call, for the stack's first and largest shape."""
-        key = ("virial", flights)
-        if key not in self._views:
-            if self._virial is None:
-                self._virial = (np.empty((2, len(self.spare)), dtype=np.complex128),
-                                np.empty(len(self.spare)))
-            shape = (flights, *self.grid.shape)
-            size = math.prod(shape)
-            pair, floats = self._virial
-            self._views[key] = (pair[0, :size].reshape(shape), pair[1, :size].reshape(shape),
-                                floats[:size].reshape(shape))
-        return self._views[key]
+        self.virial = (np.empty((2, len(self.spare)), dtype=np.complex128),
+                       np.empty(len(self.spare))) if virial else None
 
 
-def _rotation(values, terms, ws):
+def _rotation(values, terms, buffers):
     """P(tau) in place for rate = -tau, u <- u exp(i rate sum mu |u|^(2e)),
-    bound once to the storage values, read as (flights, *row), the terms
-    and the buffers ws of _Buffers.workspace: a function of rate, a float
-    or one per flight of a stack, spread over its storage (ws.rates) or a
-    column, (flights, 1, ..., 1).  The angle's ops are resolved here.
-    cos and sin run only over the box spanned, on each grid axis, by the
-    grid points holding a theta, in any flight, that is NaN or at least
-    _TINY_PHASE in size; outside it the phase is 1 + i theta, the values
-    they return there (see the module docstring)."""
-    a2, scratch, theta, small = ws.a2, ws.scratch, ws.theta, ws.small
-    # |u|^2 = re*re + im*im: the interleaved pairs are squared in one
-    # contiguous pass into the phase's storage, then added; the storage's
-    # first half then takes the second power term and |theta|
+    bound once to the storage values, the terms and the stack's buffers,
+    whose views it takes here for the flights of values, reading them as
+    (flights, *row): a function of rate, a float or one per flight of a
+    stack, spread over that shape or a column, (flights, 1, ..., 1).  The
+    angle's ops are resolved here.  cos and sin run only over the box
+    spanned, on each grid axis, by the grid points holding a theta, in any
+    flight, that is NaN or at least _TINY_PHASE in size; outside it the
+    phase is 1 + i theta, the values they return there (see the module
+    docstring)."""
+    shape = (len(values), *buffers.row)
+    size = math.prod(shape)
+    values = values.reshape(shape)
+    phase = buffers.phase[:size].reshape(shape)
+    a2, theta = buffers.floats[:2 * size].reshape((2, *shape))
+    small = buffers.small[:size].reshape(shape)
+    # the phase's float storage is scratch until the phase is built: |u|^2
+    # = re*re + im*im, the interleaved pairs squared in one contiguous
+    # pass into it, then added; its first half then takes the second power
+    # term and |theta|
+    squares = phase.view(np.float64)
+    scratch = squares.reshape(-1)[:size].reshape(shape)
     parts = values.view(np.float64)
-    calls = [partial(np.multiply, parts, parts, ws.phase.view(np.float64)),
-             partial(np.add, *ws.squares, a2)]
+    calls = [partial(np.multiply, parts, parts, squares),
+             partial(np.add, squares[..., 0::2], squares[..., 1::2], a2)]
     (mu, e), *rest = terms
     power, acc = _abs2_power(a2, e, theta)
     if mu != 1.0:
@@ -536,12 +485,12 @@ def _rotation(values, terms, ws):
         acc = theta
     # per grid axis, a line marking where the union of the flights' masks
     # is small across the other axis (in 1-D, the union itself)
-    union = small[0] if len(small) == 1 else ws.union
+    union = small[0] if len(small) == 1 else buffers.union
     masks = [] if len(small) == 1 else [partial(np.logical_and.reduce, small, axis=0, out=union)]
     masks += [partial(np.logical_and.reduce, union, axis=1 - axis, out=line)
-              for axis, line in enumerate(ws.lines)]
-    lines = ws.lines or (union,)
-    (re, im), phase = ws.parts, ws.phase
+              for axis, line in enumerate(buffers.lines)]
+    lines = buffers.lines or (union,)
+    re, im = phase.real, phase.imag
 
     def rotate(rate):
         for call in calls:
@@ -569,39 +518,50 @@ def _rotation(values, terms, ws):
     return rotate
 
 
-def _advance(values, n, dt, terms, kin, ws):
+def _advance(values, n, dt, terms, kin, buffers):
     """n Strang steps, in place, of a stack's storage (spectral._lay_out),
     every pad 0; dt is a float or a column (flights, 1, ..., 1) of each
     flight's step, kin, of the storage's shape, each flight's free-flow
-    symbol with pads 0, and ws the workspace for that storage
-    (_Buffers.workspace), which gives its layout and, for a stack, holds
-    its rates.  The free flow and the rotation are bound once, here, for
-    the whole segment.  Every op is elementwise per flight, so each takes
-    its steps bitwise as it would alone, and the pads stay 0.
+    symbol with pads 0, and buffers the stack's _Buffers, which give the
+    layout and, for a stack of several, hold its rates.  The free flow and
+    the rotation are bound once, here, for the whole segment.  Every op is
+    elementwise per flight, so each takes its steps bitwise as it would
+    alone, and the pads stay 0.
 
     Adjacent half-steps merge, P(dt/2) P(dt/2) = P(dt), because P leaves
     |u| unchanged; the closing half-step is applied once, after the last
     free flight, so the state is a whole number of steps on return.
     """
-    flow = _free_flow(values, kin, ws.layout, values)
+    flow = _free_flow(values, kin, buffers.layout, values)
     if not terms:
         for _ in range(n):
             flow()
         return
-    # the rotation's view of the storage, (flights, *row)
-    rotate = _rotation(values.reshape(ws.a2.shape), terms, ws)
-    # -(dt/2) and -dt, exact; a stack's spread over its storage, since
-    # numpy copies a broadcast column into a ufunc buffer at every step
+    rotate = _rotation(values, terms, buffers)
+    # -(dt/2) and -dt, exact; a stack's spread over the rotation's view of
+    # its storage, since numpy copies a broadcast column into a ufunc
+    # buffer at every step
     half, whole = -0.5 * dt, -dt
-    if ws.rates is not None:
-        np.copyto(ws.rates, (half, whole))
-        half, whole = ws.rates
+    if len(values) > 1:
+        shape = (2, len(values), *buffers.row)
+        rates = buffers.rates[:math.prod(shape)].reshape(shape)
+        np.copyto(rates, (half, whole))
+        half, whole = rates
     rotate(half)
     for _ in range(n - 1):
         flow()
         rotate(whole)
     flow()
     rotate(half)
+
+
+def _stored(row: np.ndarray, grid: GridSpec, finite: bool) -> ComplexField:
+    """The field in one row of a stack's storage as a ComplexField of its
+    own, copied once: a split line's natural-order copy is adopted as its
+    values, any other row's view is copied."""
+    u = _fields(row, grid)
+    return ComplexField._adopt(grid, u.copy() if np.may_share_memory(u, row) else u,
+                               allow_nonfinite=not finite)
 
 
 def strang_step(
@@ -622,9 +582,8 @@ def strang_step(
     # a stack of one
     v = _lay_out([u.values], u.grid)
     _advance(v, 1, dt, _nonlinear_terms(mp, couplings), _kinetic_phase(u.grid, dt)[np.newaxis],
-             _Buffers(1, u.grid).workspace(1))
-    finite = bool(np.all(np.isfinite(v)))
-    return ComplexField(u.grid, _fields(v[0], u.grid), allow_nonfinite=not finite)
+             _Buffers(1, u.grid))
+    return _stored(v[0], u.grid, bool(np.all(np.isfinite(v))))
 
 
 # -- full trajectories --------------------------------------------------------
@@ -803,7 +762,7 @@ def evolve_stack(
     wsym = derivative_weight_multiplier(grid, mp.s_p).symbol
     mcp = mp.mc_power
     values = _lay_out([u0.values for u0 in u0s], grid)
-    buffers = _Buffers(len(u0s), grid)
+    buffers = _Buffers(len(u0s), grid, virial=virial_weight is not None)
 
     def record(x, flights, step):
         # every flight of the stack storage x records at once: one forward
@@ -814,9 +773,13 @@ def evolve_stack(
         # copy, as the row sums take their bits from contiguous rows; with
         # localized virial rows, into their second complex array, which
         # they read it from last (virial._virial_rows)
-        work = None if virial_weight is None else buffers.virial(len(flights))
+        shape = (len(flights), *grid.shape)
+        size = math.prod(shape)
+        work = None if buffers.virial is None else (
+            *buffers.virial[0][:, :size].reshape((2, *shape)),
+            buffers.virial[1][:size].reshape(shape))
         u = _fields(x, grid, None if work is None else work[1])
-        scratch = buffers.scratch(len(flights))
+        scratch = _scratch(shape, buffers.phase, buffers.floats, buffers.spare)
         spec = _spectrum(u, scratch)
         ts = [step * logs[i].dt_used for i in flights]
         snaps, a, dens, totals = _snapshots(grid, mp, ts, u, spec, scratch)
@@ -852,10 +815,9 @@ def evolve_stack(
         target = min(min(logs[i].n_steps for i in live), (step // every + 1) * every)
         if ckpt_every:
             target = min(target, (step // ckpt_every + 1) * ckpt_every)
-        ws = buffers.workspace(len(live))
-        _advance(values, target - step, dt, terms, kin, ws)
+        _advance(values, target - step, dt, terms, kin, buffers)
         step = target
-        finite = np.isfinite(values.reshape(ws.small.shape), out=ws.small).reshape(
+        finite = np.isfinite(values.reshape(-1), out=buffers.small[:values.size]).reshape(
             len(live), -1).all(axis=1)
         # the finite flights that record at this step, all of them together
         recording = [row for row, i in enumerate(live)
@@ -915,13 +877,10 @@ def evolve_stack(
 
         if len(stopped) == len(live):
             # the stack is done: its buffers go before the final copies
-            buffers = ws = None
+            buffers = None
         for row in kept + stopped:
             log = logs[live[row]]
-            # one copy: a split line's natural order is already a new array
-            u = _fields(values[row], grid)
-            f = ComplexField._adopt(grid, u.copy() if np.may_share_memory(u, values) else u,
-                                    allow_nonfinite=not finite[row])
+            f = _stored(values[row], grid, finite[row])
             if finite[row]:
                 log.checkpoints.append((step * log.dt_used, f))
             if row in stopped:

@@ -15,6 +15,7 @@ fields stay real under differentiation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
@@ -670,7 +671,7 @@ def _scratch(shape, spectrum=None, block=None, spare=None) -> _Scratch:
     """_Scratch for a stack of the given shape, (flights, *grid), over the
     leading elements of the flat arrays given (complex, float64 of twice
     the stack's size, float64), or new ones where None."""
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     spectrum = np.empty(size, dtype=np.complex128) if spectrum is None else spectrum
     block = np.empty(2 * size) if block is None else block
     spare = np.empty(size) if spare is None else spare

@@ -225,9 +225,9 @@ def _virial_rows(mp: ModelParams, w: VirialWeight, x, spectrum, modulus, density
     The fields the integrals read are formed through out= in work: two
     complex arrays and two float arrays of x's shape, C-contiguous and
     apart from the other arguments (new ones when None), which a run
-    holds for its whole march (propagator._Buffers.virial); in 1-D x may
-    be the second complex array, which x's one read precedes.  Every
-    value is the plain expression's, operand for operand: the gradients
+    holds for its whole march (propagator._Buffers' virial pair); in
+    1-D x may be the second complex array, which x's one read precedes.
+    Every value is the plain expression's, operand for operand: the gradients
     (1j k) * spectrum, sums that start from 0 as sum() does, |.|^2 as
     np.abs(.) ** 2, the powers of |u| as modulus ** e."""
     if mp.equation != "E1":

@@ -482,8 +482,7 @@ def test_kernel_is_the_plain_strang_loop_bitwise(mp, grid, amplitude, couplings,
     _reference_strang(ref, n, dt, terms, spectral._fields(kin, grid))
     # the kernel marches a stack's storage: this one of one, 2-D rows padded
     got = spectral._lay_out([u0.values], grid)
-    propagator._advance(got, n, dt, terms, kin[np.newaxis],
-                        propagator._Buffers(1, grid).workspace(1))
+    propagator._advance(got, n, dt, terms, kin[np.newaxis], propagator._Buffers(1, grid))
     assert np.array_equal(spectral._fields(got[0], grid).view(np.float64), ref.view(np.float64))
 
     one = u0.values.copy()
@@ -655,11 +654,11 @@ def test_a_stack_marches_each_row_as_it_marches_alone(mp, grid, rows):
         stack = spectral._lay_out(fields, grid)
         with np.errstate(all="ignore"):
             propagator._advance(stack, n, step, terms, np.stack(kins),
-                                propagator._Buffers(len(rows), grid).workspace(len(rows)))
+                                propagator._Buffers(len(rows), grid))
             for row, f, h, kin in zip(spectral._fields(stack, grid), fields, dts, kins):
                 alone = spectral._lay_out([f], grid)
                 propagator._advance(alone, n, h, terms, kin[np.newaxis],
-                                    propagator._Buffers(1, grid).workspace(1))
+                                    propagator._Buffers(1, grid))
                 alone = spectral._fields(alone[0], grid)
                 # NaN where the lone march has NaN, every other sample
                 # bitwise; numpy's multi-line FFT may give a NaN the other sign
@@ -731,7 +730,7 @@ def test_a_split_line_stack_in_padded_rows_is_the_plain_unpadded_march(monkeypat
         monkeypatch.setattr(spectral, "_SPLIT_PAD", pad)
         for cache in (spectral._layout, spectral._twiddles, propagator._kinetic_phase):
             cache.cache_clear()
-        return propagator.evolve_stack(u0s, MP1, cfgs)
+        return propagator.evolve_stack(u0s, MP1, cfgs, virial_weight=VirialWeight(grid, 4.0))
 
     pad = spectral._SPLIT_PAD
     assert pad > 0
@@ -773,7 +772,8 @@ def test_a_split_line_stack_in_padded_rows_is_the_plain_unpadded_march(monkeypat
         cache.cache_clear()
     assert marched == [2, 2] + [1] * (len(marched) - 2) and len(marched) > 2
 
-    series = ("times", "snapshots", "tail_fractions", "edge_fractions", "scatter_series")
+    series = ("times", "snapshots", "tail_fractions", "edge_fractions", "scatter_series",
+              "virial_rows")
     terms = propagator._nonlinear_terms(MP1)
     for u0, h, log, alone in zip(u0s, steps, logs, plain):
         assert log.outcome == alone.outcome == "completed"
@@ -832,11 +832,11 @@ def test_a_kernel_segment_allocates_no_array_but_a_mask_lines_bytes(d, n, flight
     steps = (1e-3, 2e-3)[:flights]
     dt = np.array(steps).reshape((-1,) + (1,) * d)
     kin = np.stack([propagator._kinetic_phase(grid, h) for h in steps])
-    ws = propagator._Buffers(flights, grid).workspace(flights)
+    buffers = propagator._Buffers(flights, grid)
     terms = propagator._nonlinear_terms(MP1 if d == 1 else MP2D)
     # the first segments fill the twiddle cache and numpy's own caches
     for k in (2, 10, 40):
-        propagator._advance(values, k, dt, terms, kin, ws)
+        propagator._advance(values, k, dt, terms, kin, buffers)
     line = values.shape[-1] if d == 2 else values[0].size
     box = 2 * 8 * np.getbufsize() if d == 2 else 0
     bound = line + box + 8 * 1024
@@ -845,7 +845,7 @@ def test_a_kernel_segment_allocates_no_array_but_a_mask_lines_bytes(d, n, flight
     for k in (10, 40):
         tracemalloc.start()
         try:
-            propagator._advance(values, k, dt, terms, kin, ws)
+            propagator._advance(values, k, dt, terms, kin, buffers)
             now, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -872,6 +872,33 @@ def test_a_split_line_checkpoint_is_copied_once(monkeypatch):
         assert f.values.flags.c_contiguous and not f.values.flags.writeable
 
 
+def test_a_split_line_strang_step_copies_its_field_once(monkeypatch):
+    # strang_step stores its field as a checkpoint is stored: the split
+    # line's natural-order copy is the field's values, so from the moment
+    # the kernel's buffers are gone the step peaks at that one field
+    grid = GridSpec(d=1, n_per_axis=8192, half_width=300.0)
+    assert spectral._layout(grid).split
+    u0 = _bump(grid, 0.8)
+    strang_step(u0, MP1, 1e-3)
+    fields, start = propagator._fields, []
+
+    def watching(*args):
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+        return fields(*args)
+
+    monkeypatch.setattr(propagator, "_fields", watching)
+    tracemalloc.start()
+    try:
+        f = strang_step(u0, MP1, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - start[0]
+    finally:
+        tracemalloc.stop()
+    field_bytes = 16 * grid.size
+    assert len(start) == 1 and field_bytes <= peak < 1.25 * field_bytes
+    assert f.values.flags.c_contiguous and not f.values.flags.writeable
+
+
 def test_a_record_step_of_a_2d_stack_allocates_no_grid_sized_array(monkeypatch):
     # the record writes into the stack's buffers; what it may still
     # allocate is small objects and numpy's ufunc buffers for a strided
@@ -890,8 +917,8 @@ def test_a_record_step_of_a_2d_stack_allocates_no_grid_sized_array(monkeypatch):
 
 @pytest.mark.parametrize("n, flights", [(4096, 8), (8192, 3)], ids=["4096", "8192_split"])
 def test_localized_virial_rows_take_the_stacks_held_buffers(monkeypatch, n, flights):
-    # the virial rows form their fields in buffers the stack holds from
-    # its first record on (_Buffers.virial), and a split line's natural
+    # the virial rows form their fields in buffers the stack holds for
+    # its whole march (_Buffers' virial pair), and a split line's natural
     # copy goes into one of them; a record step allocates no array of the
     # stack's fields, numpy's buffers for a cast operand (np.getbufsize()
     # complex elements) aside
