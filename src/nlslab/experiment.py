@@ -101,6 +101,14 @@ def _check_profile(section: str, which: str, power: float) -> None:
         raise ConfigError(f"{section}.power: single_power exponent must exceed 1, got {power}")
 
 
+def _check_equation(section: str, which: str, model: ModelParams) -> None:
+    """Refuse the double profile for a model other than E1: its terms carry
+    E1's signs, and E2 has no standing wave of its own here yet."""
+    if which == "double" and model.equation != "E1":
+        raise ConfigError(f"{section}.which: the double profile is solved with E1's "
+                          f"signs; equation {model.equation} has none")
+
+
 @dataclass(frozen=True)
 class InitialData:
     """One initial-data recipe; unused fields keep their defaults.
@@ -173,6 +181,7 @@ class ExperimentConfig:
             # the edge band would hold every site, so no data could pass
             raise ConfigError(f"stepper.edge_cells: {edge} sites at each end cover all "
                               f"{self.n_per_axis} sites of an axis")
+        _check_equation("initial_data", self.initial.which, self.model)
         if self.initial.kind == "large_scale" and self.symmetry is None:
             raise ConfigError("symmetry: section required for initial_data kind 'large_scale'")
         for key in ("x0", "xi"):
@@ -388,6 +397,7 @@ def parse_model(text: str):
     if parser.has_section("groundstate"):
         values = _read(parser, "groundstate", _keys(_SolverOverrides))
     overrides = asdict(_SolverOverrides(**values))
+    _check_equation("groundstate", overrides["which"], model)
     _refuse_unknown_sections(parser, (*_SCHEMA, "groundstate"))
     return model, {name: value for name, value in overrides.items() if value}
 

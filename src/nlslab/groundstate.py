@@ -45,13 +45,12 @@ the classifier, the critical mass and every config of a multi-config
 run share one solve.  The cached solution is frozen and its r, profile
 and derivative arrays are read-only; a solve that raises leaves nothing
 behind.  A solution also keeps what is derived from it on first use:
-the spline that samples it, the encoded rows of its groundstate.csv, so
-the runs sharing it format that file once (about 0.64 MB of chunks per
-written solution), and the SHA-256 digest a verdict carries.  The
-digest comes from CPython's built-in module (_sha2 from 3.12, _sha256
-before; hashlib only where neither exists), because hashlib loads and
-starts OpenSSL, some 3.6 MB resident in every run process, for one hash
-per solution.
+the encoded rows of its groundstate.csv, so the runs sharing it format
+that file once (about 0.64 MB of chunks per written solution), and the
+SHA-256 digest a verdict carries.  The digest comes from CPython's
+built-in module (_sha2 from 3.12, _sha256 before; hashlib only where
+neither exists), because hashlib loads and starts OpenSSL, some 3.6 MB
+resident in every run process, for one hash per solution.
 
 A second, independent route (ground_state_on_grid) runs a semi-implicit
 descent on the periodic spectral grid from a Gaussian seed, re-normalized
@@ -61,17 +60,17 @@ the same _search_amplitude, with -<S'(c Q), c Q> as its miss.  Shooting
 and descent agree on Q(0) to about 1e-8 relative in practice; tests
 demand 1e-6.
 
-The radial integrals (composite Simpson) and the clamped cubic spline that
-samples Q onto a lattice are computed in this module, not by scipy: every
-run solves and samples one profile, and importing scipy.integrate and
-scipy.interpolate cost more than the rest of a short run's set-up.  Both
-evaluate scipy's own formulas in scipy's order (simpson's non-uniform
-spacing rule with its even-count end correction; CubicSpline's banded
-system solved as LAPACK dgtsv does, and PPoly's interval search and
+The radial integrals (composite Simpson) and the cubic Hermite interpolant
+that samples Q onto a lattice are computed in this module, not by scipy:
+every run solves and samples one profile, and importing scipy.integrate
+and scipy.interpolate cost more than the rest of a short run's set-up.
+Both evaluate scipy's own formulas in scipy's order (simpson's non-uniform
+spacing rule with its even-count end correction; CubicHermiteSpline's
+coefficients through the stored Q and Q', with PPoly's interval search and
 ascending-power sum), so certificates and sampled fields are bitwise what
-scipy gives; the tests compare them.  The spline's tridiagonal sweep runs
-in place over memoryviews of its numpy rows, so solving it makes no
-Python list of a profile-sized row.  Nothing here imports scipy.
+scipy gives; the tests compare them.  The interpolant takes the solve's
+own Q' at every node, so it solves no system and takes any node spacing.
+Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -133,9 +132,12 @@ class ConvergenceError(RuntimeError):
 
 def _terms(mp: ModelParams, which: str, power) -> tuple:
     """((mu, exponent), ...) for g(Q) = sum mu |Q|^(exponent-1) Q; power
-    is single_power's exponent and refused with any other which."""
+    is single_power's exponent and refused with any other which.  The
+    double terms carry E1's signs, so an E2 model's double is refused."""
     if power is not None and which != "single_power":
         raise ValueError(f"power sets the single_power exponent, not {which!r}'s")
+    if which == "double" and mp.equation != "E1":
+        raise ValueError(f"{mp.equation} has no double profile: its terms carry E1's signs")
     qc = 1.0 + 4.0 / mp.d
     if which == "double":
         return ((1.0, mp.p), (-1.0, qc))
@@ -184,12 +186,6 @@ class GroundStateSolution:
     step: float
     scan_amplitudes: tuple = ()
     shots: int = 0
-
-    @cached_property
-    def _spline(self):
-        """Spline coefficients of the profile, clamped to Q'(0) = 0 and the
-        stored Q'(R); built on first use and kept with the solution."""
-        return _clamped_spline(self.r, self.profile, 0.0, float(self.derivative[-1]))
 
     @cached_property
     def _digest(self) -> str:
@@ -364,8 +360,7 @@ def _search_amplitude(lo, miss_lo, hi, miss_hi, shoot):
 
 
 def _tail(r, C, alpha, sqw):
-    val = C * r ** (-alpha) * np.exp(-sqw * r) if alpha else C * np.exp(-sqw * r)
-    return val
+    return C * r ** (-alpha) * np.exp(-sqw * r) if alpha else C * np.exp(-sqw * r)
 
 
 def _tail_derivative(r, C, alpha, sqw):
@@ -414,10 +409,9 @@ def _build_profile(a, h, n_steps, d, omega, terms):
         + dsig * (qt - qs[i_m : i_w + 1])
     )
 
-    if i_w < n_steps:
-        rt = r[i_w + 1 :]
-        q_out[i_w + 1 :] = _tail(rt, C, alpha, sqw)
-        v_out[i_w + 1 :] = _tail_derivative(rt, C, alpha, sqw)
+    rt = r[i_w + 1 :]   # empty where the blend reaches r_max
+    q_out[i_w + 1 :] = _tail(rt, C, alpha, sqw)
+    v_out[i_w + 1 :] = _tail_derivative(rt, C, alpha, sqw)
     return r, q_out, v_out, C
 
 
@@ -686,8 +680,9 @@ def pohozaev_check(gs: GroundStateSolution, tolerance: float = 1e-6) -> Pohozaev
 # -- grid interpolation -------------------------------------------------------
 
 def ground_state_field(gs: GroundStateSolution, grid: GridSpec) -> ComplexField:
-    """Radial profile interpolated onto the full lattice (cubic spline inside
-    the solved range, analytic asymptote beyond it)."""
+    """Radial profile interpolated onto the full lattice (cubic Hermite
+    through the stored Q and Q' inside the solved range, analytic
+    asymptote beyond it)."""
     if grid.d != gs.params.d:
         raise ValueError(
             f"grid dimension {grid.d} does not match profile dimension {gs.params.d}"
@@ -696,64 +691,24 @@ def ground_state_field(gs: GroundStateSolution, grid: GridSpec) -> ComplexField:
     alpha = 0.5 * (gs.params.d - 1.0)
     sqw = math.sqrt(gs.omega)
     inside = rr <= gs.r[-1]
-    vals = np.empty(grid.shape)
-    vals[inside] = _spline_eval(gs.r, gs._spline, rr[inside])
-    if np.any(~inside):
-        vals[~inside] = _tail(rr[~inside], gs.tail_coefficient, alpha, sqw)
-    return ComplexField(grid, vals.astype(np.complex128))
+    # the real samples go straight into the field's own complex array
+    vals = np.empty(grid.shape, dtype=np.complex128)
+    vals[inside] = _hermite_eval(gs.r, gs.profile, gs.derivative, rr[inside])
+    vals[~inside] = _tail(rr[~inside], gs.tail_coefficient, alpha, sqw)
+    return ComplexField._adopt(grid, vals)
 
 
-def _clamped_spline(x, y, s0, s1):
-    """Coefficients (c0, c1, c2, c3) of the cubic spline through (x, y) with
-    end slopes s0 and s1, piece i being
-    c0[i] z^3 + c1[i] z^2 + c2[i] z + c3[i] at z = r - x[i].
-
-    This is scipy's CubicSpline(x, y, bc_type=((1, s0), (1, s1))): the same
-    banded rows for the node slopes, solved in LAPACK dgtsv's order (the
-    rows are diagonally dominant, so dgtsv interchanges none), then
-    CubicHermiteSpline's coefficients.
-    """
-    n = x.size
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    diag = np.empty(n)
-    diag[[0, -1]] = 1.0
-    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-    upper = np.zeros(n - 1)
-    upper[1:] = dx[:-1]
-    lower = np.zeros(n - 1)
-    lower[:-1] = dx[1:]
-    rhs = np.empty(n)
-    rhs[0], rhs[-1] = s0, s1
-    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-
-    # The sweep runs in place over memoryviews of the rows: each item read
-    # is a Python float, as from a list, with no list copy of a row.  The
-    # previous row's d and b ride along in di and bi.
-    d, du, dl, b = (memoryview(a) for a in (diag, upper, lower, rhs))
-    di, bi = d[0], b[0]
-    for i, l_prev, u_prev, d_i, b_i in zip(range(1, n), dl, du, d[1:], b[1:]):
-        fact = l_prev / di
-        d[i] = di = d_i - fact * u_prev
-        b[i] = bi = b_i - fact * bi
-    b[-1] = bi = bi / di
-    # dgtsv's back solve also subtracts dl[i] * b[i + 2], zeroed above
-    for i, u_i, d_i, b_i in zip(range(n - 2, -1, -1), du[::-1], d[-2::-1], b[-2::-1]):
-        b[i] = bi = (b_i - u_i * bi) / d_i
-    s = rhs
-
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
-
-
-def _spline_eval(x, coeffs, r):
-    """scipy PPoly's evaluation of _clamped_spline's coefficients at r
-    (x[0] <= r <= x[-1]): the piece i with x[i] <= r < x[i+1], the last
-    one closed, and the terms summed in ascending powers."""
-    c0, c1, c2, c3 = coeffs
+def _hermite_eval(x, y, dydx, r):
+    """scipy's CubicHermiteSpline(x, y, dydx)(r) for x[0] <= r <= x[-1]:
+    PPoly's interval search (the piece i with x[i] <= r < x[i+1], the last
+    one closed), CubicHermiteSpline's coefficients formed at those pieces
+    alone, and the terms summed in ascending powers."""
     i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+    dx = x[i + 1] - x[i]
+    slope = (y[i + 1] - y[i]) / dx
+    t = (dydx[i] + dydx[i + 1] - 2 * slope) / dx
     z = r - x[i]
-    return c3[i] + c2[i] * z + c1[i] * (z * z) + c0[i] * (z * z * z)
+    return y[i] + dydx[i] * z + ((slope - dydx[i]) / dx - t) * (z * z) + t / dx * (z * z * z)
 
 
 # -- independent route: constrained descent on the spectral grid --------------
@@ -808,24 +763,20 @@ def ground_state_on_grid(mp: ModelParams, grid: GridSpec, which: str = "double")
 
     p_main = terms[0][1]
     a0 = ((p_main + 1.0) * omega / 2.0) ** (1.0 / (p_main - 1.0))
-    q = (a0 * np.exp(-0.25 * omega * grid.radius**2)).astype(np.complex128)
+    q = a0 * np.exp(-0.25 * omega * grid.radius**2)
 
     change = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        qr = q.real
-        rhs = qr + dtau * _g(qr, terms)
-        qn = np.fft.ifftn(np.fft.fftn(rhs) * denom).real
-        c = _nehari_rescale(qn, dv, k2, omega, terms)
-        qn = c * qn
-        change = float(np.max(np.abs(qn - qr))) / (dtau * float(np.max(np.abs(qn))))
-        q = qn.astype(np.complex128)
+        qn = np.fft.ifftn(np.fft.fftn(q + dtau * _g(q, terms)) * denom).real
+        qn = _nehari_rescale(qn, dv, k2, omega, terms) * qn
+        change = float(np.max(np.abs(qn - q))) / (dtau * float(np.max(np.abs(qn))))
+        q = qn
         if change < tol:
             break
 
-    qr = q.real
-    lap = np.fft.ifftn(-k2 * np.fft.fftn(qr)).real
-    res = float(np.max(np.abs(lap - omega * qr + _g(qr, terms))))
+    lap = np.fft.ifftn(-k2 * np.fft.fftn(q)).real
+    res = float(np.max(np.abs(lap - omega * q + _g(q, terms))))
     info = {
         "iterations": it,
         "final_change": change,

@@ -231,8 +231,15 @@ GAUSSIAN = "kind = gaussian\namplitude = 0.8"
     ("groundstate", MODEL + "\n[groundstate]\nr_max = -30\n", "groundstate.r_max"),
     ("groundstate", MODEL + "\n[groundstate]\nwhich = double\npower = 5.0\n",
      "groundstate.power"),
+    # the double profile carries E1's signs; E2 has none of its own yet
+    ("evolve", QUICK.replace("E1", "E2").replace(GAUSSIAN, "kind = scaled_ground_state\n"
+                                                           "which = double"),
+     "initial_data.which"),
+    ("groundstate", MODEL.replace("E1", "E2") + "\n[groundstate]\nwhich = double\n",
+     "groundstate.which"),
 ], ids=["which", "power", "theta", "k_width", "seed", "classify_seed", "x0", "groundstate_which",
-        "groundstate_step", "groundstate_r_max", "groundstate_power"])
+        "groundstate_step", "groundstate_r_max", "groundstate_power", "e2_double",
+        "groundstate_e2_double"])
 def test_values_a_run_would_reject_exit_two_at_parse_time(tmp_path, capsys, command, text,
                                                           key):
     cfg = _write(tmp_path, "bad.ini", text)

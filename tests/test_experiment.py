@@ -249,6 +249,9 @@ def _draw_config(rng, data_file) -> ExperimentConfig:
         ),
         theta=rng.uniform(0.0, 1.0),
     )
+    if equation == "E2" and initial.which == "double":
+        # E2 has no double profile: that draw stands for the unset one
+        initial = replace(initial, which="")
     symmetry = None
     if kind == "large_scale" or rng.random() < 0.5:
         symmetry = SymmetryElement(theta=rng.uniform(-7.0, 7.0), h=rng.uniform(0.1, 4.0),

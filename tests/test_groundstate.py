@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.optimize import brentq
 
 from nlslab import groundstate
@@ -210,16 +210,23 @@ def test_radial_integral_is_scipy_simpson_bitwise(double_gs):
     ("double_gs", 1, 1024, 15.0),
     ("townes_gs", 2, 256, 20.0),
 ])
-def test_sampled_profile_is_scipy_cubic_spline_bitwise(request, profile, d, n, half_width):
+def test_sampled_profile_is_scipy_cubic_hermite_spline_bitwise(request, profile, d, n,
+                                                                half_width):
     gs = request.getfixturevalue(profile)
-    spline = CubicSpline(gs.r, gs.profile, bc_type=((1, 0.0), (1, float(gs.derivative[-1]))))
+    hermite = CubicHermiteSpline(gs.r, gs.profile, gs.derivative)
     grid = GridSpec(d=d, n_per_axis=n, half_width=half_width)
     inside = grid.radius <= gs.r[-1]
     values = ground_state_field(gs, grid).values
-    assert np.array_equal(values.real[inside], spline(grid.radius[inside]))
+    assert np.array_equal(values.real[inside], hermite(grid.radius[inside]))
     assert not np.any(values.imag)
     for at in (gs.r, gs.r[-1:], 0.5 * (gs.r[1:] + gs.r[:-1])):
-        assert np.array_equal(groundstate._spline_eval(gs.r, gs._spline, at), spline(at))
+        assert np.array_equal(
+            groundstate._hermite_eval(gs.r, gs.profile, gs.derivative, at), hermite(at))
+    # the clamped spline through the same nodes, which re-derives every
+    # node slope, samples the same profile to rounding
+    clamped = CubicSpline(gs.r, gs.profile, bc_type=((1, 0.0), (1, float(gs.derivative[-1]))))
+    shift = np.max(np.abs(values.real[inside] - clamped(grid.radius[inside])))
+    assert shift <= 1e-12 * gs.amplitude
 
 
 def _reference_rk4(a, h, n_steps, d, omega, terms):
@@ -344,6 +351,15 @@ def test_single_power_defaults_to_the_supercritical_exponent():
     assert abs(gs.amplitude - 4.0 ** (1.0 / 6.0)) < 1e-9
     closed = (4.0 / np.cosh(3.0 * gs.r) ** 2) ** (1.0 / 6.0)
     assert float(np.max(np.abs(gs.profile - closed))) < 1e-7
+
+
+def test_an_e2_model_has_no_double_profile():
+    # the double terms carry E1's signs: an E2 double would be E1's profile
+    grid = GridSpec(d=1, n_per_axis=64, half_width=10.0)
+    with pytest.raises(ValueError, match="E1's signs"):
+        solve_ground_state(CRITICAL_MP, which="double")
+    with pytest.raises(ValueError, match="E1's signs"):
+        ground_state_on_grid(CRITICAL_MP, grid, which="double")
 
 
 def test_unknown_mode_is_rejected(double_gs):

@@ -1,11 +1,13 @@
 """Tooling: no module of the package, and no test file, imports a name it
 never uses; no package module exports a name it does not define; and no
 package source, test file or README cites a private name, module._name,
-that the package module lacks."""
+or a member of one, module._name.member, that the package module lacks."""
 
 import ast
 import importlib
+import inspect
 import re
+import textwrap
 import types
 from pathlib import Path
 
@@ -84,15 +86,42 @@ def test_a_stale_export_is_caught():
 # the files whose code, docstrings and comments cite private names, by
 # the names MODULES gives them, with the package's __init__ and README
 CITING = {**MODULES, "__init__": PACKAGE / "__init__.py", "README": TESTS.parent / "README.md"}
-# module._name for a package module
-CITATION = re.compile(r"\b(%s)\.(_[A-Za-z]\w*)" % "|".join(
+# module._name for a package module, with any dotted tail (._name.member)
+CITATION = re.compile(r"\b(%s)\.(_[A-Za-z]\w*(?:\.\w+)*)" % "|".join(
     m for m in MODULES if not m.startswith("tests/")))
 
 
+def _instance_members(cls: type) -> set:
+    """The attributes a package class's instances carry that the class
+    itself may lack: its dataclass or NamedTuple fields, and every
+    attribute a method of it or of a package base assigns on self."""
+    names = set(getattr(cls, "__dataclass_fields__", ())) | set(getattr(cls, "_fields", ()))
+    for klass in cls.__mro__:
+        if not klass.__module__.startswith("nlslab."):
+            continue
+        tree = ast.parse(textwrap.dedent(inspect.getsource(klass)))
+        names |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return names
+
+
+def _resolves(module, path: str) -> bool:
+    """Whether each part of path resolves with getattr from module; a part
+    a class lacks counts where its instances carry it, and ends the path."""
+    obj = module
+    for part in path.split("."):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:
+            return isinstance(obj, type) and part in _instance_members(obj)
+    return True
+
+
 def _stale_citations(text: str) -> list:
-    """The module._name citations in text whose package module has no
-    attribute of that name, each once, sorted."""
-    return sorted({m.group(0) for m in CITATION.finditer(text) if not hasattr(
+    """The module._name citations in text, with their dotted tails, that do
+    not resolve in their package module, each once, sorted."""
+    return sorted({m.group(0) for m in CITATION.finditer(text) if not _resolves(
         importlib.import_module(f"nlslab.{m.group(1)}"), m.group(2))})
 
 
@@ -108,5 +137,8 @@ def test_a_stale_citation_is_caught():
         "# the layout (spectral._layout, not spectral" "._grid_view), as\n"
         "# propagator._Buffers.virial and tests/test_spectral.py read it;\n"
         "spectral" "._grid_view(v) + propagator" "._PAD  # spectral.GridSpec is public\n"
+        "# propagator._Buffers" ".workspace(n), propagator._Buffers.__init__,\n"
+        "# experiment._Section.keys, groundstate._solve_cached.cache_clear()\n"
     )
-    assert _stale_citations(text) == ["propagator" "._PAD", "spectral" "._grid_view"]
+    assert _stale_citations(text) == ["propagator" "._Buffers" ".workspace", "propagator" "._PAD",
+                                      "spectral" "._grid_view"]
