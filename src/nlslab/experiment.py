@@ -455,7 +455,10 @@ def build_initial_field(cfg: ExperimentConfig):
         kwargs = {"power": init.power} if which == "single_power" and init.power > 0 else {}
         gs = solve_ground_state(cfg.model, which=which, **kwargs)
         base = ground_state_field(gs, grid)
-        u0 = ComplexField(grid, init.c * base.values * np.exp(1j * k0 * grid.coords[0]))
+        vals = init.c * base.values
+        if k0 != 0.0:
+            vals *= np.exp(1j * k0 * grid.coords[0])
+        u0 = ComplexField._adopt(grid, vals)
         notes["which"] = which
         notes["ground_state_amplitude"] = gs.amplitude
     elif init.kind == "file":
@@ -680,7 +683,7 @@ def _prepare(cfg: ExperimentConfig, out: Path) -> _Run:
 def _march(runs: list) -> list:
     """The trajectory logs of one stack's prepared runs."""
     cfg = runs[0].cfg
-    weight = VirialWeight(cfg.grid(), cfg.virial_radius) if cfg.virial_radius > 0 else None
+    weight = VirialWeight(runs[0].u0.grid, cfg.virial_radius) if cfg.virial_radius > 0 else None
     # a run keeps only the checkpoints it reads: all of them for a standing
     # wave's stationarity, else those of the proxy's Cauchy test
     return evolve_stack([run.u0 for run in runs], cfg.model, [run.cfg.stepper for run in runs],

@@ -29,24 +29,27 @@ __all__ = ["MAGIC", "VERSION", "save_field", "load_field"]
 def save_field(path, f: ComplexField) -> Path:
     path = Path(path)
     g = f.grid
-    header = _HEADER.pack(MAGIC, VERSION, g.d, g.n_per_axis, g.half_width)
-    payload = np.ascontiguousarray(f.values, dtype="<c16").tobytes()
-    path.write_bytes(header + payload)
+    with path.open("wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, g.d, g.n_per_axis, g.half_width))
+        # the samples' own buffer: no bytes copy of the payload
+        fh.write(np.ascontiguousarray(f.values, dtype="<c16"))
     return path
 
 
 def load_field(path) -> ComplexField:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, version, d, n, half_width = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    grid = GridSpec(d, n, half_width)
-    expected = _HEADER.size + 16 * grid.size
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    flat = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-    return ComplexField(grid, flat.reshape(grid.shape), allow_nonfinite=True)
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        magic, version, d, n, half_width = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported format version {version}")
+        grid = GridSpec(d, n, half_width)
+        expected = _HEADER.size + 16 * grid.size
+        found = Path(path).stat().st_size
+        if found != expected:
+            raise ValueError(f"{path}: expected {expected} bytes, found {found}")
+        vals = np.fromfile(fh, dtype="<c16", count=grid.size).astype(np.complex128, copy=False)
+    return ComplexField._adopt(grid, vals.reshape(grid.shape), allow_nonfinite=True)

@@ -240,11 +240,6 @@ def _integrate(a, h, n_steps, d, omega, terms, record=False):
     q = float(a)
     v = 0.0
     dm1 = d - 1.0
-    if record:
-        qs = np.empty(n_steps + 1)
-        vs = np.empty(n_steps + 1)
-        qs[0] = q
-        vs[0] = v
     copysign = math.copysign
     (mu1, e1), *more = terms
     two = bool(more)
@@ -252,11 +247,17 @@ def _integrate(a, h, n_steps, d, omega, terms, record=False):
         ((mu2, e2),) = more
     if mu1 != 1.0 or two and mu2 != -1.0:
         raise ValueError(f"shooting takes terms with mu = 1 then mu = -1, got {terms}")
+    if record:
+        qs = np.full(n_steps + 1, q)
+        vs = np.zeros(n_steps + 1)
+    # from an equilibrium, omega a - g(a) == 0.0, every stage's slope is
+    # 0.0 and every step the identity: the shot reaches r_max with no event
+    at_rest = q > 0.0 and omega * q - (q ** e1 - q ** e2 if two else q ** e1) == 0.0
 
     cls = -1
     i_stop = n_steps
     half = 0.5 * h
-    for i in range(n_steps):
+    for i in range(0 if at_rest else n_steps):
         r = i * h
         rh = r + half
         # stage 1, at r (the only stage that can sit at r = 0)

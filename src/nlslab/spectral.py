@@ -96,29 +96,20 @@ class GridSpec:
         k.flags.writeable = False
         return k
 
-    @cached_property
+    @property
     def coords(self) -> tuple:
-        """d coordinate arrays broadcast over the full lattice."""
-        if self.d == 1:
-            return (self.axis,)
-        xx, yy = np.meshgrid(self.axis, self.axis, indexing="ij")
-        xx.flags.writeable = False
-        yy.flags.writeable = False
-        return (xx, yy)
+        """The sample coordinates, axis once per axis, shaped to broadcast."""
+        return self._axes(self.axis)
 
-    @cached_property
+    @property
     def k_coords(self) -> tuple:
-        if self.d == 1:
-            return (self.frequencies,)
-        kx, ky = np.meshgrid(self.frequencies, self.frequencies, indexing="ij")
-        kx.flags.writeable = False
-        ky.flags.writeable = False
-        return (kx, ky)
+        """The wavenumbers, frequencies once per axis, shaped to broadcast."""
+        return self._axes(self.frequencies)
 
     def _axes(self, v: np.ndarray) -> tuple:
-        """The axis vector v once per axis, shaped to broadcast against the
-        lattice: what coords and k_coords hold, without a full array per
-        axis, so the lattice tables below cost no mesh."""
+        """The axis vector v once per axis, shaped (n, 1) then (n,) in 2-D,
+        so that they broadcast against the lattice and no table or datum
+        built from them needs a full array per axis."""
         return tuple(v.reshape((-1,) + (1,) * (self.d - 1 - ax)) for ax in range(self.d))
 
     @cached_property
@@ -136,7 +127,7 @@ class GridSpec:
         2/3 of the axis maximum in size."""
         k_edge = np.max(np.abs(self.frequencies))
         mask = np.zeros(self.shape, dtype=bool)
-        for axis_k in self._axes(self.frequencies):
+        for axis_k in self.k_coords:
             mask |= np.abs(axis_k) >= (2.0 / 3.0) * k_edge
         mask.flags.writeable = False
         return mask
@@ -148,7 +139,7 @@ class GridSpec:
         if mask is None:
             margin = cells * self.dx
             mask = np.zeros(self.shape, dtype=bool)
-            for x in self._axes(self.axis):
+            for x in self.coords:
                 mask |= (x >= self.half_width - margin) | (x < -self.half_width + margin)
             mask.flags.writeable = False
             self._edge_masks[cells] = mask
@@ -174,14 +165,14 @@ class GridSpec:
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        k2 = sum(k**2 for k in self._axes(self.frequencies))
+        k2 = sum(k**2 for k in self.k_coords)
         k2.flags.writeable = False
         return k2
 
     @cached_property
     def radius(self) -> np.ndarray:
         """|x| over the lattice (box coordinates, not periodic distance)."""
-        r = np.sqrt(sum(x**2 for x in self._axes(self.axis)))
+        r = np.sqrt(sum(x**2 for x in self.coords))
         r.flags.writeable = False
         return r
 
@@ -605,7 +596,10 @@ def _lp_norm(values: np.ndarray, q: float, cell_volume: float,
 # -- constructors and lattice diagnostics ------------------------------------
 
 def field_from_function(grid: GridSpec, fn) -> ComplexField:
-    return ComplexField(grid, np.asarray(fn(*grid.coords), dtype=np.complex128))
+    """The field fn(*grid.coords).  fn receives the coordinate axis vectors,
+    shaped to broadcast (GridSpec.coords), and its result is broadcast to
+    the grid's shape, so fn of x alone is a field constant along y."""
+    return ComplexField(grid, np.broadcast_to(fn(*grid.coords), grid.shape))
 
 
 def random_smooth_field(

@@ -29,10 +29,11 @@ from nlslab import experiment, groundstate
 from nlslab.cli import main
 from nlslab.fieldio import load_field, save_field
 from nlslab.functionals import ModelParams, action_K_H, mass
-from nlslab.groundstate import solve_ground_state
+from nlslab.groundstate import ground_state_field, solve_ground_state
 from nlslab.propagator import StepperConfig, evolve, evolve_stack, scattering_proxy
-from nlslab.spectral import GridSpec, field_from_function
-from nlslab.symmetry import SymmetryElement
+from nlslab.spectral import FourierMultiplier, GridSpec, apply_multiplier, field_from_function
+from nlslab.symmetry import SymmetryElement, apply_symmetry, spectral_translate
+from nlslab.virial import VirialWeight
 
 BASE = """
 [model]
@@ -487,6 +488,70 @@ def test_build_initial_field_excludes_the_symmetry_element():
     text = _with(symmetry="xi = 0.4188790204786391\n")
     u0, _ = build_initial_field(parse_config(text))
     assert abs(momentum(u0)[0]) < 1e-12
+
+
+
+def _grid_arrays(grid):
+    """Every array a grid holds in its instance dict, tuples and dicts opened."""
+    for v in vars(grid).values():
+        for item in v if isinstance(v, tuple) else v.values() if isinstance(v, dict) else (v,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_coordinate_consumers_on_axis_vectors_match_meshes_bitwise(n, townes_gs):
+    # each datum and table the grid's broadcast axis vectors feed equals,
+    # bit for bit, its expression on full np.meshgrid meshes; at 128^2 a
+    # complex field is 256 KiB, where numpy starts to elide temporaries
+    model = ModelParams(d=2, p=4.0, omega=1.0, equation="E2")
+    stepper = StepperConfig(dt=1e-3, t_final=0.01)
+    grid = GridSpec(d=2, n_per_axis=n, half_width=12.0)
+    x, y = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+    kx, ky = np.meshgrid(grid.frequencies, grid.frequencies, indexing="ij")
+    assert [c.shape for c in grid.coords] == [c.shape for c in grid.k_coords] == [(n, 1), (n,)]
+    grids = [grid]
+
+    def built(**initial):
+        u0, _ = build_initial_field(ExperimentConfig(
+            model, n, 12.0, stepper, InitialData(**initial)))
+        grids.append(u0.grid)
+        return u0.values.tobytes()
+
+    mesh_r = np.sqrt(sum(c**2 for c in (x, y)))
+    assert built(kind="gaussian", amplitude=0.8, width=2.0, wavenumber=1.2) == np.asarray(
+        0.8 * np.exp(-sum(c**2 for c in (x, y)) / 2.0**2) * np.exp(1.2j * x),
+        dtype=np.complex128).tobytes()
+    assert built(kind="sech", amplitude=1.3, rate=3.0, exponent=0.5, wavenumber=-0.7) == np.asarray(
+        1.3 * experiment._sech(3.0 * mesh_r) ** 0.5 * np.exp(-0.7j * x),
+        dtype=np.complex128).tobytes()
+    base = ground_state_field(townes_gs, grid).values
+    for c, k0 in ((-1.3, 0.6), (-1.3, 0.0), (0.9, 0.5)):
+        want = c * base * np.exp(1j * k0 * x)
+        assert built(kind="scaled_ground_state", c=c, wavenumber=k0) == want.tobytes()
+
+    f = field_from_function(grid, lambda x, y: np.exp(-(x**2 + 2.0 * y**2) / 4.0))
+    # fn of x alone is broadcast along y
+    assert np.array_equal(field_from_function(grid, lambda x, y: x).values, x)
+    dk = math.pi / grid.half_width
+    xi = (3.0 * dk, -5.0 * dk)
+    phase = sum(m * c for m, c in zip((x, y), xi))
+    assert (apply_symmetry(f, SymmetryElement(xi=xi)).values.tobytes()
+            == np.multiply(f.values, np.exp(1j * phase)).tobytes())
+    shift = (0.37, -1.1)
+    sym = np.exp(-1j * sum(k * c for k, c in zip((kx, ky), shift)))
+    assert (spectral_translate(f, shift).values.tobytes()
+            == apply_multiplier(f, FourierMultiplier(grid, sym)).values.tobytes())
+    w = VirialWeight(grid, 4.0)
+    safe = np.where(grid.radius > 0, grid.radius, 1.0)
+    for got, mesh in zip(w.unit_radial, (x, y)):
+        assert got.tobytes() == np.where(grid.radius > 0, mesh / safe, 0.0).tobytes()
+
+    # no grid keeps a coordinate mesh
+    for g in grids:
+        for arr in _grid_arrays(g):
+            assert not any(arr.shape == m.shape and np.array_equal(arr, m)
+                           for m in (x, y, kx, ky))
 
 
 # -- running ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Binary field snapshots: round trips and malformed-input refusals."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,3 +75,26 @@ def test_nonfinite_payload_loads_for_postmortem(tmp_path):
     f = ComplexField(g, vals, allow_nonfinite=True)
     back = load_field(save_field(tmp_path / "f.nlsf", f))
     assert np.isinf(back.values[5].real)
+
+
+def test_save_writes_the_samples_own_buffer_and_load_holds_one_copy(tmp_path):
+    g = GridSpec(d=2, n_per_axis=128, half_width=3.5)
+    rng = np.random.default_rng(0)
+    f = ComplexField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+    path = tmp_path / "f.nlsf"
+    save_field(path, f)
+    tracemalloc.start()
+    try:
+        save_field(path, f)
+        saved = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_field(path)
+        loaded = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    header = struct.pack("<4sIIId", MAGIC, VERSION, 2, 128, 3.5)
+    assert path.read_bytes() == header + f.values.tobytes()
+    assert back.values.tobytes() == f.values.tobytes()
+    # a bytes copy of the 256 KiB payload, or a joined one, would show here
+    assert saved < f.values.nbytes // 8
+    assert loaded < 1.5 * f.values.nbytes

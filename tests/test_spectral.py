@@ -239,7 +239,7 @@ def test_odd_symbols_zero_the_nyquist_mode_on_their_own_axis(d):
     grid = GridSpec(d=d, n_per_axis=16, half_width=3.0)
     nyq = grid.n_per_axis // 2
     for ax in range(d):
-        expected = grid.k_coords[ax].copy()
+        expected = np.broadcast_to(grid.k_coords[ax], grid.shape).copy()
         expected[(slice(None),) * ax + (nyq,)] = 0.0
         assert np.array_equal(np.broadcast_to(grid.k_odd[ax], grid.shape), expected)
         assert np.array_equal(gradient_multiplier(grid, ax).symbol, 1j * expected)
