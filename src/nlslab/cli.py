@@ -13,7 +13,9 @@ Exit codes: 0 on success, 2 on config or validation failure, 3 when a
 run aborted at runtime or a selftest check failed.  groundstate,
 classify and evolve load every config and place every output
 (experiment._place) before any work, and refuse, naming both configs,
-two that would write to the same path.  evolve marches the configs that
+two that would write to the same path; evolve also refuses a config
+whose initial_data.path is a file that a run directory's clearing would
+delete (experiment._spare_inputs).  evolve marches the configs that
 share a model, a grid and a record cadence as one stack
 (experiment.plan_stacks); --threads (default 1) sizes the pool that
 takes those stacks.  It prints one line per run in config order, the
@@ -34,6 +36,7 @@ from .experiment import (
     _initial_state,
     _place,
     _run_stack,
+    _spare_inputs,
     _threshold_verdict,
     _write_groundstate,
     parse_config,
@@ -171,6 +174,9 @@ def _cmd_evolve(args) -> int:
     one = len(args.config) == 1
     jobs = _admit(args, parse_config, lambda path, cfg: cfg.directory if not args.out
                   else args.out if one else Path(args.out) / Path(path).stem)
+    for spared in _spare_inputs((path, cfg, out) for path, (cfg, out) in zip(args.config, jobs)):
+        if isinstance(spared, ConfigError):
+            raise spared
 
     # configs that differ only in their initial data march as one stack;
     # the pool takes stacks, and the lines come back in config order

@@ -6,7 +6,8 @@ states each section's keys once, and keys or sections it does not name are
 refused.  The dataclass holding a value checks it on construction, so a
 config built in Python meets the rules a parsed one does.  _place decides
 each job's output before any job starts, and refuses a second claim on one
-path.  A run produces a directory holding the echoed config, a JSON
+path; _spare_inputs refuses a job whose initial data is a file that a run
+clears.  A run produces a directory holding the echoed config, a JSON
 summary (verdict, outcome, drifts, virial and scattering diagnostics), the
 trajectory CSV, the initial and final fields in NLSF form, and the
 ground-state profile used for classification.  Runs are deterministic:
@@ -543,7 +544,7 @@ def _drifts(log) -> dict:
 
 def _virial_summary(cfg: ExperimentConfig, log, whole, critical_mass: float | None) -> dict | None:
     """The summary's virial block; whole is the whole-space V'' of each
-    record, or None."""
+    record and critical_mass M(Q), or both None."""
     if cfg.virial_radius > 0:
         # each row's remainder is V'' - 8K with K the snapshot's, so the two
         # keys name one series
@@ -557,15 +558,12 @@ def _virial_summary(cfg: ExperimentConfig, log, whole, critical_mass: float | No
     if whole is None:
         return None
     # whole-space second derivative against the sharp interpolation bound
-    out = {"mode": "whole_space", "min_v_double_prime": min(whole)}
-    if critical_mass is not None:
-        d = cfg.model.d
-        margin = min(
-            v2 - 8.0 * (1.0 - (snap.mass / critical_mass) ** (2.0 / d)) * snap.grad_l2_sq
-            for v2, snap in zip(whole, log.snapshots)
-        )
-        out["min_bound_margin"] = margin
-    return out
+    d = cfg.model.d
+    margin = min(
+        v2 - 8.0 * (1.0 - (snap.mass / critical_mass) ** (2.0 / d)) * snap.grad_l2_sq
+        for v2, snap in zip(whole, log.snapshots)
+    )
+    return {"mode": "whole_space", "min_v_double_prime": min(whole), "min_bound_margin": margin}
 
 
 def _write_trajectory(path: Path, cfg: ExperimentConfig, log, whole):
@@ -615,6 +613,7 @@ class _Run:
     notes: dict
     gs: object
     verdict: dict | None
+    critical_mass: float | None  # M(Q), for a whole-space virial run
     solve_cost: tuple       # (solves, shots, seconds) of the solves it ran
 
 
@@ -658,6 +657,24 @@ def _place(claims) -> list:
     return placed
 
 
+def _spare_inputs(jobs) -> list:
+    """Each (owner, config, placed path or ConfigError) job's placed path,
+    or the ConfigError refusing it: a job whose initial_data.path is a
+    file that _prepare clears, one of _ARTIFACTS in a placed run
+    directory.  Run beside _place, before any job starts."""
+    jobs = list(jobs)
+    cleared = {(out / name).resolve(): out for _, _, out in jobs if isinstance(out, Path)
+               for name in _ARTIFACTS}
+    checked = []
+    for owner, cfg, out in jobs:
+        run_dir = cfg.initial.kind == "file" and cleared.get(Path(cfg.initial.path).resolve())
+        if isinstance(out, Path) and run_dir:
+            out = ConfigError(f"{owner}: initial_data.path: {cfg.initial.path!r} is a file "
+                              f"of run directory {run_dir}, which a run clears before it starts")
+        checked.append(out)
+    return checked
+
+
 def _prepare(cfg: ExperimentConfig, out: Path) -> _Run:
     """Clear the run directory, build and classify the initial data, and
     check evolve's preconditions on it, so that a job failing them fails
@@ -675,9 +692,11 @@ def _prepare(cfg: ExperimentConfig, out: Path) -> _Run:
     if cfg.classify_data:
         gs, v = _threshold_verdict(u0, cfg.model)
         verdict = asdict(v)
+    # whole_space_virial holds for E2 alone, whose bound reads M(Q)
+    critical_mass = _critical_mass(cfg.model) if cfg.whole_space_virial else None
     _check_initial_data(u0, cfg.stepper)
     cost = tuple(b - a for a, b in zip(cost_before, solve_cost()))
-    return _Run(cfg, out, started, u0, notes, gs, verdict, cost)
+    return _Run(cfg, out, started, u0, notes, gs, verdict, critical_mass, cost)
 
 
 def _march(runs: list) -> list:
@@ -694,7 +713,6 @@ def _finish(run: _Run, log, flights: int) -> Path:
     """Write a marched run's artifacts, the summary last; flights is the
     size its stack started with."""
     cfg, out, u0, gs = run.cfg, run.out, run.u0, run.gs
-    critical_mass = gs.mass if gs is not None and cfg.model.equation == "E2" else None
     # the whole-space V'' of each record, read off its snapshot once for
     # the trajectory and the summary
     whole = ([_whole_space_e2(cfg.model, snap) for snap in log.snapshots]
@@ -738,7 +756,7 @@ def _finish(run: _Run, log, flights: int) -> Path:
         "abort_time": log.abort_time,
         "abort_detail": log.abort_detail,
         "drifts": _drifts(log),
-        "virial": _virial_summary(cfg, log, whole, critical_mass),
+        "virial": _virial_summary(cfg, log, whole, run.critical_mass),
         "scattering_proxy": (
             asdict(scattering_proxy(log)) if log.outcome == "completed" else None
         ),
@@ -766,7 +784,9 @@ def run_experiments(jobs) -> list:
     its run directory or the exception that stopped it.
 
     A job writes to out_dir, else to its outputs.directory; _place
-    refuses one with neither, or whose directory an earlier job claims.
+    refuses one with neither, or whose directory an earlier job claims,
+    and _spare_inputs one that reads its initial data from a file a run
+    directory's clearing would delete.
     The jobs of one plan_stacks stack march together through
     evolve_stack: each is prepared (its directory cleared, its initial
     data built and classified, evolve's preconditions checked), the ones
@@ -779,6 +799,8 @@ def run_experiments(jobs) -> list:
     propagator.stack_flights gives the flights that march started with.
     """
     results = _place((f"job {i}", out or cfg.directory) for i, (cfg, out) in enumerate(jobs))
+    results = _spare_inputs((f"job {i}", cfg, out)
+                            for i, ((cfg, _), out) in enumerate(zip(jobs, results)))
     placed = [(cfg, out) for (cfg, _), out in zip(jobs, results)]
     for stack in plan_stacks([cfg for cfg, _ in jobs]):
         # one stack's fields and logs at a time

@@ -728,15 +728,18 @@ def evolve_stack(
     steppers must share snapshot_every and checkpoint_every, and each
     flight must end on a step that cadence observes (_ends_on_cadence),
     or else all must share one stepper (_mate_key); every flight must
-    meet evolve()'s preconditions.  Otherwise ValueError is raised before
-    any step; a lone StepperConfig in place of the list, TypeError.  A
-    stack should hold no more than _stack_capacity(grid) flights, past
-    which the gain of stacking is not reliable.
+    meet evolve()'s preconditions, and there must be at least one.
+    Otherwise ValueError is raised before any step; a lone StepperConfig
+    in place of the list, TypeError.  A stack should hold no more than
+    _stack_capacity(grid) flights, past which the gain of stacking is not
+    reliable.
     """
     if isinstance(cfgs, StepperConfig):
         raise TypeError("evolve_stack takes a list of StepperConfig, one per flight")
     if len(cfgs) != len(u0s):
         raise ValueError(f"{len(u0s)} flights need as many stepper configs, got {len(cfgs)}")
+    if not u0s:
+        raise ValueError("a stack needs at least one flight")
     grid = u0s[0].grid
     if any(u0.grid != grid for u0 in u0s):
         raise ValueError("the flights of a stack must share one grid")

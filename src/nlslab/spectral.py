@@ -121,47 +121,43 @@ class GridSpec:
         k.flags.writeable = False
         return self._axes(k)
 
-    @cached_property
+    @property
     def tail_mask(self) -> np.ndarray:
         """Modes in the spectral tail: any wavenumber component at least
-        2/3 of the axis maximum in size."""
+        2/3 of the axis maximum in size.  Built on each call; a grid keeps
+        only its positions (_tail_positions)."""
         k_edge = np.max(np.abs(self.frequencies))
         mask = np.zeros(self.shape, dtype=bool)
         for axis_k in self.k_coords:
             mask |= np.abs(axis_k) >= (2.0 / 3.0) * k_edge
-        mask.flags.writeable = False
         return mask
 
     def edge_mask(self, cells: int) -> np.ndarray:
-        """Sites within `cells` lattice sites of the box boundary, kept per
-        cells value."""
-        mask = self._edge_masks.get(cells)
-        if mask is None:
-            margin = cells * self.dx
-            mask = np.zeros(self.shape, dtype=bool)
-            for x in self.coords:
-                mask |= (x >= self.half_width - margin) | (x < -self.half_width + margin)
-            mask.flags.writeable = False
-            self._edge_masks[cells] = mask
+        """Sites within `cells` lattice sites of the box boundary.  Built
+        on each call; a grid keeps only its positions (_edge_positions)."""
+        margin = cells * self.dx
+        mask = np.zeros(self.shape, dtype=bool)
+        for x in self.coords:
+            mask |= (x >= self.half_width - margin) | (x < -self.half_width + margin)
         return mask
-
-    @cached_property
-    def _edge_masks(self) -> dict:
-        return {}
 
     @cached_property
     def _tail_positions(self) -> np.ndarray:
         """The flat C-order positions of tail_mask, which a stack's tail
-        sums gather (_masked_row_sums)."""
-        return _positions(self.tail_mask)
+        sums gather (_masked_row_sums).  Left writeable: np.take copies
+        indices it cannot write."""
+        return np.flatnonzero(self.tail_mask)
 
     def _edge_positions(self, cells: int) -> np.ndarray:
         """The flat C-order positions of edge_mask(cells), kept per cells
-        value."""
-        key = ("positions", cells)
-        if key not in self._edge_masks:
-            self._edge_masks[key] = _positions(self.edge_mask(cells))
-        return self._edge_masks[key]
+        value and left writeable, as _tail_positions."""
+        if cells not in self._edge_bands:
+            self._edge_bands[cells] = np.flatnonzero(self.edge_mask(cells))
+        return self._edge_bands[cells]
+
+    @cached_property
+    def _edge_bands(self) -> dict:
+        return {}
 
     @cached_property
     def k_squared(self) -> np.ndarray:
@@ -169,18 +165,11 @@ class GridSpec:
         k2.flags.writeable = False
         return k2
 
-    @cached_property
+    @property
     def radius(self) -> np.ndarray:
-        """|x| over the lattice (box coordinates, not periodic distance)."""
-        r = np.sqrt(sum(x**2 for x in self.coords))
-        r.flags.writeable = False
-        return r
-
-
-def _positions(mask: np.ndarray) -> np.ndarray:
-    """The flat C-order positions of a mask's True entries.  They are left
-    writeable: np.take copies indices it cannot write."""
-    return np.flatnonzero(mask)
+        """|x| over the lattice (box coordinates, not periodic distance),
+        built on each call."""
+        return np.sqrt(sum(x**2 for x in self.coords))
 
 
 def make_grid(d: int, n_per_axis: int, half_width: float) -> GridSpec:
@@ -687,9 +676,10 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 def _masked_row_sums(x: np.ndarray, positions: np.ndarray, into=None) -> np.ndarray:
     """np.sum(x[i][mask]) for each row i of a stack x, given the flat
-    C-order positions of the mask (_positions); the gather goes into the
-    leading elements of the contiguous float array into (a new array when
-    None), which must not overlap x."""
+    C-order positions of the mask, np.flatnonzero(mask), which is all a
+    grid or a weight keeps of it; the gather goes into the leading
+    elements of the contiguous float array into (a new array when None),
+    which must not overlap x."""
     out = None if into is None else (
         into.reshape(-1)[:len(x) * len(positions)].reshape(len(x), -1))
     # every position is in range, so "clip" clips nothing; unlike "raise"

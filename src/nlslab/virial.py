@@ -53,7 +53,6 @@ from .spectral import (
     ComplexField,
     GridSpec,
     _masked_row_sums,
-    _positions,
     _row_sums,
     _transform,
 )
@@ -127,7 +126,9 @@ def _phi_derivs(s: np.ndarray):
 
 @dataclass(eq=False)
 class VirialWeight:
-    """Lattice tables of w_R = R^2 phi(|x|/R) and its derivatives."""
+    """Lattice tables of w_R = R^2 phi(|x|/R) and its derivatives, and
+    exterior_positions: the flat C-order positions of |x| >= R, where the
+    exterior integral gathers; no mask of them is kept."""
 
     grid: GridSpec
     R: float
@@ -142,7 +143,8 @@ class VirialWeight:
             )
         g = self.grid
         d = g.d
-        s = g.radius / self.R
+        r = g.radius
+        s = r / self.R
         phi, d1, d2, d3, d4 = _phi_derivs(s)
 
         self.value = self.R**2 * phi               # w_R itself
@@ -167,11 +169,9 @@ class VirialWeight:
         self.bilaplacian = bil / self.R**2
 
         # unit radial vectors, zeroed at the origin
-        r = g.radius
         safe = np.where(r > 0, r, 1.0)
         self.unit_radial = tuple(np.where(r > 0, x / safe, 0.0) for x in g.coords)
-        self.exterior_mask = s >= 1.0
-        self.exterior_positions = _positions(self.exterior_mask)
+        self.exterior_positions = np.flatnonzero(s >= 1.0)
         for arr in (self.value, self.phi1, self.phi2, self.phi1_over_s,
                     self.laplacian, self.bilaplacian):
             arr.flags.writeable = False
@@ -218,7 +218,7 @@ def _virial_rows(mp: ModelParams, w: VirialWeight, x, spectrum, modulus, density
     (flights, *grid), as arrays of one value per field, from the stack's
     per-field np.fft.fftn, |u| and |u|^2, which it leaves as they are.
     Each integral is a per-field reduction over the grid axes, the
-    exterior one over the C-order gather of the exterior mask, so each
+    exterior one over the C-order gather at w.exterior_positions, so each
     row is bitwise its field's lone value.  A run's first record is at
     step 0, so an E2 model is refused before any step.
 

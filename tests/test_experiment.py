@@ -491,9 +491,9 @@ def test_build_initial_field_excludes_the_symmetry_element():
 
 
 
-def _grid_arrays(grid):
-    """Every array a grid holds in its instance dict, tuples and dicts opened."""
-    for v in vars(grid).values():
+def _held_arrays(obj):
+    """Every array obj holds in its instance dict, tuples and dicts opened."""
+    for v in vars(obj).values():
         for item in v if isinstance(v, tuple) else v.values() if isinstance(v, dict) else (v,):
             if isinstance(item, np.ndarray):
                 yield item
@@ -547,11 +547,17 @@ def test_coordinate_consumers_on_axis_vectors_match_meshes_bitwise(n, townes_gs)
     for got, mesh in zip(w.unit_radial, (x, y)):
         assert got.tobytes() == np.where(grid.radius > 0, mesh / safe, 0.0).tobytes()
 
-    # no grid keeps a coordinate mesh
+    # after a record, which gathers the monitors and the exterior integral
+    # at the positions the grid and the weight keep, no grid keeps a
+    # coordinate mesh, a mask or the radius, and the weight keeps no mask
+    log = evolve(f, ModelParams(d=2, p=5.0, omega=1.0, equation="E1"), stepper, virial_weight=w)
+    assert len(log.virial_rows) == len(log.snapshots) > 1
     for g in grids:
-        for arr in _grid_arrays(g):
+        for arr in _held_arrays(g):
+            assert arr.dtype != bool
             assert not any(arr.shape == m.shape and np.array_equal(arr, m)
-                           for m in (x, y, kx, ky))
+                           for m in (x, y, kx, ky, mesh_r))
+    assert all(arr.dtype != bool for arr in _held_arrays(w))
 
 
 # -- running ------------------------------------------------------------------
@@ -789,6 +795,25 @@ def test_a_run_holds_only_the_fields_it_reads(tmp_path, monkeypatch):
     assert summary["scattering_proxy"]["cauchy_distance"] is not None
 
 
+def test_a_whole_space_run_bounds_its_virial_without_classifying(tmp_path):
+    # M(Q) of the sharp interpolation bound comes from the mass-critical
+    # solve the run prepares, which its timing counts, not from the
+    # classification's ground state
+    e2 = BASE.replace("equation = E1", "equation = E2")
+    groundstate._solve_cached.cache_clear()
+    virials = []
+    for classify in ("false", "true"):
+        cfg = parse_config(_with(e2, outputs=f"directory = {tmp_path}/{classify}\n"
+                                             f"classify = {classify}\nwhole_space_virial = true"))
+        summary = json.loads((run_experiment(cfg) / "summary.json").read_text())
+        virials.append(summary["virial"])
+    assert virials[0] == virials[1]
+    assert summary["timing"]["groundstate.solves"] == 0
+    assert json.loads((tmp_path / "false" / "summary.json").read_text())[
+        "timing"]["groundstate.solves"] == 1
+    assert set(virials[1]) == {"mode", "min_v_double_prime", "min_bound_margin"}
+
+
 def test_rerun_without_classify_leaves_no_groundstate_behind(tmp_path):
     first = run_experiment(_quick_cfg(tmp_path))
     assert (first / "groundstate.csv").is_file()
@@ -819,6 +844,36 @@ def test_a_job_claiming_an_earlier_jobs_directory_is_refused_alone(tmp_path):
     assert (out / "config.ini").read_text() == serialize_config(first)
     with pytest.raises(ConfigError, match="job 0: outputs.directory: no output directory"):
         run_experiment(replace(first, directory=""))
+
+
+def test_a_job_reading_a_file_a_run_clears_is_refused_and_the_file_kept(tmp_path, capsys):
+    # a run clears its directory's artifacts before it builds u0, so a job
+    # reading one of them, in its own run directory or in another job's,
+    # would delete its own input
+    run_dir = run_experiment(_quick_cfg(tmp_path, extra_outputs="classify = false"))
+    data = run_dir / "final.nlsf"
+    kept = data.read_bytes()
+    reader = _quick_cfg(tmp_path, initial=f"kind = file\npath = {data}",
+                        extra_outputs="classify = false")
+    writer = _quick_cfg(tmp_path, extra_outputs="classify = false")
+    other = replace(reader, directory=str(tmp_path / "other"))
+    configs = {}
+    for name, cfg in (("own", reader), ("writer", writer), ("other", other)):
+        configs[name] = tmp_path / f"{name}.ini"
+        configs[name].write_text(serialize_config(cfg))
+    for argv in (["--config", str(configs["own"])],
+                 ["--config", str(configs["writer"]), "--config", str(configs["other"])]):
+        assert main(["evolve", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "initial_data.path" in err and f"run directory {run_dir}" in err
+        assert data.read_bytes() == kept
+    assert not (tmp_path / "other").exists()
+    # run_experiments refuses the reader alone and runs the writer
+    ran, refused = experiment.run_experiments([(writer, None), (other, None)])
+    assert ran == run_dir
+    assert isinstance(refused, ConfigError)
+    assert str(refused).startswith("job 1: initial_data.path: ")
+    assert not (tmp_path / "other").exists()
 
 
 def test_saved_initial_field_reflects_the_symmetry_element(tmp_path):

@@ -616,7 +616,7 @@ def test_sums_over_a_stack_are_each_rows_own_sums_bitwise(shape):
     grid = GridSpec(d=len(shape) - 1, n_per_axis=shape[-1], half_width=10.0)
     masks = [grid.tail_mask, grid.edge_mask(4), grid.edge_mask(9)]
     sums = [spectral._row_sums(stack)]
-    sums += [spectral._masked_row_sums(stack, spectral._positions(mask)) for mask in masks]
+    sums += [spectral._masked_row_sums(stack, np.flatnonzero(mask)) for mask in masks]
     for i, row in enumerate(stack):
         alone = [np.sum(row)] + [np.sum(row[mask]) for mask in masks]
         assert [s[i].tobytes() for s in sums] == [a.tobytes() for a in alone]
@@ -1006,6 +1006,8 @@ def test_evolve_stack_refuses_a_bad_flight_before_any_step():
                                 lambda x: np.exp(-x**2) + 0j)
     with pytest.raises(ValueError, match="share one grid"):
         propagator.evolve_stack([good, other], MP1, [cfg] * 2)
+    with pytest.raises(ValueError, match="at least one flight"):
+        propagator.evolve_stack([], MP1, [])
 
 
 def test_evolve_stack_refuses_mates_off_the_shared_cadence():

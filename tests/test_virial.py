@@ -55,7 +55,7 @@ def test_weight_is_plain_variance_inside_and_zero_outside(d, n, L, R):
     outer = r >= 2.0 * R
     for table in (w.value, w.phi1, w.phi2, w.laplacian, w.bilaplacian):
         assert np.all(table[outer] == 0.0)
-    assert np.all(w.exterior_mask == (r / R >= 1.0))
+    assert np.array_equal(w.exterior_positions, np.flatnonzero(r / R >= 1.0))
 
 
 def test_weight_tables_are_consistent_under_differencing():
@@ -161,7 +161,8 @@ def _per_field_reference(f, mp, w):
     bilap = -float(np.sum(w.bilaplacian * dens) * dv)
     term_mc = 4.0 / (d + 2.0) * float(np.sum(w.laplacian * pot_mc) * dv)
     term_p = -2.0 * (p - 1.0) / (p + 1.0) * float(np.sum(w.laplacian * pot_p) * dv)
-    exterior = float(np.sum((grad_sq + dens / w.R**2 + pot_mc + pot_p)[w.exterior_mask]) * dv)
+    outside = f.grid.radius / w.R >= 1.0
+    exterior = float(np.sum((grad_sq + dens / w.R**2 + pot_mc + pot_p)[outside]) * dv)
     return value, v_prime, hess + bilap + term_mc + term_p, exterior
 
 
