@@ -271,8 +271,8 @@ def _cmd_selftest(args) -> int:
     marches = [(u0s, mp5, cfgs, weight), (u0s_2d, mp_2d, cfgs_2d, None)]
     # each flight's record series, by repr (every float's bits), and its
     # final state
-    series = ("times", "snapshots", "tail_fractions", "edge_fractions", "scatter_series",
-              "virial_rows")
+    series = ("times", "snapshots", "tail_fractions", "edge_fractions", "scatter_rates",
+              "scatter_series", "virial_rows")
 
     def differing(marches):
         differ = flights = 0

@@ -574,11 +574,11 @@ def _write_trajectory(path: Path, cfg: ExperimentConfig, log, whole):
         header += ",V_double_prime"
     with path.open("w") as fh:
         fh.write(header + "\n")
-        for j, snap in enumerate(log.snapshots):
+        for j, (snap, accumulated) in enumerate(zip(log.snapshots, log.scatter_series)):
             row = (
                 snapshot_csv_row(snap)
                 + f",{log.tail_fractions[j]!r},{log.edge_fractions[j]!r}"
-                + f",{log.scatter_series[j]!r}"
+                + f",{accumulated!r}"
             )
             if cfg.virial_radius > 0:
                 vr = log.virial_rows[j]

@@ -127,8 +127,10 @@ snapshot integral, the tail and edge fractions and the scattering
 integrand is then a per-flight reduction over the grid axes, which
 numpy computes to the bits of the flight's lone sum (tests/test_propagator.py
 checks this premise), and each flight reads its own edge band.  Only
-the list appends, the scattering sum, the blow-up criterion and the
-abort decision loop over the flights.  The localized virial rows are
+the list appends, the blow-up criterion and the abort decision loop
+over the flights; the record appends each flight's integrand as it
+appends its snapshot, and the log sums them over time when read
+(TrajectoryLog.scatter_series).  The localized virial rows are
 such reductions too (virial._virial_rows).  snapshot(),
 spectral_tail_fraction(), edge_mass_fraction(), virial_value() and
 virial_derivatives() are the same code on a stack of one.  A record
@@ -209,11 +211,14 @@ stopped representing the solution:
                       initial value while the tail threshold is exceeded,
                       i.e. focusing collapse reached grid scale
 
-The scattering diagnostic accumulates the time integral of the grid
-L^{2(d+2)/d} norm (to that power) of u weighted by (1 + |k|^{s_p}) on the
-Fourier side, by the left-endpoint rule at snapshot times.  Saturation of
-this accumulator, decay of the L^{p+1} norm, and a Cauchy test on
-free-flow pullbacks of stored checkpoints make up the scattering proxy.
+The scattering diagnostic is the time integral of the grid L^{2(d+2)/d}
+norm (to that power) of u weighted by (1 + |k|^{s_p}) on the Fourier
+side.  Each record appends the integrand to TrajectoryLog.scatter_rates,
+and TrajectoryLog.scatter_series accumulates those rates by the
+left-endpoint rule at snapshot times; that property is the one place the
+rule is stated.  Saturation of this accumulator, decay of the L^{p+1}
+norm, and a Cauchy test on free-flow pullbacks of stored checkpoints
+make up the scattering proxy.
 
 By default evolve() keeps every checkpoint for the whole run, which is
 what a check over all stored fields (acceptance gate 06) reads.  With
@@ -235,6 +240,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -323,12 +329,16 @@ class TrajectoryLog:
     """Everything recorded along one run.
 
     Series are aligned: times[j], the t of snapshots[j], matches
-    tail_fractions[j], edge_fractions[j], and scatter_series[j] (the
-    cumulative diagnostic up to times[j]).  Checkpoints are (t, field)
-    pairs and always include the initial state (u0 itself) and the final
-    or abort state; in between they hold every stored checkpoint, or under
+    tail_fractions[j], edge_fractions[j] and scatter_rates[j], the
+    scattering integrand at that record, and so scatter_series[j], the
+    integrand accumulated up to times[j] from those rates (the one place
+    that sums them over time).  Checkpoints are (t, field) pairs and
+    always include the initial state (u0 itself) and a finite final or
+    abort state; in between they hold every stored checkpoint, or under
     evolve's bounded_checkpoints only those at or after
-    _late_quarter_start.
+    _late_quarter_start.  A state with non-finite amplitudes is no
+    checkpoint: an abort on one keeps it only as final_state, with each
+    NaN stored as np.nan.
     dt_used is the step size after the nudge onto t_final, n_steps the
     number of such steps that reaches t_final.
     """
@@ -340,7 +350,7 @@ class TrajectoryLog:
     snapshots: list = field(default_factory=list)
     tail_fractions: list = field(default_factory=list)
     edge_fractions: list = field(default_factory=list)
-    scatter_series: list = field(default_factory=list)
+    scatter_rates: list = field(default_factory=list)
     virial_rows: list = field(default_factory=list)
     checkpoints: list = field(default_factory=list)
     outcome: str = "running"
@@ -352,6 +362,13 @@ class TrajectoryLog:
     def times(self) -> list:
         """The record times, read off the snapshots."""
         return [s.t for s in self.snapshots]
+
+    @property
+    def scatter_series(self) -> list:
+        """The accumulated scattering integrand at each record time: 0.0 at
+        the first, then the left-endpoint rule over scatter_rates."""
+        return list(accumulate(((s1.t - s0.t) * rate for (s0, s1), rate in zip(
+            pairwise(self.snapshots), self.scatter_rates)), initial=0.0))[:len(self.snapshots)]
 
     @property
     def energy_drift(self) -> float:
@@ -770,8 +787,7 @@ def evolve_stack(
     def record(x, flights, step):
         # every flight of the stack storage x records at once: one forward
         # FFT and one |u| for the stack, shared by every diagnostic, each a
-        # per-flight reduction, all in the stack's buffers; returns each
-        # flight's scattering integrand
+        # per-flight reduction, all in the stack's buffers
         # the fields in the grid's shape: a split line's is a contiguous
         # copy, as the row sums take their bits from contiguous rows; with
         # localized virial rows, into their second complex array, which
@@ -791,25 +807,24 @@ def evolve_stack(
         virial = () if work is None else zip(*(v.tolist() for v in _virial_rows(
             mp, virial_weight, u, spec, a, dens, (*work, scratch.spare))))
         # |u| and |u|^2 are read: the tail fractions take their storage
-        tails = _tail_fractions(spec, grid, scratch)
-        for i, t, snap, tail, edge in zip(flights, ts, snaps, tails.tolist(), edges.tolist()):
+        tails = _tail_fractions(spec, grid, scratch).tolist()
+        # the spectrum's last reader
+        rates = _scatter_integrand(spec, grid, wsym, mcp, scratch).tolist()
+        for i, snap, tail, edge, rate in zip(flights, snaps, tails, edges.tolist(), rates):
             log = logs[i]
             log.snapshots.append(snap)
             log.tail_fractions.append(tail)
             log.edge_fractions.append(edge)
+            log.scatter_rates.append(rate)
         for i, t, snap, (v, vp, vpp, ext) in zip(flights, ts, snaps, virial):
             # K is the snapshot's: the remainder reads it rather than form it again
             logs[i].virial_rows.append(
                 VirialRow(t, v, vp, vpp, vpp - 8.0 * snap.scaling_derivative, ext))
-        return _scatter_integrand(spec, grid, wsym, mcp, scratch).tolist()
 
-    # each flight's scattering integrand at its last record, summed by the
-    # left-endpoint rule at its next one
     live = list(range(len(u0s)))     # the log of each row of values
-    pending = record(values, live, 0)
+    record(values, live, 0)
     for log, u0 in zip(logs, u0s):
         log.checkpoints.append((0.0, u0))
-        log.scatter_series.append(0.0)
 
     step = 0
     while live:
@@ -825,11 +840,9 @@ def evolve_stack(
         # the finite flights that record at this step, all of them together
         recording = [row for row, i in enumerate(live)
                      if finite[row] and (step % every == 0 or step == logs[i].n_steps)]
-        recorded = {}
         if recording:
-            recorded = dict(zip(recording, record(
-                values if len(recording) == len(live) else values[recording],
-                [live[row] for row in recording], step)))
+            record(values if len(recording) == len(live) else values[recording],
+                   [live[row] for row in recording], step)
 
         stopped, kept = [], []
         for row, i in enumerate(live):
@@ -849,12 +862,7 @@ def evolve_stack(
                 stopped.append(row)
                 continue
 
-            if row in recorded:
-                # snapshots[-2] is the previous record's
-                log.scatter_series.append(
-                    log.scatter_series[-1] + (t - log.snapshots[-2].t) * pending[i])
-                pending[i] = recorded[row]
-
+            if row in recording:
                 tail = log.tail_fractions[-1]
                 edge = log.edge_fractions[-1]
                 _, blowup = _blowup_criterion(log, len(log.snapshots) - 1, cfg, tail)

@@ -772,8 +772,8 @@ def test_a_split_line_stack_in_padded_rows_is_the_plain_unpadded_march(monkeypat
         cache.cache_clear()
     assert marched == [2, 2] + [1] * (len(marched) - 2) and len(marched) > 2
 
-    series = ("times", "snapshots", "tail_fractions", "edge_fractions", "scatter_series",
-              "virial_rows")
+    series = ("times", "snapshots", "tail_fractions", "edge_fractions", "scatter_rates",
+              "scatter_series", "virial_rows")
     terms = propagator._nonlinear_terms(MP1)
     for u0, h, log, alone in zip(u0s, steps, logs, plain):
         assert log.outcome == alone.outcome == "completed"
@@ -985,7 +985,7 @@ def test_evolve_stack_logs_are_each_flights_evolve_log(double_gs, bounded):
             assert log.config is cfg
             for name in ("dt_used", "n_steps", "outcome", "abort_time", "abort_detail",
                          "times", "snapshots", "tail_fractions", "edge_fractions",
-                         "scatter_series", "virial_rows"):
+                         "scatter_rates", "scatter_series", "virial_rows"):
                 assert same(getattr(log, name), getattr(alone, name)), name
             assert [t for t, _ in log.checkpoints] == [t for t, _ in alone.checkpoints]
             assert ([bits(f) for _, f in log.checkpoints]
@@ -993,6 +993,29 @@ def test_evolve_stack_logs_are_each_flights_evolve_log(double_gs, bounded):
             assert log.checkpoints[0][1] is u0
             assert bits(log.final_state) == bits(alone.final_state)
     assert len({log.dt_used for log in stacked}) == 3
+
+
+def test_the_scatter_series_is_the_left_endpoint_sum_of_the_per_record_rates(double_gs):
+    g = GridSpec(d=1, n_per_axis=1024, half_width=15.0)
+    q = ground_state_field(double_gs, g)
+    u0s = [ComplexField(g, c * q.values) for c in (1.4, 0.7)]
+    # a blow-up that aborts early beside a flight at a 10x coarser step
+    cfgs = [StepperConfig(dt=1e-5, t_final=0.03, snapshot_every=25, blowup_grad_factor=10.0,
+                          tail_fraction_max=3e-3, edge_mass_max=1e-8),
+            StepperConfig(dt=1e-4, t_final=0.05, snapshot_every=25, tail_fraction_max=1e-5,
+                          edge_mass_max=1e-5)]
+    stacked = propagator.evolve_stack(u0s, MP1, cfgs)
+    assert [log.outcome for log in stacked] == ["blowup_detected", "completed"]
+    for u0, cfg, log in zip(u0s, cfgs, stacked):
+        # one rate per record, the abort record included
+        assert len(log.scatter_rates) == len(log.snapshots) > 2
+        times, rates = log.times, log.scatter_rates
+        total, written = 0.0, [0.0]
+        for j in range(1, len(times)):
+            total = total + (times[j] - times[j - 1]) * rates[j - 1]
+            written.append(total)
+        assert repr(log.scatter_series) == repr(written)
+        assert repr(rates) == repr(evolve(u0, MP1, cfg).scatter_rates)
 
 
 def test_evolve_stack_refuses_a_bad_flight_before_any_step():
@@ -1093,6 +1116,8 @@ def test_nonfinite_amplitudes_abort_with_a_postmortem_state():
     nans = np.isnan(parts)
     assert nans.any()
     assert np.all(parts.view(np.uint64)[nans] == 0x7FF8000000000000)
+    # a non-finite state is no checkpoint: it is kept as the final state only
+    assert [t for t, _ in log.checkpoints] == [0.0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
